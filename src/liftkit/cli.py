@@ -18,7 +18,7 @@ from .hardy import column_operator, default_grid
 from .lifting import (InterpolationProblem, central_C, random_constrained_z,
                       random_problem, solve_from_Z, uniqueness_certificate,
                       verify_solution, z_from_C)
-from .linalg import Subspace, operator_norm
+from .linalg import Subspace, operator_norm, operator_norms
 from .modelspace import (check_decompositions, h_from_Z_theta, model_space,
                          mult_contraction_test, random_inner,
                          random_multiplier, z_from_H_theta)
@@ -151,8 +151,8 @@ def _cmd_fiber(args, payload_in):
     grid = default_grid(N)
     constraint = 0.0
     if p.F.dim > 0:
-        constraint = max(operator_norm(Z1.eval(z) @ p.F.basis - p.omega)
-                         for z in grid.points)
+        constraint = float(operator_norms(
+            Z1.eval_many(grid.points) @ p.F.basis - p.omega).max())
     failures = []
     if diff > 1e-7:
         failures.append(f"fiber roundtrip residual {diff:.3e} exceeds 1e-07")

@@ -5,6 +5,13 @@ coefficients 0..N, stacked as a block column of length (N+1)*d.  The
 forward shift drops the degree-N coefficient on overflow, so shift
 identities are exact on the retained blocks 0..N-1 and every routine that
 multiplies truncated series reports the mass it dropped.
+
+Every analytic operator function (PolyOpFn, AnalyticFn, SchurRealization,
+InnerFn) exposes the same protocol: ``taylor_stack(N)`` returns the
+coefficients 0..N as an (N+1, out, in) stack for the series engine in
+``liftkit.series``, and ``eval_many(points)`` returns the values at P
+points as a (P, out, in) stack, raising what the per-point ``eval`` would
+raise at any of them.
 """
 
 from __future__ import annotations
@@ -14,12 +21,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import series
 from .errors import ConfigError, DegreeTooSmall, DimensionMismatch, DomainError
 from .linalg import Subspace, as_operator, operator_norm
 
 DEFAULT_DEGREE = 24
 DEFAULT_RADII = (0.6, 0.95)
 POINTS_PER_CIRCLE = 32
+
+
+def disk_points(points) -> np.ndarray:
+    """Points as a complex128 vector; DomainError names the first |z| >= 1."""
+    z = np.asarray(points, dtype=np.complex128).reshape(-1)
+    bad = np.flatnonzero(np.abs(z) >= 1.0)
+    if bad.size:
+        raise DomainError(f"|lambda| = {abs(z[bad[0]]):.6f} is not < 1")
+    return z
 
 
 @dataclass(frozen=True)
@@ -38,10 +55,12 @@ class PolyOpFn:
     column_bound: float | None = None
 
     def __post_init__(self):
-        cs = tuple(as_operator(c, rows=self.out_dim, cols=self.in_dim) for c in self.coeffs)
+        cs = [as_operator(c, rows=self.out_dim, cols=self.in_dim) for c in self.coeffs]
         if not cs:
             raise DimensionMismatch("at least one coefficient required")
-        object.__setattr__(self, "coeffs", cs)
+        stack = np.stack(cs)
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "coeffs", tuple(stack))
 
     @property
     def degree(self) -> int:
@@ -55,35 +74,43 @@ class PolyOpFn:
             return self.coeffs[n]
         return np.zeros((self.out_dim, self.in_dim), dtype=np.complex128)
 
-    # uniform analytic-function access path
     def taylor(self, n: int) -> np.ndarray:
         return self.coeff(n)
 
+    def taylor_stack(self, N: int) -> np.ndarray:
+        """Coefficients 0..N as an (N+1, out, in) stack, zero-padded."""
+        out = np.zeros((N + 1, self.out_dim, self.in_dim), dtype=np.complex128)
+        k = min(N + 1, len(self.coeffs))
+        out[:k] = self._stack[:k]
+        return out
+
+    def eval_many(self, points) -> np.ndarray:
+        """Values at points of the open unit disk, as a (P, out, in) stack."""
+        return series.polyval(self._stack, disk_points(points))
+
     def eval(self, lam: complex) -> np.ndarray:
-        """Evaluate at a point of the open unit disk (Horner)."""
-        lam = complex(lam)
-        if abs(lam) >= 1.0:
-            raise DomainError(f"|lambda| = {abs(lam):.6f} is not < 1")
-        acc = np.zeros((self.out_dim, self.in_dim), dtype=np.complex128)
-        for c in reversed(self.coeffs):
-            acc = c + lam * acc
-        return acc
+        """Evaluate at a point of the open unit disk."""
+        return self.eval_many([lam])[0]
 
 
 class AnalyticFn:
-    """Analytic operator function with a pointwise rule plus Taylor data.
+    """Analytic operator function with a batched pointwise rule plus Taylor data.
 
     Used for functions that are not polynomials (resolvent-type formulas)
     but still need coefficient access for the truncated recursions.  The
-    Taylor data is precomputed to a fixed degree; asking beyond it raises
-    DegreeTooSmall.
+    rule ``eval_many_fn`` maps a vector of P points of the open disk to a
+    (P, out_dim, in_dim) stack.  The Taylor data is precomputed to a fixed
+    degree; asking beyond it raises DegreeTooSmall.
     """
 
-    def __init__(self, out_dim, in_dim, coeffs, eval_fn, meta=None):
+    def __init__(self, out_dim, in_dim, coeffs, eval_many_fn, meta=None):
         self.out_dim = int(out_dim)
         self.in_dim = int(in_dim)
-        self.coeffs = tuple(as_operator(c, rows=self.out_dim, cols=self.in_dim) for c in coeffs)
-        self._eval_fn = eval_fn
+        cs = [as_operator(c, rows=self.out_dim, cols=self.in_dim) for c in coeffs]
+        self._stack = (np.stack(cs) if cs else
+                       np.zeros((0, self.out_dim, self.in_dim), dtype=np.complex128))
+        self.coeffs = tuple(self._stack)
+        self._eval_many = eval_many_fn
         self.meta = dict(meta or {})
 
     @property
@@ -97,11 +124,26 @@ class AnalyticFn:
             raise DegreeTooSmall(f"Taylor data stored to degree {self.degree}, asked for {n}")
         return self.coeffs[n]
 
+    def taylor_stack(self, N: int) -> np.ndarray:
+        """Coefficients 0..N as an (N+1, out, in) stack."""
+        if N >= len(self.coeffs):
+            raise DegreeTooSmall(f"Taylor data stored to degree {self.degree}, asked for {N}")
+        return self._stack[:N + 1].copy()
+
+    def eval_many(self, points) -> np.ndarray:
+        """Values at points of the open unit disk, as a (P, out, in) stack."""
+        z = disk_points(points)
+        vals = np.asarray(self._eval_many(z), dtype=np.complex128)
+        if vals.shape != (z.size, self.out_dim, self.in_dim):
+            raise DimensionMismatch(
+                f"pointwise rule returned shape {vals.shape}, expected "
+                f"{(z.size, self.out_dim, self.in_dim)}")
+        if vals.size and not np.isfinite(vals).all():
+            raise ValueError("matrix has non-finite entries")
+        return vals
+
     def eval(self, lam: complex) -> np.ndarray:
-        lam = complex(lam)
-        if abs(lam) >= 1.0:
-            raise DomainError(f"|lambda| = {abs(lam):.6f} is not < 1")
-        return as_operator(self._eval_fn(lam), rows=self.out_dim, cols=self.in_dim)
+        return self.eval_many([lam])[0]
 
 
 @dataclass(frozen=True)
@@ -156,17 +198,14 @@ def shift_and_embed(dim: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     if dim < 0 or N < 0:
         raise ValueError("dim and N must be nonnegative")
     size = (N + 1) * dim
-    S = np.zeros((size, size), dtype=np.complex128)
-    for n in range(N):
-        S[(n + 1) * dim:(n + 2) * dim, n * dim:(n + 1) * dim] = np.eye(dim)
-    E = np.zeros((size, dim), dtype=np.complex128)
-    E[:dim, :] = np.eye(dim)
+    S = np.eye(size, k=-dim, dtype=np.complex128)
+    E = np.eye(size, dim, dtype=np.complex128)
     return S, E
 
 
-def column_operator(H: PolyOpFn, N: int) -> np.ndarray:
+def column_operator(H, N: int) -> np.ndarray:
     """Stack H_0..H_N into the column operator C^in -> truncated H^2(C^out)."""
-    return np.vstack([H.coeff(n) for n in range(N + 1)])
+    return H.taylor_stack(N).reshape((N + 1) * H.out_dim, H.in_dim)
 
 
 def analytic_toeplitz(H: PolyOpFn, N: int) -> np.ndarray:
@@ -176,12 +215,11 @@ def analytic_toeplitz(H: PolyOpFn, N: int) -> np.ndarray:
     of C^in-valued polynomials to the degree-N part of the product.
     """
     out, inn = H.out_dim, H.in_dim
-    T = np.zeros(((N + 1) * out, (N + 1) * inn), dtype=np.complex128)
-    for k in range(min(H.degree, N) + 1):
-        c = H.coeff(k)
-        for j in range(N + 1 - k):
-            T[(j + k) * out:(j + k + 1) * out, j * inn:(j + 1) * inn] = c
-    return T
+    T = np.zeros((N + 1, out, N + 1, inn), dtype=np.complex128)
+    j = np.arange(N + 1)
+    for k, c in enumerate(H.taylor_stack(min(H.degree, N))):
+        T[j[k:], :, j[:N + 1 - k], :] = c
+    return T.reshape((N + 1) * out, (N + 1) * inn)
 
 
 def multiplication_operator(H: PolyOpFn, domain: Subspace, N: int) -> tuple[np.ndarray, float]:
@@ -195,11 +233,10 @@ def multiplication_operator(H: PolyOpFn, domain: Subspace, N: int) -> tuple[np.n
         raise DimensionMismatch(
             f"domain ambient {domain.ambient_dim} != (N+1)*in_dim = {(N + 1) * H.in_dim}")
     M = analytic_toeplitz(H, N) @ domain.basis
-    tail = 0.0
-    deg = H.degree
-    if deg > 0 and domain.dim > 0:
-        rows = []
-        for m in range(N + 1, N + deg + 1):
-            rows.append(np.hstack([H.coeff(m - j) for j in range(N + 1)]))
-        tail = operator_norm(np.vstack(rows) @ domain.basis)
+    out, inn, deg = H.out_dim, H.in_dim, H.degree
+    # row m of the dropped part is [H_m H_(m-1) ... H_(m-N)], m = N+1..N+deg
+    S = H.taylor_stack(N + deg)
+    rows = [S[m - N:m + 1][::-1].transpose(1, 0, 2).reshape(out, (N + 1) * inn)
+            for m in range(N + 1, N + deg + 1)]
+    tail = operator_norm(np.vstack(rows) @ domain.basis) if rows else 0.0
     return M, tail

@@ -32,13 +32,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import series
 from .errors import (ConstraintViolated, DimensionMismatch, NotAContraction,
                      NotASolution, SingularResolvent, WNotNormalizedAtZero)
 from .hardy import AnalyticFn, PolyOpFn, column_operator, default_grid
 from .linalg import (RANK_TOL, Subspace, as_operator, hermitian_sqrt_psd,
-                     operator_norm, orthonormal_range)
-from .schur import (SchurRealization, constrained_completion, herglotz_eval,
-                    random_schur, taylor_coeffs)
+                     operator_norm, operator_norms, orthonormal_range)
+from .schur import (SchurRealization, constrained_completion, herglotz_many,
+                    random_schur)
 
 W_ZERO_TOL = 1e-8
 W_COND_MAX = 1e10
@@ -89,9 +90,10 @@ def solve_from_Z(p: InterpolationProblem, Z, N: int, grid=None,
                  constraint_tol: float = 1e-8) -> PolyOpFn:
     """Taylor coefficients H_0..H_N of the solution attached to Z.
 
-    Z may be any analytic operator function exposing eval/taylor with
-    in_dim = U and out_dim = Y + U; its restriction to F is checked
-    against omega on the sample grid before solving.  The recursion is
+    Z may be any analytic operator function exposing eval_many and
+    taylor_stack with in_dim = U and out_dim = Y + U; its restriction to F
+    is checked against omega on the sample grid before solving.  The
+    recursion, G = (I - lambda P_U Z)^-1 and H = P_Y Z G, is
 
         G_0 = I,  G_k = sum_(j<k) (P_U Z)_(k-1-j) G_j,
         H_n = sum_(k<=n) (P_Y Z)_(n-k) G_k.
@@ -104,26 +106,13 @@ def solve_from_Z(p: InterpolationProblem, Z, N: int, grid=None,
         grid = default_grid(max(N, 4))
     if p.F.dim > 0:
         om, Fb = p.omega, p.F.basis
-        worst = max(operator_norm(Z.eval(z) @ Fb - om) for z in grid.points)
+        worst = float(operator_norms(Z.eval_many(grid.points) @ Fb - om).max())
         if worst > constraint_tol:
             raise ConstraintViolated(
                 f"Z|_F differs from omega by {worst:.3e} on the grid")
-    Zc = taylor_coeffs(Z, N)
-    Zy = [c[:y, :] for c in Zc]
-    Zu = [c[y:, :] for c in Zc]
-    G = [np.eye(u, dtype=np.complex128)]
-    for k in range(1, N + 1):
-        acc = np.zeros((u, u), dtype=np.complex128)
-        for j in range(k):
-            acc += Zu[k - 1 - j] @ G[j]
-        G.append(acc)
-    H = []
-    for n in range(N + 1):
-        acc = np.zeros((y, u), dtype=np.complex128)
-        for k in range(n + 1):
-            acc += Zy[n - k] @ G[k]
-        H.append(acc)
-    return PolyOpFn(y, u, tuple(H), column_bound=1.0)
+    Zc = Z.taylor_stack(N)
+    G = series.resolvent(Zc[:N, y:, :])
+    return PolyOpFn(y, u, series.mul(Zc[:, :y, :], G), column_bound=1.0)
 
 
 def verify_solution(p: InterpolationProblem, H: PolyOpFn, N: int,
@@ -136,22 +125,20 @@ def verify_solution(p: InterpolationProblem, H: PolyOpFn, N: int,
     del tol
     if H.in_dim != p.U_dim or H.out_dim != p.Y_dim:
         raise DimensionMismatch("H has wrong dimensions for this problem")
+    Hs = H.taylor_stack(N)
     rec = 0.0
     if p.F.dim > 0:
-        Fb = p.F.basis
-        rec = operator_norm(H.coeff(0) @ Fb - p.omega1)
-        for n in range(1, N + 1):
-            r = operator_norm(H.coeff(n) @ Fb - H.coeff(n - 1) @ p.omega2)
-            rec = max(rec, r)
-    gram = np.zeros((p.U_dim, p.U_dim), dtype=np.complex128)
-    for n in range(N + 1):
-        c = H.coeff(n)
-        gram += c.conj().T @ c
+        res = Hs @ p.F.basis
+        res[0] -= p.omega1
+        res[1:] -= Hs[:-1] @ p.omega2
+        rec = operator_norms(res).max()
+    col = Hs.reshape((N + 1) * p.Y_dim, p.U_dim)
+    gram = col.conj().T @ col
     eig = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
     excess = max(0.0, float(eig[-1]) - 1.0) if eig.size else 0.0
     if grid is None:
         grid = default_grid(max(N, 4))
-    sup = max(operator_norm(H.eval(z)) for z in grid.points)
+    sup = operator_norms(H.eval_many(grid.points)).max()
     return SolutionReport(recurrence_residual=float(rec),
                           partial_gram_excess=float(excess),
                           grid_sup_norm=float(sup), degree=N)
@@ -237,43 +224,35 @@ def parameter_membership(Cfun, p: InterpolationProblem, Gamma,
     if grid is None:
         grid = default_grid()
     Bfd = gd.defect_basis.conj().T @ gd.F_gamma.basis
-    for z in grid.points:
-        Cv = Cfun.eval(z)
-        if operator_norm(Cv) > 1.0 + tol:
-            return False
-        if operator_norm(Cv @ Bfd - gd.Omega) > tol:
-            return False
-    return True
+    Cv = Cfun.eval_many(grid.points)
+    if np.any(operator_norms(Cv) > 1.0 + tol):
+        return False
+    return not np.any(operator_norms(Cv @ Bfd - gd.Omega) > tol)
 
 
-def _w_taylor(H: PolyOpFn, Gamma, Cfun, N: int, D, Bd) -> list:
-    """Coefficients W_0..W_(N+1) of the positive-real factor.
+def _w_taylor(Hs: np.ndarray, Gamma, Cfun, D, Bd):
+    """Coefficients W_0..W_(N+1) of the positive-real factor, and the sums.
 
     W_0 = Gamma*Gamma + D^2 and, for k >= 1,
     W_k = 2 sum_n H_n* H_(n+k) + 2 D_Gamma (herglotz of C)_k D_Gamma,
-    the first sum running over the retained degrees n <= N - k.
+    the first sum running over the retained degrees n <= N - k.  Returns
+    W as an (N+2, u, u) stack and the first sums, k = 1..N+1, as an
+    (N+1, u, u) stack.
     """
-    u = H.in_dim
-    Hc = [H.coeff(n) for n in range(N + 1)]
-    first = []
-    for k in range(1, N + 2):
-        s = np.zeros((u, u), dtype=np.complex128)
-        for n in range(N - k + 1):
-            s += Hc[n].conj().T @ Hc[n + k]
-        first.append(s)
-    d = Bd.shape[1]
-    Cc = taylor_coeffs(Cfun, N)
-    P = [np.eye(d, dtype=np.complex128)]
-    for k in range(1, N + 2):
-        acc = np.zeros((d, d), dtype=np.complex128)
-        for j in range(1, k + 1):
-            acc += Cc[j - 1] @ P[k - j]
-        P.append(acc)
+    L, y, u = Hs.shape
+    col = Hs.reshape(L * y, u)
+    first = np.zeros((L, u, u), dtype=np.complex128)
+    # the sum for k = N+1 is empty
+    for k in range(1, L):
+        first[k - 1] = col[:(L - k) * y].conj().T @ col[k * y:]
+    # the Herglotz transform of C is 2 (I - lambda C)^-1 - I, so its
+    # degree-k coefficient is 2 P_k for k >= 1
+    P = series.resolvent(Cfun.taylor_stack(L - 1))
     DB = D @ Bd
     BD = Bd.conj().T @ D
-    W = [Gamma.conj().T @ Gamma + D @ D]
-    for k in range(1, N + 2):
-        W.append(2.0 * first[k - 1] + 2.0 * (DB @ P[k] @ BD))
+    W = np.empty((L + 1, u, u), dtype=np.complex128)
+    W[0] = Gamma.conj().T @ Gamma + D @ D
+    W[1:] = 2.0 * first + 2.0 * (DB @ P[1:] @ BD)
     return W, first
 
 
@@ -295,49 +274,40 @@ def z_from_C(p: InterpolationProblem, H: PolyOpFn, Gamma, Cfun, N: int) -> Analy
     if Cfun.in_dim != d or Cfun.out_dim != d:
         raise DimensionMismatch(
             f"C must act on the {d}-dimensional defect space of Gamma")
-    W, first = _w_taylor(H, G, Cfun, N, D, Bd)
+    Hs = H.taylor_stack(N)
+    W, first = _w_taylor(Hs, G, Cfun, D, Bd)
     eye = np.eye(u, dtype=np.complex128)
     w0res = operator_norm(W[0] - eye)
     if w0res > W_ZERO_TOL:
         raise WNotNormalizedAtZero(f"W(0) differs from I by {w0res:.3e}")
-    M = [np.linalg.inv(W[0] + eye)]
-    for k in range(1, N + 2):
-        acc = np.zeros((u, u), dtype=np.complex128)
-        for j in range(1, k + 1):
-            acc += W[j] @ M[k - j]
-        M.append(-M[0] @ acc)
-    coeffs = []
-    for n in range(N + 1):
-        top = np.zeros((y, u), dtype=np.complex128)
-        for k in range(n + 1):
-            top += H.coeff(k) @ M[n - k]
-        coeffs.append(np.vstack([2.0 * top, -2.0 * M[n + 1]]))
+    Wp = W.copy()
+    Wp[0] += eye
+    M = series.inv(Wp)
+    coeffs = np.concatenate([2.0 * series.mul(Hs, M), -2.0 * M[1:]], axis=1)
     gamma_sq = G.conj().T @ G
     DB = D @ Bd
     BD = Bd.conj().T @ D
     remainder = D @ D - DB @ BD
 
-    def _w_eval(lam):
-        # polynomial part is exact: the truncated shift is nilpotent
-        poly = np.zeros((u, u), dtype=np.complex128)
-        for k in range(len(first), 0, -1):
-            poly = first[k - 1] + lam * poly
-        h = herglotz_eval(Cfun, lam)
-        return gamma_sq + 2.0 * lam * poly + DB @ h @ BD + remainder
+    def _eval_many(z):
+        out = np.empty((z.size, y + u, u), dtype=np.complex128)
+        at0 = z == 0
+        out[at0] = coeffs[0]
+        lam = z[~at0]
+        if lam.size:
+            lam3 = lam[:, None, None]
+            # polynomial part is exact: the truncated shift is nilpotent
+            Wv = (gamma_sq + 2.0 * lam3 * series.polyval(first, lam)
+                  + DB @ herglotz_many(Cfun, lam) @ BD + remainder)
+            Aplus = Wv + eye
+            if np.any(np.linalg.cond(Aplus) > W_COND_MAX):
+                raise SingularResolvent("W(lambda) + I is numerically singular")
+            inv = np.linalg.inv(Aplus)
+            out[~at0, :y] = 2.0 * (H.eval_many(lam) @ inv)
+            out[~at0, y:] = ((Wv - eye) @ inv) / lam3
+        return out
 
-    def _eval(lam):
-        if lam == 0:
-            return coeffs[0]
-        Wv = _w_eval(lam)
-        Aplus = Wv + eye
-        if np.linalg.cond(Aplus) > W_COND_MAX:
-            raise SingularResolvent("W(lambda) + I is numerically singular")
-        inv = np.linalg.inv(Aplus)
-        top = 2.0 * (H.eval(lam) @ inv)
-        bot = ((Wv - eye) @ inv) / lam
-        return np.vstack([top, bot])
-
-    return AnalyticFn(y + u, u, coeffs, _eval, meta={"w0_residual": w0res})
+    return AnalyticFn(y + u, u, coeffs, _eval_many, meta={"w0_residual": w0res})
 
 
 def uniqueness_certificate(p: InterpolationProblem) -> bool:

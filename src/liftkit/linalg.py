@@ -39,6 +39,17 @@ def operator_norm(M) -> float:
     return float(np.linalg.norm(A, 2))
 
 
+def operator_norms(M) -> np.ndarray:
+    """Largest singular value of each matrix of a (P, m, n) stack.
+
+    0.0 for empty matrices, as operator_norm.
+    """
+    A = np.asarray(M, dtype=np.complex128)
+    if A.shape[1] == 0 or A.shape[2] == 0:
+        return np.zeros(A.shape[0])
+    return np.linalg.norm(A, 2, axis=(1, 2))
+
+
 def is_contraction(M, slack: float = 1e-8) -> bool:
     """True iff operator_norm(M) <= 1 + slack."""
     return operator_norm(M) <= 1.0 + slack

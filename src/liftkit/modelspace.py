@@ -28,14 +28,15 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import series
 from .errors import (DegreeTooSmall, DimensionMismatch, DomainError,
                      NotAContraction)
 from .hardy import (AnalyticFn, PolyOpFn, analytic_toeplitz, column_operator,
                     default_grid, multiplication_operator, shift_and_embed)
 from .lifting import InterpolationProblem, central_C, z_from_C
 from .linalg import (RANK_TOL, Subspace, as_operator, haar_unitary,
-                     operator_norm, orthonormal_range)
-from .schur import random_schur, taylor_coeffs
+                     operator_norm, operator_norms, orthonormal_range)
+from .schur import random_schur
 
 KERNEL_TOL = 1e-9
 
@@ -121,53 +122,55 @@ class InnerFn:
         """Blaschke degree: pole count governing dim of the model space."""
         return self.power + len(self.factors)
 
-    def taylor_list(self, N: int) -> list:
-        """Exact Taylor coefficients 0..N (products convolve exactly)."""
+    def taylor_stack(self, N: int) -> np.ndarray:
+        """Exact Taylor coefficients 0..N as an (N+1, out, in) stack.
+
+        The factor series multiply exactly: each rank-one factor is the
+        series (I - P) + b_a(lambda) P.
+        """
         u = self.out_dim
-        prod = [np.eye(u, dtype=np.complex128)]
-        prod.extend(np.zeros((u, u), dtype=np.complex128) for _ in range(N))
+        prod = np.zeros((N + 1, u, u), dtype=np.complex128)
+        prod[0] = np.eye(u)
         for fac in self.factors:
             P = fac.projector()
-            comp = np.eye(u) - P
-            fc = [comp + fac.scalar_coeff(0) * P]
-            fc.extend(fac.scalar_coeff(n) * P for n in range(1, N + 1))
-            new = []
-            for n in range(N + 1):
-                acc = np.zeros((u, u), dtype=np.complex128)
-                for k in range(n + 1):
-                    acc += prod[k] @ fc[n - k]
-                new.append(acc)
-            prod = new
-        out = [np.zeros((u, self.in_dim), dtype=np.complex128)
-               for _ in range(min(self.power, N + 1))]
-        out.extend(prod[n] @ self.V0 for n in range(N + 1 - self.power))
-        return out[:N + 1]
+            fc = np.array([fac.scalar_coeff(n) for n in range(N + 1)])[:, None, None] * P
+            fc[0] += np.eye(u) - P
+            prod = series.mul(prod, fc)
+        out = np.zeros((N + 1, u, self.in_dim), dtype=np.complex128)
+        if self.power <= N:
+            out[self.power:] = prod[:N + 1 - self.power] @ self.V0
+        return out
 
     def coeff(self, n: int) -> np.ndarray:
-        return self.taylor_list(n)[n]
+        return self.taylor_stack(n)[n]
 
     def taylor(self, n: int) -> np.ndarray:
         return self.coeff(n)
 
     def as_poly(self, N: int) -> PolyOpFn:
-        return PolyOpFn(self.out_dim, self.in_dim, tuple(self.taylor_list(N)))
+        return PolyOpFn(self.out_dim, self.in_dim, self.taylor_stack(N))
 
     def phi_poly(self, N: int) -> PolyOpFn:
         """Taylor polynomial of Phi = Theta / lambda to degree N."""
-        tl = self.taylor_list(N + 1)
-        return PolyOpFn(self.out_dim, self.in_dim, tuple(tl[1:]))
+        return PolyOpFn(self.out_dim, self.in_dim, self.taylor_stack(N + 1)[1:])
+
+    def eval_many(self, points) -> np.ndarray:
+        """Exact rational evaluation at each point; the closed disk is allowed."""
+        z = np.asarray(points, dtype=np.complex128).reshape(-1)
+        bad = np.flatnonzero(np.abs(z) > 1.0 + 1e-12)
+        if bad.size:
+            raise DomainError(f"|lambda| = {abs(z[bad[0]]):.6f} exceeds 1")
+        u = self.out_dim
+        acc = np.broadcast_to(np.eye(u, dtype=np.complex128), (z.size, u, u))
+        for fac in self.factors:
+            P = fac.projector()
+            b = z if fac.a == 0 else fac.eval_scalar(z)
+            acc = acc @ (np.eye(u) - P + b[:, None, None] * P)
+        return (z ** self.power)[:, None, None] * (acc @ self.V0)
 
     def eval(self, lam: complex) -> np.ndarray:
         """Exact rational evaluation; the closed disk is allowed."""
-        lam = complex(lam)
-        if abs(lam) > 1.0 + 1e-12:
-            raise DomainError(f"|lambda| = {abs(lam):.6f} exceeds 1")
-        u = self.out_dim
-        acc = np.eye(u, dtype=np.complex128)
-        for fac in self.factors:
-            P = fac.projector()
-            acc = acc @ (np.eye(u) - P + fac.eval_scalar(lam) * P)
-        return (lam ** self.power) * (acc @ self.V0)
+        return self.eval_many([lam])[0]
 
 
 @dataclass(frozen=True)
@@ -273,29 +276,12 @@ def h_from_Z_theta(theta: InnerFn, Z, N: int) -> PolyOpFn:
         raise DimensionMismatch(
             f"Z must map C^{u} into C^y + C^{e}, got {Z.out_dim} x {Z.in_dim}")
     y = Z.out_dim - e
-    Zc = taylor_coeffs(Z, N)
-    Zy = [c[:y, :] for c in Zc]
-    Ze = [c[y:, :] for c in Zc]
-    Th = theta.taylor_list(N)
-    V = [np.zeros((u, u), dtype=np.complex128)]
-    for j in range(1, N + 1):
-        acc = np.zeros((u, u), dtype=np.complex128)
-        for i in range(1, j + 1):
-            acc += Th[i] @ Ze[j - i]
-        V.append(acc)
-    G = [np.eye(u, dtype=np.complex128)]
-    for n in range(1, N + 1):
-        acc = np.zeros((u, u), dtype=np.complex128)
-        for j in range(1, n + 1):
-            acc += V[j] @ G[n - j]
-        G.append(acc)
-    H = []
-    for n in range(N + 1):
-        acc = np.zeros((y, u), dtype=np.complex128)
-        for k in range(n + 1):
-            acc += Zy[k] @ G[n - k]
-        H.append(acc)
-    return PolyOpFn(y, u, tuple(H))
+    Zc = Z.taylor_stack(N)
+    # V = Theta P_E Z vanishes at 0, so V = lambda * (V_1 + lambda V_2 + ...)
+    # and G = (I - V)^-1 is the resolvent of the shifted series
+    V = series.mul(theta.taylor_stack(N), Zc[:, y:, :])
+    G = series.resolvent(V[1:])
+    return PolyOpFn(y, u, series.mul(Zc[:, :y, :], G))
 
 
 def z_from_H_theta(theta: InnerFn, Hfn: PolyOpFn, ms: ModelSpace, N: int,
@@ -331,8 +317,7 @@ def z_from_H_theta(theta: InnerFn, Hfn: PolyOpFn, ms: ModelSpace, N: int,
     f = Fb.shape[1]
     p_model = InterpolationProblem(U_dim=m, Y_dim=y, F=Subspace(m, Fb),
                                    omega1=np.zeros((y, f)), omega2=om2)
-    Htilde = PolyOpFn(y, m, tuple(Gmat[n * y:(n + 1) * y, :] for n in range(N + 1)),
-                      column_bound=1.0)
+    Htilde = PolyOpFn(y, m, Gmat.reshape(N + 1, y, m), column_bound=1.0)
     C0 = central_C(p_model, Gmat, tol)
     Zt = z_from_C(p_model, Htilde, Gmat, C0, N)
     EmU = msb.conj().T @ E
@@ -340,15 +325,15 @@ def z_from_H_theta(theta: InnerFn, Hfn: PolyOpFn, ms: ModelSpace, N: int,
     left = colPhi.conj().T @ msb
 
     def compress(Zv: np.ndarray) -> np.ndarray:
-        top = Zv[:y, :] @ EmU
-        bottom = left @ (Zv[y:, :] @ EmU)
-        return np.vstack([top, bottom])
+        """Compress a (P, y + m, m) stack to (P, y + e, u)."""
+        top = Zv[:, :y, :] @ EmU
+        bottom = left @ (Zv[:, y:, :] @ EmU)
+        return np.concatenate([top, bottom], axis=1)
 
-    coeffs = [compress(Zt.taylor(n)) for n in range(N + 1)]
     meta = dict(Zt.meta)
     meta["mult_tail"] = float(tail)
-    return AnalyticFn(y + e, u, coeffs, lambda lam: compress(Zt.eval(lam)),
-                      meta=meta)
+    return AnalyticFn(y + e, u, compress(Zt.taylor_stack(N)),
+                      lambda z: compress(Zt.eval_many(z)), meta=meta)
 
 
 def pointwise_mult_check(Gmat, ms: ModelSpace, tol: float = 1e-8,
@@ -372,14 +357,13 @@ def pointwise_mult_check(Gmat, ms: ModelSpace, tol: float = 1e-8,
     Rm = msb.conj().T @ h0b
     Qm = msb.conj().T @ (S @ h0b)
     inter = operator_norm(SY @ (G @ Rm) - G @ Qm)
-    K = PolyOpFn(y, u, tuple((G @ (msb.conj().T @ E))[n * y:(n + 1) * y, :]
-                             for n in range(N + 1)))
-    Gfn = PolyOpFn(y, m, tuple(G[n * y:(n + 1) * y, :] for n in range(N + 1)))
-    basis_fn = PolyOpFn(u, m, tuple(msb[n * u:(n + 1) * u, :] for n in range(N + 1)))
+    K = PolyOpFn(y, u, (G @ (msb.conj().T @ E)).reshape(N + 1, y, u))
     if grid is None:
         grid = default_grid(max(N, 4))
-    pw = max(operator_norm(Gfn.eval(z) - K.eval(z) @ basis_fn.eval(z))
-             for z in grid.points)
+    pts = grid.points
+    Gv = series.polyval(G.reshape(N + 1, y, m), pts)
+    basis_v = series.polyval(msb.reshape(N + 1, u, m), pts)
+    pw = operator_norms(Gv - K.eval_many(pts) @ basis_v).max()
     both = bool((inter <= tol) == (pw <= tol))
     return PointwiseMultReport(consistent=both, intertwining_residual=float(inter),
                                pointwise_residual=float(pw), K=K)

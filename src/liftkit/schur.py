@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NotAContraction, SingularResolvent
+from .errors import DimensionMismatch, NotAContraction, SingularResolvent
+from .hardy import disk_points
 from .linalg import (as_operator, defect, hermitian_sqrt_psd, operator_norm,
                      orthonormal_range)
 
@@ -67,16 +68,20 @@ class SchurRealization:
         bot = np.hstack([self.C, self.D])
         return np.vstack([top, bot])
 
+    def eval_many(self, points) -> np.ndarray:
+        """Z at points of the open disk, one batched solve, as a (P, out, in) stack."""
+        z = disk_points(points)
+        n = self.state_dim
+        if n == 0:
+            return np.repeat(self.D[None], z.size, axis=0)
+        z3 = z[:, None, None]
+        res = np.linalg.solve(np.eye(n) - z3 * self.A,
+                              np.broadcast_to(self.B, (z.size,) + self.B.shape))
+        return self.D + z3 * (self.C @ res)
+
     def eval(self, lam: complex) -> np.ndarray:
         """Z(lambda) = D + lambda C (I - lambda A)^-1 B on the open disk."""
-        lam = complex(lam)
-        if abs(lam) >= 1.0:
-            raise DomainError(f"|lambda| = {abs(lam):.6f} is not < 1")
-        if self.state_dim == 0:
-            return self.D.copy()
-        n = self.state_dim
-        res = np.linalg.solve(np.eye(n) - lam * self.A, self.B)
-        return self.D + lam * (self.C @ res)
+        return self.eval_many([lam])[0]
 
     def taylor(self, n: int) -> np.ndarray:
         """Taylor coefficient: D for n = 0, C A^(n-1) B for n >= 1."""
@@ -88,20 +93,24 @@ class SchurRealization:
             return np.zeros((self.out_dim, self.in_dim), dtype=np.complex128)
         return self.C @ np.linalg.matrix_power(self.A, n - 1) @ self.B
 
+    def taylor_stack(self, N: int) -> np.ndarray:
+        """Coefficients 0..N as an (N+1, out, in) stack: D, then C A^(k-1) B."""
+        out = np.empty((N + 1, self.out_dim, self.in_dim), dtype=np.complex128)
+        out[0] = self.D
+        P = self.B
+        for k in range(1, N + 1):
+            out[k] = self.C @ P
+            P = self.A @ P
+        return out
+
 
 def taylor_coeffs(fn, N: int) -> list:
-    """First N+1 Taylor coefficients of an analytic operator function."""
-    if isinstance(fn, SchurRealization):
-        coeffs = [fn.taylor(0)]
-        if fn.state_dim == 0:
-            zero = np.zeros((fn.out_dim, fn.in_dim), dtype=np.complex128)
-            coeffs.extend(zero for _ in range(N))
-        else:
-            P = fn.B.copy()
-            for _ in range(N):
-                coeffs.append(fn.C @ P)
-                P = fn.A @ P
-        return coeffs
+    """First N+1 Taylor coefficients of an analytic operator function.
+
+    Uses fn.taylor_stack(N) when fn provides it, else fn.taylor(k) per k.
+    """
+    if hasattr(fn, "taylor_stack"):
+        return list(fn.taylor_stack(N))
     return [fn.taylor(k) for k in range(N + 1)]
 
 
@@ -166,26 +175,32 @@ def constrained_completion(problem, X: SchurRealization | None = None) -> SchurR
     return SchurRealization(A, B, C, D)
 
 
-def herglotz_eval(Cfun, lam: complex) -> np.ndarray:
+def herglotz_many(Cfun, points) -> np.ndarray:
     """(I + lambda C(lambda)) (I - lambda C(lambda))^-1 for Schur-class C.
 
-    Equals I at lambda = 0 and has positive semidefinite Hermitian part on
-    the disk.  Raises SingularResolvent when I - lambda C(lambda) is
-    numerically singular.
+    Evaluated at every point at once, as a (P, d, d) stack.  Equals I at
+    lambda = 0 and has positive semidefinite Hermitian part on the disk.
+    Raises SingularResolvent when I - lambda C(lambda) is numerically
+    singular at any of the points.
     """
-    lam = complex(lam)
-    if abs(lam) >= 1.0:
-        raise DomainError(f"|lambda| = {abs(lam):.6f} is not < 1")
-    V = lam * Cfun.eval(lam)
-    d = V.shape[0]
-    if V.shape[0] != V.shape[1]:
+    z = disk_points(points)
+    V = z[:, None, None] * Cfun.eval_many(z)
+    d = V.shape[1]
+    if V.shape[1] != V.shape[2]:
         raise DimensionMismatch("herglotz_eval needs a square-valued function")
     if d == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
-    A = np.eye(d) - V
+        return np.zeros((z.size, 0, 0), dtype=np.complex128)
+    eye = np.eye(d)
+    A = eye - V
     s = np.linalg.svd(A, compute_uv=False)
     # guard on the inverse norm, not cond: a 1x1 [[eps]] has cond 1
-    if s[-1] * RESOLVENT_COND_MAX < max(1.0, float(s[0])):
+    if np.any(s[:, -1] * RESOLVENT_COND_MAX < np.maximum(1.0, s[:, 0])):
         raise SingularResolvent("I - lambda*C(lambda) is numerically singular")
     # right-divide: (I + V) A^-1 solved as A^T X^T = (I + V)^T
-    return np.linalg.solve(A.T, (np.eye(d) + V).T).T
+    At = A.transpose(0, 2, 1)
+    return np.linalg.solve(At, (eye + V).transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
+def herglotz_eval(Cfun, lam: complex) -> np.ndarray:
+    """herglotz_many at a single point, as a (d, d) matrix."""
+    return herglotz_many(Cfun, [lam])[0]

@@ -1,0 +1,105 @@
+"""Truncated power series with matrix coefficients, on stacked arrays.
+
+A series is an (N+1, m, n) complex128 array whose entry k is the degree-k
+Taylor coefficient.  Every routine truncates at the length of its inputs
+and computes output degree k with one BLAS product of a block row and a
+reversed block column,
+
+    c_k = [a_0 a_1 ... a_k] @ [b_k; ...; b_1; b_0],
+
+so a degree-N result costs N+1 numpy calls and no dense block-Toeplitz
+matrix is ever formed.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .errors import DimensionMismatch, SingularResolvent
+
+INV_COND_MAX = 1e12
+
+
+def _as_series(a) -> np.ndarray:
+    """Coerce to an (N+1, m, n) complex128 stack with at least one term."""
+    s = np.asarray(a, dtype=np.complex128)
+    if s.ndim != 3 or s.shape[0] == 0:
+        raise DimensionMismatch(f"expected an (N+1, m, n) stack, got shape {s.shape}")
+    return s
+
+
+def _block_row(a: np.ndarray) -> np.ndarray:
+    """[a_0 a_1 ... a_N] as one m x (N+1)n matrix."""
+    L, m, n = a.shape
+    return a.transpose(1, 0, 2).reshape(m, L * n)
+
+
+def mul(a, b) -> np.ndarray:
+    """Truncated product c_k = sum_(j<=k) a_j b_(k-j), to the shorter length."""
+    a, b = _as_series(a), _as_series(b)
+    if a.shape[2] != b.shape[1]:
+        raise DimensionMismatch(
+            f"cannot multiply {a.shape[1:]} by {b.shape[1:]} coefficients")
+    L = min(len(a), len(b))
+    _, m, n = a.shape
+    p = b.shape[2]
+    row = _block_row(a[:L])
+    # rows (L-1-k)n.. of col hold b_k; b_k..b_0 is the tail from there
+    col = b[L - 1::-1].reshape(L * n, p)
+    c = np.empty((L, m, p), dtype=np.complex128)
+    for k in range(L):
+        c[k] = row[:, :(k + 1) * n] @ col[(L - 1 - k) * n:]
+    return c
+
+
+def resolvent(x) -> np.ndarray:
+    """Coefficients y_0..y_L of (I - lambda x(lambda))^-1 from x_0..x_(L-1).
+
+    The recursion y_0 = I, y_k = sum_(j<k) x_j y_(k-1-j) is well founded
+    because of the factor lambda, so L terms of x give L+1 terms of y.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    if x.ndim != 3 or x.shape[1] != x.shape[2]:
+        raise DimensionMismatch(f"resolvent needs square coefficients, got shape {x.shape}")
+    L, m, _ = x.shape
+    row = _block_row(x)
+    # y_k is stored at block L-k, so y_k..y_0 is the tail from block L-k
+    col = np.zeros(((L + 1) * m, m), dtype=np.complex128)
+    col[L * m:] = np.eye(m)
+    for k in range(1, L + 1):
+        col[(L - k) * m:(L + 1 - k) * m] = row[:, :k * m] @ col[(L + 1 - k) * m:]
+    return col.reshape(L + 1, m, m)[::-1].copy()
+
+
+def inv(a) -> np.ndarray:
+    """Inverse series of a, to the same length; a_0 must be invertible.
+
+    Writing a = a_0 (I - lambda x) reduces the inverse to a resolvent.
+    Raises SingularResolvent when a_0 is numerically singular, judged on
+    the inverse norm (sigma_min * INV_COND_MAX < max(1, sigma_max)), not on
+    the condition number, so a tiny invertible constant term also raises.
+    """
+    a = _as_series(a)
+    L, m, n = a.shape
+    if m != n:
+        raise DimensionMismatch(f"only square series are invertible, got {m} x {n}")
+    if m == 0:
+        return a.copy()
+    s = np.linalg.svd(a[0], compute_uv=False)
+    if s[-1] * INV_COND_MAX < max(1.0, float(s[0])):
+        raise SingularResolvent("constant term of the series is numerically singular")
+    a0inv = np.linalg.inv(a[0])
+    return resolvent(-(a0inv @ a[1:])) @ a0inv
+
+
+def polyval(a, points) -> np.ndarray:
+    """Values sum_k a_k z^k at each point, as a (P, m, n) stack.
+
+    One power-vector matmul: (P, N+1) powers times the (N+1, m*n) stack.
+    """
+    a = _as_series(a)
+    z = np.asarray(points, dtype=np.complex128).reshape(-1)
+    L, m, n = a.shape
+    powers = np.ones((z.size, L), dtype=np.complex128)
+    powers[:, 1:] = np.cumprod(np.broadcast_to(z[:, None], (z.size, L - 1)), axis=1)
+    return (powers @ a.reshape(L, m * n)).reshape(z.size, m, n)

@@ -1,0 +1,135 @@
+"""eval_many against the per-point eval for every analytic function type."""
+
+import numpy as np
+import pytest
+
+from liftkit.errors import DomainError, SingularResolvent
+from liftkit.hardy import AnalyticFn, PolyOpFn, column_operator, default_grid
+from liftkit.lifting import (central_C, random_constrained_z, random_problem,
+                             solve_from_Z, z_from_C)
+from liftkit.linalg import hermitian_sqrt_psd
+from liftkit.modelspace import random_inner
+from liftkit.schur import SchurRealization, random_schur
+
+N = 24
+POINTS = (0.0,) + default_grid(N).points
+
+
+def fiber_parameter(seed=3, Cfun=None):
+    p = random_problem(2, 2, 1, seed, scale=0.45)
+    H = solve_from_Z(p, random_constrained_z(p, 2, seed + 1, scale=0.5), N)
+    Gamma = column_operator(H, N)
+    if Cfun is None:
+        Cfun = central_C(p, Gamma)
+    return z_from_C(p, H, Gamma, Cfun, N), Gamma
+
+
+def poly():
+    rng = np.random.default_rng(4)
+    return PolyOpFn(2, 3, tuple(0.4 ** n * rng.standard_normal((2, 3))
+                                for n in range(N + 1)))
+
+
+FUNCTIONS = {
+    "PolyOpFn": poly,
+    "SchurRealization": lambda: random_schur(3, 2, 3, seed=9, scale=0.9),
+    "InnerFn": lambda: random_inner(seed=5, dim=3, n_factors=2),
+    "AnalyticFn": lambda: fiber_parameter()[0],
+}
+
+
+def reference(name, fn, z):
+    """Independent per-point formula for each type."""
+    if name == "PolyOpFn":
+        acc = np.zeros((fn.out_dim, fn.in_dim), dtype=np.complex128)
+        for c in reversed(fn.coeffs):
+            acc = c + z * acc
+        return acc
+    if name == "SchurRealization":
+        n = fn.state_dim
+        return fn.D + z * fn.C @ np.linalg.solve(np.eye(n) - z * fn.A, fn.B)
+    if name == "InnerFn":
+        acc = np.eye(fn.out_dim, dtype=np.complex128)
+        for f in fn.factors:
+            P = f.projector()
+            acc = acc @ (np.eye(fn.out_dim) - P + f.eval_scalar(z) * P)
+        return z ** fn.power * acc @ fn.V0
+    return fn.eval(z)
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_eval_many_matches_per_point_eval(name):
+    fn = FUNCTIONS[name]()
+    batch = fn.eval_many(POINTS)
+    assert batch.shape == (len(POINTS), fn.out_dim, fn.in_dim)
+    for z, got in zip(POINTS, batch):
+        assert np.abs(got - fn.eval(z)).max() <= 1e-13
+        assert np.abs(got - reference(name, fn, z)).max() <= 1e-12
+
+
+def test_z_from_C_at_zero_is_constant_coefficient():
+    Z1, _ = fiber_parameter()
+    assert np.array_equal(Z1.eval_many([0.0, 0.5])[0], Z1.coeffs[0])
+    assert np.array_equal(Z1.eval(0.0), Z1.coeffs[0])
+
+
+def per_point(fn, points):
+    return [fn.eval(z) for z in points]
+
+
+def assert_same_error(fn, points, exc, match=None):
+    with pytest.raises(exc, match=match):
+        per_point(fn, points)
+    with pytest.raises(exc, match=match):
+        fn.eval_many(points)
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_one_point_off_the_disk_raises_domain_error(name):
+    fn = FUNCTIONS[name]()
+    bad = 1.01 if name == "InnerFn" else 1.0
+    assert_same_error(fn, [0.2, 0.5j, bad, 0.1], DomainError)
+
+
+def test_inner_fn_keeps_the_closed_disk():
+    th = FUNCTIONS["InnerFn"]()
+    pts = [0.3, 1.0, -1j]
+    batch = th.eval_many(pts)
+    for z, got in zip(pts, batch):
+        assert np.abs(got - th.eval(z)).max() <= 1e-13
+
+
+def test_herglotz_guard_raises_in_batch():
+    # C = I on the defect space makes I - lambda C singular as lambda -> 1
+    _, Gamma = fiber_parameter()
+    d = np.linalg.matrix_rank(hermitian_sqrt_psd(np.eye(2) - Gamma.conj().T @ Gamma),
+                              tol=1e-9)
+    C = SchurRealization(np.zeros((0, 0)), np.zeros((0, d)), np.zeros((d, 0)),
+                         np.eye(d))
+    Z1, _ = fiber_parameter(Cfun=C)
+    assert_same_error(Z1, [0.3, 1.0 - 1e-13, 0.2], SingularResolvent,
+                      match="lambda\\*C")
+
+
+def test_w_plus_identity_guard_raises_in_batch():
+    # with C = c I, W(lambda) + I = A0 + (g - 1) D^2 where A0 is its value
+    # for C = 0 and g = (1 + lambda c) / (1 - lambda c); choose c so that
+    # this matrix is singular at lam0
+    lam0 = 0.5
+    _, Gamma = fiber_parameter()
+    D2 = np.eye(2) - Gamma.conj().T @ Gamma
+    d = np.linalg.matrix_rank(hermitian_sqrt_psd(D2), tol=1e-9)
+    zero = AnalyticFn(d, d, [np.zeros((d, d))] * (N + 1),
+                      lambda z: np.zeros((z.size, d, d)))
+    Zc, _ = fiber_parameter(Cfun=zero)
+    bot = Zc.eval(lam0)[2:, :]
+    A0inv = (np.eye(2) - lam0 * bot) / 2.0
+    mu = np.linalg.eigvals(A0inv @ D2)
+    g = 1.0 - 1.0 / mu[np.argmax(np.abs(mu))]
+    c = (g - 1.0) / (lam0 * (g + 1.0))
+    coeffs = [c * np.eye(d)] + [np.zeros((d, d))] * N
+    Cfun = AnalyticFn(d, d, coeffs,
+                      lambda z: np.broadcast_to(c * np.eye(d), (z.size, d, d)))
+    Z1, _ = fiber_parameter(Cfun=Cfun)
+    assert_same_error(Z1, [0.3, lam0, 0.2], SingularResolvent,
+                      match="W\\(lambda\\) \\+ I")

@@ -1,0 +1,135 @@
+import numpy as np
+import pytest
+
+from liftkit import series
+from liftkit.errors import DimensionMismatch, SingularResolvent
+
+REL = 1e-13
+
+
+def rand_series(rng, L, m, n, scale=0.3):
+    return scale * (rng.standard_normal((L, m, n))
+                    + 1j * rng.standard_normal((L, m, n)))
+
+
+# naive double-loop references
+
+
+def ref_mul(a, b):
+    L = min(len(a), len(b))
+    c = np.zeros((L, a.shape[1], b.shape[2]), dtype=np.complex128)
+    for k in range(L):
+        for j in range(k + 1):
+            c[k] += a[j] @ b[k - j]
+    return c
+
+
+def ref_inv(a):
+    L, m, _ = a.shape
+    a0inv = np.linalg.inv(a[0])
+    b = [a0inv]
+    for k in range(1, L):
+        acc = np.zeros((m, m), dtype=np.complex128)
+        for j in range(1, k + 1):
+            acc += a[j] @ b[k - j]
+        b.append(-a0inv @ acc)
+    return np.array(b).reshape(L, m, m)
+
+
+def ref_resolvent(x):
+    L, m, _ = x.shape
+    y = [np.eye(m, dtype=np.complex128)]
+    for k in range(1, L + 1):
+        acc = np.zeros((m, m), dtype=np.complex128)
+        for j in range(k):
+            acc += x[j] @ y[k - 1 - j]
+        y.append(acc)
+    return np.array(y).reshape(L + 1, m, m)
+
+
+def assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= REL * max(1.0, np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("L,m,n,p", [(8, 3, 2, 4), (1, 2, 3, 2), (20, 1, 1, 1),
+                                     (5, 0, 0, 0), (5, 2, 0, 3), (5, 0, 2, 3),
+                                     (5, 3, 2, 0)])
+def test_mul_matches_double_loop(L, m, n, p):
+    rng = np.random.default_rng(L + 10 * m + 100 * n + 1000 * p)
+    a, b = rand_series(rng, L, m, n), rand_series(rng, L, n, p)
+    assert_close(series.mul(a, b), ref_mul(a, b))
+
+
+def test_mul_truncates_to_shorter_input():
+    rng = np.random.default_rng(3)
+    a, b = rand_series(rng, 9, 2, 2), rand_series(rng, 5, 2, 1)
+    got = series.mul(a, b)
+    assert got.shape == (5, 2, 1)
+    assert_close(got, ref_mul(a[:5], b))
+
+
+def test_mul_rejects_mismatched_blocks():
+    with pytest.raises(DimensionMismatch):
+        series.mul(np.zeros((3, 2, 2)), np.zeros((3, 3, 1)))
+    with pytest.raises(DimensionMismatch):
+        series.mul(np.zeros((0, 2, 2)), np.zeros((0, 2, 2)))
+
+
+@pytest.mark.parametrize("L,m", [(10, 3), (1, 2), (30, 1), (6, 0)])
+def test_inv_matches_double_loop(L, m):
+    rng = np.random.default_rng(L + 7 * m)
+    a = rand_series(rng, L, m, m)
+    a[0] += np.eye(m)
+    got = series.inv(a)
+    if m:
+        assert_close(got, ref_inv(a))
+        assert_close(series.mul(a, got), ref_resolvent(np.zeros((L - 1, m, m))))
+    else:
+        assert got.shape == (L, 0, 0)
+
+
+@pytest.mark.parametrize("a0", [np.zeros((2, 2)), np.array([[1.0, 2.0], [0.5, 1.0]]),
+                                np.array([[1e-20]])])
+def test_inv_raises_on_singular_constant_term(a0):
+    m = a0.shape[0]
+    a = np.zeros((4, m, m), dtype=np.complex128)
+    a[0] = a0
+    a[1] = np.eye(m)
+    with pytest.raises(SingularResolvent):
+        series.inv(a)
+
+
+def test_inv_rejects_rectangular_series():
+    with pytest.raises(DimensionMismatch):
+        series.inv(np.ones((3, 2, 1)))
+
+
+@pytest.mark.parametrize("L,m", [(12, 3), (0, 2), (1, 1), (7, 0)])
+def test_resolvent_matches_double_loop(L, m):
+    rng = np.random.default_rng(5 + L + 11 * m)
+    x = rand_series(rng, L, m, m)
+    got = series.resolvent(x)
+    assert got.shape == (L + 1, m, m)
+    assert_close(got, ref_resolvent(x))
+
+
+def test_polyval_matches_horner():
+    rng = np.random.default_rng(8)
+    a = rand_series(rng, 15, 2, 3)
+    pts = np.array([0.0, 0.5, -0.3 + 0.4j, 0.95j])
+    for z, got in zip(pts, series.polyval(a, pts)):
+        want = np.zeros((2, 3), dtype=np.complex128)
+        for c in a[::-1]:
+            want = c + z * want
+        assert_close(got, want)
+    assert series.polyval(a, [0.0])[0].tolist() == a[0].tolist()
+
+
+def test_engine_is_bit_identical_on_repeat():
+    rng = np.random.default_rng(21)
+    a, b = rand_series(rng, 16, 3, 3), rand_series(rng, 16, 3, 2)
+    a[0] += np.eye(3)
+    assert np.array_equal(series.mul(a, b), series.mul(a, b))
+    assert np.array_equal(series.inv(a), series.inv(a))
+    assert np.array_equal(series.resolvent(a), series.resolvent(a))
