@@ -26,8 +26,9 @@ from .rcl import (data_set_from_omega, gamma_to_B, omega_roundtrip_residual,
                   random_data_set, underlying_contraction, validate_data_set,
                   verify_rcl)
 from .serialize import (SCHEMA, dataset_from_json, dataset_to_json, dumps,
-                        load, poly_from_json, poly_to_json, problem_from_json,
-                        problem_to_json, save, schur_from_json, schur_to_json)
+                        field, load, poly_from_json, poly_to_json,
+                        problem_from_json, problem_to_json, save,
+                        schur_from_json, schur_to_json)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -79,9 +80,9 @@ def _envelope(args, **fields) -> dict:
 
 def _problem_and_z(args, payload_in):
     if payload_in is not None:
-        p = problem_from_json(payload_in["problem"])
+        p = problem_from_json(field(payload_in, "problem"), "problem")
         if "Z" in payload_in:
-            return p, schur_from_json(payload_in["Z"])
+            return p, schur_from_json(payload_in["Z"], "Z")
     else:
         p = random_problem(args.u, args.y, args.f, args.seed,
                            scale=GEN_OMEGA_SCALE)
@@ -123,8 +124,8 @@ def _cmd_solve(args, payload_in):
 def _cmd_verify(args, payload_in):
     if payload_in is None:
         raise ConfigError("verify requires --in with a problem and H")
-    p = problem_from_json(payload_in["problem"])
-    H = poly_from_json(payload_in["H"])
+    p = problem_from_json(field(payload_in, "problem"), "problem")
+    H = poly_from_json(field(payload_in, "H"), "H")
     rep = verify_solution(p, H, H.degree)
     failures = []
     if rep.recurrence_residual > args.tol_verify:
@@ -168,7 +169,7 @@ def _cmd_fiber(args, payload_in):
 
 def _cmd_rcl(args, payload_in):
     if payload_in is not None:
-        ds = dataset_from_json(payload_in["dataset"])
+        ds = dataset_from_json(field(payload_in, "dataset"), "dataset")
     else:
         ds = random_data_set(args.seed, u=args.u, y=args.y, f=args.f)
     N = args.degree

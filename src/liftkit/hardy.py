@@ -43,16 +43,12 @@ def disk_points(points) -> np.ndarray:
 class PolyOpFn:
     """Operator-valued polynomial sum_n coeffs[n] * lambda^n.
 
-    Each coefficient is an (out_dim x in_dim) matrix.  ``column_bound``,
-    when set, declares that every partial sum of coeffs[n]* coeffs[n] has
-    operator norm at most that bound (solvers set 1.0 for contractive
-    columns).
+    Each coefficient is an (out_dim x in_dim) matrix.
     """
 
     out_dim: int
     in_dim: int
     coeffs: tuple
-    column_bound: float | None = None
 
     def __post_init__(self):
         cs = [as_operator(c, rows=self.out_dim, cols=self.in_dim) for c in self.coeffs]
@@ -201,6 +197,36 @@ def shift_and_embed(dim: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     S = np.eye(size, k=-dim, dtype=np.complex128)
     E = np.eye(size, dim, dtype=np.complex128)
     return S, E
+
+
+def shift(X, dim: int) -> np.ndarray:
+    """S @ X for the truncated forward shift S of shift_and_embed.
+
+    X is a stacked column (or a matrix of them) with rows in blocks of
+    dim; block n moves to block n+1, block 0 becomes zero and the top
+    block is dropped.
+    """
+    X = np.asarray(X)
+    rows = _block_rows(X, dim)
+    out = np.zeros(X.shape, dtype=np.complex128)
+    out[dim:] = X[:rows - dim]
+    return out
+
+
+def shift_adjoint(X, dim: int) -> np.ndarray:
+    """S* @ X: block n+1 moves to block n, block 0 is dropped."""
+    X = np.asarray(X)
+    rows = _block_rows(X, dim)
+    out = np.zeros(X.shape, dtype=np.complex128)
+    out[:rows - dim] = X[dim:]
+    return out
+
+
+def _block_rows(X: np.ndarray, dim: int) -> int:
+    rows = X.shape[0]
+    if dim < 0 or (dim and rows % dim) or (not dim and rows):
+        raise DimensionMismatch(f"{rows} rows do not fill blocks of {dim}")
+    return rows
 
 
 def column_operator(H, N: int) -> np.ndarray:

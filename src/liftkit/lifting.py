@@ -112,7 +112,7 @@ def solve_from_Z(p: InterpolationProblem, Z, N: int, grid=None,
                 f"Z|_F differs from omega by {worst:.3e} on the grid")
     Zc = Z.taylor_stack(N)
     G = series.resolvent(Zc[:N, y:, :])
-    return PolyOpFn(y, u, series.mul(Zc[:, :y, :], G), column_bound=1.0)
+    return PolyOpFn(y, u, series.mul(Zc[:, :y, :], G))
 
 
 def verify_solution(p: InterpolationProblem, H: PolyOpFn, N: int,

@@ -50,6 +50,20 @@ def operator_norms(M) -> np.ndarray:
     return np.linalg.norm(A, 2, axis=(1, 2))
 
 
+def projector_gap(X, Y) -> float:
+    """||X X* - Y Y*|| from one thin QR [X, Y] = W [R1, R2].
+
+    W has orthonormal columns, so the norm equals that of the small core
+    R1 R1* - R2 R2*; no ambient-size matrix is formed.  0.0 when both
+    sides are empty.
+    """
+    A = as_operator(X)
+    B = as_operator(Y, rows=A.shape[0])
+    R = np.linalg.qr(np.hstack([A, B]), mode="r")
+    R1, R2 = R[:, :A.shape[1]], R[:, A.shape[1]:]
+    return operator_norm(R1 @ R1.conj().T - R2 @ R2.conj().T)
+
+
 def is_contraction(M, slack: float = 1e-8) -> bool:
     """True iff operator_norm(M) <= 1 + slack."""
     return operator_norm(M) <= 1.0 + slack

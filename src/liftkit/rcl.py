@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, InconsistentGenerators,
                      NotAContraction)
-from .hardy import PolyOpFn, column_operator, shift_and_embed
+from .hardy import PolyOpFn, column_operator, shift
 from .lifting import InterpolationProblem, random_problem
 from .linalg import (RANK_TOL, as_operator, defect, haar_unitary,
                      hermitian_sqrt_psd, operator_norm, orthonormal_range)
@@ -109,28 +109,41 @@ def validate_data_set(ds: RclDataSet, tol: float = DATA_SET_TOL) -> bool:
     return float(eig[0]) >= -tol
 
 
+def _sns_blocks(Tprime, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """(T', C) with C = Bd* D_T' the defect of T' in its range coordinates."""
+    T = as_operator(Tprime)
+    if T.shape[0] != T.shape[1]:
+        raise DimensionMismatch("Tprime must be square")
+    D, drange = defect(T, tol)
+    return T, drange.basis.conj().T @ D
+
+
+def _apply_sns(T: np.ndarray, C: np.ndarray, X) -> np.ndarray:
+    """U' @ X for the truncated lifting U' = [[T', 0], [E C, S]], blockwise.
+
+    X stacks an H' part over a truncated H^2 part with blocks of
+    dim C.shape[0]; U' X = [T' X_h; C X_h + shift(X_tail)], so neither
+    U' nor the shift is formed.
+    """
+    hp, d = T.shape[0], C.shape[0]
+    Xh, Xt = X[:hp], X[hp:]
+    tail = shift(Xt, d)
+    tail[:d] += C @ Xh
+    return np.vstack([T @ Xh, tail])
+
+
 def sns_lifting(Tprime, N: int, tol: float = 1e-9) -> np.ndarray:
     """Truncated minimal isometric lifting of a contraction.
 
     Block matrix [[T', 0], [E D_T', S]] on H' + truncated H^2 over the
     defect space of T', with the defect written in its orthonormal range
     coordinates.  Isometric except on the top-degree block, which the
-    truncated shift drops.
+    truncated shift drops.  verify_rcl applies the same blocks without
+    forming this matrix.
     """
-    T = as_operator(Tprime)
-    if T.shape[0] != T.shape[1]:
-        raise DimensionMismatch("Tprime must be square")
-    D, drange = defect(T, tol)
-    Bd = drange.basis
-    d = Bd.shape[1]
-    S, E = shift_and_embed(d, N)
-    hp = T.shape[0]
-    rows = hp + (N + 1) * d
-    out = np.zeros((rows, rows), dtype=np.complex128)
-    out[:hp, :hp] = T
-    out[hp:, :hp] = E @ (Bd.conj().T @ D)
-    out[hp:, hp:] = S
-    return out
+    T, C = _sns_blocks(Tprime, tol)
+    rows = T.shape[0] + (N + 1) * C.shape[0]
+    return _apply_sns(T, C, np.eye(rows, dtype=np.complex128))
 
 
 def underlying_contraction(ds: RclDataSet, tol: float = 1e-9) -> InterpolationProblem:
@@ -193,7 +206,7 @@ def gamma_to_B(ds: RclDataSet, Gamma, N: int, tol: float = 1e-8) -> LiftingCandi
     tail_mat = G @ (BdA.conj().T @ DA)
     coeffs = tuple(tail_mat[n * dT:(n + 1) * dT, :] for n in range(N + 1))
     return LiftingCandidate(A_part=ds.A,
-                            tail=PolyOpFn(dT, h, coeffs, column_bound=1.0))
+                            tail=PolyOpFn(dT, h, coeffs))
 
 
 def b_to_gamma(ds: RclDataSet, cand: LiftingCandidate) -> np.ndarray:
@@ -219,14 +232,14 @@ def verify_rcl(ds: RclDataSet, cand: LiftingCandidate, N: int) -> RclReport:
         raise DimensionMismatch(
             f"candidate has degree {cand.tail.degree}, expected {N}")
     proj = operator_norm(cand.A_part - ds.A)
-    Uprime = sns_lifting(ds.Tprime, N)
-    dT = (Uprime.shape[0] - ds.Hprime_dim) // (N + 1)
+    T, C = _sns_blocks(ds.Tprime)
+    dT = C.shape[0]
     if cand.tail.out_dim != dT:
         raise DimensionMismatch(
             f"candidate tail has {cand.tail.out_dim} rows per block, "
             f"defect of T' has dimension {dT}")
     B = cand.stacked()
-    lhs = Uprime @ B @ ds.R
+    lhs = _apply_sns(T, C, B @ ds.R)
     rhs = B @ ds.Q
     keep = ds.Hprime_dim + N * dT
     inter = operator_norm(lhs[:keep, :] - rhs[:keep, :])

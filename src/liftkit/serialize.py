@@ -3,7 +3,9 @@
 Matrices are {"rows", "cols", "re", "im"} with row-major coefficient
 lists, so files are diffable and independent of numpy.  Encoders return
 plain dicts; write with json.dumps(..., sort_keys=True) for byte-stable
-output.
+output.  Decoders take the JSON path of their record and raise
+ConfigError naming the path of the first bad field, for example
+``problem.omega1: non-finite entry``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import json
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DimensionMismatch
 from .hardy import PolyOpFn
 from .lifting import InterpolationProblem
 from .linalg import Subspace, as_operator
@@ -23,6 +25,46 @@ from .schur import SchurRealization
 SCHEMA = "liftkit/1"
 
 
+def field(d, key: str, path: str = ""):
+    """d[key] for a decoded JSON object d found at path.
+
+    Raises ConfigError naming the JSON path, for example
+    ``problem.U: missing``, when d is not an object or lacks key.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path or 'input'}: expected an object, "
+                          f"got {type(d).__name__}")
+    if key not in d:
+        raise ConfigError(f"{_at(path, key)}: missing")
+    return d[key]
+
+
+def _at(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _int(d, key: str, path: str) -> int:
+    try:
+        return int(field(d, key, path))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{_at(path, key)}: expected an integer") from exc
+
+
+def _list(d, key: str, path: str) -> list:
+    v = field(d, key, path)
+    if not isinstance(v, list):
+        raise ConfigError(f"{_at(path, key)}: expected a list")
+    return v
+
+
+def _build(path: str, make, *args, **kwargs):
+    """make(*args, **kwargs), with shape and value errors as ConfigError at path."""
+    try:
+        return make(*args, **kwargs)
+    except (DimensionMismatch, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def matrix_to_json(M) -> dict:
     A = as_operator(M)
     return {"rows": A.shape[0], "cols": A.shape[1],
@@ -30,13 +72,17 @@ def matrix_to_json(M) -> dict:
             "im": [float(x) for x in A.imag.ravel()]}
 
 
-def matrix_from_json(d: dict) -> np.ndarray:
+def matrix_from_json(d: dict, path: str = "matrix") -> np.ndarray:
+    rows, cols = _int(d, "rows", path), _int(d, "cols", path)
+    if rows < 0 or cols < 0:
+        raise ConfigError(f"{path}: negative shape {rows} x {cols}")
     try:
-        rows, cols = int(d["rows"]), int(d["cols"])
-        re = np.asarray(d["re"], dtype=np.float64).reshape(rows, cols)
-        im = np.asarray(d["im"], dtype=np.float64).reshape(rows, cols)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed matrix record: {exc}") from exc
+        re = np.asarray(field(d, "re", path), dtype=np.float64).reshape(rows, cols)
+        im = np.asarray(field(d, "im", path), dtype=np.float64).reshape(rows, cols)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: malformed matrix record: {exc}") from exc
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ConfigError(f"{path}: non-finite entry")
     return re + 1j * im
 
 
@@ -44,8 +90,9 @@ def subspace_to_json(s: Subspace) -> dict:
     return {"ambient": s.ambient_dim, "basis": matrix_to_json(s.basis)}
 
 
-def subspace_from_json(d: dict) -> Subspace:
-    return Subspace(int(d["ambient"]), matrix_from_json(d["basis"]))
+def subspace_from_json(d: dict, path: str = "subspace") -> Subspace:
+    return _build(path, Subspace, _int(d, "ambient", path),
+                  matrix_from_json(field(d, "basis", path), _at(path, "basis")))
 
 
 def poly_to_json(p: PolyOpFn) -> dict:
@@ -53,9 +100,11 @@ def poly_to_json(p: PolyOpFn) -> dict:
             "coeffs": [matrix_to_json(c) for c in p.coeffs]}
 
 
-def poly_from_json(d: dict) -> PolyOpFn:
-    coeffs = tuple(matrix_from_json(c) for c in d["coeffs"])
-    return PolyOpFn(int(d["out"]), int(d["in"]), coeffs)
+def poly_from_json(d: dict, path: str = "poly") -> PolyOpFn:
+    coeffs = tuple(matrix_from_json(c, f"{path}.coeffs[{n}]")
+                   for n, c in enumerate(_list(d, "coeffs", path)))
+    return _build(path, PolyOpFn, _int(d, "out", path), _int(d, "in", path),
+                  coeffs)
 
 
 def schur_to_json(s: SchurRealization) -> dict:
@@ -63,9 +112,12 @@ def schur_to_json(s: SchurRealization) -> dict:
             "C": matrix_to_json(s.C), "D": matrix_to_json(s.D)}
 
 
-def schur_from_json(d: dict) -> SchurRealization:
-    return SchurRealization(matrix_from_json(d["A"]), matrix_from_json(d["B"]),
-                            matrix_from_json(d["C"]), matrix_from_json(d["D"]))
+def _matrices(d: dict, keys, path: str) -> list:
+    return [matrix_from_json(field(d, k, path), _at(path, k)) for k in keys]
+
+
+def schur_from_json(d: dict, path: str = "schur") -> SchurRealization:
+    return _build(path, SchurRealization, *_matrices(d, "ABCD", path))
 
 
 def problem_to_json(p: InterpolationProblem) -> dict:
@@ -74,11 +126,12 @@ def problem_to_json(p: InterpolationProblem) -> dict:
             "omega2": matrix_to_json(p.omega2)}
 
 
-def problem_from_json(d: dict) -> InterpolationProblem:
-    return InterpolationProblem(U_dim=int(d["U"]), Y_dim=int(d["Y"]),
-                                F=subspace_from_json(d["F"]),
-                                omega1=matrix_from_json(d["omega1"]),
-                                omega2=matrix_from_json(d["omega2"]))
+def problem_from_json(d: dict, path: str = "problem") -> InterpolationProblem:
+    u, y = _int(d, "U", path), _int(d, "Y", path)
+    F = subspace_from_json(field(d, "F", path), _at(path, "F"))
+    om1, om2 = _matrices(d, ("omega1", "omega2"), path)
+    return _build(path, InterpolationProblem, U_dim=u, Y_dim=y, F=F,
+                  omega1=om1, omega2=om2)
 
 
 def dataset_to_json(ds: RclDataSet) -> dict:
@@ -86,11 +139,9 @@ def dataset_to_json(ds: RclDataSet) -> dict:
             "R": matrix_to_json(ds.R), "Q": matrix_to_json(ds.Q)}
 
 
-def dataset_from_json(d: dict) -> RclDataSet:
-    return RclDataSet(A=matrix_from_json(d["A"]),
-                      Tprime=matrix_from_json(d["Tprime"]),
-                      R=matrix_from_json(d["R"]),
-                      Q=matrix_from_json(d["Q"]))
+def dataset_from_json(d: dict, path: str = "dataset") -> RclDataSet:
+    return _build(path, RclDataSet,
+                  *_matrices(d, ("A", "Tprime", "R", "Q"), path))
 
 
 def inner_to_json(t: InnerFn) -> dict:
@@ -105,18 +156,25 @@ def inner_to_json(t: InnerFn) -> dict:
             "V0": matrix_to_json(t.V0)}
 
 
-def inner_from_json(d: dict) -> InnerFn:
-    V0 = matrix_from_json(d["V0"])
-    if d.get("kind") == "power":
-        return InnerFn(kind="power", out_dim=V0.shape[0], in_dim=V0.shape[1],
-                       power=int(d["N"]), V0=V0)
-    if d.get("kind") == "bp_product":
-        facs = tuple(BlaschkeFactor(a=complex(f["a"][0], f["a"][1]),
-                                    w=matrix_from_json(f["w"]).ravel())
-                     for f in d["factors"])
-        return InnerFn(kind="bp_product", out_dim=V0.shape[0],
-                       in_dim=V0.shape[1], factors=facs, V0=V0)
-    raise ConfigError(f"unknown inner-function kind {d.get('kind')!r}")
+def inner_from_json(d: dict, path: str = "inner") -> InnerFn:
+    V0 = matrix_from_json(field(d, "V0", path), _at(path, "V0"))
+    kind = d.get("kind")
+    if kind == "power":
+        return _build(path, InnerFn, kind="power", out_dim=V0.shape[0],
+                      in_dim=V0.shape[1], power=_int(d, "N", path), V0=V0)
+    if kind == "bp_product":
+        facs = []
+        for n, f in enumerate(_list(d, "factors", path)):
+            fp = f"{path}.factors[{n}]"
+            try:
+                re, im = (float(x) for x in field(f, "a", fp))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{fp}.a: expected [re, im]") from exc
+            w = matrix_from_json(field(f, "w", fp), f"{fp}.w").ravel()
+            facs.append(BlaschkeFactor(a=complex(re, im), w=w))
+        return _build(path, InnerFn, kind="bp_product", out_dim=V0.shape[0],
+                      in_dim=V0.shape[1], factors=tuple(facs), V0=V0)
+    raise ConfigError(f"unknown inner-function kind {kind!r}")
 
 
 def dumps(payload: dict) -> str:

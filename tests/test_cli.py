@@ -151,3 +151,25 @@ def test_out_file_is_parseable(tmp_path, capsys):
                   "--out", path)
     assert code == 0
     assert load(path)["ok"] is True
+
+
+def _malformed_verify(tmp_path, capsys, payload):
+    inp = tmp_path / "malformed.json"
+    inp.write_text(json.dumps(payload))
+    code, out = run(capsys, "--cmd", "verify", "--in", str(inp))
+    assert code == 1
+    assert "Traceback" not in out.err
+    assert len(out.err.strip().splitlines()) == 1
+    return out.err
+
+
+def test_verify_missing_field_is_a_one_line_usage_error(tmp_path, capsys):
+    err = _malformed_verify(tmp_path, capsys, {"problem": {}})
+    assert "problem.U: missing" in err
+
+
+def test_verify_non_finite_entry_is_a_one_line_usage_error(tmp_path, capsys):
+    d = problem_to_json(scalar_fixture())
+    d["omega1"]["re"][0] = float("nan")
+    err = _malformed_verify(tmp_path, capsys, {"problem": d, "H": {}})
+    assert "problem.omega1: non-finite entry" in err

@@ -5,7 +5,8 @@ from liftkit.errors import (ConfigError, DegreeTooSmall, DimensionMismatch,
                             DomainError)
 from liftkit.hardy import (AnalyticFn, PolyOpFn, TruncationGrid,
                            analytic_toeplitz, column_operator, default_grid,
-                           multiplication_operator, shift_and_embed)
+                           multiplication_operator, shift, shift_adjoint,
+                           shift_and_embed)
 from liftkit.linalg import Subspace, operator_norm
 
 
@@ -85,6 +86,23 @@ def test_shift_and_embed_structure():
     assert operator_norm(np.linalg.matrix_power(S, 4)) == 0.0  # nilpotent
     assert operator_norm(E.conj().T @ E - np.eye(2)) == 0.0
     assert np.array_equal((S @ E)[2:4], np.eye(2))
+
+
+@pytest.mark.parametrize("dim,N,cols", [(2, 3, 1), (3, 5, 4), (1, 0, 2), (2, 4, 0)])
+def test_shift_matches_dense_shift(dim, N, cols):
+    S, _ = shift_and_embed(dim, N)
+    rng = np.random.default_rng(dim + N + cols)
+    X = (rng.standard_normal(((N + 1) * dim, cols))
+         + 1j * rng.standard_normal(((N + 1) * dim, cols)))
+    assert np.array_equal(shift(X, dim), S @ X)
+    assert np.array_equal(shift_adjoint(X, dim), S.conj().T @ X)
+
+
+def test_shift_rejects_partial_blocks():
+    with pytest.raises(DimensionMismatch):
+        shift(np.zeros((5, 1)), 2)
+    with pytest.raises(DimensionMismatch):
+        shift_adjoint(np.zeros((3, 1)), 0)
 
 
 def test_column_operator_fixture_norm():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from liftkit.errors import DimensionMismatch, NotAContraction
 from liftkit.linalg import (Subspace, as_operator, defect, haar_unitary,
                             hermitian_sqrt_psd, is_contraction, operator_norm,
-                            orthonormal_range)
+                            orthonormal_range, projector_gap)
 
 
 def _complex_matrix(rng, m, n, scale=1.0):
@@ -139,3 +139,19 @@ def test_haar_unitary_deterministic_and_empty():
     b = haar_unitary(np.random.default_rng(7), 3)
     assert np.array_equal(a, b)
     assert haar_unitary(np.random.default_rng(0), 0).shape == (0, 0)
+
+
+@pytest.mark.parametrize("n,m1,m2", [(12, 3, 2), (12, 0, 4), (12, 5, 0),
+                                     (12, 0, 0), (4, 3, 3), (0, 0, 0)])
+def test_projector_gap_matches_dense_difference(n, m1, m2):
+    rng = np.random.default_rng(n + 7 * m1 + 31 * m2)
+    b = _complex_matrix(rng, n, m1, scale=0.5)
+    Q = orthonormal_range(_complex_matrix(rng, n, m2)).basis
+    dense = operator_norm(b @ b.conj().T - Q @ Q.conj().T)
+    assert abs(projector_gap(b, Q) - dense) <= 1e-13
+
+
+def test_projector_gap_of_a_basis_change_is_round_off():
+    rng = np.random.default_rng(5)
+    Q = orthonormal_range(_complex_matrix(rng, 10, 3)).basis
+    assert projector_gap(Q @ haar_unitary(rng, 3), Q) <= 1e-14

@@ -15,7 +15,7 @@ from liftkit.modelspace import (BlaschkeFactor, InnerFn, check_decompositions,
                                 mult_contraction_test, pointwise_mult_check,
                                 random_inner, random_multiplier, theta_shift,
                                 z_from_H_theta)
-from liftkit.linalg import operator_norm
+from liftkit.linalg import operator_norm, projector_gap
 from liftkit.schur import SchurRealization, random_schur
 
 
@@ -27,6 +27,19 @@ def bp_half():
 
 def scalar_power(k):
     return InnerFn(kind="power", out_dim=1, in_dim=1, power=k)
+
+
+def svd_kernel_basis(fn: PolyOpFn, N: int) -> np.ndarray:
+    """Oracle: the near-kernel of the adjoint truncated Toeplitz matrix.
+
+    Left singular vectors of the multiplication matrix whose singular
+    value is at most 1e-9 * max(1, sigma_max); exact for zeros far from
+    the circle, blind to those with |a|^N above the cutoff.
+    """
+    M = analytic_toeplitz(fn, N)
+    U, s, _ = np.linalg.svd(M, full_matrices=True)
+    r = int(np.count_nonzero(s > 1e-9 * max(1.0, float(s[0]) if s.size else 0.0)))
+    return U[:, r:]
 
 
 # --- Blaschke factors ---------------------------------------------------
@@ -171,6 +184,44 @@ def test_model_space_blaschke_dimension():
     ms = model_space(bp_half(), 40)
     assert ms.basis.dim == 3
     assert ms.H0_basis.dim == 1
+
+
+RECT_V0 = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("theta,N", [
+    (theta_shift(2), 40),
+    (scalar_power(2), 40),
+    (InnerFn(kind="power", out_dim=2, in_dim=2, power=3), 40),
+    (InnerFn(kind="power", out_dim=3, in_dim=2, power=2, V0=RECT_V0), 40),
+    (bp_half(), 40),
+    (InnerFn(kind="bp_product", out_dim=2, in_dim=2, power=2,
+             factors=(BlaschkeFactor(a=0.0, w=np.array([1.0, 1.0j])),
+                      BlaschkeFactor(a=0.3 + 0.2j, w=np.array([0.5, -1.0])))),
+     40),
+    (random_inner(seed=9, dim=2, n_factors=1), 128),
+    (random_inner(seed=42, dim=2, n_factors=1), 128),
+    (random_inner(seed=3, dim=3, n_factors=3), 128),
+])
+def test_closed_form_matches_svd_oracle(theta, N):
+    ms = model_space(theta, N)
+    for got, fn in ((ms.basis.basis, theta.as_poly(N)),
+                    (ms.H0_basis.basis, theta.phi_poly(N))):
+        want = svd_kernel_basis(fn, N)
+        assert got.shape == want.shape
+        assert projector_gap(got, want) <= 1e-12
+
+
+@pytest.mark.parametrize("N", [64, 128, 256])
+def test_zeros_near_the_circle(N):
+    # |a| = 0.75: at N = 64 the near-kernel singular value 0.75^64 ~ 1e-8
+    # sits above a 1e-9 kernel cutoff; the closed form has no cutoff
+    theta = random_inner(5, 2, 2, max_modulus=0.9)
+    assert max(abs(f.a) for f in theta.factors) > 0.75
+    ms = model_space(theta, N)
+    assert ms.basis.dim == 4
+    assert ms.H0_basis.dim == 2
+    assert max(check_decompositions(theta, ms)) <= 1e-9
 
 
 @pytest.mark.parametrize("theta,N", [

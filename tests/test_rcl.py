@@ -234,3 +234,27 @@ def test_lifting_equivalence_negative(seed):
     except NotAContraction:
         return
     assert not verify_rcl(ds, cand, N).ok(tol=1e-8)
+
+
+@pytest.mark.parametrize("seed,f", [(11, 0), (12, 0), (13, 1), (14, 2)])
+@pytest.mark.parametrize("perturb", [0.0, 1e-2])
+def test_verify_rcl_matches_dense_lifting(seed, f, perturb):
+    # the blockwise lifting gives the residuals of the dense U' = sns_lifting
+    n = 6
+    ds = random_data_set(seed=seed, u=3, y=2, f=f)
+    p = underlying_contraction(ds)
+    H = solve_from_Z(p, random_constrained_z(p, 2, seed=seed + 1), n)
+    G = column_operator(H, n)
+    rng = np.random.default_rng(seed + 2)
+    G = G + perturb * (rng.standard_normal(G.shape)
+                       + 1j * rng.standard_normal(G.shape))
+    cand = gamma_to_B(ds, G / max(1.0, operator_norm(G)), n)
+    rep = verify_rcl(ds, cand, n)
+    B = cand.stacked()
+    keep = ds.Hprime_dim + n * cand.tail.out_dim
+    dense = operator_norm((sns_lifting(ds.Tprime, n) @ B @ ds.R
+                           - B @ ds.Q)[:keep])
+    assert abs(rep.intertwining_residual - dense) <= 1e-13
+    if perturb and f:
+        # with f = 0 only the unitary padding block meets R and Q
+        assert rep.intertwining_residual > 1e-4

@@ -125,3 +125,36 @@ def test_load_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         load(str(bad))
+
+
+@pytest.mark.parametrize("record,message", [
+    ({"rows": 1, "cols": 1, "re": [float("inf")], "im": [0.0]},
+     "M: non-finite entry"),
+    ({"rows": "two", "cols": 1, "re": [], "im": []}, "M.rows: expected an integer"),
+    ({"rows": float("inf"), "cols": 1, "re": [], "im": []},
+     "M.rows: expected an integer"),
+    ({"rows": -1, "cols": 1, "re": [1.0], "im": [0.0]}, "M: negative shape"),
+    ([1.0, 2.0], "M: expected an object"),
+])
+def test_matrix_errors_name_the_json_path(record, message):
+    with pytest.raises(ConfigError, match=message):
+        matrix_from_json(record, "M")
+
+
+def test_problem_errors_name_the_json_path():
+    d = problem_to_json(scalar_fixture())
+    del d["F"]["basis"]["im"]
+    with pytest.raises(ConfigError, match=r"^problem\.F\.basis\.im: missing$"):
+        problem_from_json(d)
+    d = problem_to_json(scalar_fixture())
+    d["omega2"] = matrix_to_json(np.zeros((2, 1)))
+    # a row-count mismatch is bad input, not a numeric failure
+    with pytest.raises(ConfigError, match=r"^problem: expected 1 rows, got 2$"):
+        problem_from_json(d)
+
+
+def test_poly_errors_name_the_coefficient():
+    d = poly_to_json(PolyOpFn(1, 1, (np.eye(1), np.eye(1))))
+    d["coeffs"][1]["im"] = [float("nan")]
+    with pytest.raises(ConfigError, match=r"^H\.coeffs\[1\]: non-finite entry$"):
+        poly_from_json(d, "H")
