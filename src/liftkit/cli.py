@@ -9,6 +9,7 @@ failed, 3 a numeric guard tripped inside the computation.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 import numpy as np
@@ -96,6 +97,18 @@ def _report_fields(rep) -> dict:
             "grid_sup_norm": rep.grid_sup_norm, "degree": rep.degree}
 
 
+def _report_failures(args, rep) -> list:
+    """Threshold failures of a SolutionReport, one message each."""
+    failures = []
+    if rep.recurrence_residual > args.tol_verify:
+        failures.append(f"recurrence_residual {rep.recurrence_residual:.3e} "
+                        f"exceeds {args.tol_verify:g}")
+    if rep.partial_gram_excess > args.tol_contract:
+        failures.append(f"partial_gram_excess {rep.partial_gram_excess:.3e} "
+                        f"exceeds {args.tol_contract:g}")
+    return failures
+
+
 def _cmd_gen(args, payload_in):
     p, Z = _problem_and_z(args, payload_in)
     out = _envelope(args, problem=problem_to_json(p), Z=schur_to_json(Z),
@@ -108,13 +121,7 @@ def _cmd_solve(args, payload_in):
     N = args.degree
     H = solve_from_Z(p, Z, N, constraint_tol=args.tol_contract)
     rep = verify_solution(p, H, N)
-    failures = []
-    if rep.recurrence_residual > args.tol_verify:
-        failures.append(f"recurrence_residual {rep.recurrence_residual:.3e} "
-                        f"exceeds {args.tol_verify:g}")
-    if rep.partial_gram_excess > args.tol_contract:
-        failures.append(f"partial_gram_excess {rep.partial_gram_excess:.3e} "
-                        f"exceeds {args.tol_contract:g}")
+    failures = _report_failures(args, rep)
     out = _envelope(args, problem=problem_to_json(p), H=poly_to_json(H),
                     report=_report_fields(rep), ok=not failures,
                     failures=failures)
@@ -127,13 +134,7 @@ def _cmd_verify(args, payload_in):
     p = problem_from_json(field(payload_in, "problem"), "problem")
     H = poly_from_json(field(payload_in, "H"), "H")
     rep = verify_solution(p, H, H.degree)
-    failures = []
-    if rep.recurrence_residual > args.tol_verify:
-        failures.append(f"recurrence_residual {rep.recurrence_residual:.3e} "
-                        f"exceeds {args.tol_verify:g}")
-    if rep.partial_gram_excess > args.tol_contract:
-        failures.append(f"partial_gram_excess {rep.partial_gram_excess:.3e} "
-                        f"exceeds {args.tol_contract:g}")
+    failures = _report_failures(args, rep)
     out = _envelope(args, report=_report_fields(rep), ok=not failures,
                     failures=failures)
     return out, EXIT_OK if not failures else EXIT_VERIFY
@@ -305,6 +306,18 @@ def _cmd_selftest(args, payload_in):
     return out, EXIT_OK if not failures else EXIT_VERIFY
 
 
+def _load_input(path: str):
+    """The decoded --in file; a schema tag other than SCHEMA is a ConfigError.
+
+    An untagged payload is accepted.
+    """
+    payload = load(path)
+    if isinstance(payload, dict) and payload.get("schema", SCHEMA) != SCHEMA:
+        raise ConfigError(f"schema: expected {json.dumps(SCHEMA)}, "
+                          f"got {json.dumps(payload['schema'])}")
+    return payload
+
+
 _DISPATCH = {"gen": _cmd_gen, "solve": _cmd_solve, "verify": _cmd_verify,
              "fiber": _cmd_fiber, "rcl": _cmd_rcl,
              "modelspace": _cmd_modelspace, "selftest": _cmd_selftest}
@@ -316,7 +329,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        payload_in = load(args.inp) if args.inp is not None else None
+        payload_in = _load_input(args.inp) if args.inp is not None else None
         payload, code = _DISPATCH[args.cmd](args, payload_in)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -39,6 +39,28 @@ def disk_points(points) -> np.ndarray:
     return z
 
 
+def _coeff_stack(coeffs, rows: int, cols: int) -> np.ndarray:
+    """Copy of a nonempty coefficient sequence as a finite (L, rows, cols) stack.
+
+    Checked once for the whole stack; raises what as_operator(c, rows,
+    cols) raises for the first bad coefficient c.
+    """
+    try:
+        S = np.array(coeffs, dtype=np.complex128)
+    except ValueError:
+        # coefficients of different shapes; name the first bad one
+        S = np.stack([as_operator(c, rows=rows, cols=cols) for c in coeffs])
+    if S.ndim != 3:
+        raise DimensionMismatch(f"expected a matrix, got ndim={S.ndim - 1}")
+    if S.shape[1] != rows:
+        raise DimensionMismatch(f"expected {rows} rows, got {S.shape[1]}")
+    if S.shape[2] != cols:
+        raise DimensionMismatch(f"expected {cols} columns, got {S.shape[2]}")
+    if S.size and not np.isfinite(S).all():
+        raise ValueError("matrix has non-finite entries")
+    return S
+
+
 @dataclass(frozen=True)
 class PolyOpFn:
     """Operator-valued polynomial sum_n coeffs[n] * lambda^n.
@@ -51,10 +73,9 @@ class PolyOpFn:
     coeffs: tuple
 
     def __post_init__(self):
-        cs = [as_operator(c, rows=self.out_dim, cols=self.in_dim) for c in self.coeffs]
-        if not cs:
+        if len(self.coeffs) == 0:
             raise DimensionMismatch("at least one coefficient required")
-        stack = np.stack(cs)
+        stack = _coeff_stack(self.coeffs, self.out_dim, self.in_dim)
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "coeffs", tuple(stack))
 
@@ -102,9 +123,8 @@ class AnalyticFn:
     def __init__(self, out_dim, in_dim, coeffs, eval_many_fn, meta=None):
         self.out_dim = int(out_dim)
         self.in_dim = int(in_dim)
-        cs = [as_operator(c, rows=self.out_dim, cols=self.in_dim) for c in coeffs]
-        self._stack = (np.stack(cs) if cs else
-                       np.zeros((0, self.out_dim, self.in_dim), dtype=np.complex128))
+        self._stack = (_coeff_stack(coeffs, self.out_dim, self.in_dim) if len(coeffs)
+                       else np.zeros((0, self.out_dim, self.in_dim), dtype=np.complex128))
         self.coeffs = tuple(self._stack)
         self._eval_many = eval_many_fn
         self.meta = dict(meta or {})

@@ -116,13 +116,11 @@ def solve_from_Z(p: InterpolationProblem, Z, N: int, grid=None,
 
 
 def verify_solution(p: InterpolationProblem, H: PolyOpFn, N: int,
-                    tol: float = 1e-9, grid=None) -> SolutionReport:
+                    grid=None) -> SolutionReport:
     """Residuals of the coefficient recurrence and the partial Gram bound.
 
-    tol is not used to fail the call (reports never throw); it is the
-    default threshold of SolutionReport.ok.
+    Reports never throw; SolutionReport.ok applies the thresholds.
     """
-    del tol
     if H.in_dim != p.U_dim or H.out_dim != p.Y_dim:
         raise DimensionMismatch("H has wrong dimensions for this problem")
     Hs = H.taylor_stack(N)
@@ -149,7 +147,6 @@ class GammaData(NamedTuple):
     defect_basis: np.ndarray
     F_gamma: Subspace
     Omega: np.ndarray
-    residual: float
 
 
 def _gamma_data(p: InterpolationProblem, Gamma, tol: float) -> GammaData:
@@ -185,7 +182,7 @@ def _gamma_data(p: InterpolationProblem, Gamma, tol: float) -> GammaData:
             f"defining identity for Omega has residual {res:.3e}")
     if operator_norm(Om) > 1.0 + max(tol, 1e-10):
         raise NotASolution(f"extracted Omega has norm {operator_norm(Om):.6e}")
-    return GammaData(D=D, defect_basis=Bd, F_gamma=FG, Omega=Om, residual=float(res))
+    return GammaData(D=D, defect_basis=Bd, F_gamma=FG, Omega=Om)
 
 
 def omega_hat(p: InterpolationProblem, Gamma, tol: float = 1e-8):
@@ -240,11 +237,8 @@ def _w_taylor(Hs: np.ndarray, Gamma, Cfun, D, Bd):
     (N+1, u, u) stack.
     """
     L, y, u = Hs.shape
-    col = Hs.reshape(L * y, u)
-    first = np.zeros((L, u, u), dtype=np.complex128)
     # the sum for k = N+1 is empty
-    for k in range(1, L):
-        first[k - 1] = col[:(L - k) * y].conj().T @ col[k * y:]
+    first = np.concatenate([series.correlate(Hs)[1:], np.zeros((1, u, u))])
     # the Herglotz transform of C is 2 (I - lambda C)^-1 - I, so its
     # degree-k coefficient is 2 P_k for k >= 1
     P = series.resolvent(Cfun.taylor_stack(L - 1))

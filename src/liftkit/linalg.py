@@ -32,11 +32,15 @@ def as_operator(M, rows: int | None = None, cols: int | None = None) -> np.ndarr
 
 
 def operator_norm(M) -> float:
-    """Largest singular value; 0.0 for empty matrices."""
+    """Largest singular value; 0.0 for empty matrices.
+
+    The same bits as np.linalg.norm(A, 2), which takes the largest value
+    of this very SVD, without its dispatch overhead.
+    """
     A = as_operator(M)
     if A.size == 0:
         return 0.0
-    return float(np.linalg.norm(A, 2))
+    return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
 def operator_norms(M) -> np.ndarray:
@@ -47,7 +51,7 @@ def operator_norms(M) -> np.ndarray:
     A = np.asarray(M, dtype=np.complex128)
     if A.shape[1] == 0 or A.shape[2] == 0:
         return np.zeros(A.shape[0])
-    return np.linalg.norm(A, 2, axis=(1, 2))
+    return np.linalg.svd(A, compute_uv=False)[:, 0]
 
 
 def projector_gap(X, Y) -> float:

@@ -2,9 +2,9 @@
 
 Matrices are {"rows", "cols", "re", "im"} with row-major coefficient
 lists, so files are diffable and independent of numpy.  Encoders return
-plain dicts; write with json.dumps(..., sort_keys=True) for byte-stable
-output.  Decoders take the JSON path of their record and raise
-ConfigError naming the path of the first bad field, for example
+plain dicts; write them with dumps for byte-stable output.  Decoders take
+the JSON path of their record and raise ConfigError naming the path of the
+first bad field, for example
 ``problem.omega1: non-finite entry``.
 """
 
@@ -68,8 +68,7 @@ def _build(path: str, make, *args, **kwargs):
 def matrix_to_json(M) -> dict:
     A = as_operator(M)
     return {"rows": A.shape[0], "cols": A.shape[1],
-            "re": [float(x) for x in A.real.ravel()],
-            "im": [float(x) for x in A.imag.ravel()]}
+            "re": A.real.ravel().tolist(), "im": A.imag.ravel().tolist()}
 
 
 def matrix_from_json(d: dict, path: str = "matrix") -> np.ndarray:
@@ -177,9 +176,42 @@ def inner_from_json(d: dict, path: str = "inner") -> InnerFn:
     raise ConfigError(f"unknown inner-function kind {kind!r}")
 
 
+# element types of the lists that dumps hands to the C encoder whole
+_PLAIN_NUMBERS = frozenset({float, int})
+# the string encoder json uses for keys and values with ensure_ascii
+_json_string = json.encoder.encode_basestring_ascii
+
+
 def dumps(payload: dict) -> str:
-    """Deterministic serialization used for every file the tools write."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Deterministic serialization used for every file the tools write.
+
+    Byte-identical to json.dumps(payload, sort_keys=True, indent=2) + "\n",
+    which runs CPython's pure-Python encoder one token at a time because
+    of the indent.  Here dicts and lists are laid out directly and every
+    list of plain numbers goes to the C encoder in one call.
+    """
+    return _dumps(payload, "\n") + "\n"
+
+
+def _dumps(v, nl: str) -> str:
+    """v as json.dumps(v, sort_keys=True, indent=2), nested at line start nl."""
+    inner = nl + "  "
+    if type(v) is dict and v and all(type(k) is str for k in v):
+        return ("{" + inner + ("," + inner).join(
+            _json_string(k) + ": " + _dumps(v[k], inner) for k in sorted(v))
+            + nl + "}")
+    if type(v) is list and v:
+        if set(map(type, v)) <= _PLAIN_NUMBERS:
+            # the C encoder separates items by ", ", which no number contains
+            return "[" + inner + json.dumps(v)[1:-1].replace(", ", "," + inner) + nl + "]"
+        return "[" + inner + ("," + inner).join(_dumps(x, inner) for x in v) + nl + "]"
+    if type(v) is int:
+        return repr(v)
+    if isinstance(v, (dict, list, tuple)):
+        # JSON strings hold no raw newline, so re-indenting the lines is exact
+        return json.dumps(v, sort_keys=True, indent=2).replace("\n", nl)
+    # a scalar is spelled the same with and without indent
+    return json.dumps(v)
 
 
 def save(path: str, payload: dict) -> None:

@@ -1,14 +1,18 @@
 """Truncated power series with matrix coefficients, on stacked arrays.
 
 A series is an (N+1, m, n) complex128 array whose entry k is the degree-k
-Taylor coefficient.  Every routine truncates at the length of its inputs
-and computes output degree k with one BLAS product of a block row and a
-reversed block column,
+Taylor coefficient.  Products and correlations go through the FFT along
+the degree axis: both stacks are zero-padded to a power of two K >= 2L - 1,
+so the cyclic convolution equals the linear one, and each frequency costs
+one small matrix product.  Their round-off is norm-wise, of order
+eps log K ||a|| ||b||, not relative to each output coefficient.  Inverses
+and resolvents keep the recursion that computes degree k with one BLAS
+product of a block row and a reversed block column,
 
-    c_k = [a_0 a_1 ... a_k] @ [b_k; ...; b_1; b_0],
+    y_k = [x_0 x_1 ... x_(k-1)] @ [y_(k-1); ...; y_0],
 
-so a degree-N result costs N+1 numpy calls and no dense block-Toeplitz
-matrix is ever formed.
+because Newton doubling on the FFT product measured slower at N = 192.
+No dense block-Toeplitz matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -34,6 +38,11 @@ def _block_row(a: np.ndarray) -> np.ndarray:
     return a.transpose(1, 0, 2).reshape(m, L * n)
 
 
+def _fft_len(L: int) -> int:
+    """Smallest power of two >= 2L - 1, so degree-wise cyclic products do not wrap."""
+    return 1 << (2 * L - 2).bit_length()
+
+
 def mul(a, b) -> np.ndarray:
     """Truncated product c_k = sum_(j<=k) a_j b_(k-j), to the shorter length."""
     a, b = _as_series(a), _as_series(b)
@@ -41,15 +50,21 @@ def mul(a, b) -> np.ndarray:
         raise DimensionMismatch(
             f"cannot multiply {a.shape[1:]} by {b.shape[1:]} coefficients")
     L = min(len(a), len(b))
-    _, m, n = a.shape
-    p = b.shape[2]
-    row = _block_row(a[:L])
-    # rows (L-1-k)n.. of col hold b_k; b_k..b_0 is the tail from there
-    col = b[L - 1::-1].reshape(L * n, p)
-    c = np.empty((L, m, p), dtype=np.complex128)
-    for k in range(L):
-        c[k] = row[:, :(k + 1) * n] @ col[(L - 1 - k) * n:]
-    return c
+    K = _fft_len(L)
+    fa = np.fft.fft(a[:L], K, axis=0)
+    fb = np.fft.fft(b[:L], K, axis=0)
+    return np.fft.ifft(fa @ fb, axis=0)[:L]
+
+
+def correlate(a) -> np.ndarray:
+    """Correlation sums r_k = sum_n a_n* a_(n+k), k = 0..L-1, of a length-L series.
+
+    The conjugate transform turns the correlation into a cyclic
+    product, r = ifft(fft(a)* fft(a)), with no wrap-around at K >= 2L - 1.
+    """
+    a = _as_series(a)
+    fa = np.fft.fft(a, _fft_len(len(a)), axis=0)
+    return np.fft.ifft(fa.conj().transpose(0, 2, 1) @ fa, axis=0)[:len(a)]
 
 
 def resolvent(x) -> np.ndarray:

@@ -173,3 +173,56 @@ def test_verify_non_finite_entry_is_a_one_line_usage_error(tmp_path, capsys):
     d["omega1"]["re"][0] = float("nan")
     err = _malformed_verify(tmp_path, capsys, {"problem": d, "H": {}})
     assert "problem.omega1: non-finite entry" in err
+
+
+def assert_canonical_json(text):
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--cmd", "gen", "--seed", "3"),
+    ("--cmd", "solve", "--seed", "3", "--dims", "3,2,2"),
+    ("--cmd", "fiber", "--seed", "2"),
+    ("--cmd", "rcl", "--seed", "3"),
+    ("--cmd", "modelspace", "--seed", "4"),
+    ("--cmd", "selftest", "--seed", "7", "--degree", "12"),
+])
+def test_command_output_is_byte_identical_to_json(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert_canonical_json(out.out)
+
+
+def test_chain_files_and_error_envelopes_are_byte_identical_to_json(tmp_path, capsys):
+    g, s = tmp_path / "gen.json", tmp_path / "solve.json"
+    assert run(capsys, "--cmd", "gen", "--seed", "5", "--out", str(g))[0] == 0
+    assert run(capsys, "--cmd", "solve", "--in", str(g), "--out", str(s))[0] == 0
+    assert_canonical_json(g.read_text())
+    assert_canonical_json(s.read_text())
+    code, out = run(capsys, "--cmd", "verify", "--in", str(s))
+    assert code == 0
+    assert_canonical_json(out.out)
+    solved = load(str(s))
+    solved["H"]["coeffs"][0]["re"][0] += 0.05
+    s.write_text(dumps(solved))
+    code, out = run(capsys, "--cmd", "verify", "--in", str(s))
+    assert code == 2
+    assert_canonical_json(out.out)
+    d = problem_to_json(scalar_fixture())
+    d["omega1"]["re"][0] = 1.2
+    s.write_text(dumps({"problem": d}))
+    code, out = run(capsys, "--cmd", "solve", "--in", str(s))
+    assert code == 3
+    assert_canonical_json(out.out)
+
+
+def test_foreign_schema_tag_is_a_one_line_usage_error(tmp_path, capsys):
+    payload = {"schema": "liftkit/9",
+               "problem": problem_to_json(scalar_fixture())}
+    err = _malformed_verify(tmp_path, capsys, payload)
+    assert err == 'error: schema: expected "liftkit/1", got "liftkit/9"\n'
+    inp = tmp_path / "foreign.json"
+    inp.write_text(json.dumps(payload))
+    code, out = run(capsys, "--cmd", "solve", "--in", str(inp))
+    assert code == 1
+    assert out.out == ""

@@ -27,6 +27,29 @@ def test_polyopfn_requires_a_coefficient():
         PolyOpFn(1, 1, ())
 
 
+@pytest.mark.parametrize("coeffs,error,message", [
+    ((np.ones((2, 1)), np.ones((3, 1))), DimensionMismatch, "expected 2 rows, got 3"),
+    ((np.ones((2, 1)), np.ones((2, 2))), DimensionMismatch,
+     "expected 1 columns, got 2"),
+    ((np.ones((3, 1)),) * 2, DimensionMismatch, "expected 2 rows, got 3"),
+    ((np.ones(2),), DimensionMismatch, "expected a matrix, got ndim=1"),
+    ((np.ones((2, 1)), np.array([[1.0], [np.inf]])), ValueError,
+     "matrix has non-finite entries"),
+])
+def test_coefficient_stacks_are_validated_as_each_coefficient(coeffs, error, message):
+    for make in (lambda: PolyOpFn(2, 1, coeffs),
+                 lambda: AnalyticFn(2, 1, coeffs, lambda lam: None)):
+        with pytest.raises(error, match=f"^{message}$"):
+            make()
+
+
+def test_polyopfn_copies_its_coefficients():
+    c = np.ones((2, 1, 1), dtype=np.complex128)
+    p = PolyOpFn(1, 1, c)
+    c[0] = 5.0
+    assert p.coeff(0)[0, 0] == 1.0
+
+
 def test_polyopfn_eval_geometric():
     # sum_{n<=20} (0.4 * 0.5)^n = (1 - 0.2^21) / 0.8, frozen
     p = geometric_poly(0.4, 20)

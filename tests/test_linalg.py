@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from liftkit.errors import DimensionMismatch, NotAContraction
 from liftkit.linalg import (Subspace, as_operator, defect, haar_unitary,
                             hermitian_sqrt_psd, is_contraction, operator_norm,
-                            orthonormal_range, projector_gap)
+                            operator_norms, orthonormal_range, projector_gap)
 
 
 def _complex_matrix(rng, m, n, scale=1.0):
@@ -155,3 +155,12 @@ def test_projector_gap_of_a_basis_change_is_round_off():
     rng = np.random.default_rng(5)
     Q = orthonormal_range(_complex_matrix(rng, 10, 3)).basis
     assert projector_gap(Q @ haar_unitary(rng, 3), Q) <= 1e-14
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (3, 3), (5, 2), (2, 6), (0, 3), (3, 0), (0, 0)])
+def test_operator_norm_is_bit_identical_to_numpy_norm(m, n):
+    rng = np.random.default_rng(m + 10 * n)
+    A = _complex_matrix(rng, m, n)
+    assert operator_norm(A) == np.linalg.norm(A, 2)
+    S = np.stack([_complex_matrix(rng, m, n) for _ in range(16)])
+    assert np.array_equal(operator_norms(S), np.linalg.norm(S, 2, axis=(1, 2)))

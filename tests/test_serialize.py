@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from _support import scalar_fixture
 from liftkit.errors import ConfigError
 from liftkit.hardy import PolyOpFn
+from liftkit.lifting import random_constrained_z, random_problem, solve_from_Z
 from liftkit.linalg import Subspace, operator_norm
 from liftkit.modelspace import random_inner, theta_shift
 from liftkit.rcl import random_data_set
@@ -158,3 +161,67 @@ def test_poly_errors_name_the_coefficient():
     d["coeffs"][1]["im"] = [float("nan")]
     with pytest.raises(ConfigError, match=r"^H\.coeffs\[1\]: non-finite entry$"):
         poly_from_json(d, "H")
+
+
+def test_poly_shape_errors_name_the_record():
+    d = poly_to_json(PolyOpFn(1, 1, (np.eye(1), np.eye(1))))
+    d["coeffs"][1] = matrix_to_json(np.ones((2, 1)))
+    with pytest.raises(ConfigError, match=r"^H: expected 1 rows, got 2$"):
+        poly_from_json(d, "H")
+    d["coeffs"][0] = matrix_to_json(np.ones((2, 1)))
+    with pytest.raises(ConfigError, match=r"^H: expected 1 rows, got 2$"):
+        poly_from_json(d, "H")
+
+
+def reference_dumps(payload):
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _encoder_outputs():
+    p = random_problem(3, 2, 2, seed=4)
+    H = solve_from_Z(p, random_constrained_z(p, 2, 5), 12)
+    return {
+        "matrix": matrix_to_json(np.array([[1.0 + 2.0j, -0.5], [0.0, 3.25j]])),
+        "empty matrix": matrix_to_json(np.zeros((0, 3))),
+        "subspace": subspace_to_json(Subspace(3, np.eye(3, 2))),
+        "poly": poly_to_json(H),
+        "schur": schur_to_json(random_schur(2, 3, 2, seed=5)),
+        "problem": problem_to_json(p),
+        "unconstrained problem": problem_to_json(random_problem(2, 1, 0, seed=6)),
+        "dataset": dataset_to_json(random_data_set(seed=2)),
+        "power inner": inner_to_json(theta_shift(2)),
+        "bp inner": inner_to_json(random_inner(seed=8, dim=2, n_factors=2)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_encoder_outputs()))
+def test_dumps_is_byte_identical_to_json_on_encoder_output(name):
+    d = _encoder_outputs()[name]
+    assert dumps(d) == reference_dumps(d)
+    assert dumps({"schema": SCHEMA, name: d}) == reference_dumps({"schema": SCHEMA, name: d})
+
+
+@pytest.mark.parametrize("payload", [
+    {"x": [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1e300,
+           -1e-300, 2 ** 64 + 1, -(2 ** 70), 0, 7]},
+    {"nan": float("nan"), "int": 2 ** 80, "neg_zero": -0.0},
+    {}, [], {"a": {}, "b": [], "c": [[]], "d": [{}], "e": [[], {}]},
+    {"deep": [[1.0, 2], [[3.5], {"k": [4, 5.0]}], [[[]]]]},
+    {"flags": [1.0, True, 2, False, None], "bools": [True, False], "t": True},
+    {"np": np.float64(0.1), "mix": [np.float64(2.5), 1.0, 3]},
+    {"text": "caf\u00e9 \u2603 \U0001f600", "\u00fc": ["\u00e9", 1.0], "quote": "a\"b\\c\n"},
+    {"b": 1, "a": 2, "B": 3, "_": 4, "aa": 5, "": 6},
+    [1.0, [2.0, [3.0]], "s", None],
+    {"tuple": (1.0, 2.0), "int keys": {2: "b", 1: [1.0]}},
+    "just a string", 1.5, 3, None, True,
+])
+def test_dumps_is_byte_identical_to_json_on_edge_payloads(payload):
+    assert dumps(payload) == reference_dumps(payload)
+
+
+def test_dumps_rejects_what_json_rejects():
+    for bad in ({"x": np.float32(1.0)}, {"x": [np.int64(1)]}, {"x": {1, 2}}):
+        with pytest.raises(TypeError):
+            reference_dumps(bad)
+        with pytest.raises(TypeError):
+            dumps(bad)

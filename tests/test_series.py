@@ -47,6 +47,15 @@ def ref_resolvent(x):
     return np.array(y).reshape(L + 1, m, m)
 
 
+def ref_correlate(a):
+    L, _, n = a.shape
+    r = np.zeros((L, n, n), dtype=np.complex128)
+    for k in range(L):
+        for j in range(L - k):
+            r[k] += a[j].conj().T @ a[j + k]
+    return r
+
+
 def assert_close(got, want):
     assert got.shape == want.shape
     assert np.linalg.norm(got - want) <= REL * max(1.0, np.linalg.norm(want))
@@ -133,3 +142,36 @@ def test_engine_is_bit_identical_on_repeat():
     assert np.array_equal(series.mul(a, b), series.mul(a, b))
     assert np.array_equal(series.inv(a), series.inv(a))
     assert np.array_equal(series.resolvent(a), series.resolvent(a))
+    assert np.array_equal(series.correlate(b), series.correlate(b))
+
+
+def test_mul_and_resolvent_match_double_loop_at_high_degree():
+    rng = np.random.default_rng(193)
+    a, b = rand_series(rng, 193, 8, 8), rand_series(rng, 193, 8, 8)
+    assert_close(series.mul(a, b), ref_mul(a, b))
+    x = rand_series(rng, 192, 8, 8)
+    assert_close(series.resolvent(x), ref_resolvent(x))
+
+
+def test_inv_matches_double_loop_at_high_degree():
+    # a well-conditioned series (|inv| ~ 10), so that the product's
+    # norm-wise round-off leaves the identity check meaningful
+    rng = np.random.default_rng(195)
+    a = 0.1 * rand_series(rng, 193, 8, 8)
+    a[0] += np.eye(8)
+    got = series.inv(a)
+    assert_close(got, ref_inv(a))
+    assert_close(series.mul(a, got), ref_resolvent(np.zeros((192, 8, 8))))
+
+
+@pytest.mark.parametrize("L,m,n", [(9, 3, 2), (1, 2, 3), (1, 1, 1), (17, 1, 4),
+                                   (193, 8, 8), (5, 0, 2), (5, 2, 0), (5, 0, 0)])
+def test_correlate_matches_double_loop(L, m, n):
+    rng = np.random.default_rng(L + 10 * m + 100 * n)
+    a = rand_series(rng, L, m, n)
+    assert_close(series.correlate(a), ref_correlate(a))
+
+
+def test_correlate_rejects_an_empty_series():
+    with pytest.raises(DimensionMismatch):
+        series.correlate(np.zeros((0, 2, 2)))
