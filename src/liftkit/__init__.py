@@ -5,10 +5,10 @@ from .errors import (ConfigError, ConstraintViolated, DegreeTooSmall,
                      LiftkitError, NotAContraction, NotASolution,
                      SingularResolvent, WNotNormalizedAtZero)
 from .hardy import (AnalyticFn, PolyOpFn, TruncationGrid, analytic_toeplitz,
-                    column_operator, default_grid, multiplication_operator,
-                    shift_and_embed)
+                    column_operator, default_grid, multiplication_operator)
 from .lifting import (InterpolationProblem, SolutionReport, central_C,
-                      omega_hat, parameter_membership, random_constrained_z,
+                      fiber_roundtrip_residuals, omega_hat,
+                      parameter_membership, random_constrained_z,
                       random_problem, solve_from_Z, uniqueness_certificate,
                       verify_solution, z_from_C)
 from .linalg import (Subspace, as_operator, defect, haar_unitary,
@@ -16,15 +16,15 @@ from .linalg import (Subspace, as_operator, defect, haar_unitary,
                      orthonormal_range)
 from .modelspace import (BlaschkeFactor, InnerFn, ModelSpace,
                          check_decompositions, h_from_Z_theta, model_space,
-                         mult_contraction_test, pointwise_mult_check,
-                         random_inner, random_multiplier, theta_shift,
-                         z_from_H_theta)
+                         mult_contraction_test, multiplier_roundtrip_residual,
+                         pointwise_mult_check, random_inner, random_multiplier,
+                         theta_shift, z_from_H_theta)
 from .rcl import (LiftingCandidate, RclDataSet, RclReport, b_to_gamma,
                   data_set_from_omega, gamma_to_B, omega_roundtrip_residual,
                   random_data_set, sns_lifting, underlying_contraction,
                   validate_data_set, verify_rcl)
 from .schur import (SchurRealization, constrained_completion, herglotz_eval,
-                    random_schur, taylor_coeffs)
+                    random_schur)
 
 __version__ = "0.1.0"
 
@@ -38,14 +38,14 @@ __all__ = [
     "WNotNormalizedAtZero", "analytic_toeplitz", "as_operator", "b_to_gamma",
     "central_C", "check_decompositions", "column_operator",
     "constrained_completion", "data_set_from_omega", "defect", "default_grid",
-    "gamma_to_B", "h_from_Z_theta", "haar_unitary", "herglotz_eval",
-    "hermitian_sqrt_psd", "is_contraction", "model_space",
-    "mult_contraction_test", "multiplication_operator", "omega_hat",
-    "omega_roundtrip_residual", "operator_norm", "orthonormal_range",
-    "parameter_membership", "pointwise_mult_check", "random_constrained_z",
-    "random_data_set", "random_inner", "random_multiplier", "random_problem",
-    "random_schur", "sns_lifting", "shift_and_embed", "solve_from_Z",
-    "taylor_coeffs", "theta_shift", "underlying_contraction",
+    "fiber_roundtrip_residuals", "gamma_to_B", "h_from_Z_theta",
+    "haar_unitary", "herglotz_eval", "hermitian_sqrt_psd", "is_contraction",
+    "model_space", "mult_contraction_test", "multiplication_operator",
+    "multiplier_roundtrip_residual", "omega_hat", "omega_roundtrip_residual",
+    "operator_norm", "orthonormal_range", "parameter_membership",
+    "pointwise_mult_check", "random_constrained_z", "random_data_set",
+    "random_inner", "random_multiplier", "random_problem", "random_schur",
+    "sns_lifting", "solve_from_Z", "theta_shift", "underlying_contraction",
     "uniqueness_certificate", "validate_data_set", "verify_rcl",
     "verify_solution", "z_from_C", "z_from_H_theta",
 ]

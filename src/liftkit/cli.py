@@ -11,18 +11,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from .errors import ConfigError, LiftkitError
-from .hardy import column_operator, default_grid
-from .lifting import (InterpolationProblem, central_C, random_constrained_z,
-                      random_problem, solve_from_Z, uniqueness_certificate,
-                      verify_solution, z_from_C)
-from .linalg import Subspace, operator_norm, operator_norms
-from .modelspace import (check_decompositions, h_from_Z_theta, model_space,
-                         mult_contraction_test, random_inner,
-                         random_multiplier, z_from_H_theta)
+from .hardy import column_operator
+from .lifting import (InterpolationProblem, fiber_roundtrip_residuals,
+                      random_constrained_z, random_problem, solve_from_Z,
+                      uniqueness_certificate, verify_solution)
+from .linalg import Subspace
+from .modelspace import (check_decompositions, model_space,
+                         mult_contraction_test, multiplier_roundtrip_residual,
+                         random_inner, random_multiplier)
 from .rcl import (data_set_from_omega, gamma_to_B, omega_roundtrip_residual,
                   random_data_set, underlying_contraction, validate_data_set,
                   verify_rcl)
@@ -91,12 +92,6 @@ def _problem_and_z(args, payload_in):
     return p, Z
 
 
-def _report_fields(rep) -> dict:
-    return {"recurrence_residual": rep.recurrence_residual,
-            "partial_gram_excess": rep.partial_gram_excess,
-            "grid_sup_norm": rep.grid_sup_norm, "degree": rep.degree}
-
-
 def _report_failures(args, rep) -> list:
     """Threshold failures of a SolutionReport, one message each."""
     failures = []
@@ -123,7 +118,7 @@ def _cmd_solve(args, payload_in):
     rep = verify_solution(p, H, N)
     failures = _report_failures(args, rep)
     out = _envelope(args, problem=problem_to_json(p), H=poly_to_json(H),
-                    report=_report_fields(rep), ok=not failures,
+                    report=asdict(rep), ok=not failures,
                     failures=failures)
     return out, EXIT_OK if not failures else EXIT_VERIFY
 
@@ -135,26 +130,15 @@ def _cmd_verify(args, payload_in):
     H = poly_from_json(field(payload_in, "H"), "H")
     rep = verify_solution(p, H, H.degree)
     failures = _report_failures(args, rep)
-    out = _envelope(args, report=_report_fields(rep), ok=not failures,
+    out = _envelope(args, report=asdict(rep), ok=not failures,
                     failures=failures)
     return out, EXIT_OK if not failures else EXIT_VERIFY
 
 
 def _cmd_fiber(args, payload_in):
     p, Z = _problem_and_z(args, payload_in)
-    N = args.degree
-    H = solve_from_Z(p, Z, N, constraint_tol=args.tol_contract)
-    Gamma = column_operator(H, N)
-    C = central_C(p, Gamma)
-    Z1 = z_from_C(p, H, Gamma, C, N)
-    H1 = solve_from_Z(p, Z1, N, constraint_tol=args.tol_contract)
-    keep = max(0, N - 4)
-    diff = max(operator_norm(H.coeff(n) - H1.coeff(n)) for n in range(keep + 1))
-    grid = default_grid(N)
-    constraint = 0.0
-    if p.F.dim > 0:
-        constraint = float(operator_norms(
-            Z1.eval_many(grid.points) @ p.F.basis - p.omega).max())
+    diff, constraint, w0 = fiber_roundtrip_residuals(p, Z, args.degree,
+                                                     args.tol_contract)
     failures = []
     if diff > 1e-7:
         failures.append(f"fiber roundtrip residual {diff:.3e} exceeds 1e-07")
@@ -162,9 +146,8 @@ def _cmd_fiber(args, payload_in):
         failures.append(f"constraint residual {constraint:.3e} exceeds "
                         f"{args.tol_contract:g}")
     out = _envelope(args, roundtrip_residual=diff,
-                    constraint_residual=constraint,
-                    w0_residual=Z1.meta["w0_residual"], ok=not failures,
-                    failures=failures)
+                    constraint_residual=constraint, w0_residual=w0,
+                    ok=not failures, failures=failures)
     return out, EXIT_OK if not failures else EXIT_VERIFY
 
 
@@ -201,11 +184,7 @@ def _cmd_modelspace(args, payload_in):
     dec = check_decompositions(theta, ms)
     Hf = random_multiplier(theta, 2, N, args.seed + 3, scale=GEN_Z_SCALE)
     mb = mult_contraction_test(Hf, ms)
-    Z = z_from_H_theta(theta, Hf, ms, N)
-    H1 = h_from_Z_theta(theta, Z, N)
-    keep = max(0, N - theta.degree_bound - 4)
-    diff = max(operator_norm(Hf.coeff(n) - H1.coeff(n))
-               for n in range(keep + 1))
+    diff = multiplier_roundtrip_residual(theta, Hf, ms, N)
     failures = []
     if not dec.ok(args.tol_verify * 10):
         failures.append(f"decomposition residuals {max(dec):.3e} exceed "
@@ -221,87 +200,85 @@ def _cmd_modelspace(args, payload_in):
     return out, EXIT_OK if not failures else EXIT_VERIFY
 
 
+def _suite_scalar_fixture(seed: int, N: int):
+    p = InterpolationProblem(U_dim=1, Y_dim=1, F=Subspace(1, np.eye(1)),
+                             omega1=np.array([[0.6]]), omega2=np.array([[0.8]]))
+    H = solve_from_Z(p, random_constrained_z(p, 2, seed), N)
+    return (abs(H.coeff(n)[0, 0] - 0.6 * 0.8 ** n) for n in range(N + 1))
+
+
+def _suite_solve_verify(seed: int, N: int):
+    for k in range(5):
+        p = random_problem(2, 2, 1, seed + 10 + k, scale=0.9)
+        Z = random_constrained_z(p, 2, seed + 40 + k)
+        rep = verify_solution(p, solve_from_Z(p, Z, N), N)
+        yield from (rep.recurrence_residual, rep.partial_gram_excess)
+
+
+def _suite_fiber_roundtrip(seed: int, N: int):
+    # the extracted parameter meets the 1e-8 grid constraint only once the
+    # truncation tail has decayed, so this suite pins its own degree
+    for k in range(3):
+        p = random_problem(2, 2, 1, seed + 70 + k, scale=GEN_OMEGA_SCALE)
+        Z = random_constrained_z(p, 2, seed + 80 + k, scale=GEN_Z_SCALE)
+        yield fiber_roundtrip_residuals(p, Z, max(N, 24))[0]
+
+
+def _suite_omega_roundtrip(seed: int, N: int):
+    for k in range(5):
+        yield omega_roundtrip_residual(
+            random_problem(3, 2, 2, seed + 100 + k, scale=0.9))
+
+
+def _suite_rcl_equivalence(seed: int, N: int):
+    for k in range(3):
+        ds = random_data_set(seed + 130 + k)
+        p = underlying_contraction(ds)
+        Z = random_constrained_z(p, 2, seed + 160 + k, scale=GEN_Z_SCALE)
+        H = solve_from_Z(p, Z, N)
+        rep = verify_rcl(ds, gamma_to_B(ds, column_operator(H, N), N), N)
+        yield from (rep.projection_residual, rep.intertwining_residual)
+
+
+def _suite_modelspace_roundtrip(seed: int, N: int):
+    Nm = max(N, 32)
+    for k in range(2):
+        theta = random_inner(seed + 200 + k, 2, 1)
+        ms = model_space(theta, Nm)
+        Hf = random_multiplier(theta, 2, Nm, seed + 230 + k, scale=GEN_Z_SCALE)
+        yield from (max(check_decompositions(theta, ms)) * 0.1,
+                    multiplier_roundtrip_residual(theta, Hf, ms, Nm))
+
+
+def _suite_tilde_validates(seed: int, N: int):
+    ds = data_set_from_omega(random_problem(2, 2, 1, seed + 300))
+    return [0.0 if validate_data_set(ds) else 1.0]
+
+
+# (name, tolerance, suite) in report order.  A suite maps (seed, degree)
+# to its residuals and passes when the largest is at most the tolerance.
+_SELFTEST = (
+    ("scalar_fixture", 1e-12, _suite_scalar_fixture),
+    ("solve_verify", 1e-9, _suite_solve_verify),
+    ("fiber_roundtrip", 1e-7, _suite_fiber_roundtrip),
+    ("omega_roundtrip", 1e-10, _suite_omega_roundtrip),
+    ("rcl_equivalence", 1e-8, _suite_rcl_equivalence),
+    ("modelspace_roundtrip", 1e-6, _suite_modelspace_roundtrip),
+    ("tilde_validates", 0.5, _suite_tilde_validates),
+)
+
+
 def _cmd_selftest(args, payload_in):
     del payload_in
-    N = args.degree
     suites = {}
     failures = []
-
-    def record(name, value, tol):
+    for name, tol, suite in _SELFTEST:
+        value = max(suite(args.seed, args.degree))
         ok = value <= tol
         suites[name] = {"max_residual": float(value), "tol": tol,
                         "pass": bool(ok)}
         if not ok:
             failures.append(f"{name} {value:.3e} exceeds {tol:g}")
-
-    fixture = InterpolationProblem(U_dim=1, Y_dim=1, F=Subspace(1, np.eye(1)),
-                                   omega1=np.array([[0.6]]),
-                                   omega2=np.array([[0.8]]))
-    Hfix = solve_from_Z(fixture, random_constrained_z(fixture, 2, args.seed),
-                        N)
-    record("scalar_fixture",
-           max(abs(Hfix.coeff(n)[0, 0] - 0.6 * 0.8 ** n) for n in range(N + 1)),
-           1e-12)
-
-    worst = 0.0
-    for k in range(5):
-        p = random_problem(2, 2, 1, args.seed + 10 + k, scale=0.9)
-        Z = random_constrained_z(p, 2, args.seed + 40 + k)
-        rep = verify_solution(p, solve_from_Z(p, Z, N), N)
-        worst = max(worst, rep.recurrence_residual, rep.partial_gram_excess)
-    record("solve_verify", worst, 1e-9)
-
-    worst = 0.0
-    # the extracted parameter meets the 1e-8 grid constraint only once the
-    # truncation tail has decayed, so this suite pins its own degree
-    Nf = max(N, 24)
-    for k in range(3):
-        p = random_problem(2, 2, 1, args.seed + 70 + k, scale=GEN_OMEGA_SCALE)
-        Z = random_constrained_z(p, 2, args.seed + 80 + k, scale=GEN_Z_SCALE)
-        H = solve_from_Z(p, Z, Nf)
-        Gamma = column_operator(H, Nf)
-        Z1 = z_from_C(p, H, Gamma, central_C(p, Gamma), Nf)
-        H1 = solve_from_Z(p, Z1, Nf)
-        diff = max(operator_norm(H.coeff(n) - H1.coeff(n))
-                   for n in range(Nf - 4 + 1))
-        worst = max(worst, diff)
-    record("fiber_roundtrip", worst, 1e-7)
-
-    worst = 0.0
-    for k in range(5):
-        p = random_problem(3, 2, 2, args.seed + 100 + k, scale=0.9)
-        worst = max(worst, omega_roundtrip_residual(p))
-    record("omega_roundtrip", worst, 1e-10)
-
-    worst = 0.0
-    for k in range(3):
-        ds = random_data_set(args.seed + 130 + k)
-        p = underlying_contraction(ds)
-        Z = random_constrained_z(p, 2, args.seed + 160 + k, scale=GEN_Z_SCALE)
-        H = solve_from_Z(p, Z, N)
-        rep = verify_rcl(ds, gamma_to_B(ds, column_operator(H, N), N), N)
-        worst = max(worst, rep.projection_residual, rep.intertwining_residual)
-    record("rcl_equivalence", worst, 1e-8)
-
-    worst = 0.0
-    for k in range(2):
-        theta = random_inner(args.seed + 200 + k, 2, 1)
-        Nm = max(N, 32)
-        ms = model_space(theta, Nm)
-        dec = check_decompositions(theta, ms)
-        Hf = random_multiplier(theta, 2, Nm, args.seed + 230 + k,
-                               scale=GEN_Z_SCALE)
-        Z = z_from_H_theta(theta, Hf, ms, Nm)
-        H1 = h_from_Z_theta(theta, Z, Nm)
-        keep = max(0, Nm - theta.degree_bound - 4)
-        diff = max(operator_norm(Hf.coeff(n) - H1.coeff(n))
-                   for n in range(keep + 1))
-        worst = max(worst, max(dec) * 0.1, diff)
-    record("modelspace_roundtrip", worst, 1e-6)
-
-    ds = data_set_from_omega(random_problem(2, 2, 1, args.seed + 300))
-    record("tilde_validates", 0.0 if validate_data_set(ds) else 1.0, 0.5)
-
     out = _envelope(args, suites=suites, ok=not failures, failures=failures)
     return out, EXIT_OK if not failures else EXIT_VERIFY
 
@@ -335,15 +312,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except LiftkitError as exc:
-        text = dumps({"schema": SCHEMA, "command": args.cmd, "ok": False,
-                      "error": f"{type(exc).__name__}: {exc}"})
-        if args.out:
-            save(args.out, {"schema": SCHEMA, "command": args.cmd,
-                            "ok": False,
-                            "error": f"{type(exc).__name__}: {exc}"})
-        else:
-            sys.stdout.write(text)
-        return EXIT_NUMERIC
+        payload = {"schema": SCHEMA, "command": args.cmd, "ok": False,
+                   "error": f"{type(exc).__name__}: {exc}"}
+        code = EXIT_NUMERIC
     if args.out:
         save(args.out, payload)
     else:

@@ -91,9 +91,6 @@ class PolyOpFn:
             return self.coeffs[n]
         return np.zeros((self.out_dim, self.in_dim), dtype=np.complex128)
 
-    def taylor(self, n: int) -> np.ndarray:
-        return self.coeff(n)
-
     def taylor_stack(self, N: int) -> np.ndarray:
         """Coefficients 0..N as an (N+1, out, in) stack, zero-padded."""
         out = np.zeros((N + 1, self.out_dim, self.in_dim), dtype=np.complex128)
@@ -132,13 +129,6 @@ class AnalyticFn:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def taylor(self, n: int) -> np.ndarray:
-        if n < 0:
-            raise ValueError("negative Taylor index")
-        if n >= len(self.coeffs):
-            raise DegreeTooSmall(f"Taylor data stored to degree {self.degree}, asked for {n}")
-        return self.coeffs[n]
 
     def taylor_stack(self, N: int) -> np.ndarray:
         """Coefficients 0..N as an (N+1, out, in) stack."""
@@ -205,22 +195,8 @@ def default_grid(degree: int = DEFAULT_DEGREE, radii=None,
     return TruncationGrid(degree, tuple(pts))
 
 
-def shift_and_embed(dim: int, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Truncated forward shift S and the embedding E of constants.
-
-    S maps coefficient block n to block n+1 and drops block N; E places a
-    vector at block 0.  Both act on the stacked (N+1)*dim coordinates.
-    """
-    if dim < 0 or N < 0:
-        raise ValueError("dim and N must be nonnegative")
-    size = (N + 1) * dim
-    S = np.eye(size, k=-dim, dtype=np.complex128)
-    E = np.eye(size, dim, dtype=np.complex128)
-    return S, E
-
-
 def shift(X, dim: int) -> np.ndarray:
-    """S @ X for the truncated forward shift S of shift_and_embed.
+    """S @ X for the truncated forward shift S, without forming S.
 
     X is a stacked column (or a matrix of them) with rows in blocks of
     dim; block n moves to block n+1, block 0 becomes zero and the top

@@ -28,7 +28,6 @@ divided by).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,10 +35,10 @@ from . import series
 from .errors import (ConstraintViolated, DimensionMismatch, NotAContraction,
                      NotASolution, SingularResolvent, WNotNormalizedAtZero)
 from .hardy import AnalyticFn, PolyOpFn, column_operator, default_grid
-from .linalg import (RANK_TOL, Subspace, as_operator, hermitian_sqrt_psd,
-                     operator_norm, operator_norms, orthonormal_range)
-from .schur import (SchurRealization, constrained_completion, herglotz_many,
-                    random_schur)
+from .linalg import (RANK_TOL, Subspace, as_operator, defect, operator_norm,
+                     operator_norms, orthonormal_range)
+from .schur import (SchurRealization, _complete, _completion_frame,
+                    herglotz_many, random_schur)
 
 W_ZERO_TOL = 1e-8
 W_COND_MAX = 1e10
@@ -142,29 +141,24 @@ def verify_solution(p: InterpolationProblem, H: PolyOpFn, N: int,
                           grid_sup_norm=float(sup), degree=N)
 
 
-class GammaData(NamedTuple):
-    D: np.ndarray
-    defect_basis: np.ndarray
-    F_gamma: Subspace
-    Omega: np.ndarray
+def _gamma_data(p: InterpolationProblem, Gamma,
+                tol: float) -> tuple[np.ndarray, Subspace, np.ndarray]:
+    """(Bd, F_Gamma, Omega): defect data of a solution column.
 
-
-def _gamma_data(p: InterpolationProblem, Gamma, tol: float) -> GammaData:
-    """Defect data of a solution column and the extracted corner Omega.
-
-    Omega is the contraction F_Gamma -> defect(Gamma) determined by
-    Omega D_Gamma|_F = D_Gamma omega2; coordinates are with respect to
-    the SVD bases of F_Gamma and of the defect range.
+    Bd is the range basis of D_Gamma and Omega the contraction
+    F_Gamma -> defect(Gamma) determined by Omega D_Gamma|_F = D_Gamma
+    omega2; coordinates are with respect to the SVD bases of F_Gamma and
+    of the defect range.
     """
     G = as_operator(Gamma, cols=p.U_dim)
     if G.shape[0] % max(p.Y_dim, 1) != 0 and p.Y_dim > 0:
         raise DimensionMismatch("Gamma rows are not a multiple of Y_dim")
+    slack = max(tol, 1e-12)
     nrm = operator_norm(G)
-    if nrm > 1.0 + max(tol, 1e-12):
+    if nrm > 1.0 + slack:
         raise NotASolution(f"candidate column has norm {nrm:.6e}")
-    u = p.U_dim
-    D = hermitian_sqrt_psd(np.eye(u) - G.conj().T @ G)
-    Bd = orthonormal_range(D, RANK_TOL).basis
+    D, drange = defect(G, slack)
+    Bd = drange.basis
     FG = orthonormal_range(D @ p.F.basis, RANK_TOL)
     Bf = FG.basis
     d, r, f = Bd.shape[1], Bf.shape[1], p.F.dim
@@ -182,7 +176,7 @@ def _gamma_data(p: InterpolationProblem, Gamma, tol: float) -> GammaData:
             f"defining identity for Omega has residual {res:.3e}")
     if operator_norm(Om) > 1.0 + max(tol, 1e-10):
         raise NotASolution(f"extracted Omega has norm {operator_norm(Om):.6e}")
-    return GammaData(D=D, defect_basis=Bd, F_gamma=FG, Omega=Om)
+    return Bd, FG, Om
 
 
 def omega_hat(p: InterpolationProblem, Gamma, tol: float = 1e-8):
@@ -192,19 +186,19 @@ def omega_hat(p: InterpolationProblem, Gamma, tol: float = 1e-8):
     bases of F_Gamma and of the defect range of Gamma (both recomputable
     deterministically from Gamma).
     """
-    gd = _gamma_data(p, Gamma, tol)
-    return gd.Omega, gd.F_gamma
+    _, FG, Om = _gamma_data(p, Gamma, tol)
+    return Om, FG
 
 
 def central_C(p: InterpolationProblem, Gamma, tol: float = 1e-8) -> SchurRealization:
     """The constant fiber member C = Omega P_(F_Gamma) on the defect space."""
-    gd = _gamma_data(p, Gamma, tol)
-    Cmat = gd.Omega @ (gd.F_gamma.basis.conj().T @ gd.defect_basis)
+    Bd, FG, Om = _gamma_data(p, Gamma, tol)
+    Cmat = Om @ (FG.basis.conj().T @ Bd)
     nrm = operator_norm(Cmat)
     if nrm > 1.0:
         # round-off can push the extracted corner a hair over 1
         Cmat = Cmat / nrm
-    d = gd.defect_basis.shape[1]
+    d = Bd.shape[1]
     return SchurRealization(np.zeros((0, 0)), np.zeros((0, d)),
                             np.zeros((d, 0)), Cmat)
 
@@ -212,25 +206,26 @@ def central_C(p: InterpolationProblem, Gamma, tol: float = 1e-8) -> SchurRealiza
 def parameter_membership(Cfun, p: InterpolationProblem, Gamma,
                          tol: float = 1e-8, grid=None) -> bool:
     """True iff C is Schur on the grid and C(lambda)|_(F_Gamma) = Omega."""
-    gd = _gamma_data(p, Gamma, max(tol, 1e-8))
-    d = gd.defect_basis.shape[1]
+    Bd, FG, Om = _gamma_data(p, Gamma, max(tol, 1e-8))
+    d = Bd.shape[1]
     if Cfun.in_dim != d or Cfun.out_dim != d:
         raise DimensionMismatch(
             f"C must act on the {d}-dimensional defect space, "
             f"got {Cfun.out_dim} x {Cfun.in_dim}")
     if grid is None:
         grid = default_grid()
-    Bfd = gd.defect_basis.conj().T @ gd.F_gamma.basis
+    Bfd = Bd.conj().T @ FG.basis
     Cv = Cfun.eval_many(grid.points)
     if np.any(operator_norms(Cv) > 1.0 + tol):
         return False
-    return not np.any(operator_norms(Cv @ Bfd - gd.Omega) > tol)
+    return not np.any(operator_norms(Cv @ Bfd - Om) > tol)
 
 
-def _w_taylor(Hs: np.ndarray, Gamma, Cfun, D, Bd):
+def _w_taylor(Hs: np.ndarray, W0, Cfun, DB, BD):
     """Coefficients W_0..W_(N+1) of the positive-real factor, and the sums.
 
-    W_0 = Gamma*Gamma + D^2 and, for k >= 1,
+    W_0 = Gamma*Gamma + D^2, DB = D_Gamma Bd and BD = Bd* D_Gamma for the
+    range basis Bd of D_Gamma and, for k >= 1,
     W_k = 2 sum_n H_n* H_(n+k) + 2 D_Gamma (herglotz of C)_k D_Gamma,
     the first sum running over the retained degrees n <= N - k.  Returns
     W as an (N+2, u, u) stack and the first sums, k = 1..N+1, as an
@@ -242,10 +237,8 @@ def _w_taylor(Hs: np.ndarray, Gamma, Cfun, D, Bd):
     # the Herglotz transform of C is 2 (I - lambda C)^-1 - I, so its
     # degree-k coefficient is 2 P_k for k >= 1
     P = series.resolvent(Cfun.taylor_stack(L - 1))
-    DB = D @ Bd
-    BD = Bd.conj().T @ D
     W = np.empty((L + 1, u, u), dtype=np.complex128)
-    W[0] = Gamma.conj().T @ Gamma + D @ D
+    W[0] = W0
     W[1:] = 2.0 * first + 2.0 * (DB @ P[1:] @ BD)
     return W, first
 
@@ -262,14 +255,19 @@ def z_from_C(p: InterpolationProblem, H: PolyOpFn, Gamma, Cfun, N: int) -> Analy
     G = as_operator(Gamma, cols=u)
     if H.in_dim != u or H.out_dim != y:
         raise DimensionMismatch("H has wrong dimensions for this problem")
-    D = hermitian_sqrt_psd(np.eye(u) - G.conj().T @ G)
-    Bd = orthonormal_range(D, RANK_TOL).basis
+    # W(0) misses I by about 2 (||Gamma|| - 1), so with this slack the W(0)
+    # check below still rejects norms in (1 + W_ZERO_TOL / 2, 1 + W_ZERO_TOL]
+    D, drange = defect(G, W_ZERO_TOL)
+    Bd = drange.basis
     d = Bd.shape[1]
     if Cfun.in_dim != d or Cfun.out_dim != d:
         raise DimensionMismatch(
             f"C must act on the {d}-dimensional defect space of Gamma")
     Hs = H.taylor_stack(N)
-    W, first = _w_taylor(Hs, G, Cfun, D, Bd)
+    gamma_sq = G.conj().T @ G
+    DB = D @ Bd
+    BD = Bd.conj().T @ D
+    W, first = _w_taylor(Hs, gamma_sq + D @ D, Cfun, DB, BD)
     eye = np.eye(u, dtype=np.complex128)
     w0res = operator_norm(W[0] - eye)
     if w0res > W_ZERO_TOL:
@@ -278,9 +276,6 @@ def z_from_C(p: InterpolationProblem, H: PolyOpFn, Gamma, Cfun, N: int) -> Analy
     Wp[0] += eye
     M = series.inv(Wp)
     coeffs = np.concatenate([2.0 * series.mul(Hs, M), -2.0 * M[1:]], axis=1)
-    gamma_sq = G.conj().T @ G
-    DB = D @ Bd
-    BD = Bd.conj().T @ D
     remainder = D @ D - DB @ BD
 
     def _eval_many(z):
@@ -304,6 +299,28 @@ def z_from_C(p: InterpolationProblem, H: PolyOpFn, Gamma, Cfun, N: int) -> Analy
     return AnalyticFn(y + u, u, coeffs, _eval_many, meta={"w0_residual": w0res})
 
 
+def fiber_roundtrip_residuals(p: InterpolationProblem, Z, N: int,
+                              constraint_tol: float = 1e-8) -> tuple[float, float, float]:
+    """(coefficient gap, constraint, W(0) residual) of Z -> H -> central Z_C -> H.
+
+    The gap is the largest ||H_n - H'_n|| over degrees 0..N-4, below the
+    truncation tail of Z_C, and the constraint the largest
+    ||Z_C(lambda)|_F - omega|| on the default grid.  Both solves check
+    their parameter's constraint at constraint_tol.
+    """
+    H = solve_from_Z(p, Z, N, constraint_tol=constraint_tol)
+    Gamma = column_operator(H, N)
+    Z1 = z_from_C(p, H, Gamma, central_C(p, Gamma), N)
+    H1 = solve_from_Z(p, Z1, N, constraint_tol=constraint_tol)
+    keep = max(0, N - 4)
+    gap = max(operator_norm(H.coeff(n) - H1.coeff(n)) for n in range(keep + 1))
+    constraint = 0.0
+    if p.F.dim > 0:
+        constraint = float(operator_norms(
+            Z1.eval_many(default_grid(N).points) @ p.F.basis - p.omega).max())
+    return gap, constraint, Z1.meta["w0_residual"]
+
+
 def uniqueness_certificate(p: InterpolationProblem) -> bool:
     """True iff omega is an isometry and omega2 F is dense in U.
 
@@ -315,10 +332,7 @@ def uniqueness_certificate(p: InterpolationProblem) -> bool:
     s = np.linalg.svd(p.omega, compute_uv=False)
     if float(s.min()) < 1.0 - 1e-10:
         return False
-    s2 = np.linalg.svd(p.omega2, compute_uv=False)
-    cutoff = 1e-9 * max(1.0, float(s2.max()) if s2.size else 0.0)
-    rank = int(np.count_nonzero(s2 > cutoff))
-    return rank == p.U_dim
+    return orthonormal_range(p.omega2).dim == p.U_dim
 
 
 def random_problem(u: int, y: int, f: int, seed: int,
@@ -346,15 +360,6 @@ def random_problem(u: int, y: int, f: int, seed: int,
 def random_constrained_z(p: InterpolationProblem, state_dim: int, seed: int,
                          scale: float = 1.0) -> SchurRealization:
     """Random parameter satisfying Z|_F = omega, via a seeded free part X."""
-    om = p.omega
-    Dstar = hermitian_sqrt_psd(np.eye(p.Y_dim + p.U_dim) - om @ om.conj().T)
-    d = orthonormal_range(Dstar).dim
-    Fb = p.F.basis
-    g = orthonormal_range(np.eye(p.U_dim) - Fb @ Fb.conj().T).dim
-    X = random_schur(d, g, state_dim, seed, scale=scale)
-    return constrained_completion(p, X)
-
-
-def gamma_from_solution(H: PolyOpFn, N: int) -> np.ndarray:
-    """Column operator of a solution, convenience wrapper."""
-    return column_operator(H, N)
+    Mcol, comp = frame = _completion_frame(p)
+    X = random_schur(Mcol.shape[1], comp.shape[1], state_dim, seed, scale=scale)
+    return _complete(p, frame, X)

@@ -114,6 +114,14 @@ def orthonormal_range(M, tol: float = RANK_TOL) -> Subspace:
     return Subspace(A.shape[0], u[:, :r])
 
 
+def _sqrt_psd(G) -> tuple[np.ndarray, np.ndarray]:
+    """hermitian_sqrt_psd(G) and the eigenvalues of G, before the clamp."""
+    A = as_operator(G)
+    w, V = np.linalg.eigh((A + A.conj().T) / 2.0)
+    floor = 64.0 * np.finfo(np.float64).eps * max(1.0, float(w[-1]) if w.size else 0.0)
+    return (V * np.sqrt(np.where(w > floor, w, 0.0))) @ V.conj().T, w
+
+
 def hermitian_sqrt_psd(G) -> np.ndarray:
     """Positive square root of a Hermitian PSD matrix, clamping round-off.
 
@@ -121,12 +129,7 @@ def hermitian_sqrt_psd(G) -> np.ndarray:
     the square root; otherwise null directions of I - T*T would surface
     as sqrt(eps) ~ 1e-8 noise and pollute downstream rank decisions.
     """
-    A = as_operator(G)
-    H = (A + A.conj().T) / 2.0
-    w, V = np.linalg.eigh(H)
-    floor = 64.0 * np.finfo(np.float64).eps * max(1.0, float(w[-1]) if w.size else 0.0)
-    w = np.where(w > floor, w, 0.0)
-    return (V * np.sqrt(w)) @ V.conj().T
+    return _sqrt_psd(G)[0]
 
 
 def defect(T, tol: float = RANK_TOL) -> tuple[np.ndarray, Subspace]:
@@ -137,7 +140,10 @@ def defect(T, tol: float = RANK_TOL) -> tuple[np.ndarray, Subspace]:
     T : array_like
         The contraction; operator_norm(T) <= 1 + tol is required.
     tol : float
-        Contraction slack and rank cutoff for the range basis.
+        Contraction slack.  The range keeps the singular values of D
+        above RANK_TOL; after the round-off clamp of hermitian_sqrt_psd
+        they are 0 or at least sqrt(64 eps) ~ 1.2e-7, so every cutoff
+        between those gives the same range.
 
     Returns
     -------
@@ -145,12 +151,13 @@ def defect(T, tol: float = RANK_TOL) -> tuple[np.ndarray, Subspace]:
         basis of the numerical range of D.
     """
     A = as_operator(T)
-    nrm = operator_norm(A)
-    if nrm > 1.0 + tol:
+    D, w = _sqrt_psd(np.eye(A.shape[1]) - A.conj().T @ A)
+    # the smallest eigenvalue of I - T*T is 1 - ||T||^2, so the guard
+    # needs no SVD of T, which may be tall
+    if w.size and w[0] < 1.0 - (1.0 + tol) ** 2:
+        nrm = np.sqrt(1.0 - w[0])
         raise NotAContraction(f"operator norm {nrm:.6e} exceeds 1 + {tol:g}")
-    n = A.shape[1]
-    D = hermitian_sqrt_psd(np.eye(n) - A.conj().T @ A)
-    return D, orthonormal_range(D, tol)
+    return D, orthonormal_range(D, RANK_TOL)
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -176,9 +176,6 @@ class InnerFn:
     def coeff(self, n: int) -> np.ndarray:
         return self.taylor_stack(n)[n]
 
-    def taylor(self, n: int) -> np.ndarray:
-        return self.coeff(n)
-
     def as_poly(self, N: int) -> PolyOpFn:
         return PolyOpFn(self.out_dim, self.in_dim, self.taylor_stack(N))
 
@@ -239,7 +236,6 @@ class ModelSpace:
 
     N: int
     U_dim: int
-    E_dim: int
     basis: Subspace
     H0_basis: Subspace
 
@@ -284,15 +280,17 @@ def model_space(theta: InnerFn, N: int) -> ModelSpace:
     def basis(p: int) -> Subspace:
         return Subspace(amb, np.linalg.qr(theta.model_columns(p, N))[0])
 
-    return ModelSpace(N=N, U_dim=theta.out_dim, E_dim=theta.in_dim,
-                      basis=basis(theta.power), H0_basis=basis(theta.power - 1))
+    return ModelSpace(N=N, U_dim=theta.out_dim, basis=basis(theta.power),
+                      H0_basis=basis(theta.power - 1))
 
 
 def check_decompositions(theta: InnerFn, ms: ModelSpace) -> DecompositionReport:
     """Residuals of both splittings of H and of the isometries R, Q.
 
     R embeds H0 into H; Q multiplies H0 by lambda into H.  All four
-    residuals vanish up to truncation for a genuine model space.
+    residuals vanish up to truncation for a genuine model space.  The
+    truncated shift drops H0's top block, lambda^N ker V0* when E is
+    smaller than U, so Q is compared with the Gram of blocks 0..N-1.
     """
     u, N = ms.U_dim, ms.N
     msb = ms.basis.basis
@@ -304,16 +302,15 @@ def check_decompositions(theta: InnerFn, ms: ModelSpace) -> DecompositionReport:
     Qm = msb.conj().T @ Sh0
     m0 = h0b.shape[1]
     riso = operator_norm(Rm.conj().T @ Rm - np.eye(m0))
-    qiso = operator_norm(Qm.conj().T @ Qm - np.eye(m0))
+    kept = h0b[:N * u]
+    qiso = operator_norm(Qm.conj().T @ Qm - kept.conj().T @ kept)
     return DecompositionReport(float(r1), float(r2), float(riso), float(qiso))
 
 
-def mult_contraction_test(Hfn: PolyOpFn, ms: ModelSpace, N: int | None = None,
+def mult_contraction_test(Hfn: PolyOpFn, ms: ModelSpace,
                           tol: float = 1e-8) -> MultBoundReport:
     """Norm of multiplication by Hfn restricted to the model space."""
-    if N is None:
-        N = ms.N
-    M, tail = multiplication_operator(Hfn, ms.basis, N)
+    M, tail = multiplication_operator(Hfn, ms.basis, ms.N)
     nrm = operator_norm(M)
     return MultBoundReport(contractive=bool(nrm <= 1.0 + tol),
                            norm=float(nrm), tail_mass=float(tail))
@@ -388,6 +385,18 @@ def z_from_H_theta(theta: InnerFn, Hfn: PolyOpFn, ms: ModelSpace, N: int,
     meta["mult_tail"] = float(tail)
     return AnalyticFn(y + e, u, compress(Zt.taylor_stack(N)),
                       lambda z: compress(Zt.eval_many(z)), meta=meta)
+
+
+def multiplier_roundtrip_residual(theta: InnerFn, Hfn: PolyOpFn, ms: ModelSpace,
+                                  N: int) -> float:
+    """Largest ||H_n - H'_n|| of Hfn -> z_from_H_theta -> h_from_Z_theta.
+
+    Taken over degrees 0..N - degree_bound - 4, below the truncation tail
+    of the recovered parameter.
+    """
+    H1 = h_from_Z_theta(theta, z_from_H_theta(theta, Hfn, ms, N), N)
+    keep = max(0, N - theta.degree_bound - 4)
+    return max(operator_norm(Hfn.coeff(n) - H1.coeff(n)) for n in range(keep + 1))
 
 
 def pointwise_mult_check(Gmat, ms: ModelSpace, tol: float = 1e-8,

@@ -18,6 +18,7 @@ change of basis (omega_roundtrip_residual measures the defect).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,8 +26,8 @@ from .errors import (DimensionMismatch, InconsistentGenerators,
                      NotAContraction)
 from .hardy import PolyOpFn, column_operator, shift
 from .lifting import InterpolationProblem, random_problem
-from .linalg import (RANK_TOL, as_operator, defect, haar_unitary,
-                     hermitian_sqrt_psd, operator_norm, orthonormal_range)
+from .linalg import (RANK_TOL, Subspace, as_operator, defect, haar_unitary,
+                     operator_norm, orthonormal_range)
 
 DATA_SET_TOL = 1e-10
 
@@ -36,7 +37,9 @@ class RclDataSet:
     """Operator data {A, T', R, Q}; only shapes are enforced here.
 
     validate_data_set checks the actual constraints, so that invalid
-    candidates (for rejection tests) can still be represented.
+    candidates (for rejection tests) can still be represented; the
+    defects are therefore computed on first use, and raise
+    NotAContraction for an operator that is not a contraction.
     """
 
     A: np.ndarray
@@ -60,9 +63,15 @@ class RclDataSet:
     def Hprime_dim(self) -> int:
         return self.A.shape[0]
 
-    @property
-    def H0_dim(self) -> int:
-        return self.R.shape[1]
+    @cached_property
+    def defect_A(self) -> tuple[np.ndarray, Subspace]:
+        """(D_A, range of D_A), as linalg.defect returns them."""
+        return defect(self.A)
+
+    @cached_property
+    def defect_Tprime(self) -> tuple[np.ndarray, Subspace]:
+        """(D_T', range of D_T'), as linalg.defect returns them."""
+        return defect(self.Tprime)
 
 
 @dataclass(frozen=True)
@@ -109,22 +118,16 @@ def validate_data_set(ds: RclDataSet, tol: float = DATA_SET_TOL) -> bool:
     return float(eig[0]) >= -tol
 
 
-def _sns_blocks(Tprime, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
-    """(T', C) with C = Bd* D_T' the defect of T' in its range coordinates."""
-    T = as_operator(Tprime)
-    if T.shape[0] != T.shape[1]:
-        raise DimensionMismatch("Tprime must be square")
-    D, drange = defect(T, tol)
-    return T, drange.basis.conj().T @ D
-
-
-def _apply_sns(T: np.ndarray, C: np.ndarray, X) -> np.ndarray:
+def _apply_sns(T: np.ndarray, dT: tuple[np.ndarray, Subspace], X) -> np.ndarray:
     """U' @ X for the truncated lifting U' = [[T', 0], [E C, S]], blockwise.
 
+    C = Bd* D is the defect dT = (D, range Bd) of T' in range coordinates.
     X stacks an H' part over a truncated H^2 part with blocks of
     dim C.shape[0]; U' X = [T' X_h; C X_h + shift(X_tail)], so neither
     U' nor the shift is formed.
     """
+    D, drange = dT
+    C = drange.basis.conj().T @ D
     hp, d = T.shape[0], C.shape[0]
     Xh, Xt = X[:hp], X[hp:]
     tail = shift(Xt, d)
@@ -141,9 +144,12 @@ def sns_lifting(Tprime, N: int, tol: float = 1e-9) -> np.ndarray:
     truncated shift drops.  verify_rcl applies the same blocks without
     forming this matrix.
     """
-    T, C = _sns_blocks(Tprime, tol)
-    rows = T.shape[0] + (N + 1) * C.shape[0]
-    return _apply_sns(T, C, np.eye(rows, dtype=np.complex128))
+    T = as_operator(Tprime)
+    if T.shape[0] != T.shape[1]:
+        raise DimensionMismatch("Tprime must be square")
+    dT = defect(T, tol)
+    rows = T.shape[0] + (N + 1) * dT[1].dim
+    return _apply_sns(T, dT, np.eye(rows, dtype=np.complex128))
 
 
 def underlying_contraction(ds: RclDataSet, tol: float = 1e-9) -> InterpolationProblem:
@@ -153,12 +159,9 @@ def underlying_contraction(ds: RclDataSet, tol: float = 1e-9) -> InterpolationPr
     and omega defined on generators by D_A Q h -> [D_T' A R h; D_A R h],
     solved in the least-squares sense on an SVD basis of F.
     """
-    h = ds.H_dim
-    DA = hermitian_sqrt_psd(np.eye(h) - ds.A.conj().T @ ds.A)
-    BdA = orthonormal_range(DA, RANK_TOL).basis
-    hp = ds.Hprime_dim
-    DT = hermitian_sqrt_psd(np.eye(hp) - ds.Tprime.conj().T @ ds.Tprime)
-    BdT = orthonormal_range(DT, RANK_TOL).basis
+    DA, rA = ds.defect_A
+    DT, rT = ds.defect_Tprime
+    BdA, BdT = rA.basis, rT.basis
     u, y = BdA.shape[1], BdT.shape[1]
     gen = BdA.conj().T @ (DA @ ds.Q)
     F = orthonormal_range(gen, RANK_TOL)
@@ -188,33 +191,26 @@ def underlying_contraction(ds: RclDataSet, tol: float = 1e-9) -> InterpolationPr
 
 def gamma_to_B(ds: RclDataSet, Gamma, N: int, tol: float = 1e-8) -> LiftingCandidate:
     """Candidate B = [A; Gamma D_A] from a contraction on the defect of A."""
-    h = ds.H_dim
-    DA = hermitian_sqrt_psd(np.eye(h) - ds.A.conj().T @ ds.A)
-    BdA = orthonormal_range(DA, RANK_TOL).basis
-    u = BdA.shape[1]
-    G = as_operator(Gamma, cols=u)
+    DA, rA = ds.defect_A
+    G = as_operator(Gamma, cols=rA.dim)
     nrm = operator_norm(G)
     if nrm > 1.0 + tol:
         raise NotAContraction(f"Gamma has norm {nrm:.6e}")
-    DT = hermitian_sqrt_psd(np.eye(ds.Hprime_dim)
-                            - ds.Tprime.conj().T @ ds.Tprime)
-    dT = orthonormal_range(DT, RANK_TOL).dim
+    dT = ds.defect_Tprime[1].dim
     if G.shape[0] != (N + 1) * dT:
         raise DimensionMismatch(
             f"Gamma must have {(N + 1) * dT} rows for degree {N}, "
             f"got {G.shape[0]}")
-    tail_mat = G @ (BdA.conj().T @ DA)
+    tail_mat = G @ (rA.basis.conj().T @ DA)
     coeffs = tuple(tail_mat[n * dT:(n + 1) * dT, :] for n in range(N + 1))
     return LiftingCandidate(A_part=ds.A,
-                            tail=PolyOpFn(dT, h, coeffs))
+                            tail=PolyOpFn(dT, ds.H_dim, coeffs))
 
 
 def b_to_gamma(ds: RclDataSet, cand: LiftingCandidate) -> np.ndarray:
     """Recover Gamma from B's tail; minimum-norm, exact on range(D_A)."""
-    h = ds.H_dim
-    DA = hermitian_sqrt_psd(np.eye(h) - ds.A.conj().T @ ds.A)
-    BdA = orthonormal_range(DA, RANK_TOL).basis
-    X = BdA.conj().T @ DA
+    DA, rA = ds.defect_A
+    X = rA.basis.conj().T @ DA
     tail_mat = column_operator(cand.tail, cand.tail.degree)
     if X.shape[1] != tail_mat.shape[1]:
         raise DimensionMismatch("candidate tail does not act on H")
@@ -232,14 +228,13 @@ def verify_rcl(ds: RclDataSet, cand: LiftingCandidate, N: int) -> RclReport:
         raise DimensionMismatch(
             f"candidate has degree {cand.tail.degree}, expected {N}")
     proj = operator_norm(cand.A_part - ds.A)
-    T, C = _sns_blocks(ds.Tprime)
-    dT = C.shape[0]
+    dT = ds.defect_Tprime[1].dim
     if cand.tail.out_dim != dT:
         raise DimensionMismatch(
             f"candidate tail has {cand.tail.out_dim} rows per block, "
             f"defect of T' has dimension {dT}")
     B = cand.stacked()
-    lhs = _apply_sns(T, C, B @ ds.R)
+    lhs = _apply_sns(ds.Tprime, ds.defect_Tprime, B @ ds.R)
     rhs = B @ ds.Q
     keep = ds.Hprime_dim + N * dT
     inter = operator_norm(lhs[:keep, :] - rhs[:keep, :])
@@ -276,11 +271,7 @@ def omega_roundtrip_residual(p: InterpolationProblem, tol: float = 1e-9) -> floa
     ds = data_set_from_omega(p)
     q = underlying_contraction(ds, tol)
     y, u = p.Y_dim, p.U_dim
-    h = ds.H_dim
-    DA = hermitian_sqrt_psd(np.eye(h) - ds.A.conj().T @ ds.A)
-    BdA = orthonormal_range(DA, RANK_TOL).basis
-    DT = hermitian_sqrt_psd(np.eye(h) - ds.Tprime.conj().T @ ds.Tprime)
-    BdT = orthonormal_range(DT, RANK_TOL).basis
+    BdA, BdT = ds.defect_A[1].basis, ds.defect_Tprime[1].basis
     if BdA.shape[1] != u or BdT.shape[1] != y:
         raise DimensionMismatch("defect spaces did not recover U and Y")
     JU = BdA[y:, :]

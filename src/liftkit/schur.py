@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotAContraction, SingularResolvent
 from .hardy import disk_points
-from .linalg import (as_operator, defect, hermitian_sqrt_psd, operator_norm,
-                     orthonormal_range)
+from .linalg import as_operator, defect, operator_norm, orthonormal_range
 
 COLLIGATION_SLACK = 1e-10
 RESOLVENT_COND_MAX = 1e12
@@ -48,8 +47,6 @@ class SchurRealization:
         nrm = operator_norm(self.colligation())
         if nrm > 1.0 + COLLIGATION_SLACK:
             raise NotAContraction(f"colligation norm {nrm:.6e} exceeds 1")
-        if operator_norm(A) > 1.0 + COLLIGATION_SLACK:
-            raise NotAContraction("state matrix norm exceeds 1")
 
     @property
     def state_dim(self) -> int:
@@ -83,16 +80,6 @@ class SchurRealization:
         """Z(lambda) = D + lambda C (I - lambda A)^-1 B on the open disk."""
         return self.eval_many([lam])[0]
 
-    def taylor(self, n: int) -> np.ndarray:
-        """Taylor coefficient: D for n = 0, C A^(n-1) B for n >= 1."""
-        if n < 0:
-            raise ValueError("negative Taylor index")
-        if n == 0:
-            return self.D.copy()
-        if self.state_dim == 0:
-            return np.zeros((self.out_dim, self.in_dim), dtype=np.complex128)
-        return self.C @ np.linalg.matrix_power(self.A, n - 1) @ self.B
-
     def taylor_stack(self, N: int) -> np.ndarray:
         """Coefficients 0..N as an (N+1, out, in) stack: D, then C A^(k-1) B."""
         out = np.empty((N + 1, self.out_dim, self.in_dim), dtype=np.complex128)
@@ -102,16 +89,6 @@ class SchurRealization:
             out[k] = self.C @ P
             P = self.A @ P
         return out
-
-
-def taylor_coeffs(fn, N: int) -> list:
-    """First N+1 Taylor coefficients of an analytic operator function.
-
-    Uses fn.taylor_stack(N) when fn provides it, else fn.taylor(k) per k.
-    """
-    if hasattr(fn, "taylor_stack"):
-        return list(fn.taylor_stack(N))
-    return [fn.taylor(k) for k in range(N + 1)]
 
 
 def random_schur(out_dim: int, in_dim: int, state_dim: int, seed: int,
@@ -143,6 +120,15 @@ def random_schur(out_dim: int, in_dim: int, state_dim: int, seed: int,
     return SchurRealization(M[:n, :n], M[:n, n:], M[n:, :n], M[n:, n:])
 
 
+def _completion_frame(problem) -> tuple[np.ndarray, np.ndarray]:
+    """(D_{omega*} Vd, P) for the range basis Vd of D_{omega*} and a basis
+    P of F_perp; a free part X maps P coordinates into Vd coordinates."""
+    D, drange = defect(problem.omega.conj().T)
+    Fb = problem.F.basis
+    comp = orthonormal_range(np.eye(problem.U_dim) - Fb @ Fb.conj().T).basis
+    return D @ drange.basis, comp
+
+
 def constrained_completion(problem, X: SchurRealization | None = None) -> SchurRealization:
     """Schur function Z with Z(lambda)|_F = omega, parameterized by X.
 
@@ -152,14 +138,13 @@ def constrained_completion(problem, X: SchurRealization | None = None) -> SchurR
     defect space of omega*; X=None means X identically zero.  The
     restriction to F equals omega exactly, for every lambda.
     """
-    u, y, f = problem.U_dim, problem.Y_dim, problem.F.dim
-    om = problem.omega
-    Dstar = hermitian_sqrt_psd(np.eye(y + u) - om @ om.conj().T)
-    Vd = orthonormal_range(Dstar).basis
-    d = Vd.shape[1]
-    Fb = problem.F.basis
-    comp = orthonormal_range(np.eye(u) - Fb @ Fb.conj().T).basis
-    g = comp.shape[1]
+    return _complete(problem, _completion_frame(problem), X)
+
+
+def _complete(problem, frame, X: SchurRealization | None) -> SchurRealization:
+    """constrained_completion with its _completion_frame given."""
+    Mcol, comp = frame
+    d, g = Mcol.shape[1], comp.shape[1]
     if X is None:
         zero = np.zeros((0, 0))
         X = SchurRealization(zero, np.zeros((0, g)), np.zeros((d, 0)), np.zeros((d, g)))
@@ -167,11 +152,10 @@ def constrained_completion(problem, X: SchurRealization | None = None) -> SchurR
         raise DimensionMismatch(
             f"X must be {d} x {g} valued (defect of omega* x complement of F), "
             f"got {X.out_dim} x {X.in_dim}")
-    Mcol = Dstar @ Vd
     A = X.A
     B = X.B @ comp.conj().T
     C = Mcol @ X.C
-    D = om @ Fb.conj().T + Mcol @ X.D @ comp.conj().T
+    D = problem.omega @ problem.F.basis.conj().T + Mcol @ X.D @ comp.conj().T
     return SchurRealization(A, B, C, D)
 
 

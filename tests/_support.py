@@ -31,6 +31,21 @@ def coeff_diff(H1, H2, upto: int) -> float:
 
 def taylor_sum(fn, lam: complex, N: int) -> np.ndarray:
     acc = np.zeros((fn.out_dim, fn.in_dim), dtype=np.complex128)
-    for n in range(N, -1, -1):
-        acc = fn.taylor(n) + lam * acc
+    for c in fn.taylor_stack(N)[::-1]:
+        acc = c + lam * acc
     return acc
+
+
+def shift_and_embed(dim: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense truncated forward shift S and embedding E of constants.
+
+    The oracle of hardy.shift and hardy.shift_adjoint: S maps coefficient
+    block n to block n+1 and drops block N; E places a vector at block 0.
+    Both act on the stacked (N+1)*dim coordinates.
+    """
+    if dim < 0 or N < 0:
+        raise ValueError("dim and N must be nonnegative")
+    size = (N + 1) * dim
+    S = np.eye(size, k=-dim, dtype=np.complex128)
+    E = np.eye(size, dim, dtype=np.complex128)
+    return S, E

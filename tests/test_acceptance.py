@@ -10,13 +10,14 @@ from _support import DIMS, coeff_diff, scalar_fixture, unconstrained_problem
 from liftkit.errors import NotAContraction
 from liftkit.hardy import (PolyOpFn, column_operator, default_grid,
                            multiplication_operator)
-from liftkit.lifting import (InterpolationProblem, central_C,
+from liftkit.lifting import (InterpolationProblem, fiber_roundtrip_residuals,
                              random_constrained_z, random_problem,
                              solve_from_Z, uniqueness_certificate,
-                             verify_solution, z_from_C)
+                             verify_solution)
 from liftkit.linalg import Subspace, haar_unitary, operator_norm
 from liftkit.modelspace import (InnerFn, check_decompositions, h_from_Z_theta,
                                 model_space, mult_contraction_test,
+                                multiplier_roundtrip_residual,
                                 pointwise_mult_check, random_inner,
                                 random_multiplier, theta_shift, z_from_H_theta)
 from liftkit.rcl import (data_set_from_omega, gamma_to_B,
@@ -64,23 +65,16 @@ def test_02_random_solutions_verify():
 
 def test_03_central_fiber_roundtrip():
     worst_diff = worst_w0 = worst_con = 0.0
-    grid = default_grid(N)
     for k in range(50):
         u, y, f = DIMS[k % len(DIMS)]
         p = random_problem(u, y, f, seed=3000 + k, scale=0.45)
         Z = random_constrained_z(p, 2, seed=3100 + k, scale=0.5)
-        H = solve_from_Z(p, Z, N)
-        Gamma = column_operator(H, N)
-        Z1 = z_from_C(p, H, Gamma, central_C(p, Gamma), N)
-        H1 = solve_from_Z(p, Z1, N)
-        diff = coeff_diff(H, H1, N - 4)
+        # gap over degrees 0..N-4, grid constraint (0 when F = 0), W(0)
+        diff, con, w0 = fiber_roundtrip_residuals(p, Z, N)
         worst_diff = max(worst_diff, diff)
-        worst_w0 = max(worst_w0, Z1.meta["w0_residual"])
-        if p.F.dim > 0:
-            con = max(operator_norm(Z1.eval(z) @ p.F.basis - p.omega)
-                      for z in grid.points)
-            worst_con = max(worst_con, con)
-        assert Z1.meta["w0_residual"] <= 1e-10
+        worst_w0 = max(worst_w0, w0)
+        worst_con = max(worst_con, con)
+        assert w0 <= 1e-10
     assert worst_diff <= 1e-7, worst_diff
     assert worst_con <= 1e-8, worst_con
     print(f"PASS 3 central fiber roundtrip: coeff diff {worst_diff:.3e}, "
@@ -210,10 +204,10 @@ def test_08_multiplier_fiber_roundtrip():
         ms = spaces[k % 3]
         y = 2
         H = random_multiplier(theta, y, n, seed=8000 + k, scale=0.5)
+        # gap over degrees 0..n - degree_bound - 4
+        worst_diff = max(worst_diff,
+                         multiplier_roundtrip_residual(theta, H, ms, n))
         Z1 = z_from_H_theta(theta, H, ms, n)
-        H1 = h_from_Z_theta(theta, Z1, n)
-        keep = n - theta.degree_bound - 4
-        worst_diff = max(worst_diff, coeff_diff(H, H1, keep))
         u = theta.out_dim
         for z in grid.points:
             Cz = Z1.eval(z)[y:, :]

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from _support import shift_and_embed
 from liftkit.errors import (ConfigError, DegreeTooSmall, DimensionMismatch,
                             DomainError)
 from liftkit.hardy import (AnalyticFn, PolyOpFn, TruncationGrid,
                            analytic_toeplitz, column_operator, default_grid,
-                           multiplication_operator, shift, shift_adjoint,
-                           shift_and_embed)
+                           multiplication_operator, shift, shift_adjoint)
 from liftkit.linalg import Subspace, operator_norm
 
 
@@ -19,7 +19,7 @@ def test_polyopfn_coeff_beyond_degree_is_zero():
     p = PolyOpFn(2, 1, (np.ones((2, 1)),))
     assert p.degree == 0
     assert np.array_equal(p.coeff(5), np.zeros((2, 1)))
-    assert np.array_equal(p.taylor(0), np.ones((2, 1)))
+    assert np.array_equal(p.taylor_stack(0)[0], np.ones((2, 1)))
 
 
 def test_polyopfn_requires_a_coefficient():
@@ -67,7 +67,7 @@ def test_analyticfn_taylor_is_bounded_by_stored_degree():
     fn = AnalyticFn(1, 1, [np.eye(1)] * 4, lambda lam: np.eye(1))
     assert fn.degree == 3
     with pytest.raises(DegreeTooSmall):
-        fn.taylor(4)
+        fn.taylor_stack(4)
     with pytest.raises(DomainError):
         fn.eval(1.2)
 

@@ -5,10 +5,10 @@ import pytest
 
 from _support import coeff_diff, scalar_fixture, taylor_sum, unconstrained_problem
 from liftkit.errors import (ConstraintViolated, DimensionMismatch,
-                            NotAContraction, NotASolution)
+                            NotAContraction, NotASolution,
+                            WNotNormalizedAtZero)
 from liftkit.hardy import PolyOpFn, column_operator, default_grid
-from liftkit.lifting import (InterpolationProblem, central_C,
-                             gamma_from_solution, omega_hat,
+from liftkit.lifting import (InterpolationProblem, central_C, omega_hat,
                              parameter_membership, random_constrained_z,
                              random_problem, solve_from_Z,
                              uniqueness_certificate, verify_solution, z_from_C)
@@ -138,10 +138,42 @@ def test_omega_hat_rejects_expansive_gamma():
         omega_hat(p, 1.2 * np.ones((1, 1)))
 
 
+def _column_of_norm(target):
+    Q = np.linalg.qr(np.random.default_rng(9).standard_normal((N + 1, 2)))[0]
+    return target * Q
+
+
+@pytest.mark.parametrize("excess", [3e-9, 5e-9])
+def test_gamma_within_the_solution_slack_is_accepted(excess):
+    # above the 1e-9 slack of linalg.defect but inside the 1e-8 slack of
+    # omega_hat and central_C, which keep accepting such a column
+    p = InterpolationProblem(U_dim=2, Y_dim=1, F=Subspace(2, np.zeros((2, 0))),
+                             omega1=np.zeros((1, 0)), omega2=np.zeros((2, 0)))
+    G = _column_of_norm(1.0 + excess)
+    Om, FG = omega_hat(p, G)
+    assert Om.shape == (0, 0) and FG.dim == 0
+    assert central_C(p, G).out_dim == 0
+    with pytest.raises(NotASolution):
+        omega_hat(p, _column_of_norm(1.0 + 2e-8))
+
+
+@pytest.mark.parametrize("excess,error", [(7e-9, WNotNormalizedAtZero),
+                                          (2e-8, NotAContraction)])
+def test_z_from_C_rejects_an_expansive_gamma(excess, error):
+    # W(0) = Gamma*Gamma + D^2 misses I by about 2 * excess first; beyond
+    # 1 + 1e-8 the defect itself rejects the column
+    p = InterpolationProblem(U_dim=2, Y_dim=1, F=Subspace(2, np.zeros((2, 0))),
+                             omega1=np.zeros((1, 0)), omega2=np.zeros((2, 0)))
+    G = _column_of_norm(1.0 + excess)
+    H = PolyOpFn(1, 2, G.reshape(N + 1, 1, 2))
+    with pytest.raises(error):
+        z_from_C(p, H, G, central_C(p, _column_of_norm(1.0)), N)
+
+
 def test_central_C_membership():
     p = random_problem(3, 2, 2, seed=31, scale=0.6)
     H = solve_from_Z(p, random_constrained_z(p, 2, seed=32, scale=0.5), N)
-    G = gamma_from_solution(H, N)
+    G = column_operator(H, N)
     C = central_C(p, G)
     assert parameter_membership(C, p, G)
 
@@ -205,7 +237,7 @@ def test_z_from_C_trivial_zero_instance():
     G = np.zeros(((N + 1), 2))
     C = central_C(p, G)
     Z = z_from_C(p, H, G, C, N)
-    assert max(operator_norm(Z.taylor(n)) for n in range(N + 1)) == 0.0
+    assert max(operator_norm(c) for c in Z.taylor_stack(N)) == 0.0
     assert operator_norm(Z.eval(0.35)) < 1e-14
 
 

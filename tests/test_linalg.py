@@ -127,6 +127,29 @@ def test_defect_rejects_expansions():
         defect(2.0 * np.eye(2))
 
 
+@pytest.mark.parametrize("excess,raises", [(5e-10, False), (2e-9, True)])
+def test_defect_guard_reads_the_gram_of_a_tall_operator(monkeypatch, excess, raises):
+    # the guard comes from the smallest eigenvalue of I - T*T, 1 - ||T||^2,
+    # so a tall T is never decomposed itself
+    rng = np.random.default_rng(8)
+    T = haar_unitary(rng, 40)[:, :3] @ np.diag([1.0 + excess, 0.5, 0.2])
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(A, *args, **kwargs):
+        shapes.append(A.shape)
+        return svd(A, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    if raises:
+        with pytest.raises(NotAContraction, match=r"^operator norm 1\.000000e\+00 exceeds 1 \+ 1e-09$"):
+            defect(T)
+    else:
+        D, rng_space = defect(T)
+        assert rng_space.dim == 2
+    assert all(shape[0] <= 3 for shape in shapes)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
 def test_haar_unitary_is_unitary(n, seed):

@@ -4,11 +4,11 @@ parameterization for inner functions vanishing at the origin."""
 import numpy as np
 import pytest
 
-from _support import coeff_diff, unconstrained_problem
+from _support import coeff_diff, shift_and_embed, unconstrained_problem
 from liftkit.errors import (DegreeTooSmall, DimensionMismatch, DomainError,
                             NotAContraction)
 from liftkit.hardy import (PolyOpFn, analytic_toeplitz, column_operator,
-                           multiplication_operator, shift_and_embed)
+                           multiplication_operator)
 from liftkit.lifting import solve_from_Z
 from liftkit.modelspace import (BlaschkeFactor, InnerFn, check_decompositions,
                                 h_from_Z_theta, model_space,
@@ -229,6 +229,10 @@ def test_zeros_near_the_circle(N):
     (scalar_power(2), 10),
     (bp_half(), 40),
     (random_inner(seed=9, dim=2, n_factors=1), 32),
+    # E smaller than U: H0 holds lambda^N ker V0*, which the truncated
+    # shift drops
+    (InnerFn(kind="power", out_dim=3, in_dim=2, power=2, V0=RECT_V0), 16),
+    (InnerFn(kind="power", out_dim=3, in_dim=2, power=2, V0=RECT_V0), 40),
 ])
 def test_decompositions(theta, N):
     ms = model_space(theta, N)
@@ -363,7 +367,7 @@ def test_roundtrip_zero_multiplier():
     ms = model_space(theta, N)
     H = PolyOpFn(1, 1, (np.zeros((1, 1)),) * (N + 1))
     Z1 = z_from_H_theta(theta, H, ms, N)
-    assert max(operator_norm(Z1.taylor(n)[:1, :]) for n in range(N + 1)) <= 1e-14
+    assert max(operator_norm(c[:1, :]) for c in Z1.taylor_stack(N)) <= 1e-14
     H1 = h_from_Z_theta(theta, Z1, N)
     assert max(operator_norm(H1.coeff(n)) for n in range(N + 1)) <= 1e-13
 

@@ -65,6 +65,21 @@ def test_sns_rejects_non_square():
         sns_lifting(np.zeros((2, 3)), N=1)
 
 
+@pytest.mark.parametrize("field", ["A", "Tprime"])
+def test_defects_of_an_expansive_data_set_raise(field):
+    # the defects are computed once, on first use, so the invalid set is
+    # still representable; the reduction then rejects it rather than
+    # working with clamped defects
+    ds = random_data_set(seed=3)
+    bad = RclDataSet(**{"A": ds.A, "Tprime": ds.Tprime, "R": ds.R, "Q": ds.Q,
+                        field: 1.5 * getattr(ds, field)})
+    assert not validate_data_set(bad)
+    with pytest.raises(NotAContraction):
+        underlying_contraction(bad)
+    assert ds.defect_A is ds.defect_A
+    assert ds.defect_Tprime is ds.defect_Tprime
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_sns_isometric_on_initial_blocks(seed):
     rng = np.random.default_rng(seed)

@@ -8,7 +8,7 @@ from liftkit.hardy import default_grid
 from liftkit.lifting import random_problem
 from liftkit.linalg import operator_norm
 from liftkit.schur import (SchurRealization, constrained_completion,
-                           herglotz_eval, random_schur, taylor_coeffs)
+                           herglotz_eval, random_schur)
 
 
 def shift_realization():
@@ -28,7 +28,7 @@ def test_realization_validates_colligation():
 def test_shift_realization_eval_and_taylor():
     Z = shift_realization()
     assert Z.eval(0.37)[0, 0] == pytest.approx(0.37)
-    assert [Z.taylor(n)[0, 0] for n in range(4)] == [0.0, 1.0, 0.0, 0.0]
+    assert list(Z.taylor_stack(3)[:, 0, 0]) == [0.0, 1.0, 0.0, 0.0]
     with pytest.raises(DomainError):
         Z.eval(1.0)
 
@@ -38,22 +38,15 @@ def test_constant_realization():
                          np.array([[0.3, 0.4]]))
     assert Z.state_dim == 0
     assert np.array_equal(Z.eval(0.9), np.array([[0.3, 0.4]]))
-    assert operator_norm(Z.taylor(3)) == 0.0
+    assert operator_norm(Z.taylor_stack(3)[3]) == 0.0
 
 
-def test_taylor_coeffs_fast_path_matches_generic():
+def test_realization_taylor_stack_matches_state_space_formula():
     Z = random_schur(2, 3, 3, seed=5, scale=0.9)
-    fast = taylor_coeffs(Z, 8)
-
-    class Wrapped:
-        out_dim, in_dim = Z.out_dim, Z.in_dim
-
-        @staticmethod
-        def taylor(n):
-            return Z.taylor(n)
-
-    generic = taylor_coeffs(Wrapped(), 8)
-    assert max(operator_norm(a - b) for a, b in zip(fast, generic)) < 1e-14
+    stack = Z.taylor_stack(8)
+    assert np.array_equal(stack[0], Z.D)
+    direct = [Z.C @ np.linalg.matrix_power(Z.A, n - 1) @ Z.B for n in range(1, 9)]
+    assert max(operator_norm(a - b) for a, b in zip(stack[1:], direct)) < 1e-14
 
 
 def test_random_schur_deterministic_contractive():
