@@ -12,8 +12,7 @@ from .lifting import (InterpolationProblem, SolutionReport, central_C,
                       random_problem, solve_from_Z, uniqueness_certificate,
                       verify_solution, z_from_C)
 from .linalg import (Subspace, as_operator, defect, haar_unitary,
-                     hermitian_sqrt_psd, is_contraction, operator_norm,
-                     orthonormal_range)
+                     hermitian_sqrt_psd, operator_norm, orthonormal_range)
 from .modelspace import (BlaschkeFactor, InnerFn, ModelSpace,
                          check_decompositions, h_from_Z_theta, model_space,
                          mult_contraction_test, multiplier_roundtrip_residual,
@@ -23,7 +22,7 @@ from .rcl import (LiftingCandidate, RclDataSet, RclReport, b_to_gamma,
                   data_set_from_omega, gamma_to_B, omega_roundtrip_residual,
                   random_data_set, sns_lifting, underlying_contraction,
                   validate_data_set, verify_rcl)
-from .schur import (SchurRealization, constrained_completion, herglotz_eval,
+from .schur import (SchurRealization, constrained_completion, herglotz_many,
                     random_schur)
 
 __version__ = "0.1.0"
@@ -39,8 +38,8 @@ __all__ = [
     "central_C", "check_decompositions", "column_operator",
     "constrained_completion", "data_set_from_omega", "defect", "default_grid",
     "fiber_roundtrip_residuals", "gamma_to_B", "h_from_Z_theta",
-    "haar_unitary", "herglotz_eval", "hermitian_sqrt_psd", "is_contraction",
-    "model_space", "mult_contraction_test", "multiplication_operator",
+    "haar_unitary", "herglotz_many", "hermitian_sqrt_psd", "model_space",
+    "mult_contraction_test", "multiplication_operator",
     "multiplier_roundtrip_residual", "omega_hat", "omega_roundtrip_residual",
     "operator_norm", "orthonormal_range", "parameter_membership",
     "pointwise_mult_check", "random_constrained_z", "random_data_set",

@@ -16,7 +16,6 @@ raise at any of them.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +24,10 @@ from . import series
 from .errors import ConfigError, DegreeTooSmall, DimensionMismatch, DomainError
 from .linalg import Subspace, as_operator, operator_norm
 
-DEFAULT_DEGREE = 24
-DEFAULT_RADII = (0.6, 0.95)
-POINTS_PER_CIRCLE = 32
+# The sample points of every grid check: 32 on each of the circles
+# |z| = 0.6 and 0.95.
+GRID = np.array([r * np.exp(2j * np.pi * k / 32) for r in (0.6, 0.95) for k in range(32)])
+GRID.setflags(write=False)
 
 
 def disk_points(points) -> np.ndarray:
@@ -170,29 +170,9 @@ class TruncationGrid:
         object.__setattr__(self, "points", pts)
 
 
-def _env_radii():
-    raw = os.environ.get("LIFTKIT_GRID")
-    if not raw:
-        return None
-    try:
-        radii = tuple(float(tok) for tok in raw.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse LIFTKIT_GRID={raw!r}") from exc
-    if not radii or any(not (0.0 < r < 1.0) for r in radii):
-        raise ConfigError(f"LIFTKIT_GRID radii must lie in (0, 1), got {raw!r}")
-    return radii
-
-
-def default_grid(degree: int = DEFAULT_DEGREE, radii=None,
-                 points_per_circle: int = POINTS_PER_CIRCLE) -> TruncationGrid:
-    """Sample grid on concentric circles; LIFTKIT_GRID overrides the radii."""
-    if radii is None:
-        radii = _env_radii() or DEFAULT_RADII
-    pts = []
-    for r in radii:
-        for k in range(points_per_circle):
-            pts.append(r * np.exp(2j * np.pi * k / points_per_circle))
-    return TruncationGrid(degree, tuple(pts))
+def default_grid(degree: int) -> TruncationGrid:
+    """GRID at a truncation degree."""
+    return TruncationGrid(degree, tuple(GRID))
 
 
 def shift(X, dim: int) -> np.ndarray:

@@ -34,14 +34,17 @@ import numpy as np
 from . import series
 from .errors import (ConstraintViolated, DimensionMismatch, NotAContraction,
                      NotASolution, SingularResolvent, WNotNormalizedAtZero)
-from .hardy import AnalyticFn, PolyOpFn, column_operator, default_grid
-from .linalg import (RANK_TOL, Subspace, as_operator, defect, operator_norm,
+from .hardy import GRID, AnalyticFn, PolyOpFn, column_operator
+from .linalg import (Subspace, as_operator, defect, operator_norm,
                      operator_norms, orthonormal_range)
 from .schur import (SchurRealization, _complete, _completion_frame,
                     herglotz_many, random_schur)
 
 W_ZERO_TOL = 1e-8
 W_COND_MAX = 1e10
+# contraction slack and residual tolerance of the checks on a solution
+# column, its extracted Omega, fiber members and multipliers
+CHECK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -80,42 +83,53 @@ class SolutionReport:
     grid_sup_norm: float
     degree: int
 
-    def ok(self, tol_recurrence: float = 1e-9, tol_gram: float = 1e-8) -> bool:
-        return (self.recurrence_residual <= tol_recurrence
-                and self.partial_gram_excess <= tol_gram)
+    def ok(self) -> bool:
+        return self.recurrence_residual <= 1e-9 and self.partial_gram_excess <= 1e-8
 
 
-def solve_from_Z(p: InterpolationProblem, Z, N: int, grid=None,
+def solve_from_Z(p: InterpolationProblem, Z, N: int,
                  constraint_tol: float = 1e-8) -> PolyOpFn:
     """Taylor coefficients H_0..H_N of the solution attached to Z.
 
     Z may be any analytic operator function exposing eval_many and
     taylor_stack with in_dim = U and out_dim = Y + U; its restriction to F
-    is checked against omega on the sample grid before solving.  The
-    recursion, G = (I - lambda P_U Z)^-1 and H = P_Y Z G, is
+    is checked against omega on GRID before solving.  The recursion,
+    G = (I - lambda P_U Z)^-1 and H = P_Y Z G, is
 
         G_0 = I,  G_k = sum_(j<k) (P_U Z)_(k-1-j) G_j,
         H_n = sum_(k<=n) (P_Y Z)_(n-k) G_k.
+    """
+    _constraint_residual(p, Z, constraint_tol)
+    return _series_solve(p, Z, N)
+
+
+def _constraint_residual(p: InterpolationProblem, Z, constraint_tol: float) -> float:
+    """Largest ||Z(lambda)|_F - omega|| on GRID.
+
+    Raises ConstraintViolated when it exceeds constraint_tol.
     """
     u, y = p.U_dim, p.Y_dim
     if Z.in_dim != u or Z.out_dim != y + u:
         raise DimensionMismatch(
             f"Z must map C^{u} into C^{y + u}, got {Z.out_dim} x {Z.in_dim}")
-    if grid is None:
-        grid = default_grid(max(N, 4))
-    if p.F.dim > 0:
-        om, Fb = p.omega, p.F.basis
-        worst = float(operator_norms(Z.eval_many(grid.points) @ Fb - om).max())
-        if worst > constraint_tol:
-            raise ConstraintViolated(
-                f"Z|_F differs from omega by {worst:.3e} on the grid")
+    if p.F.dim == 0:
+        return 0.0
+    worst = float(operator_norms(Z.eval_many(GRID) @ p.F.basis - p.omega).max())
+    if worst > constraint_tol:
+        raise ConstraintViolated(
+            f"Z|_F differs from omega by {worst:.3e} on the grid")
+    return worst
+
+
+def _series_solve(p: InterpolationProblem, Z, N: int) -> PolyOpFn:
+    """The Taylor recursion of solve_from_Z, without the constraint check."""
+    y = p.Y_dim
     Zc = Z.taylor_stack(N)
     G = series.resolvent(Zc[:N, y:, :])
-    return PolyOpFn(y, u, series.mul(Zc[:, :y, :], G))
+    return PolyOpFn(y, p.U_dim, series.mul(Zc[:, :y, :], G))
 
 
-def verify_solution(p: InterpolationProblem, H: PolyOpFn, N: int,
-                    grid=None) -> SolutionReport:
+def verify_solution(p: InterpolationProblem, H: PolyOpFn, N: int) -> SolutionReport:
     """Residuals of the coefficient recurrence and the partial Gram bound.
 
     Reports never throw; SolutionReport.ok applies the thresholds.
@@ -133,16 +147,14 @@ def verify_solution(p: InterpolationProblem, H: PolyOpFn, N: int,
     gram = col.conj().T @ col
     eig = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
     excess = max(0.0, float(eig[-1]) - 1.0) if eig.size else 0.0
-    if grid is None:
-        grid = default_grid(max(N, 4))
-    sup = operator_norms(H.eval_many(grid.points)).max()
+    sup = operator_norms(H.eval_many(GRID)).max()
     return SolutionReport(recurrence_residual=float(rec),
                           partial_gram_excess=float(excess),
                           grid_sup_norm=float(sup), degree=N)
 
 
-def _gamma_data(p: InterpolationProblem, Gamma,
-                tol: float) -> tuple[np.ndarray, Subspace, np.ndarray]:
+def _gamma_data(p: InterpolationProblem,
+                Gamma) -> tuple[np.ndarray, Subspace, np.ndarray]:
     """(Bd, F_Gamma, Omega): defect data of a solution column.
 
     Bd is the range basis of D_Gamma and Omega the contraction
@@ -153,13 +165,12 @@ def _gamma_data(p: InterpolationProblem, Gamma,
     G = as_operator(Gamma, cols=p.U_dim)
     if G.shape[0] % max(p.Y_dim, 1) != 0 and p.Y_dim > 0:
         raise DimensionMismatch("Gamma rows are not a multiple of Y_dim")
-    slack = max(tol, 1e-12)
-    nrm = operator_norm(G)
-    if nrm > 1.0 + slack:
-        raise NotASolution(f"candidate column has norm {nrm:.6e}")
-    D, drange = defect(G, slack)
+    try:
+        D, drange = defect(G, CHECK_TOL)
+    except NotAContraction as exc:
+        raise NotASolution(f"candidate column: {exc}") from exc
     Bd = drange.basis
-    FG = orthonormal_range(D @ p.F.basis, RANK_TOL)
+    FG = orthonormal_range(D @ p.F.basis)
     Bf = FG.basis
     d, r, f = Bd.shape[1], Bf.shape[1], p.F.dim
     if f == 0 or r == 0:
@@ -171,28 +182,28 @@ def _gamma_data(p: InterpolationProblem, Gamma,
         Om = np.linalg.lstsq(lhs.T, rhs.T, rcond=None)[0].T
         res = operator_norm(Bd @ (Om @ lhs) - D @ p.omega2)
     scale = max(1.0, operator_norm(D @ p.omega2))
-    if res > max(1e-9, tol) * scale:
+    if res > CHECK_TOL * scale:
         raise NotASolution(
             f"defining identity for Omega has residual {res:.3e}")
-    if operator_norm(Om) > 1.0 + max(tol, 1e-10):
+    if operator_norm(Om) > 1.0 + CHECK_TOL:
         raise NotASolution(f"extracted Omega has norm {operator_norm(Om):.6e}")
     return Bd, FG, Om
 
 
-def omega_hat(p: InterpolationProblem, Gamma, tol: float = 1e-8):
+def omega_hat(p: InterpolationProblem, Gamma):
     """Extracted contraction Omega on F_Gamma = closure(D_Gamma F).
 
     Returns (Omega, F_Gamma).  Omega is written with respect to the SVD
     bases of F_Gamma and of the defect range of Gamma (both recomputable
     deterministically from Gamma).
     """
-    _, FG, Om = _gamma_data(p, Gamma, tol)
+    _, FG, Om = _gamma_data(p, Gamma)
     return Om, FG
 
 
-def central_C(p: InterpolationProblem, Gamma, tol: float = 1e-8) -> SchurRealization:
+def central_C(p: InterpolationProblem, Gamma) -> SchurRealization:
     """The constant fiber member C = Omega P_(F_Gamma) on the defect space."""
-    Bd, FG, Om = _gamma_data(p, Gamma, tol)
+    Bd, FG, Om = _gamma_data(p, Gamma)
     Cmat = Om @ (FG.basis.conj().T @ Bd)
     nrm = operator_norm(Cmat)
     if nrm > 1.0:
@@ -203,22 +214,19 @@ def central_C(p: InterpolationProblem, Gamma, tol: float = 1e-8) -> SchurRealiza
                             np.zeros((d, 0)), Cmat)
 
 
-def parameter_membership(Cfun, p: InterpolationProblem, Gamma,
-                         tol: float = 1e-8, grid=None) -> bool:
-    """True iff C is Schur on the grid and C(lambda)|_(F_Gamma) = Omega."""
-    Bd, FG, Om = _gamma_data(p, Gamma, max(tol, 1e-8))
+def parameter_membership(Cfun, p: InterpolationProblem, Gamma) -> bool:
+    """True iff C is Schur on GRID and C(lambda)|_(F_Gamma) = Omega there."""
+    Bd, FG, Om = _gamma_data(p, Gamma)
     d = Bd.shape[1]
     if Cfun.in_dim != d or Cfun.out_dim != d:
         raise DimensionMismatch(
             f"C must act on the {d}-dimensional defect space, "
             f"got {Cfun.out_dim} x {Cfun.in_dim}")
-    if grid is None:
-        grid = default_grid()
     Bfd = Bd.conj().T @ FG.basis
-    Cv = Cfun.eval_many(grid.points)
-    if np.any(operator_norms(Cv) > 1.0 + tol):
+    Cv = Cfun.eval_many(GRID)
+    if np.any(operator_norms(Cv) > 1.0 + CHECK_TOL):
         return False
-    return not np.any(operator_norms(Cv @ Bfd - Om) > tol)
+    return not np.any(operator_norms(Cv @ Bfd - Om) > CHECK_TOL)
 
 
 def _w_taylor(Hs: np.ndarray, W0, Cfun, DB, BD):
@@ -305,19 +313,17 @@ def fiber_roundtrip_residuals(p: InterpolationProblem, Z, N: int,
 
     The gap is the largest ||H_n - H'_n|| over degrees 0..N-4, below the
     truncation tail of Z_C, and the constraint the largest
-    ||Z_C(lambda)|_F - omega|| on the default grid.  Both solves check
-    their parameter's constraint at constraint_tol.
+    ||Z_C(lambda)|_F - omega|| on GRID.  Both solves check their
+    parameter's constraint at constraint_tol; Z_C is evaluated on GRID
+    once, for the check that also gives the reported constraint.
     """
     H = solve_from_Z(p, Z, N, constraint_tol=constraint_tol)
     Gamma = column_operator(H, N)
     Z1 = z_from_C(p, H, Gamma, central_C(p, Gamma), N)
-    H1 = solve_from_Z(p, Z1, N, constraint_tol=constraint_tol)
+    constraint = _constraint_residual(p, Z1, constraint_tol)
+    H1 = _series_solve(p, Z1, N)
     keep = max(0, N - 4)
     gap = max(operator_norm(H.coeff(n) - H1.coeff(n)) for n in range(keep + 1))
-    constraint = 0.0
-    if p.F.dim > 0:
-        constraint = float(operator_norms(
-            Z1.eval_many(default_grid(N).points) @ p.F.basis - p.omega).max())
     return gap, constraint, Z1.meta["w0_residual"]
 
 

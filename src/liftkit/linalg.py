@@ -68,11 +68,6 @@ def projector_gap(X, Y) -> float:
     return operator_norm(R1 @ R1.conj().T - R2 @ R2.conj().T)
 
 
-def is_contraction(M, slack: float = 1e-8) -> bool:
-    """True iff operator_norm(M) <= 1 + slack."""
-    return operator_norm(M) <= 1.0 + slack
-
-
 @dataclass(frozen=True)
 class Subspace:
     """Subspace of C^ambient_dim given by a matrix with orthonormal columns."""
@@ -93,15 +88,11 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    def projector(self) -> np.ndarray:
-        """Orthogonal projection onto the subspace, as an ambient matrix."""
-        return self.basis @ self.basis.conj().T
 
-
-def orthonormal_range(M, tol: float = RANK_TOL) -> Subspace:
+def orthonormal_range(M) -> Subspace:
     """Orthonormal basis of the numerical column range of M.
 
-    Singular vectors with sigma > tol * max(1, sigma_max) are kept; the
+    Singular vectors with sigma > RANK_TOL * max(1, sigma_max) are kept; the
     max(1, .) floor makes the cutoff absolute for contractions, so ranges
     of near-zero operators collapse to the zero subspace.
     """
@@ -109,7 +100,7 @@ def orthonormal_range(M, tol: float = RANK_TOL) -> Subspace:
     if A.shape[1] == 0 or A.shape[0] == 0:
         return Subspace(A.shape[0], np.zeros((A.shape[0], 0)))
     u, s, _ = np.linalg.svd(A, full_matrices=False)
-    cutoff = tol * max(1.0, float(s[0]) if s.size else 0.0)
+    cutoff = RANK_TOL * max(1.0, float(s[0]) if s.size else 0.0)
     r = int(np.count_nonzero(s > cutoff))
     return Subspace(A.shape[0], u[:, :r])
 
@@ -157,7 +148,7 @@ def defect(T, tol: float = RANK_TOL) -> tuple[np.ndarray, Subspace]:
     if w.size and w[0] < 1.0 - (1.0 + tol) ** 2:
         nrm = np.sqrt(1.0 - w[0])
         raise NotAContraction(f"operator norm {nrm:.6e} exceeds 1 + {tol:g}")
-    return D, orthonormal_range(D, RANK_TOL)
+    return D, orthonormal_range(D)
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -38,12 +38,11 @@ import numpy as np
 from . import series
 from .errors import (DegreeTooSmall, DimensionMismatch, DomainError,
                      NotAContraction)
-from .hardy import (AnalyticFn, PolyOpFn, column_operator, default_grid,
+from .hardy import (GRID, AnalyticFn, PolyOpFn, column_operator,
                     multiplication_operator, shift, shift_adjoint)
-from .lifting import InterpolationProblem, central_C, z_from_C
-from .linalg import (RANK_TOL, Subspace, as_operator, haar_unitary,
-                     operator_norm, operator_norms, orthonormal_range,
-                     projector_gap)
+from .lifting import CHECK_TOL, InterpolationProblem, central_C, z_from_C
+from .linalg import (Subspace, as_operator, haar_unitary, operator_norm,
+                     operator_norms, orthonormal_range, projector_gap)
 from .schur import random_schur
 
 
@@ -80,10 +79,6 @@ class BlaschkeFactor:
         c[0] = abs(a)
         c[1:] = -(abs(a) / a) * (1.0 - abs(a) ** 2) * np.conj(a) ** np.arange(N)
         return c
-
-    def scalar_coeff(self, n: int) -> complex:
-        """Taylor coefficient n of b_a."""
-        return complex(self.scalar_stack(n)[n])
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Coefficients of B X for an (L, u, m) series X, truncated at L.
@@ -175,9 +170,6 @@ class InnerFn:
 
     def coeff(self, n: int) -> np.ndarray:
         return self.taylor_stack(n)[n]
-
-    def as_poly(self, N: int) -> PolyOpFn:
-        return PolyOpFn(self.out_dim, self.in_dim, self.taylor_stack(N))
 
     def phi_poly(self, N: int) -> PolyOpFn:
         """Taylor polynomial of Phi = Theta / lambda to degree N."""
@@ -307,12 +299,11 @@ def check_decompositions(theta: InnerFn, ms: ModelSpace) -> DecompositionReport:
     return DecompositionReport(float(r1), float(r2), float(riso), float(qiso))
 
 
-def mult_contraction_test(Hfn: PolyOpFn, ms: ModelSpace,
-                          tol: float = 1e-8) -> MultBoundReport:
+def mult_contraction_test(Hfn: PolyOpFn, ms: ModelSpace) -> MultBoundReport:
     """Norm of multiplication by Hfn restricted to the model space."""
     M, tail = multiplication_operator(Hfn, ms.basis, ms.N)
     nrm = operator_norm(M)
-    return MultBoundReport(contractive=bool(nrm <= 1.0 + tol),
+    return MultBoundReport(contractive=bool(nrm <= 1.0 + CHECK_TOL),
                            norm=float(nrm), tail_mass=float(tail))
 
 
@@ -336,8 +327,7 @@ def h_from_Z_theta(theta: InnerFn, Z, N: int) -> PolyOpFn:
     return PolyOpFn(y, u, series.mul(Zc[:, :y, :], G))
 
 
-def z_from_H_theta(theta: InnerFn, Hfn: PolyOpFn, ms: ModelSpace, N: int,
-                   tol: float = 1e-8) -> AnalyticFn:
+def z_from_H_theta(theta: InnerFn, Hfn: PolyOpFn, ms: ModelSpace, N: int) -> AnalyticFn:
     """Schur parameter recovering a contractive multiplier Hfn.
 
     The multiplication matrix on the model space solves an interpolation
@@ -355,12 +345,12 @@ def z_from_H_theta(theta: InnerFn, Hfn: PolyOpFn, ms: ModelSpace, N: int,
         raise DimensionMismatch("model space does not match theta at this degree")
     Gmat, tail = multiplication_operator(Hfn, ms.basis, N)
     nrm = operator_norm(Gmat)
-    if nrm > 1.0 + tol:
+    if nrm > 1.0 + CHECK_TOL:
         raise NotAContraction(f"multiplication norm {nrm:.6e} exceeds 1")
     msb = ms.basis.basis
     h0b = ms.H0_basis.basis
     m = msb.shape[1]
-    Fb = orthonormal_range(msb.conj().T @ shift(h0b, u), RANK_TOL).basis
+    Fb = orthonormal_range(msb.conj().T @ shift(h0b, u)).basis
     om2 = msb.conj().T @ shift_adjoint(msb @ Fb, u)
     nrm2 = operator_norm(om2)
     if nrm2 > 1.0:
@@ -369,7 +359,7 @@ def z_from_H_theta(theta: InnerFn, Hfn: PolyOpFn, ms: ModelSpace, N: int,
     p_model = InterpolationProblem(U_dim=m, Y_dim=y, F=Subspace(m, Fb),
                                    omega1=np.zeros((y, f)), omega2=om2)
     Htilde = PolyOpFn(y, m, Gmat.reshape(N + 1, y, m))
-    C0 = central_C(p_model, Gmat, tol)
+    C0 = central_C(p_model, Gmat)
     Zt = z_from_C(p_model, Htilde, Gmat, C0, N)
     EmU = msb[:u].conj().T
     colPhi = column_operator(theta.phi_poly(N), N)
@@ -399,12 +389,11 @@ def multiplier_roundtrip_residual(theta: InnerFn, Hfn: PolyOpFn, ms: ModelSpace,
     return max(operator_norm(Hfn.coeff(n) - H1.coeff(n)) for n in range(keep + 1))
 
 
-def pointwise_mult_check(Gmat, ms: ModelSpace, tol: float = 1e-8,
-                         grid=None) -> PointwiseMultReport:
-    """Intertwining S_Y G R = G Q versus pointwise multiplication.
+def pointwise_mult_check(Gmat, ms: ModelSpace) -> PointwiseMultReport:
+    """Intertwining S_Y G R = G Q versus pointwise multiplication on GRID.
 
     The two sides of the equivalence are evaluated independently; the
-    report says whether they agree (both hold or both fail at tol) and
+    report says whether they agree (both hold or both fail at CHECK_TOL) and
     carries the candidate symbol K read off the action on constants.
     """
     u, N = ms.U_dim, ms.N
@@ -419,13 +408,10 @@ def pointwise_mult_check(Gmat, ms: ModelSpace, tol: float = 1e-8,
     Qm = msb.conj().T @ shift(h0b, u)
     inter = operator_norm(shift(G @ Rm, y) - G @ Qm)
     K = PolyOpFn(y, u, (G @ msb[:u].conj().T).reshape(N + 1, y, u))
-    if grid is None:
-        grid = default_grid(max(N, 4))
-    pts = grid.points
-    Gv = series.polyval(G.reshape(N + 1, y, m), pts)
-    basis_v = series.polyval(msb.reshape(N + 1, u, m), pts)
-    pw = operator_norms(Gv - K.eval_many(pts) @ basis_v).max()
-    both = bool((inter <= tol) == (pw <= tol))
+    Gv = series.polyval(G.reshape(N + 1, y, m), GRID)
+    basis_v = series.polyval(msb.reshape(N + 1, u, m), GRID)
+    pw = operator_norms(Gv - K.eval_many(GRID) @ basis_v).max()
+    both = bool((inter <= CHECK_TOL) == (pw <= CHECK_TOL))
     return PointwiseMultReport(consistent=both, intertwining_residual=float(inter),
                                pointwise_residual=float(pw), K=K)
 
@@ -452,10 +438,9 @@ def random_inner(seed: int, dim: int, n_factors: int,
 
 
 def random_multiplier(theta: InnerFn, y: int, N: int, seed: int,
-                      state_dim: int = 2, scale: float = 0.6) -> PolyOpFn:
+                      scale: float = 0.6) -> PolyOpFn:
     """Contractive multiplier generated through the forward formula."""
-    Z = random_schur(y + theta.in_dim, theta.out_dim, state_dim, seed,
-                     scale=scale)
+    Z = random_schur(y + theta.in_dim, theta.out_dim, 2, seed, scale=scale)
     return h_from_Z_theta(theta, Z, N)
 
 

@@ -25,11 +25,13 @@ import numpy as np
 from .errors import (DimensionMismatch, InconsistentGenerators,
                      NotAContraction)
 from .hardy import PolyOpFn, column_operator, shift
-from .lifting import InterpolationProblem, random_problem
-from .linalg import (RANK_TOL, Subspace, as_operator, defect, haar_unitary,
+from .lifting import CHECK_TOL, InterpolationProblem, random_problem
+from .linalg import (Subspace, as_operator, defect, haar_unitary,
                      operator_norm, orthonormal_range)
 
 DATA_SET_TOL = 1e-10
+# residual and contraction slack of the omega induced by a data set
+INDUCED_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -103,19 +105,19 @@ class RclReport:
                 and self.intertwining_residual <= tol)
 
 
-def validate_data_set(ds: RclDataSet, tol: float = DATA_SET_TOL) -> bool:
+def validate_data_set(ds: RclDataSet) -> bool:
     """Check contractivity, the intertwining relation and R*R <= Q*Q."""
-    if operator_norm(ds.A) > 1.0 + tol:
+    if operator_norm(ds.A) > 1.0 + DATA_SET_TOL:
         return False
-    if operator_norm(ds.Tprime) > 1.0 + tol:
+    if operator_norm(ds.Tprime) > 1.0 + DATA_SET_TOL:
         return False
-    if operator_norm(ds.Tprime @ ds.A @ ds.R - ds.A @ ds.Q) > tol:
+    if operator_norm(ds.Tprime @ ds.A @ ds.R - ds.A @ ds.Q) > DATA_SET_TOL:
         return False
     gap = ds.Q.conj().T @ ds.Q - ds.R.conj().T @ ds.R
     if gap.shape[0] == 0:
         return True
     eig = np.linalg.eigvalsh((gap + gap.conj().T) / 2.0)
-    return float(eig[0]) >= -tol
+    return float(eig[0]) >= -DATA_SET_TOL
 
 
 def _apply_sns(T: np.ndarray, dT: tuple[np.ndarray, Subspace], X) -> np.ndarray:
@@ -135,7 +137,7 @@ def _apply_sns(T: np.ndarray, dT: tuple[np.ndarray, Subspace], X) -> np.ndarray:
     return np.vstack([T @ Xh, tail])
 
 
-def sns_lifting(Tprime, N: int, tol: float = 1e-9) -> np.ndarray:
+def sns_lifting(Tprime, N: int) -> np.ndarray:
     """Truncated minimal isometric lifting of a contraction.
 
     Block matrix [[T', 0], [E D_T', S]] on H' + truncated H^2 over the
@@ -147,12 +149,12 @@ def sns_lifting(Tprime, N: int, tol: float = 1e-9) -> np.ndarray:
     T = as_operator(Tprime)
     if T.shape[0] != T.shape[1]:
         raise DimensionMismatch("Tprime must be square")
-    dT = defect(T, tol)
+    dT = defect(T)
     rows = T.shape[0] + (N + 1) * dT[1].dim
     return _apply_sns(T, dT, np.eye(rows, dtype=np.complex128))
 
 
-def underlying_contraction(ds: RclDataSet, tol: float = 1e-9) -> InterpolationProblem:
+def underlying_contraction(ds: RclDataSet) -> InterpolationProblem:
     """Interpolation problem induced by a data set.
 
     U = defect space of A, Y = defect space of T', F spanned by D_A Q,
@@ -164,7 +166,7 @@ def underlying_contraction(ds: RclDataSet, tol: float = 1e-9) -> InterpolationPr
     BdA, BdT = rA.basis, rT.basis
     u, y = BdA.shape[1], BdT.shape[1]
     gen = BdA.conj().T @ (DA @ ds.Q)
-    F = orthonormal_range(gen, RANK_TOL)
+    F = orthonormal_range(gen)
     Bf = F.basis
     rhs = np.vstack([BdT.conj().T @ (DT @ (ds.A @ ds.R)),
                      BdA.conj().T @ (DA @ ds.R)])
@@ -176,11 +178,11 @@ def underlying_contraction(ds: RclDataSet, tol: float = 1e-9) -> InterpolationPr
         lhs = Bf.conj().T @ gen
         om = np.linalg.lstsq(lhs.T, rhs.T, rcond=None)[0].T
         res = operator_norm(om @ lhs - rhs)
-    if res > tol * max(1.0, operator_norm(rhs)):
+    if res > INDUCED_TOL * max(1.0, operator_norm(rhs)):
         raise InconsistentGenerators(
             f"generator least squares has residual {res:.3e}")
     nrm = operator_norm(om)
-    if nrm > 1.0 + tol:
+    if nrm > 1.0 + INDUCED_TOL:
         raise NotAContraction(f"induced omega has norm {nrm:.6e}")
     if nrm > 1.0:
         # round-off guard; the contractivity chain gives norm <= 1
@@ -189,12 +191,12 @@ def underlying_contraction(ds: RclDataSet, tol: float = 1e-9) -> InterpolationPr
                                 omega1=om[:y, :], omega2=om[y:, :])
 
 
-def gamma_to_B(ds: RclDataSet, Gamma, N: int, tol: float = 1e-8) -> LiftingCandidate:
+def gamma_to_B(ds: RclDataSet, Gamma, N: int) -> LiftingCandidate:
     """Candidate B = [A; Gamma D_A] from a contraction on the defect of A."""
     DA, rA = ds.defect_A
     G = as_operator(Gamma, cols=rA.dim)
     nrm = operator_norm(G)
-    if nrm > 1.0 + tol:
+    if nrm > 1.0 + CHECK_TOL:
         raise NotAContraction(f"Gamma has norm {nrm:.6e}")
     dT = ds.defect_Tprime[1].dim
     if G.shape[0] != (N + 1) * dT:
@@ -260,7 +262,7 @@ def data_set_from_omega(p: InterpolationProblem) -> RclDataSet:
     return RclDataSet(A=A, Tprime=T, R=R, Q=Q)
 
 
-def omega_roundtrip_residual(p: InterpolationProblem, tol: float = 1e-9) -> float:
+def omega_roundtrip_residual(p: InterpolationProblem) -> float:
     """Distance between p and the induced problem of data_set_from_omega(p).
 
     The induced problem lives in defect coordinates; the identifications
@@ -269,7 +271,7 @@ def omega_roundtrip_residual(p: InterpolationProblem, tol: float = 1e-9) -> floa
     (basis-free composite).
     """
     ds = data_set_from_omega(p)
-    q = underlying_contraction(ds, tol)
+    q = underlying_contraction(ds)
     y, u = p.Y_dim, p.U_dim
     BdA, BdT = ds.defect_A[1].basis, ds.defect_Tprime[1].basis
     if BdA.shape[1] != u or BdT.shape[1] != y:
@@ -287,19 +289,18 @@ def omega_roundtrip_residual(p: InterpolationProblem, tol: float = 1e-9) -> floa
     return float(max(gap, operator_norm(composite - p.omega)))
 
 
-def random_data_set(seed: int, u: int = 2, y: int = 2, f: int = 1,
-                    extra: int = 1, scale: float = 0.9) -> RclDataSet:
+def random_data_set(seed: int, u: int = 2, y: int = 2, f: int = 1) -> RclDataSet:
     """Seeded valid data set with nontrivial A, T', R, Q.
 
     Built as the omega-induced data set of a random problem, padded by a
-    unitary block (which contributes nothing to the defects), then
+    1 x 1 unitary block (which contributes nothing to the defects), then
     conjugated by random unitaries on H', H and H0.  Always validates.
     """
     rng = np.random.default_rng(seed)
-    p = random_problem(u, y, f, seed + 1, scale=scale)
+    p = random_problem(u, y, f, seed + 1, scale=0.9)
     base = data_set_from_omega(p)
     m = base.H_dim
-    e = extra
+    e = 1
     A2 = haar_unitary(rng, e)
     T2 = haar_unitary(rng, e)
     f2 = max(1, f)

@@ -105,14 +105,11 @@ def random_schur(out_dim: int, in_dim: int, state_dim: int, seed: int,
     M = (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
     M /= np.sqrt(2.0)
     if isometric:
-        if rows >= cols:
-            q, r = np.linalg.qr(M)
-            q = q * np.sign(np.where(np.diag(r).real == 0, 1.0, np.diag(r).real))
-            M = q
-        else:
-            q, r = np.linalg.qr(M.conj().T)
-            q = q * np.sign(np.where(np.diag(r).real == 0, 1.0, np.diag(r).real))
-            M = q.conj().T
+        # QR of the draw, or of its adjoint when it is wide
+        wide = rows < cols
+        q, r = np.linalg.qr(M.conj().T if wide else M)
+        q = q * np.sign(np.where(np.diag(r).real == 0, 1.0, np.diag(r).real))
+        M = q.conj().T if wide else q
     else:
         M = M / max(1.0, operator_norm(M))
     M = scale * M
@@ -171,7 +168,7 @@ def herglotz_many(Cfun, points) -> np.ndarray:
     V = z[:, None, None] * Cfun.eval_many(z)
     d = V.shape[1]
     if V.shape[1] != V.shape[2]:
-        raise DimensionMismatch("herglotz_eval needs a square-valued function")
+        raise DimensionMismatch("herglotz_many needs a square-valued function")
     if d == 0:
         return np.zeros((z.size, 0, 0), dtype=np.complex128)
     eye = np.eye(d)
@@ -183,8 +180,3 @@ def herglotz_many(Cfun, points) -> np.ndarray:
     # right-divide: (I + V) A^-1 solved as A^T X^T = (I + V)^T
     At = A.transpose(0, 2, 1)
     return np.linalg.solve(At, (eye + V).transpose(0, 2, 1)).transpose(0, 2, 1)
-
-
-def herglotz_eval(Cfun, lam: complex) -> np.ndarray:
-    """herglotz_many at a single point, as a (d, d) matrix."""
-    return herglotz_many(Cfun, [lam])[0]

@@ -155,7 +155,8 @@ def inner_to_json(t: InnerFn) -> dict:
             "V0": matrix_to_json(t.V0)}
 
 
-def inner_from_json(d: dict, path: str = "inner") -> InnerFn:
+def inner_from_json(d: dict) -> InnerFn:
+    path = "inner"
     V0 = matrix_from_json(field(d, "V0", path), _at(path, "V0"))
     kind = d.get("kind")
     if kind == "power":

@@ -1,5 +1,6 @@
-"""The public names: what liftkit exports, what the benchmark imports, and
-the aliases that were removed in favour of one accessor each.
+"""The public names: what liftkit exports, what the benchmark imports, the
+aliases that were removed in favour of one accessor each, and the
+parameters with defaults that some caller sets.
 
 The benchmark's own test (bench/test_smoke.py) is not collected with this
 suite, so the benchmark's imports are checked here by parsing its sources,
@@ -15,10 +16,12 @@ import pytest
 
 import liftkit
 from liftkit.hardy import AnalyticFn, PolyOpFn
-from liftkit.modelspace import InnerFn
+from liftkit.linalg import Subspace
+from liftkit.modelspace import BlaschkeFactor, InnerFn
 from liftkit.schur import SchurRealization
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 
 def _liftkit_imports(path: Path):
@@ -66,7 +69,81 @@ def test_every_exported_name_resolves():
     (importlib.import_module("liftkit.lifting"), "gamma_from_solution"),
     (importlib.import_module("liftkit.hardy"), "shift_and_embed"),
     (liftkit, "taylor_coeffs"), (liftkit, "shift_and_embed"),
+    (importlib.import_module("liftkit.linalg"), "is_contraction"),
+    (importlib.import_module("liftkit.schur"), "herglotz_eval"),
+    (BlaschkeFactor, "scalar_coeff"), (InnerFn, "as_poly"),
+    (Subspace, "projector"),
+    (liftkit, "is_contraction"), (liftkit, "herglotz_eval"),
 ])
 def test_removed_aliases_are_gone(owner, name):
     assert not hasattr(owner, name)
     assert name not in liftkit.__all__
+
+
+def _defaults(where: str, call: str, fn: ast.FunctionDef, skip: int):
+    """(where, call, parameter, position) for each parameter of fn with a default.
+
+    The position counts the call's positional arguments, so a method skips
+    self; it is None for keyword-only parameters.
+    """
+    a = fn.args
+    pos = a.posonlyargs + a.args
+    first = len(pos) - len(a.defaults)
+    for i, arg in enumerate(pos[first:], first):
+        yield where, call, arg.arg, i - skip
+    for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+        if default is not None:
+            yield where, call, arg.arg, None
+
+
+def _knobs():
+    """Every parameter with a default in src/liftkit.
+
+    A class's __init__ is called by the class name, and so is the
+    generated __init__ whose keywords are the fields with defaults.
+    """
+    for path in sorted((ROOT / "src" / "liftkit").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                yield from _defaults(f"{path.stem}.{node.name}", node.name, node, 0)
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        call = node.name if item.name == "__init__" else item.name
+                        yield from _defaults(f"{path.stem}.{node.name}.{item.name}",
+                                             call, item, 1)
+                    elif isinstance(item, ast.AnnAssign) and item.value is not None:
+                        yield (f"{path.stem}.{node.name}", node.name,
+                               item.target.id, None)
+
+
+def _calls() -> dict:
+    """{function name: [ast.Call]} over src/, tests/ and bench/."""
+    calls: dict = {}
+    for top in ("src", "tests", "bench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    if name:
+                        calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call: ast.Call, param: str, position) -> bool:
+    """True iff the call passes param by keyword, by **kwargs or by position."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    for j, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            return position is not None and position >= j
+    return position is not None and position < len(call.args)
+
+
+def test_every_default_parameter_is_set_by_some_caller():
+    # a default that no call in the library, the tests or the benchmark
+    # overrides is an untested setting; it should be a constant instead
+    calls = _calls()
+    unset = [f"{where}: {param}" for where, call, param, position in _knobs()
+             if not any(_passes(c, param, position) for c in calls.get(call, ()))]
+    assert not unset

@@ -4,7 +4,7 @@ import pytest
 from _support import shift_and_embed
 from liftkit.errors import (ConfigError, DegreeTooSmall, DimensionMismatch,
                             DomainError)
-from liftkit.hardy import (AnalyticFn, PolyOpFn, TruncationGrid,
+from liftkit.hardy import (GRID, AnalyticFn, PolyOpFn, TruncationGrid,
                            analytic_toeplitz, column_operator, default_grid,
                            multiplication_operator, shift, shift_adjoint)
 from liftkit.linalg import Subspace, operator_norm
@@ -83,21 +83,20 @@ def test_truncation_grid_validation():
     assert g.points == (0.5 + 0j, 0.5j)
 
 
+def test_grid_is_32_points_on_each_of_two_circles():
+    radii = np.repeat([0.6, 0.95], 32)
+    k = np.tile(np.arange(32), 2)
+    assert np.array_equal(GRID, radii * np.exp(2j * np.pi * k / 32))
+    assert not GRID.flags.writeable
+    assert default_grid(10).points == tuple(GRID)
+
+
 def test_default_grid_shape():
     g = default_grid(10)
     assert g.degree == 10
     assert len(g.points) == 64  # two circles, 32 points each
     radii = sorted({round(abs(z), 12) for z in g.points})
     assert radii == [0.6, 0.95]
-
-
-def test_default_grid_env_override(monkeypatch):
-    monkeypatch.setenv("LIFTKIT_GRID", "0.3,0.7")
-    g = default_grid(6)
-    assert sorted({round(abs(z), 12) for z in g.points}) == [0.3, 0.7]
-    monkeypatch.setenv("LIFTKIT_GRID", "junk")
-    with pytest.raises(ConfigError):
-        default_grid(6)
 
 
 def test_shift_and_embed_structure():

@@ -7,8 +7,9 @@ from _support import coeff_diff, scalar_fixture, taylor_sum, unconstrained_probl
 from liftkit.errors import (ConstraintViolated, DimensionMismatch,
                             NotAContraction, NotASolution,
                             WNotNormalizedAtZero)
-from liftkit.hardy import PolyOpFn, column_operator, default_grid
-from liftkit.lifting import (InterpolationProblem, central_C, omega_hat,
+from liftkit.hardy import GRID, AnalyticFn, PolyOpFn, column_operator, default_grid
+from liftkit.lifting import (InterpolationProblem, central_C,
+                             fiber_roundtrip_residuals, omega_hat,
                              parameter_membership, random_constrained_z,
                              random_problem, solve_from_Z,
                              uniqueness_certificate, verify_solution, z_from_C)
@@ -157,6 +158,29 @@ def test_gamma_within_the_solution_slack_is_accepted(excess):
         omega_hat(p, _column_of_norm(1.0 + 2e-8))
 
 
+def test_gamma_norm_guard_reads_the_gram_of_a_tall_column(monkeypatch):
+    # the candidate column's guard comes from its defect, whose Gram gives
+    # 1 - ||Gamma||^2, so the tall column itself is never decomposed
+    p = random_problem(3, 2, 2, seed=31, scale=0.6)
+    H = solve_from_Z(p, random_constrained_z(p, 2, seed=32, scale=0.5), N)
+    G = column_operator(H, N)
+    expansive = G * ((1.0 + 2e-8) / operator_norm(G))
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(A, *args, **kwargs):
+        shapes.append(A.shape)
+        return svd(A, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    central_C(p, G)
+    with pytest.raises(NotASolution, match=r"^candidate column: operator norm "
+                                           r"1\.000000e\+00 exceeds 1 \+ 1e-08$"):
+        omega_hat(p, expansive)
+    assert G.shape == ((N + 1) * 2, 3)
+    assert shapes and all(shape[0] <= 3 for shape in shapes)
+
+
 @pytest.mark.parametrize("excess,error", [(7e-9, WNotNormalizedAtZero),
                                           (2e-8, NotAContraction)])
 def test_z_from_C_rejects_an_expansive_gamma(excess, error):
@@ -218,6 +242,24 @@ def test_fiber_roundtrip_random():
     H, G, Z1 = fiber_parameter(p, 42)
     H1 = solve_from_Z(p, Z1, N)
     assert coeff_diff(H, H1, N - 4) < 1e-7
+
+
+def test_fiber_roundtrip_evaluates_the_parameter_once(monkeypatch):
+    # Z_C is evaluated on GRID by the constraint check of the second solve,
+    # whose worst residual is the reported constraint
+    calls = []
+    eval_many = AnalyticFn.eval_many
+
+    def counting_eval_many(self, points):
+        calls.append(len(points))
+        return eval_many(self, points)
+
+    monkeypatch.setattr(AnalyticFn, "eval_many", counting_eval_many)
+    p = random_problem(3, 2, 2, seed=41, scale=0.45)
+    Z = random_constrained_z(p, 2, seed=42, scale=0.5)
+    gap, constraint, _ = fiber_roundtrip_residuals(p, Z, N)
+    assert calls == [len(GRID)]
+    assert gap < 1e-7 and constraint <= 1e-8
 
 
 def test_z_from_C_constraint_invariance():

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from liftkit.errors import DimensionMismatch, NotAContraction
 from liftkit.linalg import (Subspace, as_operator, defect, haar_unitary,
-                            hermitian_sqrt_psd, is_contraction, operator_norm,
-                            operator_norms, orthonormal_range, projector_gap)
+                            hermitian_sqrt_psd, operator_norm, operator_norms,
+                            orthonormal_range, projector_gap)
 
 
 def _complex_matrix(rng, m, n, scale=1.0):
@@ -39,12 +39,6 @@ def test_operator_norm_examples():
     assert operator_norm(np.array([[0.6], [0.8]])) == pytest.approx(1.0)
 
 
-def test_is_contraction_boundary():
-    assert is_contraction(np.eye(2))
-    assert is_contraction(np.eye(2) * (1 + 1e-9))
-    assert not is_contraction(np.eye(2) * 1.001)
-
-
 def test_subspace_rejects_non_orthonormal():
     with pytest.raises(ValueError):
         Subspace(2, np.array([[1.0], [1.0]]))
@@ -55,7 +49,8 @@ def test_subspace_rejects_non_orthonormal():
 def test_subspace_projector_idempotent():
     rng = np.random.default_rng(0)
     B = np.linalg.qr(_complex_matrix(rng, 5, 2))[0]
-    P = Subspace(5, B).projector()
+    Bs = Subspace(5, B).basis
+    P = Bs @ Bs.conj().T
     assert operator_norm(P @ P - P) < 1e-13
     assert operator_norm(P - P.conj().T) < 1e-13
 
@@ -73,7 +68,7 @@ def test_orthonormal_range_rank():
     s = orthonormal_range(M)
     assert s.dim == 2
     # the range reproduces every column
-    assert operator_norm(s.projector() @ M - M) < 1e-12
+    assert operator_norm(s.basis @ s.basis.conj().T @ M - M) < 1e-12
 
 
 @settings(max_examples=50, deadline=None)
@@ -83,7 +78,7 @@ def test_orthonormal_range_projects_columns(rank, n, seed):
     M = _complex_matrix(rng, 6, rank) @ _complex_matrix(rng, rank, n) if rank else np.zeros((6, n))
     s = orthonormal_range(M)
     assert s.dim <= min(rank, n)
-    assert operator_norm(s.projector() @ M - M) < 1e-10 * max(1.0, operator_norm(M))
+    assert operator_norm(s.basis @ s.basis.conj().T @ M - M) < 1e-10 * max(1.0, operator_norm(M))
 
 
 def test_hermitian_sqrt_squares_back():

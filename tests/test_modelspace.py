@@ -61,28 +61,28 @@ def test_factor_normalizes_direction():
 
 def test_factor_zero_at_origin_is_the_shift():
     f = BlaschkeFactor(a=0.0, w=np.array([1.0]))
-    assert f.scalar_coeff(0) == 0.0
-    assert f.scalar_coeff(1) == 1.0
-    assert f.scalar_coeff(2) == 0.0
+    assert f.scalar_stack(0)[0] == 0.0
+    assert f.scalar_stack(1)[1] == 1.0
+    assert f.scalar_stack(2)[2] == 0.0
     assert f.eval_scalar(0.3) == 0.3
 
 
 def test_factor_coefficients_real_zero():
     f = BlaschkeFactor(a=0.5, w=np.array([1.0]))
-    got = [f.scalar_coeff(n) for n in range(3)]
+    got = [f.scalar_stack(n)[n] for n in range(3)]
     assert np.allclose(got, [0.5, -0.75, -0.375], atol=1e-15)
 
 
 def test_factor_coefficients_imaginary_zero():
     f = BlaschkeFactor(a=0.4j, w=np.array([1.0]))
-    got = [f.scalar_coeff(n) for n in range(4)]
+    got = [f.scalar_stack(n)[n] for n in range(4)]
     assert np.allclose(got, [0.4, 0.84j, 0.336, -0.1344j], atol=1e-15)
 
 
 def test_factor_series_sums_to_eval():
     f = BlaschkeFactor(a=0.5, w=np.array([1.0]))
     lam = 0.3 - 0.25j
-    s = sum(f.scalar_coeff(n) * lam ** n for n in range(80))
+    s = sum(f.scalar_stack(n)[n] * lam ** n for n in range(80))
     assert abs(s - f.eval_scalar(lam)) < 1e-13
 
 
@@ -121,7 +121,7 @@ def test_inner_degree_bound():
 def test_inner_taylor_matches_eval():
     th = random_inner(seed=3, dim=2, n_factors=2)
     lam = 0.35 + 0.2j
-    poly = th.as_poly(60)
+    poly = PolyOpFn(th.out_dim, th.in_dim, th.taylor_stack(60))
     assert operator_norm(poly.eval(lam) - th.eval(lam)) < 1e-12
 
 
@@ -175,7 +175,8 @@ def test_model_space_dimensions(theta, N, dim, dim0):
     assert ms.H0_basis.dim == dim0
     # dimension agrees with the rank deficiency of the truncated
     # multiplication matrix
-    M = analytic_toeplitz(theta.as_poly(N), N)
+    M = analytic_toeplitz(
+        PolyOpFn(theta.out_dim, theta.in_dim, theta.taylor_stack(N)), N)
     assert ms.basis.dim == (N + 1) * theta.out_dim - np.linalg.matrix_rank(M)
 
 
@@ -205,7 +206,8 @@ RECT_V0 = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 ])
 def test_closed_form_matches_svd_oracle(theta, N):
     ms = model_space(theta, N)
-    for got, fn in ((ms.basis.basis, theta.as_poly(N)),
+    theta_poly = PolyOpFn(theta.out_dim, theta.in_dim, theta.taylor_stack(N))
+    for got, fn in ((ms.basis.basis, theta_poly),
                     (ms.H0_basis.basis, theta.phi_poly(N))):
         want = svd_kernel_basis(fn, N)
         assert got.shape == want.shape

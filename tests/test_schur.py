@@ -8,7 +8,7 @@ from liftkit.hardy import default_grid
 from liftkit.lifting import random_problem
 from liftkit.linalg import operator_norm
 from liftkit.schur import (SchurRealization, constrained_completion,
-                           herglotz_eval, random_schur)
+                           herglotz_many, random_schur)
 
 
 def shift_realization():
@@ -100,14 +100,14 @@ def test_herglotz_scalar_value():
     C = SchurRealization(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)),
                          np.array([[0.5]]))
     # (1 + 0.25) / (1 - 0.25) = 5/3 at lambda = 0.5
-    assert herglotz_eval(C, 0.5)[0, 0] == pytest.approx(5.0 / 3.0, abs=1e-14)
-    assert herglotz_eval(C, 0.0)[0, 0] == pytest.approx(1.0)
+    assert herglotz_many(C, [0.5])[0, 0, 0] == pytest.approx(5.0 / 3.0, abs=1e-14)
+    assert herglotz_many(C, [0.0])[0, 0, 0] == pytest.approx(1.0)
 
 
 def test_herglotz_positive_real_part():
     C = random_schur(3, 3, 2, seed=8)
     for lam in (0.3, -0.6j, 0.5 + 0.4j):
-        V = herglotz_eval(C, lam)
+        V = herglotz_many(C, [lam])[0]
         herm = (V + V.conj().T) / 2
         assert np.linalg.eigvalsh(herm).min() > -1e-12
 
@@ -116,16 +116,16 @@ def test_herglotz_singular_resolvent():
     C = SchurRealization(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)),
                          np.eye(1))
     with pytest.raises(SingularResolvent):
-        herglotz_eval(C, 1.0 - 1e-13)
+        herglotz_many(C, [1.0 - 1e-13])
     with pytest.raises(DomainError):
-        herglotz_eval(C, 1.0)
+        herglotz_many(C, [1.0])
 
 
 def test_herglotz_requires_square():
     C = SchurRealization(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((1, 0)),
                          np.array([[0.1, 0.2]]))
     with pytest.raises(DimensionMismatch):
-        herglotz_eval(C, 0.5)
+        herglotz_many(C, [0.5])
 
 
 def test_realization_taylor_sum_matches_eval():
