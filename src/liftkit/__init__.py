@@ -4,8 +4,8 @@ from .errors import (ConfigError, ConstraintViolated, DegreeTooSmall,
                      DimensionMismatch, DomainError, InconsistentGenerators,
                      LiftkitError, NotAContraction, NotASolution,
                      SingularResolvent, WNotNormalizedAtZero)
-from .hardy import (AnalyticFn, PolyOpFn, TruncationGrid, analytic_toeplitz,
-                    column_operator, default_grid, multiplication_operator)
+from .hardy import (AnalyticFn, PolyOpFn, TruncationGrid, column_operator,
+                    default_grid, multiplication_operator)
 from .lifting import (InterpolationProblem, SolutionReport, central_C,
                       fiber_roundtrip_residuals, omega_hat,
                       parameter_membership, random_constrained_z,
@@ -34,7 +34,7 @@ __all__ = [
     "LiftingCandidate", "LiftkitError", "ModelSpace", "NotAContraction",
     "NotASolution", "PolyOpFn", "RclDataSet", "RclReport", "SchurRealization",
     "SingularResolvent", "SolutionReport", "Subspace", "TruncationGrid",
-    "WNotNormalizedAtZero", "analytic_toeplitz", "as_operator", "b_to_gamma",
+    "WNotNormalizedAtZero", "as_operator", "b_to_gamma",
     "central_C", "check_decompositions", "column_operator",
     "constrained_completion", "data_set_from_omega", "defect", "default_grid",
     "fiber_roundtrip_residuals", "gamma_to_B", "h_from_Z_theta",

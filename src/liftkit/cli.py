@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -59,8 +60,11 @@ def _parse(argv):
     args = ap.parse_args(argv)
     if args.degree < 4:
         ap.error("--degree must be at least 4")
-    if args.tol_verify <= 0 or args.tol_contract <= 0:
-        ap.error("tolerances must be positive")
+    for flag, tol in (("--tol-verify", args.tol_verify),
+                      ("--tol-contract", args.tol_contract)):
+        # a NaN tolerance would pass every `value > tol` test
+        if not (math.isfinite(tol) and tol > 0):
+            ap.exit(EXIT_USAGE, f"error: {flag} must be finite and positive, got {tol:g}\n")
     try:
         u, y, f = (int(x) for x in args.dims.split(","))
     except ValueError:

@@ -210,35 +210,22 @@ def column_operator(H, N: int) -> np.ndarray:
     return H.taylor_stack(N).reshape((N + 1) * H.out_dim, H.in_dim)
 
 
-def analytic_toeplitz(H: PolyOpFn, N: int) -> np.ndarray:
-    """Block lower-triangular Toeplitz matrix of multiplication by H.
-
-    Block (i, j) is H_(i-j); the result maps stacked degree-N coefficients
-    of C^in-valued polynomials to the degree-N part of the product.
-    """
-    out, inn = H.out_dim, H.in_dim
-    T = np.zeros((N + 1, out, N + 1, inn), dtype=np.complex128)
-    j = np.arange(N + 1)
-    for k, c in enumerate(H.taylor_stack(min(H.degree, N))):
-        T[j[k:], :, j[:N + 1 - k], :] = c
-    return T.reshape((N + 1) * out, (N + 1) * inn)
-
-
 def multiplication_operator(H: PolyOpFn, domain: Subspace, N: int) -> tuple[np.ndarray, float]:
     """Multiplication by H restricted to a subspace of the truncated space.
 
     Returns the matrix (into truncated H^2(C^out_dim)) together with a
     tail-mass diagnostic: the norm of the product coefficients of degree
-    > N that the truncation drops on the given domain.
+    > N that the truncation drops on the given domain.  Both come from
+    one series product of H with the domain basis as a coefficient
+    stack; degrees 0..N are the matrix and degrees N+1..N+deg the tail.
     """
     if domain.ambient_dim != (N + 1) * H.in_dim:
         raise DimensionMismatch(
             f"domain ambient {domain.ambient_dim} != (N+1)*in_dim = {(N + 1) * H.in_dim}")
-    M = analytic_toeplitz(H, N) @ domain.basis
     out, inn, deg = H.out_dim, H.in_dim, H.degree
-    # row m of the dropped part is [H_m H_(m-1) ... H_(m-N)], m = N+1..N+deg
-    S = H.taylor_stack(N + deg)
-    rows = [S[m - N:m + 1][::-1].transpose(1, 0, 2).reshape(out, (N + 1) * inn)
-            for m in range(N + 1, N + deg + 1)]
-    tail = operator_norm(np.vstack(rows) @ domain.basis) if rows else 0.0
-    return M, tail
+    m = domain.dim
+    basis = np.zeros((N + 1 + deg, inn, m), dtype=np.complex128)
+    basis[:N + 1] = domain.basis.reshape(N + 1, inn, m)
+    prod = series.mul(H.taylor_stack(N + deg), basis)
+    M = prod[:N + 1].reshape((N + 1) * out, m)
+    return M, operator_norm(prod[N + 1:].reshape(deg * out, m))

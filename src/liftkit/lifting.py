@@ -11,11 +11,13 @@ satisfying Z(lambda)|_F = omega via the linear-fractional formula
 
     H(lambda) = P_Y Z(lambda) (I - lambda P_U Z(lambda))^-1,
 
-computed here as a Taylor recursion.  The fiber of parameters over one
-solution is indexed by Schur-class functions C on the defect space of
-Gamma whose restriction to F_Gamma = closure(D_Gamma F) equals the
-extracted contraction Omega; z_from_C maps a fiber member back to a
-parameter through the positive-real factor
+computed as the closed loop of Z's realization when Z is a
+SchurRealization and as a Taylor recursion otherwise.  The fiber of
+parameters over one solution is indexed by Schur-class functions C on
+the defect space of Gamma whose restriction to F_Gamma =
+closure(D_Gamma F) equals the extracted contraction Omega; z_from_C
+maps a fiber member back to a parameter through the positive-real
+factor
 
     W(lambda) = Gamma* (I + lambda S*)(I - lambda S*)^-1 Gamma
                 + D_Gamma (I + lambda C(lambda))(I - lambda C(lambda))^-1 D_Gamma,
@@ -93,8 +95,9 @@ def solve_from_Z(p: InterpolationProblem, Z, N: int,
 
     Z may be any analytic operator function exposing eval_many and
     taylor_stack with in_dim = U and out_dim = Y + U; its restriction to F
-    is checked against omega on GRID before solving.  The recursion,
-    G = (I - lambda P_U Z)^-1 and H = P_Y Z G, is
+    is checked against omega on GRID before solving.  A SchurRealization
+    is solved as a closed loop (_closed_loop); for any other Z the
+    recursion, G = (I - lambda P_U Z)^-1 and H = P_Y Z G, is
 
         G_0 = I,  G_k = sum_(j<k) (P_U Z)_(k-1-j) G_j,
         H_n = sum_(k<=n) (P_Y Z)_(n-k) G_k.
@@ -122,11 +125,36 @@ def _constraint_residual(p: InterpolationProblem, Z, constraint_tol: float) -> f
 
 
 def _series_solve(p: InterpolationProblem, Z, N: int) -> PolyOpFn:
-    """The Taylor recursion of solve_from_Z, without the constraint check."""
+    """The coefficients of solve_from_Z, without the constraint check.
+
+    A realized Z gives them as a closed loop; any other Z by the
+    resolvent recursion on its Taylor stack.
+    """
     y = p.Y_dim
+    if isinstance(Z, SchurRealization):
+        return PolyOpFn(y, p.U_dim, _closed_loop(Z.A, Z.B, Z.C, Z.D, y, N))
     Zc = Z.taylor_stack(N)
     G = series.resolvent(Zc[:N, y:, :])
     return PolyOpFn(y, p.U_dim, series.mul(Zc[:, :y, :], G))
+
+
+def _closed_loop(A, B, C, D, y: int, N: int) -> np.ndarray:
+    """Coefficients 0..N of P_Y Z (I - lambda P_U Z)^-1 for Z = (A, B, C, D).
+
+    The first y rows of C and D are the Y part of Z, the rest the U
+    part.  Feeding the delayed U output back into the input gives the
+    realization with state x + U,
+
+        A_cl = [[A, B], [C_U, D_U]],  B_cl = [B; D_U],
+        C_cl = [C_Y, D_Y],            D_cl = D_Y,
+
+    whose A_cl is a corner of the colligation [[A, B], [C, D]]; for a
+    Schur-class Z, ||A_cl|| <= 1.
+    """
+    n = A.shape[0]
+    Acl = np.block([[A, B], [C[y:], D[y:]]])
+    return series.realization_stack(Acl, Acl[:, n:], np.hstack([C[:y], D[:y]]),
+                                    D[:y], N)
 
 
 def verify_solution(p: InterpolationProblem, H: PolyOpFn, N: int) -> SolutionReport:
@@ -243,8 +271,14 @@ def _w_taylor(Hs: np.ndarray, W0, Cfun, DB, BD):
     # the sum for k = N+1 is empty
     first = np.concatenate([series.correlate(Hs)[1:], np.zeros((1, u, u))])
     # the Herglotz transform of C is 2 (I - lambda C)^-1 - I, so its
-    # degree-k coefficient is 2 P_k for k >= 1
-    P = series.resolvent(Cfun.taylor_stack(L - 1))
+    # degree-k coefficient is 2 P_k for k >= 1; for a realized C, P is
+    # the closed loop of [I; C], the constant I on top of C
+    if isinstance(Cfun, SchurRealization):
+        d, n = Cfun.out_dim, Cfun.state_dim
+        P = _closed_loop(Cfun.A, Cfun.B, np.vstack([np.zeros((d, n)), Cfun.C]),
+                         np.vstack([np.eye(d), Cfun.D]), d, L)
+    else:
+        P = series.resolvent(Cfun.taylor_stack(L - 1))
     W = np.empty((L + 1, u, u), dtype=np.complex128)
     W[0] = W0
     W[1:] = 2.0 * first + 2.0 * (DB @ P[1:] @ BD)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import series
 from .errors import DimensionMismatch, NotAContraction, SingularResolvent
 from .hardy import disk_points
 from .linalg import as_operator, defect, operator_norm, orthonormal_range
@@ -82,13 +83,7 @@ class SchurRealization:
 
     def taylor_stack(self, N: int) -> np.ndarray:
         """Coefficients 0..N as an (N+1, out, in) stack: D, then C A^(k-1) B."""
-        out = np.empty((N + 1, self.out_dim, self.in_dim), dtype=np.complex128)
-        out[0] = self.D
-        P = self.B
-        for k in range(1, N + 1):
-            out[k] = self.C @ P
-            P = self.A @ P
-        return out
+        return series.realization_stack(self.A, self.B, self.C, self.D, N)
 
 
 def random_schur(out_dim: int, in_dim: int, state_dim: int, seed: int,

@@ -12,7 +12,10 @@ product of a block row and a reversed block column,
     y_k = [x_0 x_1 ... x_(k-1)] @ [y_(k-1); ...; y_0],
 
 because Newton doubling on the FFT product measured slower at N = 192.
-No dense block-Toeplitz matrix is ever formed.
+A function with a state-space realization (A, B, C, D) needs neither:
+its coefficients D, CB, CAB, ... come from block powers of A by
+doubling (``realization_stack``).  No dense block-Toeplitz matrix is
+ever formed.
 """
 
 from __future__ import annotations
@@ -76,6 +79,11 @@ def resolvent(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 3 or x.shape[1] != x.shape[2]:
         raise DimensionMismatch(f"resolvent needs square coefficients, got shape {x.shape}")
+    return _resolvent(x)
+
+
+def _resolvent(x: np.ndarray) -> np.ndarray:
+    """resolvent on a checked (L, m, m) complex128 stack."""
     L, m, _ = x.shape
     row = _block_row(x)
     # y_k is stored at block L-k, so y_k..y_0 is the tail from block L-k
@@ -104,7 +112,34 @@ def inv(a) -> np.ndarray:
     if s[-1] * INV_COND_MAX < max(1.0, float(s[0])):
         raise SingularResolvent("constant term of the series is numerically singular")
     a0inv = np.linalg.inv(a[0])
-    return resolvent(-(a0inv @ a[1:])) @ a0inv
+    return _resolvent(-(a0inv @ a[1:])) @ a0inv
+
+
+def realization_stack(A, B, C, D, N: int) -> np.ndarray:
+    """Coefficients D, CB, CAB, ..., CA^(N-1)B as an (N+1, out, in) stack.
+
+    These are the Taylor coefficients of D + lambda C (I - lambda A)^-1 B.
+    The block row K_k = [B, AB, ..., A^(k-1)B] doubles as
+    K_2k = [K_k, A^k K_k] with A^2k = A^k A^k, so degree N costs
+    O(log N) matrix products rather than N.
+    """
+    A, B, C, D = (np.asarray(X, dtype=np.complex128) for X in (A, B, C, D))
+    n, inn = B.shape
+    out = np.empty((N + 1, D.shape[0], inn), dtype=np.complex128)
+    out[0] = D
+    if N == 0:
+        return out
+    K = np.empty((n, N * inn), dtype=np.complex128)
+    K[:, :inn] = B
+    k, Ak = 1, A
+    while k < N:
+        step = min(k, N - k)
+        K[:, k * inn:(k + step) * inn] = Ak @ K[:, :step * inn]
+        k += step
+        if k < N:
+            Ak = Ak @ Ak
+    out[1:] = (C @ K).reshape(len(D), N, inn).transpose(1, 0, 2)
+    return out
 
 
 def polyval(a, points) -> np.ndarray:

@@ -49,3 +49,28 @@ def shift_and_embed(dim: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     S = np.eye(size, k=-dim, dtype=np.complex128)
     E = np.eye(size, dim, dtype=np.complex128)
     return S, E
+
+
+def analytic_toeplitz(H, N: int) -> np.ndarray:
+    """Dense block lower-triangular Toeplitz matrix of multiplication by H.
+
+    The oracle of hardy.multiplication_operator: block (i, j) is H_(i-j),
+    so the matrix maps stacked degree-N coefficients of C^in-valued
+    polynomials to the degree-N part of their product with H.
+    """
+    out, inn = H.out_dim, H.in_dim
+    T = np.zeros((N + 1, out, N + 1, inn), dtype=np.complex128)
+    j = np.arange(N + 1)
+    for k, c in enumerate(H.taylor_stack(min(H.degree, N))):
+        T[j[k:], :, j[:N + 1 - k], :] = c
+    return T.reshape((N + 1) * out, (N + 1) * inn)
+
+
+def dense_tail_rows(H, N: int) -> np.ndarray:
+    """Rows of the product coefficients of degree N+1..N+deg that the
+    truncation drops: row block m is [H_m H_(m-1) ... H_(m-N)]."""
+    out, inn = H.out_dim, H.in_dim
+    S = H.taylor_stack(N + H.degree)
+    rows = [S[m - N:m + 1][::-1].transpose(1, 0, 2).reshape(out, (N + 1) * inn)
+            for m in range(N + 1, N + H.degree + 1)]
+    return np.vstack(rows) if rows else np.zeros((0, (N + 1) * inn))

@@ -74,6 +74,8 @@ def test_every_exported_name_resolves():
     (BlaschkeFactor, "scalar_coeff"), (InnerFn, "as_poly"),
     (Subspace, "projector"),
     (liftkit, "is_contraction"), (liftkit, "herglotz_eval"),
+    (importlib.import_module("liftkit.hardy"), "analytic_toeplitz"),
+    (liftkit, "analytic_toeplitz"),
 ])
 def test_removed_aliases_are_gone(owner, name):
     assert not hasattr(owner, name)

@@ -226,3 +226,21 @@ def test_foreign_schema_tag_is_a_one_line_usage_error(tmp_path, capsys):
     code, out = run(capsys, "--cmd", "solve", "--in", str(inp))
     assert code == 1
     assert out.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("--cmd", "solve", "--tol-verify", "nan", "--tol-contract", "nan"),
+    ("--cmd", "solve", "--tol-contract", "nan"),
+    ("--cmd", "selftest", "--tol-verify", "nan"),
+    ("--cmd", "solve", "--tol-verify", "inf"),
+    ("--cmd", "fiber", "--tol-contract=-inf"),
+    ("--cmd", "solve", "--tol-contract", "0"),
+])
+def test_non_finite_or_nonpositive_tolerance_is_a_one_line_usage_error(capsys, argv):
+    # a NaN tolerance would pass every `value > tol` test and write bare
+    # NaN into the envelope
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert out.out == ""
+    assert len(out.err.strip().splitlines()) == 1
+    assert out.err.startswith("error: --tol-")

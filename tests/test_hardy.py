@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from _support import shift_and_embed
+from _support import analytic_toeplitz, dense_tail_rows, shift_and_embed
 from liftkit.errors import (ConfigError, DegreeTooSmall, DimensionMismatch,
                             DomainError)
 from liftkit.hardy import (GRID, AnalyticFn, PolyOpFn, TruncationGrid,
-                           analytic_toeplitz, column_operator, default_grid,
+                           column_operator, default_grid,
                            multiplication_operator, shift, shift_adjoint)
 from liftkit.linalg import Subspace, operator_norm
+from liftkit.modelspace import model_space, random_inner, random_multiplier
 
 
 def geometric_poly(ratio, degree, lead=1.0):
@@ -162,7 +165,8 @@ def test_multiplication_operator_restricts_toeplitz():
     B = np.linalg.qr(rng.standard_normal(((N + 1) * 2, 3)))[0]
     dom = Subspace((N + 1) * 2, B)
     M, tail = multiplication_operator(H, dom, N)
-    assert operator_norm(M - analytic_toeplitz(H, N) @ B) == 0.0
+    # an FFT product, equal to the dense one up to norm-wise round-off
+    assert operator_norm(M - analytic_toeplitz(H, N) @ B) <= 1e-15
     assert tail >= 0.0
 
 
@@ -173,10 +177,57 @@ def test_multiplication_operator_tail_of_shift():
     M, tail = multiplication_operator(H, dom, 4)
     assert tail == pytest.approx(1.0)
     S, _ = shift_and_embed(1, 4)
-    assert operator_norm(M - S) == 0.0
+    assert operator_norm(M - S) <= 1e-15
+
+
+def random_poly(rng, out, inn, degree):
+    return PolyOpFn(out, inn, tuple(
+        0.3 * (rng.standard_normal((out, inn)) + 1j * rng.standard_normal((out, inn)))
+        for _ in range(degree + 1)))
+
+
+def random_domain(rng, amb, m):
+    raw = rng.standard_normal((amb, m)) + 1j * rng.standard_normal((amb, m))
+    return Subspace(amb, np.linalg.qr(raw)[0])
+
+
+@pytest.mark.parametrize("out,inn,degree,N,m", [
+    (2, 3, 9, 5, 4),    # complex rectangular H of degree > N
+    (3, 2, 0, 6, 5),    # deg = 0: no tail
+    (2, 2, 3, 4, 0),    # zero-column domain
+    (1, 2, 40, 40, 7),
+])
+def test_multiplication_operator_matches_dense_oracle(out, inn, degree, N, m):
+    rng = np.random.default_rng(out + 10 * inn + 100 * degree + 1000 * N + m)
+    H = random_poly(rng, out, inn, degree)
+    dom = random_domain(rng, (N + 1) * inn, m)
+    M, tail = multiplication_operator(H, dom, N)
+    T = analytic_toeplitz(H, N)
+    assert M.shape == ((N + 1) * out, m)
+    assert operator_norm(M - T @ dom.basis) <= 1e-15 * max(1.0, operator_norm(T))
+    # the tail's round-off is norm-wise, so it is compared absolutely
+    assert abs(tail - operator_norm(dense_tail_rows(H, N) @ dom.basis)) <= 1e-14
+    if degree == 0 or m == 0:
+        assert tail == 0.0
 
 
 def test_multiplication_operator_checks_ambient():
     H = PolyOpFn(1, 2, (np.ones((1, 2)),))
     with pytest.raises(DimensionMismatch):
         multiplication_operator(H, Subspace(3, np.eye(3)), 4)
+
+
+def test_multiplication_operator_memory_stays_below_the_dense_matrix():
+    # at N = 512 the dense (N+1)Y x (N+1)U Toeplitz matrix alone is 25 MB;
+    # the series product peaks near 3.4 MB (deterministic, no wall time)
+    N = 512
+    theta = random_inner(3, 3, 3)
+    ms = model_space(theta, N)
+    H = random_multiplier(theta, 2, N, 5)
+    tracemalloc.start()
+    try:
+        multiplication_operator(H, ms.basis, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

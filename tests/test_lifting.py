@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _support import coeff_diff, scalar_fixture, taylor_sum, unconstrained_problem
+from liftkit import series
 from liftkit.errors import (ConstraintViolated, DimensionMismatch,
                             NotAContraction, NotASolution,
                             WNotNormalizedAtZero)
@@ -322,6 +323,63 @@ def test_w_coefficients_match_pointwise_resolvents():
                             ((W - np.eye(u)) @ inv) / lam])
         assert operator_norm(direct - taylor_sum(Z1, lam, N)) < 1e-9
         assert operator_norm(direct - Z1.eval(lam)) < 1e-9
+
+
+def coefficients_only(fn, N):
+    """fn as an AnalyticFn: the same values, Taylor data to degree N, and
+    no realization, so the solvers take the resolvent path."""
+    return AnalyticFn(fn.out_dim, fn.in_dim, fn.taylor_stack(N), fn.eval_many)
+
+
+def assert_rel_close(got, want):
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= 1e-13 * max(1.0, np.linalg.norm(want))
+
+
+def closed_loop_cases():
+    # (problem, realized parameter): state 0, Y = 0, F = 0, an isometric
+    # colligation, and a generic constrained parameter
+    p = random_problem(3, 2, 2, seed=880, scale=0.45)
+    yield p, random_constrained_z(p, 0, seed=881)
+    p = random_problem(3, 0, 2, seed=882, scale=0.9)
+    yield p, random_constrained_z(p, 2, seed=883)
+    p = unconstrained_problem(3, 2)
+    yield p, random_schur(5, 3, 2, seed=884, scale=0.9)
+    yield p, random_schur(5, 3, 4, seed=885, isometric=True)
+    p = random_problem(4, 3, 2, seed=886, scale=0.9)
+    yield p, random_constrained_z(p, 3, seed=887)
+
+
+@pytest.mark.parametrize("n", [4, 24, 192])
+@pytest.mark.parametrize("case", range(5))
+def test_closed_loop_solve_matches_the_resolvent_path(n, case):
+    p, Z = list(closed_loop_cases())[case]
+    got = solve_from_Z(p, Z, n).taylor_stack(n)
+    assert_rel_close(got, solve_from_Z(p, coefficients_only(Z, n), n).taylor_stack(n))
+
+
+@pytest.mark.parametrize("state", [1, 3])
+def test_z_from_C_with_a_realized_C_matches_the_resolvent_path(state):
+    p = random_problem(3, 2, 1, seed=890, scale=0.45)
+    H = solve_from_Z(p, random_constrained_z(p, 2, seed=891, scale=0.5), N)
+    G = column_operator(H, N)
+    d = central_C(p, G).in_dim
+    C = random_schur(d, d, state, seed=892 + state, scale=0.9)
+    got = z_from_C(p, H, G, C, N)
+    want = z_from_C(p, H, G, coefficients_only(C, N), N)
+    assert_rel_close(got.taylor_stack(N), want.taylor_stack(N))
+    assert_rel_close(got.eval_many(GRID), want.eval_many(GRID))
+
+
+def test_realized_inputs_never_take_the_resolvent(monkeypatch):
+    def refuse(x):
+        raise AssertionError("series.resolvent called on realized input")
+
+    monkeypatch.setattr(series, "resolvent", refuse)
+    p = random_problem(3, 2, 2, seed=41, scale=0.45)
+    H = solve_from_Z(p, random_constrained_z(p, 2, seed=42, scale=0.5), N)
+    G = column_operator(H, N)
+    z_from_C(p, H, G, central_C(p, G), N)
 
 
 def test_uniqueness_certificate_examples():

@@ -4,11 +4,11 @@ parameterization for inner functions vanishing at the origin."""
 import numpy as np
 import pytest
 
-from _support import coeff_diff, shift_and_embed, unconstrained_problem
+from _support import (analytic_toeplitz, coeff_diff, shift_and_embed,
+                      unconstrained_problem)
 from liftkit.errors import (DegreeTooSmall, DimensionMismatch, DomainError,
                             NotAContraction)
-from liftkit.hardy import (PolyOpFn, analytic_toeplitz, column_operator,
-                           multiplication_operator)
+from liftkit.hardy import PolyOpFn, column_operator, multiplication_operator
 from liftkit.lifting import solve_from_Z
 from liftkit.modelspace import (BlaschkeFactor, InnerFn, check_decompositions,
                                 h_from_Z_theta, model_space,

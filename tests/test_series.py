@@ -175,3 +175,21 @@ def test_correlate_matches_double_loop(L, m, n):
 def test_correlate_rejects_an_empty_series():
     with pytest.raises(DimensionMismatch):
         series.correlate(np.zeros((0, 2, 2)))
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 3, 5, 8, 193])
+@pytest.mark.parametrize("n,out,inn", [(3, 2, 4), (0, 2, 1), (2, 0, 3), (4, 3, 0)])
+def test_realization_stack_matches_the_state_power_loop(N, n, out, inn):
+    # doubling covers degrees 1..N in blocks of 1, 2, 4, ...; these N end
+    # on, just past and just short of a power of two
+    rng = np.random.default_rng(N + 10 * n + 100 * out + 1000 * inn)
+    A = rand_series(rng, 1, n, n)[0]
+    A /= max(1.0, np.linalg.norm(A, 2))
+    B, C, D = (rand_series(rng, 1, r, c)[0] for r, c in ((n, inn), (out, n), (out, inn)))
+    want = np.empty((N + 1, out, inn), dtype=np.complex128)
+    want[0] = D
+    P = B
+    for k in range(1, N + 1):
+        want[k] = C @ P
+        P = A @ P
+    assert_close(series.realization_stack(A, B, C, D, N), want)
