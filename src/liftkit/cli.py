@@ -60,6 +60,9 @@ def _parse(argv):
     args = ap.parse_args(argv)
     if args.degree < 4:
         ap.error("--degree must be at least 4")
+    if args.seed < 0:
+        # numpy's generators take only non-negative seeds
+        ap.exit(EXIT_USAGE, f"error: --seed must be non-negative, got {args.seed}\n")
     for flag, tol in (("--tol-verify", args.tol_verify),
                       ("--tol-contract", args.tol_contract)):
         # a NaN tolerance would pass every `value > tol` test

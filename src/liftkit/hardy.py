@@ -216,16 +216,15 @@ def multiplication_operator(H: PolyOpFn, domain: Subspace, N: int) -> tuple[np.n
     Returns the matrix (into truncated H^2(C^out_dim)) together with a
     tail-mass diagnostic: the norm of the product coefficients of degree
     > N that the truncation drops on the given domain.  Both come from
-    one series product of H with the domain basis as a coefficient
-    stack; degrees 0..N are the matrix and degrees N+1..N+deg the tail.
+    the full series product of H's deg + 1 coefficients with the N + 1
+    blocks of the domain basis; degrees 0..N are the matrix and degrees
+    N+1..N+deg the tail.
     """
     if domain.ambient_dim != (N + 1) * H.in_dim:
         raise DimensionMismatch(
             f"domain ambient {domain.ambient_dim} != (N+1)*in_dim = {(N + 1) * H.in_dim}")
     out, inn, deg = H.out_dim, H.in_dim, H.degree
     m = domain.dim
-    basis = np.zeros((N + 1 + deg, inn, m), dtype=np.complex128)
-    basis[:N + 1] = domain.basis.reshape(N + 1, inn, m)
-    prod = series.mul(H.taylor_stack(N + deg), basis)
+    prod = series.convolve(H.taylor_stack(deg), domain.basis.reshape(N + 1, inn, m))
     M = prod[:N + 1].reshape((N + 1) * out, m)
     return M, operator_norm(prod[N + 1:].reshape(deg * out, m))

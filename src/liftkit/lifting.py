@@ -132,29 +132,40 @@ def _series_solve(p: InterpolationProblem, Z, N: int) -> PolyOpFn:
     """
     y = p.Y_dim
     if isinstance(Z, SchurRealization):
-        return PolyOpFn(y, p.U_dim, _closed_loop(Z.A, Z.B, Z.C, Z.D, y, N))
+        loop = _closed_loop(Z.A, Z.B, Z.C, Z.D, y, _lambda_identity(p.U_dim))
+        return PolyOpFn(y, p.U_dim, series.realization_stack(*loop, N))
     Zc = Z.taylor_stack(N)
     G = series.resolvent(Zc[:N, y:, :])
     return PolyOpFn(y, p.U_dim, series.mul(Zc[:, :y, :], G))
 
 
-def _closed_loop(A, B, C, D, y: int, N: int) -> np.ndarray:
-    """Coefficients 0..N of P_Y Z (I - lambda P_U Z)^-1 for Z = (A, B, C, D).
+def _closed_loop(A, B, C, D, y: int, theta) -> tuple:
+    """Realization (A_cl, B_cl, C_cl, D_cl) of P_Y Z (I - Theta P_E Z)^-1.
 
-    The first y rows of C and D are the Y part of Z, the rest the U
-    part.  Feeding the delayed U output back into the input gives the
-    realization with state x + U,
+    Z = (A, B, C, D) maps U into Y + E: the first y rows of C and D are
+    its Y part, the rest its E part.  theta = (A_t, B_t, C_t) realizes
+    Theta from E into U with Theta(0) = 0, so the loop has no algebraic
+    part.  Feeding Z's E output through Theta back into its input gives
+    the realization with the two states side by side,
 
-        A_cl = [[A, B], [C_U, D_U]],  B_cl = [B; D_U],
-        C_cl = [C_Y, D_Y],            D_cl = D_Y,
+        A_cl = [[A, B C_t], [B_t C_E, A_t + B_t D_E C_t]],
+        B_cl = [B; B_t D_E],  C_cl = [C_Y, D_Y C_t],  D_cl = D_Y.
 
-    whose A_cl is a corner of the colligation [[A, B], [C, D]]; for a
-    Schur-class Z, ||A_cl|| <= 1.
+    For contractive colligations of Z and Theta, the loop with zero
+    input is a contraction from the state into the next state and Y, so
+    ||A_cl|| <= 1.  Theta = lambda I, realized as (0, I, I), gives the
+    interpolation loop A_cl = [[A, B], [C_U, D_U]].
     """
-    n = A.shape[0]
-    Acl = np.block([[A, B], [C[y:], D[y:]]])
-    return series.realization_stack(Acl, Acl[:, n:], np.hstack([C[:y], D[:y]]),
-                                    D[:y], N)
+    At, Bt, Ct = theta
+    BtDE = Bt @ D[y:]
+    Acl = np.block([[A, B @ Ct], [Bt @ C[y:], At + BtDE @ Ct]])
+    return Acl, np.vstack([B, BtDE]), np.hstack([C[:y], D[:y] @ Ct]), D[:y]
+
+
+def _lambda_identity(d: int) -> tuple:
+    """(A, B, C) of Theta(lambda) = lambda I_d: one state per coordinate."""
+    eye = np.eye(d, dtype=np.complex128)
+    return np.zeros((d, d), dtype=np.complex128), eye, eye
 
 
 def verify_solution(p: InterpolationProblem, H: PolyOpFn, N: int) -> SolutionReport:
@@ -275,8 +286,9 @@ def _w_taylor(Hs: np.ndarray, W0, Cfun, DB, BD):
     # the closed loop of [I; C], the constant I on top of C
     if isinstance(Cfun, SchurRealization):
         d, n = Cfun.out_dim, Cfun.state_dim
-        P = _closed_loop(Cfun.A, Cfun.B, np.vstack([np.zeros((d, n)), Cfun.C]),
-                         np.vstack([np.eye(d), Cfun.D]), d, L)
+        loop = _closed_loop(Cfun.A, Cfun.B, np.vstack([np.zeros((d, n)), Cfun.C]),
+                            np.vstack([np.eye(d), Cfun.D]), d, _lambda_identity(d))
+        P = series.realization_stack(*loop, L)
     else:
         P = series.resolvent(Cfun.taylor_stack(L - 1))
     W = np.empty((L + 1, u, u), dtype=np.complex128)
@@ -357,7 +369,7 @@ def fiber_roundtrip_residuals(p: InterpolationProblem, Z, N: int,
     constraint = _constraint_residual(p, Z1, constraint_tol)
     H1 = _series_solve(p, Z1, N)
     keep = max(0, N - 4)
-    gap = max(operator_norm(H.coeff(n) - H1.coeff(n)) for n in range(keep + 1))
+    gap = float(operator_norms(H.taylor_stack(keep) - H1.taylor_stack(keep)).max())
     return gap, constraint, Z1.meta["w0_residual"]
 
 

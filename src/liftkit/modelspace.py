@@ -18,8 +18,10 @@ where H0 is the model space of Phi; both splittings are checked by
 check_decompositions.  A function H is a contractive multiplier from H
 into H^2(Y) exactly when H(lambda) = P_Y Z(lambda)
 (I - Theta(lambda) P_E Z(lambda))^-1 for a Schur-class Z from U into
-Y + E; h_from_Z_theta evaluates this by Taylor recursion (well founded
-because Theta(0) = 0) and z_from_H_theta reverses it by posing the
+Y + E; h_from_Z_theta closes a realized Z in feedback with the
+isometric colligation of Theta (InnerFn.colligation), or runs the Taylor
+recursion on a Z known only by its coefficients (both well posed because
+Theta(0) = 0), and z_from_H_theta reverses it by posing the
 multiplication map as an interpolation problem on H, taking the central
 parameter of its fiber and compressing back to U -> Y + E coordinates.
 
@@ -40,10 +42,11 @@ from .errors import (DegreeTooSmall, DimensionMismatch, DomainError,
                      NotAContraction)
 from .hardy import (GRID, AnalyticFn, PolyOpFn, column_operator,
                     multiplication_operator, shift, shift_adjoint)
-from .lifting import CHECK_TOL, InterpolationProblem, central_C, z_from_C
+from .lifting import (CHECK_TOL, InterpolationProblem, _closed_loop, central_C,
+                      z_from_C)
 from .linalg import (Subspace, as_operator, haar_unitary, operator_norm,
                      operator_norms, orthonormal_range, projector_gap)
-from .schur import random_schur
+from .schur import SchurRealization, random_schur
 
 
 @dataclass(frozen=True)
@@ -170,6 +173,39 @@ class InnerFn:
 
     def coeff(self, n: int) -> np.ndarray:
         return self.taylor_stack(n)[n]
+
+    def colligation(self) -> SchurRealization:
+        """Isometric colligation of Theta, with state power * out_dim + len(factors).
+
+        lambda^power I_U is a shift register of power blocks.  The factor
+        with zero a and s = sqrt(1 - |a|^2) has the unitary colligation
+
+            A = conj(a),  B = s w*,  C = c s w,  D = I - (1 - |a|) w w*,
+
+        with c = -|a|/a, and c = 1 for a = 0, where b_0 = lambda.  The
+        factors are cascaded left to right, each colligation a unitary
+        acting on its own state and the signal, and V0 multiplies on the
+        right; V0 is an isometry, so the product is one.
+        """
+        u, n = self.out_dim, self.power * self.out_dim
+        A = np.eye(n, k=-u, dtype=np.complex128)
+        B = np.eye(n, u, dtype=np.complex128)
+        C = np.eye(u, n, k=n - u, dtype=np.complex128)
+        D = np.zeros((u, u), dtype=np.complex128)
+        for fac in self.factors:
+            a, w = fac.a, fac.w[:, None]
+            r = abs(a)
+            s = np.sqrt(1.0 - r * r)
+            Bf = s * w.conj().T
+            Cf = (-r / a if a != 0 else 1.0) * s * w
+            Df = np.eye(u) - (1.0 - r) * (w @ w.conj().T)
+            # the cascade of (A, B, C, D) with the factor on its right
+            corner = np.full((1, 1), np.conj(a))
+            A = np.block([[A, B @ Cf], [np.zeros((1, len(A))), corner]])
+            B = np.vstack([B @ Df, Bf])
+            C = np.hstack([C, D @ Cf])
+            D = D @ Df
+        return SchurRealization(A, B @ self.V0, C, D @ self.V0)
 
     def phi_poly(self, N: int) -> PolyOpFn:
         """Taylor polynomial of Phi = Theta / lambda to degree N."""
@@ -308,17 +344,23 @@ def mult_contraction_test(Hfn: PolyOpFn, ms: ModelSpace) -> MultBoundReport:
 
 
 def h_from_Z_theta(theta: InnerFn, Z, N: int) -> PolyOpFn:
-    """Multiplier H = P_Y Z (I - Theta P_E Z)^-1 by Taylor recursion.
+    """Multiplier H = P_Y Z (I - Theta P_E Z)^-1, coefficients 0..N.
 
-    Z maps U into Y + E.  The recursion G_0 = I,
-    G_n = sum_(j>=1) (Theta P_E Z)_j G_(n-j) is well founded because
-    Theta has no constant term.
+    Z maps U into Y + E.  A SchurRealization Z is closed in feedback
+    with the colligation of Theta (lifting._closed_loop).  Any other Z
+    goes through its Taylor stack: G = (I - Theta P_E Z)^-1 is the
+    resolvent of the shifted series of Theta P_E Z, well founded
+    because Theta has no constant term.
     """
     u, e = theta.out_dim, theta.in_dim
     if Z.in_dim != u or Z.out_dim < e:
         raise DimensionMismatch(
             f"Z must map C^{u} into C^y + C^{e}, got {Z.out_dim} x {Z.in_dim}")
     y = Z.out_dim - e
+    if isinstance(Z, SchurRealization):
+        th = theta.colligation()
+        loop = _closed_loop(Z.A, Z.B, Z.C, Z.D, y, (th.A, th.B, th.C))
+        return PolyOpFn(y, u, series.realization_stack(*loop, N))
     Zc = Z.taylor_stack(N)
     # V = Theta P_E Z vanishes at 0, so V = lambda * (V_1 + lambda V_2 + ...)
     # and G = (I - V)^-1 is the resolvent of the shifted series
@@ -386,7 +428,7 @@ def multiplier_roundtrip_residual(theta: InnerFn, Hfn: PolyOpFn, ms: ModelSpace,
     """
     H1 = h_from_Z_theta(theta, z_from_H_theta(theta, Hfn, ms, N), N)
     keep = max(0, N - theta.degree_bound - 4)
-    return max(operator_norm(Hfn.coeff(n) - H1.coeff(n)) for n in range(keep + 1))
+    return float(operator_norms(Hfn.taylor_stack(keep) - H1.taylor_stack(keep)).max())
 
 
 def pointwise_mult_check(Gmat, ms: ModelSpace) -> PointwiseMultReport:

@@ -2,12 +2,13 @@
 
 A series is an (N+1, m, n) complex128 array whose entry k is the degree-k
 Taylor coefficient.  Products and correlations go through the FFT along
-the degree axis: both stacks are zero-padded to a power of two K >= 2L - 1,
-so the cyclic convolution equals the linear one, and each frequency costs
-one small matrix product.  Their round-off is norm-wise, of order
-eps log K ||a|| ||b||, not relative to each output coefficient.  Inverses
-and resolvents keep the recursion that computes degree k with one BLAS
-product of a block row and a reversed block column,
+the degree axis: stacks of lengths La and Lb are zero-padded to a power
+of two K >= La + Lb - 1, so the cyclic convolution equals the linear
+one, and each frequency costs one small matrix product.  Their round-off
+is norm-wise, of order eps log K ||a|| ||b||, not relative to each output
+coefficient.  Inverses and resolvents keep the recursion that computes
+degree k with one BLAS product of a block row and a reversed block
+column,
 
     y_k = [x_0 x_1 ... x_(k-1)] @ [y_(k-1); ...; y_0],
 
@@ -42,21 +43,33 @@ def _block_row(a: np.ndarray) -> np.ndarray:
 
 
 def _fft_len(L: int) -> int:
-    """Smallest power of two >= 2L - 1, so degree-wise cyclic products do not wrap."""
-    return 1 << (2 * L - 2).bit_length()
+    """Smallest power of two >= L: a cyclic product of that length holds L
+    coefficients of the linear one without wrapping."""
+    return 1 << (L - 1).bit_length()
+
+
+def convolve(a, b) -> np.ndarray:
+    """Linear product c_k = sum_j a_j b_(k-j) of an La- and an Lb-term series.
+
+    All La + Lb - 1 coefficients, through transforms of length
+    K = _fft_len(La + Lb - 1).
+    """
+    a, b = _as_series(a), _as_series(b)
+    if a.shape[2] != b.shape[1]:
+        raise DimensionMismatch(
+            f"cannot multiply {a.shape[1:]} by {b.shape[1:]} coefficients")
+    L = len(a) + len(b) - 1
+    K = _fft_len(L)
+    fa = np.fft.fft(a, K, axis=0)
+    fb = np.fft.fft(b, K, axis=0)
+    return np.fft.ifft(fa @ fb, axis=0)[:L]
 
 
 def mul(a, b) -> np.ndarray:
     """Truncated product c_k = sum_(j<=k) a_j b_(k-j), to the shorter length."""
     a, b = _as_series(a), _as_series(b)
-    if a.shape[2] != b.shape[1]:
-        raise DimensionMismatch(
-            f"cannot multiply {a.shape[1:]} by {b.shape[1:]} coefficients")
     L = min(len(a), len(b))
-    K = _fft_len(L)
-    fa = np.fft.fft(a[:L], K, axis=0)
-    fb = np.fft.fft(b[:L], K, axis=0)
-    return np.fft.ifft(fa @ fb, axis=0)[:L]
+    return convolve(a[:L], b[:L])[:L]
 
 
 def correlate(a) -> np.ndarray:
@@ -66,7 +79,7 @@ def correlate(a) -> np.ndarray:
     product, r = ifft(fft(a)* fft(a)), with no wrap-around at K >= 2L - 1.
     """
     a = _as_series(a)
-    fa = np.fft.fft(a, _fft_len(len(a)), axis=0)
+    fa = np.fft.fft(a, _fft_len(2 * len(a) - 1), axis=0)
     return np.fft.ifft(fa.conj().transpose(0, 2, 1) @ fa, axis=0)[:len(a)]
 
 

@@ -244,3 +244,17 @@ def test_non_finite_or_nonpositive_tolerance_is_a_one_line_usage_error(capsys, a
     assert out.out == ""
     assert len(out.err.strip().splitlines()) == 1
     assert out.err.startswith("error: --tol-")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--cmd", "gen", "--seed", "-1"),
+    ("--cmd", "modelspace", "--seed", "-5"),
+    ("--cmd", "selftest", "--seed", "-300"),
+])
+def test_negative_seed_is_a_one_line_usage_error(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert out.out == ""
+    assert len(out.err.strip().splitlines()) == 1
+    assert out.err.startswith("error: --seed")
+    assert "Traceback" not in out.err

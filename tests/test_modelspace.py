@@ -8,8 +8,9 @@ from _support import (analytic_toeplitz, coeff_diff, shift_and_embed,
                       unconstrained_problem)
 from liftkit.errors import (DegreeTooSmall, DimensionMismatch, DomainError,
                             NotAContraction)
-from liftkit.hardy import PolyOpFn, column_operator, multiplication_operator
-from liftkit.lifting import solve_from_Z
+from liftkit import series
+from liftkit.hardy import GRID, PolyOpFn, column_operator, multiplication_operator
+from liftkit.lifting import _closed_loop, solve_from_Z
 from liftkit.modelspace import (BlaschkeFactor, InnerFn, check_decompositions,
                                 h_from_Z_theta, model_space,
                                 mult_contraction_test, pointwise_mult_check,
@@ -318,6 +319,67 @@ def test_h_from_Z_shift_theta_matches_free_interpolation():
     H1 = h_from_Z_theta(theta_shift(u), Z, N)
     H2 = solve_from_Z(unconstrained_problem(u, y), Z, N)
     assert coeff_diff(H1, H2, N) < 1e-10
+
+
+def feedback_thetas():
+    """Inner functions for the colligation and feedback tests: bp_product
+    with 0, 1 and 3 factors (one of them at a = 0), the plain shift, and a
+    power >= 2 with E < U."""
+    rng = np.random.default_rng(70)
+    V0 = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    facs = (BlaschkeFactor(a=0.0, w=np.array([1.0, 1j, 0.0])),
+            BlaschkeFactor(a=0.5 - 0.3j, w=np.array([1.0, 2.0, 3.0j])),
+            BlaschkeFactor(a=-0.4, w=np.array([0.0, 1.0, 1.0j])))
+    return [InnerFn(kind="bp_product", out_dim=2, in_dim=2, power=2),
+            bp_half(),
+            InnerFn(kind="bp_product", out_dim=3, in_dim=3, factors=facs, V0=V0),
+            theta_shift(2),
+            InnerFn(kind="power", out_dim=3, in_dim=2, power=3, V0=V0[:, :2])]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_inner_colligation_is_isometric_and_realizes_theta(case):
+    theta = feedback_thetas()[case]
+    col = theta.colligation()
+    assert col.state_dim == theta.power * theta.out_dim + len(theta.factors)
+    M = col.colligation()
+    assert operator_norm(M.conj().T @ M - np.eye(M.shape[1])) <= 1e-12
+    assert np.abs(col.taylor_stack(128) - theta.taylor_stack(128)).max() <= 1e-14
+    assert np.abs(col.eval_many(GRID) - theta.eval_many(GRID)).max() <= 1e-14
+
+
+def feedback_parameters(theta):
+    """Realized Z from U into Y + E: state 0, Y = 0, and a generic one."""
+    u, e = theta.out_dim, theta.in_dim
+    return [random_schur(2 + e, u, 0, seed=71, scale=0.9),
+            random_schur(e, u, 2, seed=72, scale=0.9),
+            random_schur(2 + e, u, 3, seed=73, scale=0.9)]
+
+
+@pytest.mark.parametrize("N", [4, 64, 128])
+@pytest.mark.parametrize("case", range(5))
+def test_h_from_Z_feedback_matches_the_series_path(case, N):
+    theta = feedback_thetas()[case]
+    col = theta.colligation()
+    for Z in feedback_parameters(theta):
+        got = h_from_Z_theta(theta, Z, N).taylor_stack(N)
+        want = h_from_Z_theta(theta, PolyOpFn(Z.out_dim, Z.in_dim, Z.taylor_stack(N)),
+                              N).taylor_stack(N)
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-13 * max(1.0, np.linalg.norm(want))
+        y = Z.out_dim - theta.in_dim
+        Acl = _closed_loop(Z.A, Z.B, Z.C, Z.D, y, (col.A, col.B, col.C))[0]
+        assert operator_norm(Acl) <= 1.0 + 1e-12
+
+
+def test_realized_multipliers_never_take_the_resolvent(monkeypatch):
+    def refuse(x):
+        raise AssertionError("series.resolvent called on a realized parameter")
+
+    monkeypatch.setattr(series, "resolvent", refuse)
+    theta = random_inner(74, 3, 3)
+    H = h_from_Z_theta(theta, random_schur(5, 3, 2, seed=75, scale=0.6), 64)
+    assert H.degree == 64
 
 
 # --- reverse parameterization -------------------------------------------

@@ -70,6 +70,20 @@ def test_mul_matches_double_loop(L, m, n, p):
     assert_close(series.mul(a, b), ref_mul(a, b))
 
 
+@pytest.mark.parametrize("La,Lb,m,n,p", [(9, 4, 2, 3, 2), (1, 7, 2, 2, 1),
+                                         (6, 1, 1, 1, 1), (129, 257, 2, 3, 4),
+                                         (5, 3, 0, 2, 2), (5, 3, 2, 0, 2)])
+def test_convolve_is_the_full_product_per_entry(La, Lb, m, n, p):
+    rng = np.random.default_rng(La + 10 * Lb + 1000 * m + 10000 * n + 100000 * p)
+    a, b = rand_series(rng, La, m, n), rand_series(rng, Lb, n, p)
+    want = np.zeros((La + Lb - 1, m, p), dtype=np.complex128)
+    for i in range(m):
+        for k in range(p):
+            for j in range(n):
+                want[:, i, k] += np.convolve(a[:, i, j], b[:, j, k])
+    assert_close(series.convolve(a, b), want)
+
+
 def test_mul_truncates_to_shorter_input():
     rng = np.random.default_rng(3)
     a, b = rand_series(rng, 9, 2, 2), rand_series(rng, 5, 2, 1)
