@@ -42,8 +42,16 @@ GEN_OMEGA_SCALE = 0.45
 GEN_Z_SCALE = 0.5
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose errors raise ConfigError, so that main reports
+    them as one line with exit 1, like any other malformed input."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _parse(argv):
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="liftkit",
         description="interpolation, lifting and model-space batch checks")
     ap.add_argument("--cmd", required=True,
@@ -62,12 +70,12 @@ def _parse(argv):
         ap.error("--degree must be at least 4")
     if args.seed < 0:
         # numpy's generators take only non-negative seeds
-        ap.exit(EXIT_USAGE, f"error: --seed must be non-negative, got {args.seed}\n")
+        ap.error(f"--seed must be non-negative, got {args.seed}")
     for flag, tol in (("--tol-verify", args.tol_verify),
                       ("--tol-contract", args.tol_contract)):
         # a NaN tolerance would pass every `value > tol` test
         if not (math.isfinite(tol) and tol > 0):
-            ap.exit(EXIT_USAGE, f"error: {flag} must be finite and positive, got {tol:g}\n")
+            ap.error(f"{flag} must be finite and positive, got {tol:g}")
     try:
         u, y, f = (int(x) for x in args.dims.split(","))
     except ValueError:
@@ -312,8 +320,11 @@ _DISPATCH = {"gen": _cmd_gen, "solve": _cmd_solve, "verify": _cmd_verify,
 def main(argv=None) -> int:
     try:
         args = _parse(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    except SystemExit:
+        return EXIT_OK  # after --help; usage errors raise ConfigError
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         payload_in = _load_input(args.inp) if args.inp is not None else None
         payload, code = _DISPATCH[args.cmd](args, payload_in)

@@ -1,24 +1,26 @@
 """Model spaces of inner functions and contractive multiplication maps.
 
 For an inner function Theta with Theta(0) = 0 the model space is
-H = H^2(U) - Theta H^2(E) (orthogonal complement).  For
-Theta = lambda^p B_1...B_k V0 it has the closed form
-
-    H = polys(deg < p) + lambda^p span{B_1...B_(i-1) w_i / (1 - conj(a_i) lambda)}
-        + lambda^p H^2(ker V0*),
-
-an orthogonal sum in H^2 (Ball, Gohberg and Rodman, Interpolation of
-Rational Matrix Functions, 1990); model_space truncates these columns at
-degree N and orthonormalizes them.  With Phi = Theta/lambda the space
-splits two ways,
+H = H^2(U) - Theta H^2(E) (orthogonal complement).  An InnerFn
+Theta = lambda^p B_1...B_k V0 is held as one realization: the cascade of
+a shift register for lambda^p and one unitary colligation per rank-one
+factor is unitary with rho(A) < 1, and V0 multiplies it on the right
+(Ball, Gohberg and Rodman, Interpolation of Rational Matrix Functions,
+1990).  Its coefficients, its values and its model space all come from
+that realization.  The model space of lambda^p B_1...B_k is the range of
+the observability map x -> C (I - lambda A)^-1 x (Foias, Frazho, Gohberg
+and Kaashoek, Metric Constrained Interpolation, Commutant Lifting and
+Systems, 1998), and H adds lambda^p H^2(ker V0*) to it; model_space
+truncates these columns at degree N and orthonormalizes them.  With
+Phi = Theta/lambda the space splits two ways,
 
     H = (constants U) + lambda H0   and   H = H0 + Phi (constants E),
 
-where H0 is the model space of Phi; both splittings are checked by
-check_decompositions.  A function H is a contractive multiplier from H
-into H^2(Y) exactly when H(lambda) = P_Y Z(lambda)
-(I - Theta(lambda) P_E Z(lambda))^-1 for a Schur-class Z from U into
-Y + E; h_from_Z_theta closes a realized Z in feedback with the
+where H0 = S* H, the backward shift of H, is the model space of Phi;
+both splittings are checked by check_decompositions.  A function H is a
+contractive multiplier from H into H^2(Y) exactly when
+H(lambda) = P_Y Z(lambda) (I - Theta(lambda) P_E Z(lambda))^-1 for a
+Schur-class Z from U into Y + E; h_from_Z_theta closes a realized Z in feedback with the
 isometric colligation of Theta (InnerFn.colligation), or runs the Taylor
 recursion on a Z known only by its coefficients (both well posed because
 Theta(0) = 0), and z_from_H_theta reverses it by posing the
@@ -33,6 +35,7 @@ finite-dimensional model spaces and exact truncation bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -46,19 +49,23 @@ from .lifting import (CHECK_TOL, InterpolationProblem, _closed_loop, central_C,
                       z_from_C)
 from .linalg import (Subspace, as_operator, haar_unitary, operator_norm,
                      operator_norms, orthonormal_range, projector_gap)
-from .schur import SchurRealization, random_schur
+from .schur import SchurRealization, _transfer_values, random_schur
 
 
 @dataclass(frozen=True)
 class BlaschkeFactor:
-    """Rank-one factor (I - P) + b_a P with P the projection onto w."""
+    """Rank-one factor (I - P) + b_a P with P the projection onto w.
+
+    b_a = (|a|/a)(a - lambda)/(1 - conj(a) lambda), and b_0 = lambda.
+    """
 
     a: complex
     w: np.ndarray
 
     def __post_init__(self):
         a = complex(self.a)
-        if abs(a) >= 1.0:
+        # written so that a NaN zero fails too
+        if not abs(a) < 1.0:
             raise DomainError(f"factor zero must lie in the open disk, |a| = {abs(a):.4f}")
         w = np.asarray(self.w, dtype=np.complex128).reshape(-1)
         if not np.all(np.isfinite(w.view(np.float64))):
@@ -68,49 +75,6 @@ class BlaschkeFactor:
             raise DomainError("factor direction must be nonzero")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "w", w / nrm)
-
-    def projector(self) -> np.ndarray:
-        return np.outer(self.w, self.w.conj())
-
-    def scalar_stack(self, N: int) -> np.ndarray:
-        """Taylor coefficients 0..N of b_a (b_0 = lambda by convention)."""
-        a = self.a
-        c = np.zeros(N + 1, dtype=np.complex128)
-        if a == 0:
-            c[1:2] = 1.0
-            return c
-        c[0] = abs(a)
-        c[1:] = -(abs(a) / a) * (1.0 - abs(a) ** 2) * np.conj(a) ** np.arange(N)
-        return c
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """Coefficients of B X for an (L, u, m) series X, truncated at L.
-
-        B = I + (b_a - 1) P with P = w w*, so B X = X + w ((b_a - 1)(w* X))
-        and the product needs only m scalar convolutions.
-        """
-        L = X.shape[0]
-        c = self.scalar_stack(L - 1)
-        c[0] -= 1.0
-        s = self.w.conj() @ X
-        t = np.zeros_like(s)
-        for j in range(s.shape[1]):
-            t[:, j] = np.convolve(c, s[:, j])[:L]
-        return X + self.w[:, None] * t[:, None, :]
-
-    def kernel_stack(self, N: int) -> np.ndarray:
-        """Coefficients 0..N of w / (1 - conj(a) lambda), an (N+1, u) stack."""
-        powers = np.zeros(N + 1, dtype=np.complex128)
-        powers[0] = 1.0
-        if self.a != 0:
-            powers[1:] = np.conj(self.a) ** np.arange(1, N + 1)
-        return powers[:, None] * self.w
-
-    def eval_scalar(self, lam: complex) -> complex:
-        a = self.a
-        if a == 0:
-            return complex(lam)
-        return (abs(a) / a) * (a - lam) / (1.0 - np.conj(a) * lam)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,89 +119,57 @@ class InnerFn:
         """Blaschke degree: pole count governing dim of the model space."""
         return self.power + len(self.factors)
 
-    def taylor_stack(self, N: int) -> np.ndarray:
-        """Exact Taylor coefficients 0..N as an (N+1, out, in) stack.
+    @cached_property
+    def _realization(self) -> tuple[np.ndarray, ...]:
+        """(A, B, C, D) of Theta, with state power * out_dim + len(factors).
 
-        B_1 (B_2 (... B_k V0)), each rank-one factor applied exactly by
-        BlaschkeFactor.apply, then shifted by lambda^power.
+        lambda^power I_U is a shift register of power blocks, and C reads
+        its last block.  The factor with zero a and s = sqrt(1 - |a|^2)
+        has the unitary colligation
+
+            A = conj(a),  B = s w*,  C = c s w,  D = I - (1 - |a|) w w*,
+
+        with c = -|a|/a, and c = 1 for a = 0, where b_0 = lambda.  Each
+        factor is cascaded on the right of the product so far: its state
+        is appended and reads the signal through its B, while the earlier
+        states read its output, so A gains the column B_prev C_f and
+        B_prev becomes B_prev D_f.  The shift register has D = 0, so D
+        and C never change.  Each step is a unitary acting on its own
+        state and the signal, so the cascade of lambda^power B_1...B_k is
+        unitary, with rho(A) = max |a| < 1.  V0 multiplies B and D on the
+        right; it is an isometry, so the colligation of Theta is one.
         """
-        u, e, p = self.out_dim, self.in_dim, self.power
-        out = np.zeros((N + 1, u, e), dtype=np.complex128)
-        if p <= N:
-            prod = np.zeros((N + 1 - p, u, e), dtype=np.complex128)
-            prod[0] = self.V0
-            for fac in reversed(self.factors):
-                prod = fac.apply(prod)
-            out[p:] = prod
-        return out
+        u, m = self.out_dim, self.power * self.out_dim
+        n = m + len(self.factors)
+        A = np.zeros((n, n), dtype=np.complex128)
+        A[:m, :m] = np.eye(m, k=-u)
+        B = np.eye(n, u, dtype=np.complex128)
+        C = np.eye(u, n, k=m - u, dtype=np.complex128)
+        for j, fac in enumerate(self.factors, m):
+            a, w = fac.a, fac.w
+            r = abs(a)
+            s = np.sqrt(1.0 - r * r)
+            Bw = B[:j] @ w
+            A[:j, j] = (-r / a if a != 0 else 1.0) * s * Bw
+            A[j, j] = np.conj(a)
+            B[:j] -= (1.0 - r) * np.outer(Bw, w.conj())
+            B[j] = s * w.conj()
+        return A, B @ self.V0, C, np.zeros((u, self.in_dim), dtype=np.complex128)
+
+    def colligation(self) -> SchurRealization:
+        """Isometric colligation of Theta (see _realization)."""
+        return SchurRealization(*self._realization)
+
+    def taylor_stack(self, N: int) -> np.ndarray:
+        """Exact Taylor coefficients 0..N as an (N+1, out, in) stack."""
+        return series.realization_stack(*self._realization, N)
 
     def coeff(self, n: int) -> np.ndarray:
         return self.taylor_stack(n)[n]
 
-    def colligation(self) -> SchurRealization:
-        """Isometric colligation of Theta, with state power * out_dim + len(factors).
-
-        lambda^power I_U is a shift register of power blocks.  The factor
-        with zero a and s = sqrt(1 - |a|^2) has the unitary colligation
-
-            A = conj(a),  B = s w*,  C = c s w,  D = I - (1 - |a|) w w*,
-
-        with c = -|a|/a, and c = 1 for a = 0, where b_0 = lambda.  The
-        factors are cascaded left to right, each colligation a unitary
-        acting on its own state and the signal, and V0 multiplies on the
-        right; V0 is an isometry, so the product is one.
-        """
-        u, n = self.out_dim, self.power * self.out_dim
-        A = np.eye(n, k=-u, dtype=np.complex128)
-        B = np.eye(n, u, dtype=np.complex128)
-        C = np.eye(u, n, k=n - u, dtype=np.complex128)
-        D = np.zeros((u, u), dtype=np.complex128)
-        for fac in self.factors:
-            a, w = fac.a, fac.w[:, None]
-            r = abs(a)
-            s = np.sqrt(1.0 - r * r)
-            Bf = s * w.conj().T
-            Cf = (-r / a if a != 0 else 1.0) * s * w
-            Df = np.eye(u) - (1.0 - r) * (w @ w.conj().T)
-            # the cascade of (A, B, C, D) with the factor on its right
-            corner = np.full((1, 1), np.conj(a))
-            A = np.block([[A, B @ Cf], [np.zeros((1, len(A))), corner]])
-            B = np.vstack([B @ Df, Bf])
-            C = np.hstack([C, D @ Cf])
-            D = D @ Df
-        return SchurRealization(A, B @ self.V0, C, D @ self.V0)
-
     def phi_poly(self, N: int) -> PolyOpFn:
         """Taylor polynomial of Phi = Theta / lambda to degree N."""
         return PolyOpFn(self.out_dim, self.in_dim, self.taylor_stack(N + 1)[1:])
-
-    def model_columns(self, p: int, N: int) -> np.ndarray:
-        """Spanning columns of the model space of lambda^p B_1...B_k V0.
-
-        Returns the (N+1)u x (pu + k + (N+1-p)(u-e)) stacked coefficient
-        matrix of the orthogonal summands polys(deg < p),
-        lambda^p B_1...B_(i-1) w_i / (1 - conj(a_i) lambda) and
-        lambda^p ker V0*, truncated at degree N.  p = power gives the
-        model space of Theta, p = power - 1 that of Theta / lambda.
-        """
-        u, e, k = self.out_dim, self.in_dim, len(self.factors)
-        L = N + 1 - p
-        cols = np.zeros((N + 1, u, p * u + k + L * (u - e)), dtype=np.complex128)
-        for n in range(p):
-            cols[n, :, n * u:(n + 1) * u] = np.eye(u)
-        if k:
-            # column i is B_1...B_(i-1) w_i k_(a_i): apply each factor
-            # B_j to the columns after j, innermost factor first
-            fk = np.stack([fac.kernel_stack(L - 1) for fac in self.factors], axis=2)
-            for j in range(k - 2, -1, -1):
-                fk[:, :, j + 1:] = self.factors[j].apply(fk[:, :, j + 1:])
-            cols[p:, :, p * u:p * u + k] = fk
-        if u > e:
-            K = np.linalg.qr(self.V0, mode="complete")[0][:, e:]
-            for n in range(L):
-                c0 = p * u + k + n * (u - e)
-                cols[p + n, :, c0:c0 + u - e] = K
-        return cols.reshape((N + 1) * u, -1)
 
     def eval_many(self, points) -> np.ndarray:
         """Exact rational evaluation at each point; the closed disk is allowed."""
@@ -245,13 +177,7 @@ class InnerFn:
         bad = np.flatnonzero(np.abs(z) > 1.0 + 1e-12)
         if bad.size:
             raise DomainError(f"|lambda| = {abs(z[bad[0]]):.6f} exceeds 1")
-        u = self.out_dim
-        acc = np.broadcast_to(np.eye(u, dtype=np.complex128), (z.size, u, u))
-        for fac in self.factors:
-            P = fac.projector()
-            b = z if fac.a == 0 else fac.eval_scalar(z)
-            acc = acc @ (np.eye(u) - P + b[:, None, None] * P)
-        return (z ** self.power)[:, None, None] * (acc @ self.V0)
+        return _transfer_values(*self._realization, z)
 
     def eval(self, lam: complex) -> np.ndarray:
         """Exact rational evaluation; the closed disk is allowed."""
@@ -292,24 +218,42 @@ class PointwiseMultReport(NamedTuple):
 
 
 def model_space(theta: InnerFn, N: int) -> ModelSpace:
-    """Orthonormal bases of H and H0 from the closed-form columns.
+    """Orthonormal bases of H and H0 from the observability map of Theta.
 
-    The columns of InnerFn.model_columns are orthogonal in H^2, so one QR
-    of their degree-N truncation gives each basis with no rank decision.
-    N must be at least 2*degree_bound + 4; the truncation drops
-    coefficients of size |a|^N, which the decomposition residuals see
-    only squared.
+    The cascade of lambda^power B_1...B_k is unitary with rho(A) < 1, so
+    x -> C (I - lambda A)^-1 x, with coefficients C A^j, maps the state
+    space isometrically onto its model space; lambda^power ker V0*
+    completes that to H.  H0 = S* H is the range of
+    x -> C A (I - lambda A)^-1 x, which vanishes on the last block of the
+    shift register (the constants) and is isometric on the other states,
+    since A*A + C*C = I and C reads only that block; lambda^(power-1)
+    ker V0* completes it.  Truncated at degree N, the columns C A^j have
+    the Gramian I - (A*)^(N+1) A^(N+1), so one QR gives each basis with
+    no rank decision.  N must be at least 2*degree_bound + 4; the
+    truncation drops coefficients of size |a|^N, which the decomposition
+    residuals see only squared.
     """
     need = 2 * theta.degree_bound + 4
     if N < need:
         raise DegreeTooSmall(f"truncation degree {N} < {need}")
-    amb = (N + 1) * theta.out_dim
+    u, e, p = theta.out_dim, theta.in_dim, theta.power
+    amb = (N + 1) * u
+    A, _, C, _ = theta._realization
+    # C (I - lambda A)^-1 = C + lambda C (I - lambda A)^-1 A: C A^j, j = 0..N+1
+    obs = series.realization_stack(A, A, C, C, N + 1)
 
-    def basis(p: int) -> Subspace:
-        return Subspace(amb, np.linalg.qr(theta.model_columns(p, N))[0])
+    def basis(cols: np.ndarray, q: int) -> Subspace:
+        """One QR of the (N+1, u, m) columns and lambda^q ker V0*."""
+        cols = cols.reshape(amb, -1)
+        if u > e:
+            # a basis of ker V0* in each degree q..N
+            ker = np.linalg.qr(theta.V0, mode="complete")[0][:, e:]
+            cols = np.hstack([cols, np.kron(np.eye(N + 1, N + 1 - q, k=-q), ker)])
+        return Subspace(amb, np.linalg.qr(cols)[0])
 
-    return ModelSpace(N=N, U_dim=theta.out_dim, basis=basis(theta.power),
-                      H0_basis=basis(theta.power - 1))
+    h0 = np.delete(obs[1:], np.s_[(p - 1) * u:p * u], axis=2)
+    return ModelSpace(N=N, U_dim=u, basis=basis(obs[:N + 1], p),
+                      H0_basis=basis(h0, p - 1))
 
 
 def check_decompositions(theta: InnerFn, ms: ModelSpace) -> DecompositionReport:

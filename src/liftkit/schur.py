@@ -68,14 +68,7 @@ class SchurRealization:
 
     def eval_many(self, points) -> np.ndarray:
         """Z at points of the open disk, one batched solve, as a (P, out, in) stack."""
-        z = disk_points(points)
-        n = self.state_dim
-        if n == 0:
-            return np.repeat(self.D[None], z.size, axis=0)
-        z3 = z[:, None, None]
-        res = np.linalg.solve(np.eye(n) - z3 * self.A,
-                              np.broadcast_to(self.B, (z.size,) + self.B.shape))
-        return self.D + z3 * (self.C @ res)
+        return _transfer_values(self.A, self.B, self.C, self.D, disk_points(points))
 
     def eval(self, lam: complex) -> np.ndarray:
         """Z(lambda) = D + lambda C (I - lambda A)^-1 B on the open disk."""
@@ -84,6 +77,16 @@ class SchurRealization:
     def taylor_stack(self, N: int) -> np.ndarray:
         """Coefficients 0..N as an (N+1, out, in) stack: D, then C A^(k-1) B."""
         return series.realization_stack(self.A, self.B, self.C, self.D, N)
+
+
+def _transfer_values(A, B, C, D, z: np.ndarray) -> np.ndarray:
+    """D + z C (I - z A)^-1 B at each point of the vector z, one batched solve."""
+    n = A.shape[0]
+    if n == 0:
+        return np.repeat(D[None], z.size, axis=0)
+    z3 = z[:, None, None]
+    res = np.linalg.solve(np.eye(n) - z3 * A, np.broadcast_to(B, (z.size,) + B.shape))
+    return D + z3 * (C @ res)
 
 
 def random_schur(out_dim: int, in_dim: int, state_dim: int, seed: int,

@@ -18,7 +18,6 @@ from .errors import ConfigError, DimensionMismatch
 from .hardy import PolyOpFn
 from .lifting import InterpolationProblem
 from .linalg import Subspace, as_operator
-from .modelspace import BlaschkeFactor, InnerFn
 from .rcl import RclDataSet
 from .schur import SchurRealization
 
@@ -141,40 +140,6 @@ def dataset_to_json(ds: RclDataSet) -> dict:
 def dataset_from_json(d: dict, path: str = "dataset") -> RclDataSet:
     return _build(path, RclDataSet,
                   *_matrices(d, ("A", "Tprime", "R", "Q"), path))
-
-
-def inner_to_json(t: InnerFn) -> dict:
-    if t.kind == "power":
-        return {"kind": "power", "N": t.power, "V0": matrix_to_json(t.V0)}
-    if t.power != 1:
-        raise ConfigError("bp_product serialization assumes a single leading shift")
-    return {"kind": "bp_product",
-            "factors": [{"a": [float(f.a.real), float(f.a.imag)],
-                         "w": matrix_to_json(f.w.reshape(-1, 1))}
-                        for f in t.factors],
-            "V0": matrix_to_json(t.V0)}
-
-
-def inner_from_json(d: dict) -> InnerFn:
-    path = "inner"
-    V0 = matrix_from_json(field(d, "V0", path), _at(path, "V0"))
-    kind = d.get("kind")
-    if kind == "power":
-        return _build(path, InnerFn, kind="power", out_dim=V0.shape[0],
-                      in_dim=V0.shape[1], power=_int(d, "N", path), V0=V0)
-    if kind == "bp_product":
-        facs = []
-        for n, f in enumerate(_list(d, "factors", path)):
-            fp = f"{path}.factors[{n}]"
-            try:
-                re, im = (float(x) for x in field(f, "a", fp))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{fp}.a: expected [re, im]") from exc
-            w = matrix_from_json(field(f, "w", fp), f"{fp}.w").ravel()
-            facs.append(BlaschkeFactor(a=complex(re, im), w=w))
-        return _build(path, InnerFn, kind="bp_product", out_dim=V0.shape[0],
-                      in_dim=V0.shape[1], factors=tuple(facs), V0=V0)
-    raise ConfigError(f"unknown inner-function kind {kind!r}")
 
 
 # element types of the lists that dumps hands to the C encoder whole

@@ -74,3 +74,65 @@ def dense_tail_rows(H, N: int) -> np.ndarray:
     rows = [S[m - N:m + 1][::-1].transpose(1, 0, 2).reshape(out, (N + 1) * inn)
             for m in range(N + 1, N + H.degree + 1)]
     return np.vstack(rows) if rows else np.zeros((0, (N + 1) * inn))
+
+
+def blaschke_scalar_stack(a: complex, N: int) -> np.ndarray:
+    """Taylor coefficients 0..N of b_a = (|a|/a)(a - lambda)/(1 - conj(a) lambda).
+
+    b_0 = lambda by convention; otherwise b_a(0) = |a| and the degree-n
+    coefficient is -(|a|/a)(1 - |a|^2) conj(a)^(n-1).
+    """
+    c = np.zeros(N + 1, dtype=np.complex128)
+    if a == 0:
+        c[1:2] = 1.0
+        return c
+    c[0] = abs(a)
+    c[1:] = -(abs(a) / a) * (1.0 - abs(a) ** 2) * np.conj(a) ** np.arange(N)
+    return c
+
+
+def blaschke_value(a: complex, z):
+    """b_a at each point of z."""
+    if a == 0:
+        return z
+    return (abs(a) / a) * (a - z) / (1.0 - np.conj(a) * z)
+
+
+def inner_taylor_oracle(theta, N: int) -> np.ndarray:
+    """Coefficients 0..N of lambda^power B_1...B_k V0 from the factor series.
+
+    The oracle of InnerFn.taylor_stack: each factor B = I + (b_a - 1) w w*
+    acts on a truncated series X as X + w ((b_a - 1) * (w* X)), one
+    np.convolve per column, innermost factor first; lambda^power then
+    shifts the product.
+    """
+    u, e, p = theta.out_dim, theta.in_dim, theta.power
+    out = np.zeros((N + 1, u, e), dtype=np.complex128)
+    L = N + 1 - p
+    if L <= 0:
+        return out
+    X = np.zeros((L, u, e), dtype=np.complex128)
+    X[0] = theta.V0
+    for f in reversed(theta.factors):
+        c = blaschke_scalar_stack(f.a, L - 1)
+        c[0] -= 1.0
+        s = f.w.conj() @ X
+        t = np.stack([np.convolve(c, s[:, j])[:L] for j in range(e)], axis=1)
+        X = X + f.w[:, None] * t[:, None, :]
+    out[p:] = X
+    return out
+
+
+def inner_values_oracle(theta, points) -> np.ndarray:
+    """lambda^power B_1(lambda)...B_k(lambda) V0 at each point, a (P, out, in) stack.
+
+    The oracle of InnerFn.eval_many: each factor is the projector form
+    (I - w w*) + b_a(lambda) w w*.
+    """
+    z = np.asarray(points, dtype=np.complex128).reshape(-1)
+    u = theta.out_dim
+    acc = np.broadcast_to(np.eye(u, dtype=np.complex128), (z.size, u, u))
+    for f in theta.factors:
+        P = np.outer(f.w, f.w.conj())
+        acc = acc @ (np.eye(u) - P + blaschke_value(f.a, z)[:, None, None] * P)
+    return (z ** theta.power)[:, None, None] * (acc @ theta.V0)

@@ -76,6 +76,11 @@ def test_every_exported_name_resolves():
     (liftkit, "is_contraction"), (liftkit, "herglotz_eval"),
     (importlib.import_module("liftkit.hardy"), "analytic_toeplitz"),
     (liftkit, "analytic_toeplitz"),
+    (BlaschkeFactor, "projector"), (BlaschkeFactor, "scalar_stack"),
+    (BlaschkeFactor, "apply"), (BlaschkeFactor, "kernel_stack"),
+    (BlaschkeFactor, "eval_scalar"), (InnerFn, "model_columns"),
+    (importlib.import_module("liftkit.serialize"), "inner_to_json"),
+    (importlib.import_module("liftkit.serialize"), "inner_from_json"),
 ])
 def test_removed_aliases_are_gone(owner, name):
     assert not hasattr(owner, name)

@@ -18,18 +18,40 @@ def run(capsys, *argv):
     return code, capsys.readouterr()
 
 
+def one_line_usage_error(capsys, *argv) -> str:
+    """stderr of a run that must exit 1 with one error line and no usage text."""
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert out.out == ""
+    assert len(out.err.strip().splitlines()) == 1
+    assert out.err.startswith("error: ")
+    assert "usage:" not in out.err
+    return out.err
+
+
 def test_no_arguments_is_usage_error(capsys):
     code, _ = run(capsys, )
     assert code == 1
 
 
 def test_bad_dims_is_usage_error(capsys):
-    assert run(capsys, "--cmd", "gen", "--dims", "1,2")[0] == 1
-    assert run(capsys, "--cmd", "gen", "--dims", "1,1,2")[0] == 1
+    one_line_usage_error(capsys, "--cmd", "gen", "--dims", "1,2")
+    one_line_usage_error(capsys, "--cmd", "gen", "--dims", "1,1,2")
 
 
 def test_small_degree_is_usage_error(capsys):
-    assert run(capsys, "--cmd", "solve", "--degree", "3")[0] == 1
+    err = one_line_usage_error(capsys, "--cmd", "solve", "--degree", "3")
+    assert err == "error: --degree must be at least 4\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    ((), "the following arguments are required: --cmd"),
+    (("--cmd", "nope"), "argument --cmd: invalid choice: 'nope'"),
+    (("--cmd", "solve", "--degree", "abc"), "argument --degree: invalid int value: 'abc'"),
+    (("--cmd", "gen", "--bogus"), "unrecognized arguments: --bogus"),
+])
+def test_argparse_errors_are_one_line_usage_errors(capsys, argv, message):
+    assert message in one_line_usage_error(capsys, *argv)
 
 
 def test_gen_is_deterministic(capsys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _support import inner_values_oracle
 from liftkit.errors import DomainError, SingularResolvent
 from liftkit.hardy import AnalyticFn, PolyOpFn, column_operator, default_grid
 from liftkit.lifting import (central_C, random_constrained_z, random_problem,
@@ -49,11 +50,7 @@ def reference(name, fn, z):
         n = fn.state_dim
         return fn.D + z * fn.C @ np.linalg.solve(np.eye(n) - z * fn.A, fn.B)
     if name == "InnerFn":
-        acc = np.eye(fn.out_dim, dtype=np.complex128)
-        for f in fn.factors:
-            P = f.projector()
-            acc = acc @ (np.eye(fn.out_dim) - P + f.eval_scalar(z) * P)
-        return z ** fn.power * acc @ fn.V0
+        return inner_values_oracle(fn, [z])[0]
     return fn.eval(z)
 
 

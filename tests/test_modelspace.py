@@ -4,7 +4,8 @@ parameterization for inner functions vanishing at the origin."""
 import numpy as np
 import pytest
 
-from _support import (analytic_toeplitz, coeff_diff, shift_and_embed,
+from _support import (analytic_toeplitz, coeff_diff, inner_taylor_oracle,
+                      inner_values_oracle, shift_and_embed,
                       unconstrained_problem)
 from liftkit.errors import (DegreeTooSmall, DimensionMismatch, DomainError,
                             NotAContraction)
@@ -53,44 +54,55 @@ def test_factor_rejects_bad_zero_and_direction():
         BlaschkeFactor(a=0.3, w=np.zeros(2))
 
 
+@pytest.mark.parametrize("a", [complex("nan"), complex(0.0, float("nan")),
+                               float("inf")])
+def test_factor_rejects_non_finite_zero(a):
+    with pytest.raises(DomainError):
+        BlaschkeFactor(a=a, w=np.array([1.0]))
+
+
 def test_factor_normalizes_direction():
     f = BlaschkeFactor(a=0.2, w=np.array([3.0, 4.0]))
     assert np.allclose(f.w, [0.6, 0.8])
-    P = f.projector()
-    assert np.allclose(P @ P, P)
+
+
+def one_factor(a):
+    """The scalar inner function lambda * b_a; its coefficient n + 1 is b_a's n."""
+    return InnerFn(kind="bp_product", out_dim=1, in_dim=1,
+                   factors=(BlaschkeFactor(a=a, w=np.array([1.0])),))
 
 
 def test_factor_zero_at_origin_is_the_shift():
-    f = BlaschkeFactor(a=0.0, w=np.array([1.0]))
-    assert f.scalar_stack(0)[0] == 0.0
-    assert f.scalar_stack(1)[1] == 1.0
-    assert f.scalar_stack(2)[2] == 0.0
-    assert f.eval_scalar(0.3) == 0.3
+    th = one_factor(0.0)
+    c = th.taylor_stack(3)[1:, 0, 0]
+    assert c[0] == 0.0
+    assert c[1] == 1.0
+    assert c[2] == 0.0
+    assert th.eval(0.3)[0, 0] / 0.3 == 0.3
 
 
 def test_factor_coefficients_real_zero():
-    f = BlaschkeFactor(a=0.5, w=np.array([1.0]))
-    got = [f.scalar_stack(n)[n] for n in range(3)]
+    got = one_factor(0.5).taylor_stack(3)[1:, 0, 0]
     assert np.allclose(got, [0.5, -0.75, -0.375], atol=1e-15)
 
 
 def test_factor_coefficients_imaginary_zero():
-    f = BlaschkeFactor(a=0.4j, w=np.array([1.0]))
-    got = [f.scalar_stack(n)[n] for n in range(4)]
+    got = one_factor(0.4j).taylor_stack(4)[1:, 0, 0]
     assert np.allclose(got, [0.4, 0.84j, 0.336, -0.1344j], atol=1e-15)
 
 
 def test_factor_series_sums_to_eval():
-    f = BlaschkeFactor(a=0.5, w=np.array([1.0]))
+    th = one_factor(0.5)
     lam = 0.3 - 0.25j
-    s = sum(f.scalar_stack(n)[n] * lam ** n for n in range(80))
-    assert abs(s - f.eval_scalar(lam)) < 1e-13
+    c = th.taylor_stack(80)[1:, 0, 0]
+    s = sum(c[n] * lam ** n for n in range(80))
+    assert abs(s - th.eval(lam)[0, 0] / lam) < 1e-13
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.7, 2.1, 3.9])
 def test_factor_unimodular_on_circle(theta):
-    f = BlaschkeFactor(a=0.3 + 0.2j, w=np.array([1.0]))
-    assert abs(f.eval_scalar(np.exp(1j * theta))) == pytest.approx(1.0, abs=1e-12)
+    th = one_factor(0.3 + 0.2j)
+    assert abs(th.eval(np.exp(1j * theta))[0, 0]) == pytest.approx(1.0, abs=1e-12)
 
 
 # --- inner functions ----------------------------------------------------
@@ -207,9 +219,10 @@ RECT_V0 = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 ])
 def test_closed_form_matches_svd_oracle(theta, N):
     ms = model_space(theta, N)
-    theta_poly = PolyOpFn(theta.out_dim, theta.in_dim, theta.taylor_stack(N))
-    for got, fn in ((ms.basis.basis, theta_poly),
-                    (ms.H0_basis.basis, theta.phi_poly(N))):
+    coeffs = inner_taylor_oracle(theta, N + 1)
+    u, e = theta.out_dim, theta.in_dim
+    for got, fn in ((ms.basis.basis, PolyOpFn(u, e, coeffs[:N + 1])),
+                    (ms.H0_basis.basis, PolyOpFn(u, e, coeffs[1:]))):
         want = svd_kernel_basis(fn, N)
         assert got.shape == want.shape
         assert projector_gap(got, want) <= 1e-12
@@ -344,8 +357,11 @@ def test_inner_colligation_is_isometric_and_realizes_theta(case):
     assert col.state_dim == theta.power * theta.out_dim + len(theta.factors)
     M = col.colligation()
     assert operator_norm(M.conj().T @ M - np.eye(M.shape[1])) <= 1e-12
-    assert np.abs(col.taylor_stack(128) - theta.taylor_stack(128)).max() <= 1e-14
-    assert np.abs(col.eval_many(GRID) - theta.eval_many(GRID)).max() <= 1e-14
+    coeffs = inner_taylor_oracle(theta, 128)
+    values = inner_values_oracle(theta, GRID)
+    for fn in (col, theta):
+        assert np.abs(fn.taylor_stack(128) - coeffs).max() <= 1e-14
+        assert np.abs(fn.eval_many(GRID) - values).max() <= 1e-14
 
 
 def feedback_parameters(theta):

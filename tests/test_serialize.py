@@ -8,12 +8,10 @@ from liftkit.errors import ConfigError
 from liftkit.hardy import PolyOpFn
 from liftkit.lifting import random_constrained_z, random_problem, solve_from_Z
 from liftkit.linalg import Subspace, operator_norm
-from liftkit.modelspace import random_inner, theta_shift
 from liftkit.rcl import random_data_set
 from liftkit.schur import random_schur
 from liftkit.serialize import (SCHEMA, dataset_from_json, dataset_to_json,
-                               dumps, inner_from_json, inner_to_json, load,
-                               matrix_from_json, matrix_to_json,
+                               dumps, load, matrix_from_json, matrix_to_json,
                                poly_from_json, poly_to_json,
                                problem_from_json, problem_to_json, save,
                                schur_from_json, schur_to_json,
@@ -78,30 +76,6 @@ def test_dataset_roundtrip():
     back = dataset_from_json(dataset_to_json(ds))
     for name in ("A", "Tprime", "R", "Q"):
         assert np.array_equal(getattr(back, name), getattr(ds, name))
-
-
-def test_inner_roundtrip_power():
-    th = theta_shift(2)
-    back = inner_from_json(inner_to_json(th))
-    assert back.kind == "power" and back.power == 1
-    assert np.array_equal(back.eval(0.3), th.eval(0.3))
-
-
-def test_inner_roundtrip_bp():
-    th = random_inner(seed=8, dim=2, n_factors=2)
-    back = inner_from_json(inner_to_json(th))
-    lam = 0.4 - 0.15j
-    assert operator_norm(back.eval(lam) - th.eval(lam)) < 1e-15
-
-
-def test_inner_rejects_unsupported_shapes():
-    # products with an extra leading power are out of schema scope
-    th = random_inner(seed=8, dim=2, n_factors=1)
-    object.__setattr__(th, "power", 2)
-    with pytest.raises(ConfigError):
-        inner_to_json(th)
-    with pytest.raises(ConfigError):
-        inner_from_json({"kind": "mystery", "V0": matrix_to_json(np.eye(1))})
 
 
 def test_dumps_is_deterministic():
@@ -189,8 +163,6 @@ def _encoder_outputs():
         "problem": problem_to_json(p),
         "unconstrained problem": problem_to_json(random_problem(2, 1, 0, seed=6)),
         "dataset": dataset_to_json(random_data_set(seed=2)),
-        "power inner": inner_to_json(theta_shift(2)),
-        "bp inner": inner_to_json(random_inner(seed=8, dim=2, n_factors=2)),
     }
 
 
