@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict
 
@@ -18,11 +17,13 @@ import numpy as np
 
 from .errors import ConfigError, LiftkitError
 from .hardy import column_operator
-from .lifting import (InterpolationProblem, fiber_roundtrip_residuals,
+from .lifting import (CHECK_TOL, FIBER_GAP_TOL, RECURRENCE_TOL,
+                      InterpolationProblem, fiber_roundtrip_residuals,
                       random_constrained_z, random_problem, solve_from_Z,
                       uniqueness_certificate, verify_solution)
 from .linalg import Subspace
-from .modelspace import (check_decompositions, model_space,
+from .modelspace import (DECOMPOSITION_TOL, MULT_ROUNDTRIP_TOL,
+                         check_decompositions, model_space,
                          mult_contraction_test, multiplier_roundtrip_residual,
                          random_inner, random_multiplier)
 from .rcl import (data_set_from_omega, gamma_to_B, omega_roundtrip_residual,
@@ -63,19 +64,12 @@ def _parse(argv):
                     help="U,Y,dimF for generated problems")
     ap.add_argument("--in", dest="inp", default=None)
     ap.add_argument("--out", dest="out", default=None)
-    ap.add_argument("--tol-verify", type=float, default=1e-9)
-    ap.add_argument("--tol-contract", type=float, default=1e-8)
     args = ap.parse_args(argv)
     if args.degree < 4:
         ap.error("--degree must be at least 4")
     if args.seed < 0:
         # numpy's generators take only non-negative seeds
         ap.error(f"--seed must be non-negative, got {args.seed}")
-    for flag, tol in (("--tol-verify", args.tol_verify),
-                      ("--tol-contract", args.tol_contract)):
-        # a NaN tolerance would pass every `value > tol` test
-        if not (math.isfinite(tol) and tol > 0):
-            ap.error(f"{flag} must be finite and positive, got {tol:g}")
     try:
         u, y, f = (int(x) for x in args.dims.split(","))
     except ValueError:
@@ -89,8 +83,7 @@ def _parse(argv):
 def _envelope(args, **fields) -> dict:
     out = {"schema": SCHEMA, "command": args.cmd, "seed": args.seed,
            "degree": args.degree,
-           "tolerances": {"verify": args.tol_verify,
-                          "contract": args.tol_contract}}
+           "tolerances": {"verify": RECURRENCE_TOL, "contract": CHECK_TOL}}
     out.update(fields)
     return out
 
@@ -107,16 +100,15 @@ def _problem_and_z(args, payload_in):
     return p, Z
 
 
-def _report_failures(args, rep) -> list:
+def _exceeding(*checks) -> list:
+    """One failure message for each (name, residual, threshold) above its threshold."""
+    return [f"{name} {value:.3e} exceeds {tol:g}" for name, value, tol in checks if value > tol]
+
+
+def _report_failures(rep) -> list:
     """Threshold failures of a SolutionReport, one message each."""
-    failures = []
-    if rep.recurrence_residual > args.tol_verify:
-        failures.append(f"recurrence_residual {rep.recurrence_residual:.3e} "
-                        f"exceeds {args.tol_verify:g}")
-    if rep.partial_gram_excess > args.tol_contract:
-        failures.append(f"partial_gram_excess {rep.partial_gram_excess:.3e} "
-                        f"exceeds {args.tol_contract:g}")
-    return failures
+    return _exceeding(("recurrence_residual", rep.recurrence_residual, RECURRENCE_TOL),
+                      ("partial_gram_excess", rep.partial_gram_excess, CHECK_TOL))
 
 
 def _cmd_gen(args, payload_in):
@@ -129,9 +121,9 @@ def _cmd_gen(args, payload_in):
 def _cmd_solve(args, payload_in):
     p, Z = _problem_and_z(args, payload_in)
     N = args.degree
-    H = solve_from_Z(p, Z, N, constraint_tol=args.tol_contract)
+    H = solve_from_Z(p, Z, N)
     rep = verify_solution(p, H, N)
-    failures = _report_failures(args, rep)
+    failures = _report_failures(rep)
     out = _envelope(args, problem=problem_to_json(p), H=poly_to_json(H),
                     report=asdict(rep), ok=not failures,
                     failures=failures)
@@ -144,30 +136,27 @@ def _cmd_verify(args, payload_in):
     p = problem_from_json(field(payload_in, "problem"), "problem")
     H = poly_from_json(field(payload_in, "H"), "H")
     rep = verify_solution(p, H, H.degree)
-    failures = _report_failures(args, rep)
-    out = _envelope(args, report=asdict(rep), ok=not failures,
-                    failures=failures)
+    failures = _report_failures(rep)
+    out = _envelope(args, degree=rep.degree, report=asdict(rep),
+                    ok=not failures, failures=failures)
     return out, EXIT_OK if not failures else EXIT_VERIFY
 
 
 def _cmd_fiber(args, payload_in):
     p, Z = _problem_and_z(args, payload_in)
-    diff, constraint, w0 = fiber_roundtrip_residuals(p, Z, args.degree,
-                                                     args.tol_contract)
-    failures = []
-    if diff > 1e-7:
-        failures.append(f"fiber roundtrip residual {diff:.3e} exceeds 1e-07")
+    diff, constraint, w0 = fiber_roundtrip_residuals(p, Z, args.degree)
+    failures = _exceeding(("fiber roundtrip residual", diff, FIBER_GAP_TOL))
     out = _envelope(args, roundtrip_residual=diff,
                     constraint_residual=constraint, w0_residual=w0,
                     ok=not failures, failures=failures)
     return out, EXIT_OK if not failures else EXIT_VERIFY
 
 
-def _rcl_report(ds, z_seed: int, N: int, constraint_tol: float):
+def _rcl_report(ds, z_seed: int, N: int):
     """Induced problem -> seeded Z -> solve -> gamma_to_B -> verify_rcl."""
     p = underlying_contraction(ds)
     Z = random_constrained_z(p, 2, z_seed, scale=GEN_Z_SCALE)
-    H = solve_from_Z(p, Z, N, constraint_tol=constraint_tol)
+    H = solve_from_Z(p, Z, N)
     return verify_rcl(ds, gamma_to_B(ds, column_operator(H, N), N), N)
 
 
@@ -181,13 +170,11 @@ def _cmd_rcl(args, payload_in):
     failures = [] if valid else ["data set constraints violated"]
     fields = {"dataset": dataset_to_json(ds), "valid": valid}
     if valid:
-        rep = _rcl_report(ds, args.seed + 2, N, args.tol_contract)
+        rep = _rcl_report(ds, args.seed + 2, N)
         fields["projection_residual"] = rep.projection_residual
         fields["intertwining_residual"] = rep.intertwining_residual
-        if not rep.ok(args.tol_contract):
-            failures.append(
-                f"lifting residuals ({rep.projection_residual:.3e}, "
-                f"{rep.intertwining_residual:.3e}) exceed {args.tol_contract:g}")
+        failures += _exceeding(("projection_residual", rep.projection_residual, CHECK_TOL),
+                               ("intertwining_residual", rep.intertwining_residual, CHECK_TOL))
     out = _envelope(args, ok=not failures, failures=failures, **fields)
     return out, EXIT_OK if not failures else EXIT_VERIFY
 
@@ -210,15 +197,11 @@ def _cmd_modelspace(args, payload_in):
     del payload_in
     ms, dec, Hf, diff = _modelspace_roundtrip(args.seed, args.seed + 3, args.degree)
     mb = mult_contraction_test(Hf, ms)
-    failures = []
-    if not dec.ok(args.tol_verify * 10):
-        failures.append(f"decomposition residuals {max(dec):.3e} exceed "
-                        f"{args.tol_verify * 10:g}")
+    failures = _exceeding(("largest decomposition residual", max(dec), DECOMPOSITION_TOL),
+                          ("multiplier roundtrip residual", diff, MULT_ROUNDTRIP_TOL))
     if not mb.contractive:
         failures.append(f"multiplication norm {mb.norm:.6f} exceeds 1")
-    if diff > 1e-6:
-        failures.append(f"multiplier roundtrip residual {diff:.3e} exceeds 1e-06")
-    out = _envelope(args, model_dim=ms.basis.dim, h0_dim=ms.H0_basis.dim,
+    out = _envelope(args, degree=ms.N, model_dim=ms.basis.dim, h0_dim=ms.H0_basis.dim,
                     decomposition_residuals=list(map(float, dec[:4])),
                     mult_norm=mb.norm, roundtrip_residual=diff,
                     ok=not failures, failures=failures)
@@ -229,7 +212,7 @@ def _suite_scalar_fixture(seed: int, N: int):
     p = InterpolationProblem(U_dim=1, Y_dim=1, F=Subspace(1, np.eye(1)),
                              omega1=np.array([[0.6]]), omega2=np.array([[0.8]]))
     H = solve_from_Z(p, random_constrained_z(p, 2, seed), N)
-    return (abs(H.coeff(n)[0, 0] - 0.6 * 0.8 ** n) for n in range(N + 1))
+    return ((abs(H.coeff(n)[0, 0] - 0.6 * 0.8 ** n),) for n in range(N + 1))
 
 
 def _suite_solve_verify(seed: int, N: int):
@@ -237,7 +220,7 @@ def _suite_solve_verify(seed: int, N: int):
         p = random_problem(2, 2, 1, seed + 10 + k, scale=0.9)
         Z = random_constrained_z(p, 2, seed + 40 + k)
         rep = verify_solution(p, solve_from_Z(p, Z, N), N)
-        yield from (rep.recurrence_residual, rep.partial_gram_excess)
+        yield rep.recurrence_residual, rep.partial_gram_excess
 
 
 def _suite_fiber_roundtrip(seed: int, N: int):
@@ -246,42 +229,45 @@ def _suite_fiber_roundtrip(seed: int, N: int):
     for k in range(3):
         p = random_problem(2, 2, 1, seed + 70 + k, scale=GEN_OMEGA_SCALE)
         Z = random_constrained_z(p, 2, seed + 80 + k, scale=GEN_Z_SCALE)
-        yield fiber_roundtrip_residuals(p, Z, max(N, 24))[0]
+        yield fiber_roundtrip_residuals(p, Z, max(N, 24))[:1]
 
 
 def _suite_omega_roundtrip(seed: int, N: int):
     for k in range(5):
-        yield omega_roundtrip_residual(
-            random_problem(3, 2, 2, seed + 100 + k, scale=0.9))
+        yield (omega_roundtrip_residual(
+            random_problem(3, 2, 2, seed + 100 + k, scale=0.9)),)
 
 
 def _suite_rcl_equivalence(seed: int, N: int):
     for k in range(3):
-        rep = _rcl_report(random_data_set(seed + 130 + k), seed + 160 + k, N, 1e-8)
-        yield from (rep.projection_residual, rep.intertwining_residual)
+        rep = _rcl_report(random_data_set(seed + 130 + k), seed + 160 + k, N)
+        yield (max(rep.projection_residual, rep.intertwining_residual),)
 
 
 def _suite_modelspace_roundtrip(seed: int, N: int):
     for k in range(2):
         _, dec, _, diff = _modelspace_roundtrip(seed + 200 + k, seed + 230 + k, N)
-        yield from (max(dec) * 0.1, diff)
+        yield max(dec), diff
 
 
 def _suite_tilde_validates(seed: int, N: int):
     ds = data_set_from_omega(random_problem(2, 2, 1, seed + 300))
-    return [0.0 if validate_data_set(ds) else 1.0]
+    return [(0.0 if validate_data_set(ds) else 1.0,)]
 
 
-# (name, tolerance, suite) in report order.  A suite maps (seed, degree)
-# to its residuals and passes when the largest is at most the tolerance.
+# (suite, its checks as (name, tolerance)) in report order.  A suite maps
+# (seed, degree) to rows of residuals, one entry per check, and a check
+# passes when its largest residual is at most its tolerance.
 _SELFTEST = (
-    ("scalar_fixture", 1e-12, _suite_scalar_fixture),
-    ("solve_verify", 1e-9, _suite_solve_verify),
-    ("fiber_roundtrip", 1e-7, _suite_fiber_roundtrip),
-    ("omega_roundtrip", 1e-10, _suite_omega_roundtrip),
-    ("rcl_equivalence", 1e-8, _suite_rcl_equivalence),
-    ("modelspace_roundtrip", 1e-6, _suite_modelspace_roundtrip),
-    ("tilde_validates", 0.5, _suite_tilde_validates),
+    (_suite_scalar_fixture, (("scalar_fixture", 1e-12),)),
+    (_suite_solve_verify, (("solve_recurrence", RECURRENCE_TOL),
+                           ("solve_gram_excess", CHECK_TOL))),
+    (_suite_fiber_roundtrip, (("fiber_roundtrip", FIBER_GAP_TOL),)),
+    (_suite_omega_roundtrip, (("omega_roundtrip", 1e-10),)),
+    (_suite_rcl_equivalence, (("rcl_equivalence", CHECK_TOL),)),
+    (_suite_modelspace_roundtrip, (("modelspace_decomposition", DECOMPOSITION_TOL),
+                                   ("modelspace_roundtrip", MULT_ROUNDTRIP_TOL))),
+    (_suite_tilde_validates, (("tilde_validates", 0.5),)),
 )
 
 
@@ -289,13 +275,13 @@ def _cmd_selftest(args, payload_in):
     del payload_in
     suites = {}
     failures = []
-    for name, tol, suite in _SELFTEST:
-        value = max(suite(args.seed, args.degree))
-        ok = value <= tol
-        suites[name] = {"max_residual": float(value), "tol": tol,
-                        "pass": bool(ok)}
-        if not ok:
-            failures.append(f"{name} {value:.3e} exceeds {tol:g}")
+    for suite, checks in _SELFTEST:
+        columns = zip(*suite(args.seed, args.degree))
+        for (name, tol), column in zip(checks, columns):
+            value = max(column)
+            suites[name] = {"max_residual": float(value), "tol": tol,
+                            "pass": bool(value <= tol)}
+            failures += _exceeding((name, value, tol))
     out = _envelope(args, suites=suites, ok=not failures, failures=failures)
     return out, EXIT_OK if not failures else EXIT_VERIFY
 

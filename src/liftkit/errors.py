@@ -25,6 +25,10 @@ class NotASolution(LiftkitError):
     """Candidate operator does not solve the interpolation problem."""
 
 
+class NonFiniteResult(LiftkitError):
+    """A computation on finite input overflowed to inf or NaN."""
+
+
 class SingularResolvent(LiftkitError):
     """A resolvent-type inverse is numerically singular."""
 

@@ -34,8 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import series
-from .errors import (ConstraintViolated, DimensionMismatch, NotAContraction,
-                     NotASolution, SingularResolvent, WNotNormalizedAtZero)
+from .errors import (ConstraintViolated, DimensionMismatch, NonFiniteResult,
+                     NotAContraction, NotASolution, SingularResolvent,
+                     WNotNormalizedAtZero)
 from .hardy import GRID, AnalyticFn, PolyOpFn, column_operator
 from .linalg import (Subspace, as_operator, defect, operator_norm,
                      operator_norms, orthonormal_range)
@@ -44,9 +45,12 @@ from .schur import (SchurRealization, _complete, _completion_frame,
 
 W_ZERO_TOL = 1e-8
 W_COND_MAX = 1e10
-# contraction slack and residual tolerance of the checks on a solution
-# column, its extracted Omega, fiber members and multipliers
+# contraction slack and residual tolerance of the checks on a solution column
+# and its Gram, its Omega, a parameter's grid constraint, fiber members and multipliers
 CHECK_TOL = 1e-8
+# thresholds of a solution's recurrence residual and of the fiber roundtrip gap
+RECURRENCE_TOL = 1e-9
+FIBER_GAP_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -86,30 +90,27 @@ class SolutionReport:
     degree: int
 
     def ok(self) -> bool:
-        return self.recurrence_residual <= 1e-9 and self.partial_gram_excess <= 1e-8
+        return (self.recurrence_residual <= RECURRENCE_TOL
+                and self.partial_gram_excess <= CHECK_TOL)
 
 
-def solve_from_Z(p: InterpolationProblem, Z, N: int,
-                 constraint_tol: float = 1e-8) -> PolyOpFn:
+def solve_from_Z(p: InterpolationProblem, Z, N: int) -> PolyOpFn:
     """Taylor coefficients H_0..H_N of the solution attached to Z.
 
     Z may be any analytic operator function exposing eval_many and
     taylor_stack with in_dim = U and out_dim = Y + U; its restriction to F
-    is checked against omega on GRID before solving.  A SchurRealization
-    is solved as a closed loop (_closed_loop); for any other Z the
-    recursion, G = (I - lambda P_U Z)^-1 and H = P_Y Z G, is
-
-        G_0 = I,  G_k = sum_(j<k) (P_U Z)_(k-1-j) G_j,
-        H_n = sum_(k<=n) (P_Y Z)_(n-k) G_k.
+    is checked against omega on GRID at CHECK_TOL before solving.  H is
+    the feedback map P_Y Z (I - Theta P_U Z)^-1 at Theta = lambda I
+    (_feedback).
     """
-    _constraint_residual(p, Z, constraint_tol)
-    return _series_solve(p, Z, N)
+    _constraint_residual(p, Z)
+    return _feedback(Z, p.Y_dim, _lambda_identity(p.U_dim), N)
 
 
-def _constraint_residual(p: InterpolationProblem, Z, constraint_tol: float) -> float:
+def _constraint_residual(p: InterpolationProblem, Z) -> float:
     """Largest ||Z(lambda)|_F - omega|| on GRID.
 
-    Raises ConstraintViolated when it exceeds constraint_tol.
+    Raises ConstraintViolated when it exceeds CHECK_TOL.
     """
     u, y = p.U_dim, p.Y_dim
     if Z.in_dim != u or Z.out_dim != y + u:
@@ -118,25 +119,35 @@ def _constraint_residual(p: InterpolationProblem, Z, constraint_tol: float) -> f
     if p.F.dim == 0:
         return 0.0
     worst = float(operator_norms(Z.eval_many(GRID) @ p.F.basis - p.omega).max())
-    if worst > constraint_tol:
+    if worst > CHECK_TOL:
         raise ConstraintViolated(
             f"Z|_F differs from omega by {worst:.3e} on the grid")
     return worst
 
 
-def _series_solve(p: InterpolationProblem, Z, N: int) -> PolyOpFn:
-    """The coefficients of solve_from_Z, without the constraint check.
+def _feedback(Z, y: int, theta, N: int) -> PolyOpFn:
+    """Coefficients 0..N of P_Y Z (I - Theta P_E Z)^-1, unchecked.
 
-    A realized Z gives them as a closed loop; any other Z by the
-    resolvent recursion on its Taylor stack.
+    Z maps U into Y + E, Y being its first y outputs; theta = (A_t, B_t,
+    C_t) realizes Theta from E into U with Theta(0) = 0.  A realized Z is
+    closed in a loop (_closed_loop).  Any other Z gives H = P_Y Z G with
+    G = (I - lambda x)^-1 the resolvent of x = (Theta / lambda) P_E Z, where
+    Theta / lambda has the coefficients C_t A_t^k B_t: the constant C_t B_t,
+    one matrix product, when A_t = 0, as for lambda I.
     """
-    y = p.Y_dim
+    u = Z.in_dim
     if isinstance(Z, SchurRealization):
-        loop = _closed_loop(Z.A, Z.B, Z.C, Z.D, y, _lambda_identity(p.U_dim))
-        return PolyOpFn(y, p.U_dim, series.realization_stack(*loop, N))
+        loop = _closed_loop(Z.A, Z.B, Z.C, Z.D, y, theta)
+        return PolyOpFn(y, u, series.realization_stack(*loop, N))
+    At, Bt, Ct = theta
     Zc = Z.taylor_stack(N)
-    G = series.resolvent(Zc[:N, y:, :])
-    return PolyOpFn(y, p.U_dim, series.mul(Zc[:, :y, :], G))
+    ZE = Zc[:N, y:, :]
+    if N and At.any():
+        # (A_t, B_t, C_t A_t, C_t B_t) realizes Theta / lambda
+        x = series.mul(series.realization_stack(At, Bt, Ct @ At, Ct @ Bt, N - 1), ZE)
+    else:
+        x = (Ct @ Bt) @ ZE
+    return PolyOpFn(y, u, series.mul(Zc[:, :y, :], series.resolvent(x)))
 
 
 def _closed_loop(A, B, C, D, y: int, theta) -> tuple:
@@ -171,22 +182,27 @@ def _lambda_identity(d: int) -> tuple:
 def verify_solution(p: InterpolationProblem, H: PolyOpFn, N: int) -> SolutionReport:
     """Residuals of the coefficient recurrence and the partial Gram bound.
 
-    Reports never throw; SolutionReport.ok applies the thresholds.
+    Reports never throw on a bad candidate; SolutionReport.ok applies the
+    thresholds.  An H so large that these residuals or its values on GRID
+    overflow raises NonFiniteResult.
     """
     if H.in_dim != p.U_dim or H.out_dim != p.Y_dim:
         raise DimensionMismatch("H has wrong dimensions for this problem")
     Hs = H.taylor_stack(N)
-    rec = 0.0
-    if p.F.dim > 0:
+    # overflow is caught below, as non-finite entries
+    with np.errstate(over="ignore", invalid="ignore"):
         res = Hs @ p.F.basis
         res[0] -= p.omega1
         res[1:] -= Hs[:-1] @ p.omega2
-        rec = operator_norms(res).max()
-    col = Hs.reshape((N + 1) * p.Y_dim, p.U_dim)
-    gram = col.conj().T @ col
+        col = Hs.reshape((N + 1) * p.Y_dim, p.U_dim)
+        gram = col.conj().T @ col
+        values = H.eval_many(GRID)
+    if not all(np.isfinite(X).all() for X in (res, gram, values)):
+        raise NonFiniteResult("H overflows in its recurrence, its Gram or its grid values")
+    rec = operator_norms(res).max()
     eig = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
     excess = max(0.0, float(eig[-1]) - 1.0) if eig.size else 0.0
-    sup = operator_norms(H.eval_many(GRID)).max()
+    sup = operator_norms(values).max()
     return SolutionReport(recurrence_residual=float(rec),
                           partial_gram_excess=float(excess),
                           grid_sup_norm=float(sup), degree=N)
@@ -353,21 +369,20 @@ def z_from_C(p: InterpolationProblem, H: PolyOpFn, Gamma, Cfun, N: int) -> Analy
     return AnalyticFn(y + u, u, coeffs, _eval_many, meta={"w0_residual": w0res})
 
 
-def fiber_roundtrip_residuals(p: InterpolationProblem, Z, N: int,
-                              constraint_tol: float = 1e-8) -> tuple[float, float, float]:
+def fiber_roundtrip_residuals(p: InterpolationProblem, Z, N: int) -> tuple[float, float, float]:
     """(coefficient gap, constraint, W(0) residual) of Z -> H -> central Z_C -> H.
 
     The gap is the largest ||H_n - H'_n|| over degrees 0..N-4, below the
     truncation tail of Z_C, and the constraint the largest
-    ||Z_C(lambda)|_F - omega|| on GRID.  Both solves check their
-    parameter's constraint at constraint_tol; Z_C is evaluated on GRID
-    once, for the check that also gives the reported constraint.
+    ||Z_C(lambda)|_F - omega|| on GRID.  Both parameters' constraints are
+    checked at CHECK_TOL; Z_C is evaluated on GRID once, for the check
+    that also gives the reported constraint.
     """
-    H = solve_from_Z(p, Z, N, constraint_tol=constraint_tol)
+    H = solve_from_Z(p, Z, N)
     Gamma = column_operator(H, N)
     Z1 = z_from_C(p, H, Gamma, central_C(p, Gamma), N)
-    constraint = _constraint_residual(p, Z1, constraint_tol)
-    H1 = _series_solve(p, Z1, N)
+    constraint = _constraint_residual(p, Z1)
+    H1 = _feedback(Z1, p.Y_dim, _lambda_identity(p.U_dim), N)
     keep = max(0, N - 4)
     gap = float(operator_norms(H.taylor_stack(keep) - H1.taylor_stack(keep)).max())
     return gap, constraint, Z1.meta["w0_residual"]

@@ -20,10 +20,10 @@ where H0 = S* H, the backward shift of H, is the model space of Phi;
 both splittings are checked by check_decompositions.  A function H is a
 contractive multiplier from H into H^2(Y) exactly when
 H(lambda) = P_Y Z(lambda) (I - Theta(lambda) P_E Z(lambda))^-1 for a
-Schur-class Z from U into Y + E; h_from_Z_theta closes a realized Z in feedback with the
-isometric colligation of Theta (InnerFn.colligation), or runs the Taylor
-recursion on a Z known only by its coefficients (both well posed because
-Theta(0) = 0), and z_from_H_theta reverses it by posing the
+Schur-class Z from U into Y + E.  This is the linear-fractional map of
+interpolation, lifting.solve_from_Z, with Theta in place of lambda I;
+h_from_Z_theta runs it (lifting._feedback) on the realization of Theta,
+well posed because Theta(0) = 0, and z_from_H_theta reverses it by posing the
 multiplication map as an interpolation problem on H, taking the central
 parameter of its fiber and compressing back to U -> Y + E coordinates.
 
@@ -45,11 +45,16 @@ from .errors import (DegreeTooSmall, DimensionMismatch, DomainError,
                      NotAContraction)
 from .hardy import (GRID, AnalyticFn, PolyOpFn, column_operator,
                     multiplication_operator, shift, shift_adjoint)
-from .lifting import (CHECK_TOL, InterpolationProblem, _closed_loop, central_C,
+from .lifting import (CHECK_TOL, InterpolationProblem, _feedback, central_C,
                       z_from_C)
 from .linalg import (Subspace, as_operator, haar_unitary, operator_norm,
                      operator_norms, orthonormal_range, projector_gap)
 from .schur import SchurRealization, _transfer_values, random_schur
+
+# threshold of each residual of check_decompositions
+DECOMPOSITION_TOL = 1e-9
+# threshold of multiplier_roundtrip_residual
+MULT_ROUNDTRIP_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -200,8 +205,8 @@ class DecompositionReport(NamedTuple):
     R_isometry_residual: float
     Q_isometry_residual: float
 
-    def ok(self, tol: float = 1e-9) -> bool:
-        return max(self) <= tol
+    def ok(self) -> bool:
+        return max(self) <= DECOMPOSITION_TOL
 
 
 class MultBoundReport(NamedTuple):
@@ -290,27 +295,14 @@ def mult_contraction_test(Hfn: PolyOpFn, ms: ModelSpace) -> MultBoundReport:
 def h_from_Z_theta(theta: InnerFn, Z, N: int) -> PolyOpFn:
     """Multiplier H = P_Y Z (I - Theta P_E Z)^-1, coefficients 0..N.
 
-    Z maps U into Y + E.  A SchurRealization Z is closed in feedback
-    with the colligation of Theta (lifting._closed_loop).  Any other Z
-    goes through its Taylor stack: G = (I - Theta P_E Z)^-1 is the
-    resolvent of the shifted series of Theta P_E Z, well founded
-    because Theta has no constant term.
+    Z maps U into Y + E.  H is the feedback map of lifting._feedback with
+    Theta's realization, well posed because Theta(0) = 0.
     """
     u, e = theta.out_dim, theta.in_dim
     if Z.in_dim != u or Z.out_dim < e:
         raise DimensionMismatch(
             f"Z must map C^{u} into C^y + C^{e}, got {Z.out_dim} x {Z.in_dim}")
-    y = Z.out_dim - e
-    if isinstance(Z, SchurRealization):
-        th = theta.colligation()
-        loop = _closed_loop(Z.A, Z.B, Z.C, Z.D, y, (th.A, th.B, th.C))
-        return PolyOpFn(y, u, series.realization_stack(*loop, N))
-    Zc = Z.taylor_stack(N)
-    # V = Theta P_E Z vanishes at 0, so V = lambda * (V_1 + lambda V_2 + ...)
-    # and G = (I - V)^-1 is the resolvent of the shifted series
-    V = series.mul(theta.taylor_stack(N), Zc[:, y:, :])
-    G = series.resolvent(V[1:])
-    return PolyOpFn(y, u, series.mul(Zc[:, :y, :], G))
+    return _feedback(Z, Z.out_dim - e, theta._realization[:3], N)
 
 
 def z_from_H_theta(theta: InnerFn, Hfn: PolyOpFn, ms: ModelSpace, N: int) -> AnalyticFn:
@@ -336,14 +328,13 @@ def z_from_H_theta(theta: InnerFn, Hfn: PolyOpFn, ms: ModelSpace, N: int) -> Ana
     msb = ms.basis.basis
     h0b = ms.H0_basis.basis
     m = msb.shape[1]
-    Fb = orthonormal_range(msb.conj().T @ shift(h0b, u)).basis
-    om2 = msb.conj().T @ shift_adjoint(msb @ Fb, u)
+    F = orthonormal_range(msb.conj().T @ shift(h0b, u))
+    om2 = msb.conj().T @ shift_adjoint(msb @ F.basis, u)
     nrm2 = operator_norm(om2)
     if nrm2 > 1.0:
         om2 = om2 / nrm2
-    f = Fb.shape[1]
-    p_model = InterpolationProblem(U_dim=m, Y_dim=y, F=Subspace(m, Fb),
-                                   omega1=np.zeros((y, f)), omega2=om2)
+    p_model = InterpolationProblem(U_dim=m, Y_dim=y, F=F,
+                                   omega1=np.zeros((y, F.dim)), omega2=om2)
     Htilde = PolyOpFn(y, m, Gmat.reshape(N + 1, y, m))
     C0 = central_C(p_model, Gmat)
     Zt = z_from_C(p_model, Htilde, Gmat, C0, N)

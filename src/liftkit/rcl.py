@@ -100,7 +100,7 @@ class RclReport:
     intertwining_residual: float
     degree: int
 
-    def ok(self, tol: float = 1e-8) -> bool:
+    def ok(self, tol: float = CHECK_TOL) -> bool:
         return (self.projection_residual <= tol
                 and self.intertwining_residual <= tol)
 

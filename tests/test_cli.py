@@ -259,13 +259,43 @@ def test_foreign_schema_tag_is_a_one_line_usage_error(tmp_path, capsys):
     ("--cmd", "solve", "--tol-contract", "0"),
 ])
 def test_non_finite_or_nonpositive_tolerance_is_a_one_line_usage_error(capsys, argv):
-    # a NaN tolerance would pass every `value > tol` test and write bare
-    # NaN into the envelope
-    code, out = run(capsys, *argv)
-    assert code == 1
-    assert out.out == ""
-    assert len(out.err.strip().splitlines()) == 1
-    assert out.err.startswith("error: --tol-")
+    # the acceptance thresholds are constants, so every tolerance flag,
+    # whatever its value, is an unknown argument
+    err = one_line_usage_error(capsys, *argv)
+    assert err.startswith("error: unrecognized arguments: --tol-")
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_of_an_overflowing_H_is_a_numeric_error(tmp_path, capsys):
+    s = tmp_path / "solve.json"
+    assert run(capsys, "--cmd", "solve", "--seed", "1", "--out", str(s))[0] == 0
+    solved = load(str(s))
+    for c in solved["H"]["coeffs"]:
+        c["re"] = [(-1.0) ** i * 1e308 for i in range(len(c["re"]))]
+    s.write_text(dumps(solved))
+    code, out = run(capsys, "--cmd", "verify", "--in", str(s))
+    assert code == 3
+    assert out.err == ""
+    payload = json.loads(out.out)
+    assert payload["ok"] is False
+    assert payload["error"].startswith("NonFiniteResult: ")
+    assert len(payload["error"].splitlines()) == 1
+
+
+def test_envelope_degree_is_the_degree_the_command_ran_at(tmp_path, capsys):
+    s = tmp_path / "solve.json"
+    assert run(capsys, "--cmd", "solve", "--seed", "1", "--degree", "40",
+               "--out", str(s))[0] == 0
+    code, out = run(capsys, "--cmd", "verify", "--in", str(s))
+    assert code == 0
+    payload = json.loads(out.out)
+    assert payload["degree"] == payload["report"]["degree"] == 40
+    # modelspace runs at no less than degree 32
+    for degree, used in (("24", 32), ("40", 40)):
+        code, out = run(capsys, "--cmd", "modelspace", "--seed", "1",
+                        "--degree", degree)
+        assert code == 0
+        assert json.loads(out.out)["degree"] == used
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,12 +9,13 @@ from liftkit.errors import (ConstraintViolated, DimensionMismatch,
                             NotAContraction, NotASolution,
                             WNotNormalizedAtZero)
 from liftkit.hardy import GRID, AnalyticFn, PolyOpFn, column_operator, default_grid
-from liftkit.lifting import (InterpolationProblem, central_C,
-                             fiber_roundtrip_residuals, omega_hat,
+from liftkit.lifting import (InterpolationProblem, _feedback, _lambda_identity,
+                             central_C, fiber_roundtrip_residuals, omega_hat,
                              parameter_membership, random_constrained_z,
                              random_problem, solve_from_Z,
                              uniqueness_certificate, verify_solution, z_from_C)
 from liftkit.linalg import Subspace, hermitian_sqrt_psd, operator_norm, orthonormal_range
+from liftkit.modelspace import h_from_Z_theta, theta_shift
 from liftkit.schur import SchurRealization, random_schur
 
 N = 24
@@ -229,11 +230,12 @@ def fiber_parameter(p, solver_seed, n=N):
 
 def test_fiber_roundtrip_scalar_fixture():
     # the truncated column is nearly isometric, so Z differs from omega on
-    # the grid by the Taylor tail (~0.8^N); the recursion itself is exact
-    # and the re-solved coefficients match to round-off
+    # the grid by the Taylor tail (~0.8^N), more than the constraint check
+    # allows; the recursion itself is exact and the unchecked re-solve
+    # matches to round-off
     p = scalar_fixture()
     H, G, Z1 = fiber_parameter(p, 5)
-    H1 = solve_from_Z(p, Z1, N, constraint_tol=1e-2)
+    H1 = _feedback(Z1, p.Y_dim, _lambda_identity(p.U_dim), N)
     assert coeff_diff(H, H1, N) < 1e-8
     assert Z1.meta["w0_residual"] <= 1e-10
 
@@ -356,6 +358,21 @@ def test_closed_loop_solve_matches_the_resolvent_path(n, case):
     p, Z = list(closed_loop_cases())[case]
     got = solve_from_Z(p, Z, n).taylor_stack(n)
     assert_rel_close(got, solve_from_Z(p, coefficients_only(Z, n), n).taylor_stack(n))
+
+
+@pytest.mark.parametrize("n", [4, 24, 192])
+@pytest.mark.parametrize("case", range(5))
+def test_solve_is_the_multiplier_map_at_lambda_identity(n, case):
+    # interpolation is the feedback map at Theta = lambda I: the same bits
+    # on the closed-loop path and on the resolvent path, where Theta / lambda
+    # = I enters as an exact product, so x is P_U Z itself
+    p, Z = list(closed_loop_cases())[case]
+    for fn in (Z, coefficients_only(Z, n)):
+        got = solve_from_Z(p, fn, n).taylor_stack(n)
+        want = h_from_Z_theta(theta_shift(p.U_dim), fn, n).taylor_stack(n)
+        assert np.array_equal(got, want)
+    Zc, y = Z.taylor_stack(n), p.Y_dim
+    assert np.array_equal(got, series.mul(Zc[:, :y], series.resolvent(Zc[:n, y:])))
 
 
 @pytest.mark.parametrize("state", [1, 3])

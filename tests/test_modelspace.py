@@ -253,7 +253,7 @@ def test_zeros_near_the_circle(N):
 def test_decompositions(theta, N):
     ms = model_space(theta, N)
     rep = check_decompositions(theta, ms)
-    assert rep.ok(tol=1e-9), rep
+    assert rep.ok(), rep
 
 
 # --- multiplication bound ----------------------------------------------
