@@ -41,6 +41,7 @@ EXIT_NUMERIC = 3
 
 GEN_OMEGA_SCALE = 0.45
 GEN_Z_SCALE = 0.5
+MODELSPACE_DEGREE = 32
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,11 +89,19 @@ def _envelope(args, **fields) -> dict:
     return out
 
 
+def _mapping(name: str, fn, u: int, y: int):
+    """fn, read from the input record name; ConfigError unless it maps C^u into C^y."""
+    if (fn.out_dim, fn.in_dim) != (y, u):
+        raise ConfigError(f"{name}: must map C^{u} into C^{y}, got {fn.out_dim} x {fn.in_dim}")
+    return fn
+
+
 def _problem_and_z(args, payload_in):
     if payload_in is not None:
         p = problem_from_json(field(payload_in, "problem"), "problem")
         if "Z" in payload_in:
-            return p, schur_from_json(payload_in["Z"], "Z")
+            return p, _mapping("Z", schur_from_json(payload_in["Z"], "Z"),
+                               p.U_dim, p.Y_dim + p.U_dim)
     else:
         p = random_problem(args.u, args.y, args.f, args.seed,
                            scale=GEN_OMEGA_SCALE)
@@ -134,7 +143,7 @@ def _cmd_verify(args, payload_in):
     if payload_in is None:
         raise ConfigError("verify requires --in with a problem and H")
     p = problem_from_json(field(payload_in, "problem"), "problem")
-    H = poly_from_json(field(payload_in, "H"), "H")
+    H = _mapping("H", poly_from_json(field(payload_in, "H"), "H"), p.U_dim, p.Y_dim)
     rep = verify_solution(p, H, H.degree)
     failures = _report_failures(rep)
     out = _envelope(args, degree=rep.degree, report=asdict(rep),
@@ -183,9 +192,9 @@ def _modelspace_roundtrip(theta_seed: int, mult_seed: int, N: int):
     """(model space, decomposition report, multiplier, roundtrip residual).
 
     theta -> model space -> decompositions -> multiplier -> roundtrip, at
-    degree max(N, 32).
+    degree max(N, MODELSPACE_DEGREE).
     """
-    N = max(N, 32)
+    N = max(N, MODELSPACE_DEGREE)
     theta = random_inner(theta_seed, 2, 1)
     ms = model_space(theta, N)
     Hf = random_multiplier(theta, 2, N, mult_seed, scale=GEN_Z_SCALE)
@@ -224,12 +233,10 @@ def _suite_solve_verify(seed: int, N: int):
 
 
 def _suite_fiber_roundtrip(seed: int, N: int):
-    # the extracted parameter meets the 1e-8 grid constraint only once the
-    # truncation tail has decayed, so this suite pins its own degree
     for k in range(3):
         p = random_problem(2, 2, 1, seed + 70 + k, scale=GEN_OMEGA_SCALE)
         Z = random_constrained_z(p, 2, seed + 80 + k, scale=GEN_Z_SCALE)
-        yield fiber_roundtrip_residuals(p, Z, max(N, 24))[:1]
+        yield fiber_roundtrip_residuals(p, Z, N)[:1]
 
 
 def _suite_omega_roundtrip(seed: int, N: int):
@@ -255,19 +262,21 @@ def _suite_tilde_validates(seed: int, N: int):
     return [(0.0 if validate_data_set(ds) else 1.0,)]
 
 
-# (suite, its checks as (name, tolerance)) in report order.  A suite maps
-# (seed, degree) to rows of residuals, one entry per check, and a check
-# passes when its largest residual is at most its tolerance.
+# (suite, least degree, checks as (name, tolerance)) in report order.  A
+# suite runs at max(--degree, least degree) and yields rows of residuals, one
+# entry per check, each passing when its largest residual is at most its
+# tolerance.  The fiber's Z_C meets the grid constraint only from degree 24.
 _SELFTEST = (
-    (_suite_scalar_fixture, (("scalar_fixture", 1e-12),)),
-    (_suite_solve_verify, (("solve_recurrence", RECURRENCE_TOL),
-                           ("solve_gram_excess", CHECK_TOL))),
-    (_suite_fiber_roundtrip, (("fiber_roundtrip", FIBER_GAP_TOL),)),
-    (_suite_omega_roundtrip, (("omega_roundtrip", 1e-10),)),
-    (_suite_rcl_equivalence, (("rcl_equivalence", CHECK_TOL),)),
-    (_suite_modelspace_roundtrip, (("modelspace_decomposition", DECOMPOSITION_TOL),
-                                   ("modelspace_roundtrip", MULT_ROUNDTRIP_TOL))),
-    (_suite_tilde_validates, (("tilde_validates", 0.5),)),
+    (_suite_scalar_fixture, 0, (("scalar_fixture", 1e-12),)),
+    (_suite_solve_verify, 0, (("solve_recurrence", RECURRENCE_TOL),
+                              ("solve_gram_excess", CHECK_TOL))),
+    (_suite_fiber_roundtrip, 24, (("fiber_roundtrip", FIBER_GAP_TOL),)),
+    (_suite_omega_roundtrip, 0, (("omega_roundtrip", 1e-10),)),
+    (_suite_rcl_equivalence, 0, (("rcl_equivalence", CHECK_TOL),)),
+    (_suite_modelspace_roundtrip, MODELSPACE_DEGREE,
+     (("modelspace_decomposition", DECOMPOSITION_TOL),
+      ("modelspace_roundtrip", MULT_ROUNDTRIP_TOL))),
+    (_suite_tilde_validates, 0, (("tilde_validates", 0.5),)),
 )
 
 
@@ -275,11 +284,11 @@ def _cmd_selftest(args, payload_in):
     del payload_in
     suites = {}
     failures = []
-    for suite, checks in _SELFTEST:
-        columns = zip(*suite(args.seed, args.degree))
-        for (name, tol), column in zip(checks, columns):
+    for suite, least, checks in _SELFTEST:
+        N = max(args.degree, least)
+        for (name, tol), column in zip(checks, zip(*suite(args.seed, N))):
             value = max(column)
-            suites[name] = {"max_residual": float(value), "tol": tol,
+            suites[name] = {"degree": N, "max_residual": float(value), "tol": tol,
                             "pass": bool(value <= tol)}
             failures += _exceeding((name, value, tol))
     out = _envelope(args, suites=suites, ok=not failures, failures=failures)

@@ -34,17 +34,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import series
-from .errors import (ConstraintViolated, DimensionMismatch, NonFiniteResult,
-                     NotAContraction, NotASolution, SingularResolvent,
+from .errors import (ConstraintViolated, DimensionMismatch, InconsistentGenerators,
+                     NonFiniteResult, NotAContraction, NotASolution,
                      WNotNormalizedAtZero)
 from .hardy import GRID, AnalyticFn, PolyOpFn, column_operator
-from .linalg import (Subspace, as_operator, defect, operator_norm,
-                     operator_norms, orthonormal_range)
+from .linalg import (CONTRACTION_SLACK, Subspace, as_operator,
+                     contraction_on_generators, defect, operator_norm,
+                     operator_norms, orthonormal_range, require_contraction,
+                     require_invertible)
 from .schur import (SchurRealization, _complete, _completion_frame,
                     herglotz_many, random_schur)
 
 W_ZERO_TOL = 1e-8
-W_COND_MAX = 1e10
 # contraction slack and residual tolerance of the checks on a solution column
 # and its Gram, its Omega, a parameter's grid constraint, fiber members and multipliers
 CHECK_TOL = 1e-8
@@ -71,9 +72,7 @@ class InterpolationProblem:
         om2 = as_operator(self.omega2, rows=self.U_dim, cols=f)
         object.__setattr__(self, "omega1", om1)
         object.__setattr__(self, "omega2", om2)
-        nrm = operator_norm(self.omega)
-        if nrm > 1.0 + 1e-10:
-            raise NotAContraction(f"omega has norm {nrm:.6e}")
+        require_contraction(self.omega, "omega", CONTRACTION_SLACK)
 
     @property
     def omega(self) -> np.ndarray:
@@ -213,35 +212,20 @@ def _gamma_data(p: InterpolationProblem,
     """(Bd, F_Gamma, Omega): defect data of a solution column.
 
     Bd is the range basis of D_Gamma and Omega the contraction
-    F_Gamma -> defect(Gamma) determined by Omega D_Gamma|_F = D_Gamma
-    omega2; coordinates are with respect to the SVD bases of F_Gamma and
-    of the defect range.
+    F_Gamma -> defect(Gamma) given on generators by Omega D_Gamma|_F =
+    D_Gamma omega2 (linalg.contraction_on_generators), in the SVD bases of
+    F_Gamma and of the defect range.  A failed guard raises NotASolution.
     """
     G = as_operator(Gamma, cols=p.U_dim)
     if G.shape[0] % max(p.Y_dim, 1) != 0 and p.Y_dim > 0:
         raise DimensionMismatch("Gamma rows are not a multiple of Y_dim")
     try:
         D, drange = defect(G, CHECK_TOL)
-    except NotAContraction as exc:
+        Bd = drange.basis
+        FG, Om = contraction_on_generators(D @ p.F.basis,
+                                           Bd.conj().T @ (D @ p.omega2), CHECK_TOL)
+    except (NotAContraction, InconsistentGenerators) as exc:
         raise NotASolution(f"candidate column: {exc}") from exc
-    Bd = drange.basis
-    FG = orthonormal_range(D @ p.F.basis)
-    Bf = FG.basis
-    d, r, f = Bd.shape[1], Bf.shape[1], p.F.dim
-    if f == 0 or r == 0:
-        Om = np.zeros((d, r), dtype=np.complex128)
-        res = operator_norm(D @ p.omega2)
-    else:
-        lhs = Bf.conj().T @ (D @ p.F.basis)
-        rhs = Bd.conj().T @ (D @ p.omega2)
-        Om = np.linalg.lstsq(lhs.T, rhs.T, rcond=None)[0].T
-        res = operator_norm(Bd @ (Om @ lhs) - D @ p.omega2)
-    scale = max(1.0, operator_norm(D @ p.omega2))
-    if res > CHECK_TOL * scale:
-        raise NotASolution(
-            f"defining identity for Omega has residual {res:.3e}")
-    if operator_norm(Om) > 1.0 + CHECK_TOL:
-        raise NotASolution(f"extracted Omega has norm {operator_norm(Om):.6e}")
     return Bd, FG, Om
 
 
@@ -260,10 +244,6 @@ def central_C(p: InterpolationProblem, Gamma) -> SchurRealization:
     """The constant fiber member C = Omega P_(F_Gamma) on the defect space."""
     Bd, FG, Om = _gamma_data(p, Gamma)
     Cmat = Om @ (FG.basis.conj().T @ Bd)
-    nrm = operator_norm(Cmat)
-    if nrm > 1.0:
-        # round-off can push the extracted corner a hair over 1
-        Cmat = Cmat / nrm
     d = Bd.shape[1]
     return SchurRealization(np.zeros((0, 0)), np.zeros((0, d)),
                             np.zeros((d, 0)), Cmat)
@@ -359,8 +339,7 @@ def z_from_C(p: InterpolationProblem, H: PolyOpFn, Gamma, Cfun, N: int) -> Analy
             Wv = (gamma_sq + 2.0 * lam3 * series.polyval(first, lam)
                   + DB @ herglotz_many(Cfun, lam) @ BD + remainder)
             Aplus = Wv + eye
-            if np.any(np.linalg.cond(Aplus) > W_COND_MAX):
-                raise SingularResolvent("W(lambda) + I is numerically singular")
+            require_invertible(Aplus, "W(lambda) + I")
             inv = np.linalg.inv(Aplus)
             out[~at0, :y] = 2.0 * (H.eval_many(lam) @ inv)
             out[~at0, y:] = ((Wv - eye) @ inv) / lam3

@@ -2,7 +2,8 @@
 
 Operators are numpy complex128 matrices.  Subspaces are stored as matrices
 with orthonormal columns.  Norms are spectral (largest singular value)
-throughout.
+throughout.  Every contraction, singularity and generator guard of the
+library is one of the functions here.
 """
 
 from __future__ import annotations
@@ -11,10 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotAContraction
+from .errors import (DimensionMismatch, InconsistentGenerators,
+                     NotAContraction, SingularResolvent)
 
 ORTH_TOL = 1e-12
 RANK_TOL = 1e-9
+# contraction slack of the input types: problems, colligations, liftings
+CONTRACTION_SLACK = 1e-10
+# a matrix is numerically singular when sigma_min * COND_MAX < max(1, sigma_max)
+COND_MAX = 1e10
 
 
 def as_operator(M, rows: int | None = None, cols: int | None = None) -> np.ndarray:
@@ -80,8 +86,10 @@ class Subspace:
         object.__setattr__(self, "basis", B)
         if B.shape[1] > self.ambient_dim:
             raise DimensionMismatch("more basis columns than ambient dimensions")
-        gram = B.conj().T @ B
-        if operator_norm(gram - np.eye(B.shape[1])) > ORTH_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):
+            excess = B.conj().T @ B - np.eye(B.shape[1])
+        # a Gram that overflows is no identity either
+        if not (np.isfinite(excess).all() and operator_norm(excess) <= ORTH_TOL):
             raise ValueError("subspace basis is not orthonormal")
 
     @property
@@ -149,6 +157,49 @@ def defect(T, tol: float = RANK_TOL) -> tuple[np.ndarray, Subspace]:
         nrm = np.sqrt(1.0 - w[0])
         raise NotAContraction(f"operator norm {nrm:.6e} exceeds 1 + {tol:g}")
     return D, orthonormal_range(D)
+
+
+def require_contraction(M, what: str, slack: float) -> float:
+    """operator_norm(M), raising NotAContraction when it exceeds 1 + slack."""
+    nrm = operator_norm(M)
+    if nrm > 1.0 + slack:
+        raise NotAContraction(f"{what} has norm {nrm:.6e}, above 1 + {slack:g}")
+    return nrm
+
+
+def require_invertible(M, what: str) -> None:
+    """Raise SingularResolvent if M, or a matrix of a (P, n, n) stack, has
+    sigma_min * COND_MAX < max(1, sigma_max).
+
+    A rule on the inverse norm, so [[eps]], of condition 1, is singular;
+    for sigma_max >= 1 it reads cond > COND_MAX.
+    """
+    s = np.linalg.svd(M, compute_uv=False)
+    # empty matrices pass
+    if s.shape[-1] and np.any(s[..., -1] * COND_MAX < np.maximum(1.0, s[..., 0])):
+        raise SingularResolvent(f"{what} is numerically singular")
+
+
+def contraction_on_generators(gen, img, tol: float) -> tuple[Subspace, np.ndarray]:
+    """(F, om): F = range(gen) and om, in F's basis, with om gen_j = img_j.
+
+    om is the least-squares solution.  Raises InconsistentGenerators for a
+    residual above tol * max(1, ||img||) and NotAContraction for
+    ||om|| > 1 + tol; a norm in (1, 1 + tol] is round-off, scaled back to 1.
+    """
+    G = as_operator(gen)
+    Y = as_operator(img, cols=G.shape[1])
+    F = orthonormal_range(G)
+    lhs = F.basis.conj().T @ G
+    # an empty F gives an empty om, and the residual ||img||
+    om = np.linalg.lstsq(lhs.T, Y.T, rcond=None)[0].T
+    res = operator_norm(om @ lhs - Y)
+    if res > tol * max(1.0, operator_norm(Y)):
+        raise InconsistentGenerators(f"generator least squares has residual {res:.3e}")
+    nrm = require_contraction(om, "the map on the generators", tol)
+    if nrm > 1.0:
+        om = om / nrm
+    return F, om
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

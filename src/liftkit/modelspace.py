@@ -41,14 +41,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import series
-from .errors import (DegreeTooSmall, DimensionMismatch, DomainError,
-                     NotAContraction)
+from .errors import DegreeTooSmall, DimensionMismatch, DomainError
 from .hardy import (GRID, AnalyticFn, PolyOpFn, column_operator,
                     multiplication_operator, shift, shift_adjoint)
 from .lifting import (CHECK_TOL, InterpolationProblem, _feedback, central_C,
                       z_from_C)
 from .linalg import (Subspace, as_operator, haar_unitary, operator_norm,
-                     operator_norms, orthonormal_range, projector_gap)
+                     operator_norms, orthonormal_range, projector_gap,
+                     require_contraction)
 from .schur import SchurRealization, _transfer_values, random_schur
 
 # threshold of each residual of check_decompositions
@@ -322,9 +322,7 @@ def z_from_H_theta(theta: InnerFn, Hfn: PolyOpFn, ms: ModelSpace, N: int) -> Ana
     if ms.N != N or ms.U_dim != u:
         raise DimensionMismatch("model space does not match theta at this degree")
     Gmat, tail = multiplication_operator(Hfn, ms.basis, N)
-    nrm = operator_norm(Gmat)
-    if nrm > 1.0 + CHECK_TOL:
-        raise NotAContraction(f"multiplication norm {nrm:.6e} exceeds 1")
+    require_contraction(Gmat, "multiplication operator", CHECK_TOL)
     msb = ms.basis.basis
     h0b = ms.H0_basis.basis
     m = msb.shape[1]

@@ -22,12 +22,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (DimensionMismatch, InconsistentGenerators,
-                     NotAContraction)
+from .errors import DimensionMismatch
 from .hardy import PolyOpFn, column_operator, shift
 from .lifting import CHECK_TOL, InterpolationProblem, random_problem
-from .linalg import (Subspace, as_operator, defect, haar_unitary,
-                     operator_norm, orthonormal_range)
+from .linalg import (CONTRACTION_SLACK, Subspace, as_operator,
+                     contraction_on_generators, defect, haar_unitary,
+                     operator_norm, require_contraction)
 
 DATA_SET_TOL = 1e-10
 # residual and contraction slack of the omega induced by a data set
@@ -86,9 +86,7 @@ class LiftingCandidate:
     def __post_init__(self):
         A = as_operator(self.A_part, cols=self.tail.in_dim)
         object.__setattr__(self, "A_part", A)
-        nrm = operator_norm(self.stacked())
-        if nrm > 1.0 + 1e-10:
-            raise NotAContraction(f"lifting candidate has norm {nrm:.6e}")
+        require_contraction(self.stacked(), "lifting candidate", CONTRACTION_SLACK)
 
     def stacked(self) -> np.ndarray:
         return np.vstack([self.A_part, column_operator(self.tail, self.tail.degree)])
@@ -158,35 +156,17 @@ def underlying_contraction(ds: RclDataSet) -> InterpolationProblem:
     """Interpolation problem induced by a data set.
 
     U = defect space of A, Y = defect space of T', F spanned by D_A Q,
-    and omega defined on generators by D_A Q h -> [D_T' A R h; D_A R h],
-    solved in the least-squares sense on an SVD basis of F.
+    and omega defined on generators by D_A Q h -> [D_T' A R h; D_A R h]
+    (linalg.contraction_on_generators), in defect-range coordinates.
     """
     DA, rA = ds.defect_A
     DT, rT = ds.defect_Tprime
     BdA, BdT = rA.basis, rT.basis
     u, y = BdA.shape[1], BdT.shape[1]
-    gen = BdA.conj().T @ (DA @ ds.Q)
-    F = orthonormal_range(gen)
-    Bf = F.basis
-    rhs = np.vstack([BdT.conj().T @ (DT @ (ds.A @ ds.R)),
-                     BdA.conj().T @ (DA @ ds.R)])
-    f = Bf.shape[1]
-    if f == 0:
-        om = np.zeros((y + u, 0), dtype=np.complex128)
-        res = operator_norm(rhs)
-    else:
-        lhs = Bf.conj().T @ gen
-        om = np.linalg.lstsq(lhs.T, rhs.T, rcond=None)[0].T
-        res = operator_norm(om @ lhs - rhs)
-    if res > INDUCED_TOL * max(1.0, operator_norm(rhs)):
-        raise InconsistentGenerators(
-            f"generator least squares has residual {res:.3e}")
-    nrm = operator_norm(om)
-    if nrm > 1.0 + INDUCED_TOL:
-        raise NotAContraction(f"induced omega has norm {nrm:.6e}")
-    if nrm > 1.0:
-        # round-off guard; the contractivity chain gives norm <= 1
-        om = om / nrm
+    F, om = contraction_on_generators(
+        BdA.conj().T @ (DA @ ds.Q),
+        np.vstack([BdT.conj().T @ (DT @ (ds.A @ ds.R)), BdA.conj().T @ (DA @ ds.R)]),
+        INDUCED_TOL)
     return InterpolationProblem(U_dim=u, Y_dim=y, F=F,
                                 omega1=om[:y, :], omega2=om[y:, :])
 
@@ -195,9 +175,7 @@ def gamma_to_B(ds: RclDataSet, Gamma, N: int) -> LiftingCandidate:
     """Candidate B = [A; Gamma D_A] from a contraction on the defect of A."""
     DA, rA = ds.defect_A
     G = as_operator(Gamma, cols=rA.dim)
-    nrm = operator_norm(G)
-    if nrm > 1.0 + CHECK_TOL:
-        raise NotAContraction(f"Gamma has norm {nrm:.6e}")
+    require_contraction(G, "Gamma", CHECK_TOL)
     dT = ds.defect_Tprime[1].dim
     if G.shape[0] != (N + 1) * dT:
         raise DimensionMismatch(

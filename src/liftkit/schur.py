@@ -16,12 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import series
-from .errors import DimensionMismatch, NotAContraction, SingularResolvent
+from .errors import DimensionMismatch
 from .hardy import disk_points
-from .linalg import as_operator, defect, operator_norm, orthonormal_range
-
-COLLIGATION_SLACK = 1e-10
-RESOLVENT_COND_MAX = 1e12
+from .linalg import (CONTRACTION_SLACK, as_operator, defect, operator_norm,
+                     orthonormal_range, require_contraction, require_invertible)
 
 
 @dataclass(frozen=True)
@@ -45,9 +43,7 @@ class SchurRealization:
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "D", D)
-        nrm = operator_norm(self.colligation())
-        if nrm > 1.0 + COLLIGATION_SLACK:
-            raise NotAContraction(f"colligation norm {nrm:.6e} exceeds 1")
+        require_contraction(self.colligation(), "colligation", CONTRACTION_SLACK)
 
     @property
     def state_dim(self) -> int:
@@ -160,21 +156,15 @@ def herglotz_many(Cfun, points) -> np.ndarray:
     Evaluated at every point at once, as a (P, d, d) stack.  Equals I at
     lambda = 0 and has positive semidefinite Hermitian part on the disk.
     Raises SingularResolvent when I - lambda C(lambda) is numerically
-    singular at any of the points.
+    singular at any of the points (linalg.require_invertible).
     """
     z = disk_points(points)
     V = z[:, None, None] * Cfun.eval_many(z)
-    d = V.shape[1]
     if V.shape[1] != V.shape[2]:
         raise DimensionMismatch("herglotz_many needs a square-valued function")
-    if d == 0:
-        return np.zeros((z.size, 0, 0), dtype=np.complex128)
-    eye = np.eye(d)
+    eye = np.eye(V.shape[1])
     A = eye - V
-    s = np.linalg.svd(A, compute_uv=False)
-    # guard on the inverse norm, not cond: a 1x1 [[eps]] has cond 1
-    if np.any(s[:, -1] * RESOLVENT_COND_MAX < np.maximum(1.0, s[:, 0])):
-        raise SingularResolvent("I - lambda*C(lambda) is numerically singular")
+    require_invertible(A, "I - lambda*C(lambda)")
     # right-divide: (I + V) A^-1 solved as A^T X^T = (I + V)^T
     At = A.transpose(0, 2, 1)
     return np.linalg.solve(At, (eye + V).transpose(0, 2, 1)).transpose(0, 2, 1)

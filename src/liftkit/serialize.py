@@ -77,7 +77,7 @@ def matrix_from_json(d: dict, path: str = "matrix") -> np.ndarray:
     try:
         re = np.asarray(field(d, "re", path), dtype=np.float64).reshape(rows, cols)
         im = np.asarray(field(d, "im", path), dtype=np.float64).reshape(rows, cols)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: malformed matrix record: {exc}") from exc
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise ConfigError(f"{path}: non-finite entry")

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularResolvent
-
-INV_COND_MAX = 1e12
+from .errors import DimensionMismatch
+from .linalg import require_invertible
 
 
 def _as_series(a) -> np.ndarray:
@@ -111,19 +110,14 @@ def inv(a) -> np.ndarray:
     """Inverse series of a, to the same length; a_0 must be invertible.
 
     Writing a = a_0 (I - lambda x) reduces the inverse to a resolvent.
-    Raises SingularResolvent when a_0 is numerically singular, judged on
-    the inverse norm (sigma_min * INV_COND_MAX < max(1, sigma_max)), not on
-    the condition number, so a tiny invertible constant term also raises.
+    Raises SingularResolvent when a_0 is numerically singular
+    (linalg.require_invertible, a rule on the inverse norm).
     """
     a = _as_series(a)
     L, m, n = a.shape
     if m != n:
         raise DimensionMismatch(f"only square series are invertible, got {m} x {n}")
-    if m == 0:
-        return a.copy()
-    s = np.linalg.svd(a[0], compute_uv=False)
-    if s[-1] * INV_COND_MAX < max(1.0, float(s[0])):
-        raise SingularResolvent("constant term of the series is numerically singular")
+    require_invertible(a[0], "constant term of the series")
     a0inv = np.linalg.inv(a[0])
     return _resolvent(-(a0inv @ a[1:])) @ a0inv
 

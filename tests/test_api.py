@@ -1,6 +1,7 @@
 """The public names: what liftkit exports, what the benchmark imports, the
-aliases that were removed in favour of one accessor each, and the
-parameters with defaults that some caller sets.
+aliases that were removed in favour of one accessor each, the
+parameters with defaults that some caller sets, and the one module that
+makes the numerical guards' decisions.
 
 The benchmark's own test (bench/test_smoke.py) is not collected with this
 suite, so the benchmark's imports are checked here by parsing its sources,
@@ -154,3 +155,35 @@ def test_every_default_parameter_is_set_by_some_caller():
     unset = [f"{where}: {param}" for where, call, param, position in _knobs()
              if not any(_passes(c, param, position) for c in calls.get(call, ()))]
     assert not unset
+
+
+GUARD_ERRORS = {"NotAContraction", "SingularResolvent", "InconsistentGenerators"}
+# the per-module guard constants that linalg's CONTRACTION_SLACK and COND_MAX replace
+REMOVED_CONSTANTS = {"INV_COND_MAX", "RESOLVENT_COND_MAX", "W_COND_MAX", "COLLIGATION_SLACK"}
+
+
+def _name(node) -> str | None:
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def test_numerical_guards_are_decided_only_in_linalg():
+    raised, constants, slacks = [], [], []
+    paths = sorted((ROOT / "src" / "liftkit").glob("*.py"))
+    assert ROOT / "src" / "liftkit" / "linalg.py" in paths
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            made = (node.func if isinstance(node, ast.Call)
+                    else node.exc if isinstance(node, ast.Raise) else None)
+            if path.name != "linalg.py" and _name(made) in GUARD_ERRORS:
+                raised.append(where)
+            if isinstance(node, (ast.Name, ast.Attribute)) and _name(node) in REMOVED_CONSTANTS:
+                constants.append(where)
+            # a contraction check spelled out as `norm > 1.0 + 1e-10`
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+                    and isinstance(node.left, ast.Constant) and node.left.value == 1.0
+                    and isinstance(node.right, ast.Constant) and node.right.value == 1e-10):
+                slacks.append(where)
+    assert not raised
+    assert not constants
+    assert not slacks

@@ -310,3 +310,48 @@ def test_negative_seed_is_a_one_line_usage_error(capsys, argv):
     assert len(out.err.strip().splitlines()) == 1
     assert out.err.startswith("error: --seed")
     assert "Traceback" not in out.err
+
+
+def _zero_map(rows: int, cols: int) -> dict:
+    return {"rows": rows, "cols": cols, "re": [0.0] * (rows * cols),
+            "im": [0.0] * (rows * cols)}
+
+
+@pytest.mark.parametrize("cmd", ["gen", "solve", "fiber"])
+def test_z_of_another_problem_is_a_one_line_usage_error(tmp_path, capsys, cmd):
+    # a valid colligation from C^3 into C^4, for a problem on U = Y = C^2
+    g = tmp_path / "gen.json"
+    assert run(capsys, "--cmd", "gen", "--seed", "1", "--out", str(g))[0] == 0
+    payload = load(str(g))
+    payload["Z"] = {"A": _zero_map(0, 0), "B": _zero_map(0, 3),
+                    "C": _zero_map(4, 0), "D": _zero_map(4, 3)}
+    g.write_text(dumps(payload))
+    err = one_line_usage_error(capsys, "--cmd", cmd, "--in", str(g))
+    assert err == "error: Z: must map C^2 into C^4, got 4 x 3\n"
+
+
+def test_h_of_another_problem_is_a_one_line_usage_error(tmp_path, capsys):
+    s = tmp_path / "solve.json"
+    assert run(capsys, "--cmd", "solve", "--seed", "1", "--out", str(s))[0] == 0
+    solved = load(str(s))
+    for c in solved["H"]["coeffs"]:
+        # keep the first row of every coefficient
+        c["rows"], c["re"], c["im"] = 1, c["re"][:c["cols"]], c["im"][:c["cols"]]
+    solved["H"]["out"] = 1
+    s.write_text(dumps(solved))
+    err = one_line_usage_error(capsys, "--cmd", "verify", "--in", str(s))
+    assert err == "error: H: must map C^2 into C^2, got 1 x 2\n"
+
+
+def test_selftest_reports_the_degree_each_suite_ran_at(capsys):
+    for degree, fiber, modelspace in ((12, 24, 32), (28, 28, 32)):
+        code, out = run(capsys, "--cmd", "selftest", "--seed", "1", "--degree", str(degree))
+        assert code == 0
+        payload = json.loads(out.out)
+        assert payload["degree"] == degree
+        ran = {name: suite["degree"] for name, suite in payload["suites"].items()}
+        assert ran == {"scalar_fixture": degree, "solve_recurrence": degree,
+                       "solve_gram_excess": degree, "fiber_roundtrip": fiber,
+                       "omega_roundtrip": degree, "rcl_equivalence": degree,
+                       "modelspace_decomposition": modelspace,
+                       "modelspace_roundtrip": modelspace, "tilde_validates": degree}

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liftkit.errors import DimensionMismatch, NotAContraction
-from liftkit.linalg import (Subspace, as_operator, defect, haar_unitary,
+from liftkit.errors import (DimensionMismatch, InconsistentGenerators,
+                            NotAContraction, SingularResolvent)
+from liftkit.linalg import (CONTRACTION_SLACK, Subspace, as_operator,
+                            contraction_on_generators, defect, haar_unitary,
                             hermitian_sqrt_psd, operator_norm, operator_norms,
-                            orthonormal_range, projector_gap)
+                            orthonormal_range, projector_gap,
+                            require_contraction, require_invertible)
 
 
 def _complex_matrix(rng, m, n, scale=1.0):
@@ -182,3 +185,90 @@ def test_operator_norm_is_bit_identical_to_numpy_norm(m, n):
     assert operator_norm(A) == np.linalg.norm(A, 2)
     S = np.stack([_complex_matrix(rng, m, n) for _ in range(16)])
     assert np.array_equal(operator_norms(S), np.linalg.norm(S, 2, axis=(1, 2)))
+
+
+@pytest.mark.parametrize("slack", [CONTRACTION_SLACK, 1e-8])
+@pytest.mark.parametrize("excess,raises", [(0.9, False), (1.1, True)])
+def test_require_contraction_at_its_slack(slack, excess, raises):
+    # excess in units of the slack: just under and just over 1 + slack
+    rng = np.random.default_rng(9)
+    M = haar_unitary(rng, 4)[:, :2] @ np.diag([1.0 + excess * slack, 0.3]) @ haar_unitary(rng, 2)
+    if raises:
+        with pytest.raises(NotAContraction,
+                           match=rf"^omega has norm 1\.0+e\+00, above 1 \+ {slack:g}$"):
+            require_contraction(M, "omega", slack)
+    else:
+        assert require_contraction(M, "omega", slack) == operator_norm(M)
+
+
+def test_require_invertible_names_the_one_singular_matrix_of_a_batch():
+    rng = np.random.default_rng(10)
+    S = np.stack([haar_unitary(rng, 3) for _ in range(6)])
+    require_invertible(S, "I - lambda*C(lambda)")
+    require_invertible(np.zeros((6, 0, 0)), "an empty stack")
+    S[4] = S[4] @ np.diag([1.0, 1.0, 1e-11])
+    with pytest.raises(SingularResolvent,
+                       match=r"^I - lambda\*C\(lambda\) is numerically singular$"):
+        require_invertible(S, "I - lambda*C(lambda)")
+    # the rule reads the inverse norm: [[1e-11]] has condition 1
+    with pytest.raises(SingularResolvent, match="^x is numerically singular$"):
+        require_invertible(np.array([[1e-11]]), "x")
+
+
+@pytest.mark.parametrize("cond,raises", [(1e10 * (1.0 - 1e-6), False),
+                                         (1e10 * (1.0 + 1e-6), True)])
+def test_require_invertible_rejects_w_plus_identity_beyond_cond_1e10(cond, raises):
+    # W(lambda) + I has Hermitian part >= I, so sigma_min >= 1 and the rule
+    # is cond > 1e10, the guard z_from_C had before it called this one
+    V = haar_unitary(np.random.default_rng(11), 3)
+    W_plus_I = V @ np.diag([1.0, 2.0, cond]) @ V.conj().T
+    assert (np.linalg.cond(W_plus_I) > 1e10) == raises
+    if raises:
+        with pytest.raises(SingularResolvent, match=r"^W\(lambda\) \+ I is numerically"):
+            require_invertible(W_plus_I[None], "W(lambda) + I")
+    else:
+        require_invertible(W_plus_I[None], "W(lambda) + I")
+
+
+@pytest.mark.parametrize("cols", [0, 2])
+def test_contraction_on_generators_of_no_generators(cols):
+    F, om = contraction_on_generators(np.zeros((3, cols)), np.zeros((2, cols)), 1e-9)
+    assert F.ambient_dim == 3 and F.dim == 0
+    assert om.shape == (2, 0)
+    if cols:
+        with pytest.raises(InconsistentGenerators):
+            contraction_on_generators(np.zeros((3, cols)), np.ones((2, cols)), 1e-9)
+
+
+def test_contraction_on_generators_of_rank_deficient_generators():
+    # three generators in a plane of C^4, the third the sum of the others
+    rng = np.random.default_rng(12)
+    pair = _complex_matrix(rng, 4, 2)
+    gen = np.hstack([pair, pair.sum(axis=1, keepdims=True)])
+    T = _complex_matrix(rng, 3, 4)
+    T *= 0.8 / operator_norm(T @ orthonormal_range(gen).basis)
+    F, om = contraction_on_generators(gen, T @ gen, 1e-9)
+    assert F.dim == 2
+    assert operator_norm(om @ (F.basis.conj().T @ gen) - T @ gen) <= 1e-12 * operator_norm(T @ gen)
+    assert abs(operator_norm(om) - 0.8) <= 1e-12
+    # images that no linear map gives: the third is not the sum of the others
+    img = T @ gen
+    img[:, 2] += 1e-6
+    with pytest.raises(InconsistentGenerators, match="^generator least squares has residual"):
+        contraction_on_generators(gen, img, 1e-9)
+
+
+@pytest.mark.parametrize("excess,raises", [(0.5, False), (2.0, True)])
+def test_contraction_on_generators_rescales_round_off_only(excess, raises):
+    # norm 1 + excess * tol: within tol it is scaled back to 1, beyond it raises
+    tol = 1e-9
+    rng = np.random.default_rng(13)
+    gen = _complex_matrix(rng, 3, 2)
+    T = haar_unitary(rng, 3)[:, :2] @ np.diag([1.0 + excess * tol, 0.4]) @ haar_unitary(rng, 2)
+    T = T @ np.linalg.pinv(orthonormal_range(gen).basis)
+    if raises:
+        with pytest.raises(NotAContraction):
+            contraction_on_generators(gen, T @ gen, tol)
+    else:
+        F, om = contraction_on_generators(gen, T @ gen, tol)
+        assert abs(operator_norm(om) - 1.0) <= 1e-15

@@ -113,7 +113,7 @@ def test_inv_matches_double_loop(L, m):
 
 
 @pytest.mark.parametrize("a0", [np.zeros((2, 2)), np.array([[1.0, 2.0], [0.5, 1.0]]),
-                                np.array([[1e-20]])])
+                                np.array([[1e-20]]), np.diag([1.0, 1e-11])])
 def test_inv_raises_on_singular_constant_term(a0):
     m = a0.shape[0]
     a = np.zeros((4, m, m), dtype=np.complex128)
