@@ -11,7 +11,7 @@ InnerFn) exposes the same protocol: ``taylor_stack(N)`` returns the
 coefficients 0..N as an (N+1, out, in) stack for the series engine in
 ``liftkit.series``, and ``eval_many(points)`` returns the values at P
 points as a (P, out, in) stack, raising what the per-point ``eval`` would
-raise at any of them.
+raise at any of them; it checks them once (``Evaluable``).
 """
 
 from __future__ import annotations
@@ -31,9 +31,10 @@ GRID.setflags(write=False)
 
 
 def disk_points(points) -> np.ndarray:
-    """Points as a complex128 vector; DomainError names the first |z| >= 1."""
+    """The points, checked once per evaluation call, as a complex128 vector;
+    DomainError names the first |z| >= 1 or NaN."""
     z = np.asarray(points, dtype=np.complex128).reshape(-1)
-    bad = np.flatnonzero(np.abs(z) >= 1.0)
+    bad = np.flatnonzero(~(np.abs(z) < 1.0))
     if bad.size:
         raise DomainError(f"|lambda| = {abs(z[bad[0]]):.6f} is not < 1")
     return z
@@ -61,8 +62,19 @@ def _coeff_stack(coeffs, rows: int, cols: int) -> np.ndarray:
     return S
 
 
+class Evaluable:
+    """eval_many and eval from _values(z), the values at checked points."""
+
+    def eval_many(self, points) -> np.ndarray:
+        """Values at points of the open unit disk, as a (P, out, in) stack."""
+        return self._values(disk_points(points))
+
+    def eval(self, lam: complex) -> np.ndarray:
+        return self.eval_many([lam])[0]
+
+
 @dataclass(frozen=True)
-class PolyOpFn:
+class PolyOpFn(Evaluable):
     """Operator-valued polynomial sum_n coeffs[n] * lambda^n.
 
     Each coefficient is an (out_dim x in_dim) matrix.
@@ -98,16 +110,11 @@ class PolyOpFn:
         out[:k] = self._stack[:k]
         return out
 
-    def eval_many(self, points) -> np.ndarray:
-        """Values at points of the open unit disk, as a (P, out, in) stack."""
-        return series.polyval(self._stack, disk_points(points))
-
-    def eval(self, lam: complex) -> np.ndarray:
-        """Evaluate at a point of the open unit disk."""
-        return self.eval_many([lam])[0]
+    def _values(self, z: np.ndarray) -> np.ndarray:
+        return series.polyval(self._stack, z)
 
 
-class AnalyticFn:
+class AnalyticFn(Evaluable):
     """Analytic operator function with a batched pointwise rule plus Taylor data.
 
     Used for functions that are not polynomials (resolvent-type formulas)
@@ -136,9 +143,7 @@ class AnalyticFn:
             raise DegreeTooSmall(f"Taylor data stored to degree {self.degree}, asked for {N}")
         return self._stack[:N + 1].copy()
 
-    def eval_many(self, points) -> np.ndarray:
-        """Values at points of the open unit disk, as a (P, out, in) stack."""
-        z = disk_points(points)
+    def _values(self, z: np.ndarray) -> np.ndarray:
         vals = np.asarray(self._eval_many(z), dtype=np.complex128)
         if vals.shape != (z.size, self.out_dim, self.in_dim):
             raise DimensionMismatch(
@@ -147,9 +152,6 @@ class AnalyticFn:
         if vals.size and not np.isfinite(vals).all():
             raise ValueError("matrix has non-finite entries")
         return vals
-
-    def eval(self, lam: complex) -> np.ndarray:
-        return self.eval_many([lam])[0]
 
 
 @dataclass(frozen=True)
@@ -165,7 +167,7 @@ class TruncationGrid:
         pts = tuple(complex(z) for z in self.points)
         if not pts:
             raise ConfigError("empty sample grid")
-        if any(abs(z) >= 1.0 for z in pts):
+        if not all(abs(z) < 1.0 for z in pts):
             raise ConfigError("sample points must lie in the open unit disk")
         object.__setattr__(self, "points", pts)
 

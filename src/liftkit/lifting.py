@@ -42,8 +42,8 @@ from .linalg import (CONTRACTION_SLACK, Subspace, as_operator,
                      contraction_on_generators, defect, operator_norm,
                      operator_norms, orthonormal_range, require_contraction,
                      require_invertible)
-from .schur import (SchurRealization, _complete, _completion_frame,
-                    herglotz_many, random_schur)
+from .schur import (SchurRealization, _complete, _completion_frame, _herglotz,
+                    random_schur)
 
 W_ZERO_TOL = 1e-8
 # contraction slack and residual tolerance of the checks on a solution column
@@ -296,10 +296,11 @@ def _w_taylor(Hs: np.ndarray, W0, Cfun, DB, BD):
 def z_from_C(p: InterpolationProblem, H: PolyOpFn, Gamma, Cfun, N: int) -> AnalyticFn:
     """Parameter Z_C attached to a solution H and a fiber member C.
 
-    Z_C = [2 H (W+I)^-1 ; lambda^-1 (W-I)(W+I)^-1], returned as a
-    pointwise/Taylor hybrid (no colligation is reconstructed).  The
-    lambda^-1 is a coefficient shift: W(0) = I is asserted within 1e-8
-    and the bottom block's coefficient n is taken from W's degree n+1.
+    Z_C = [2 H (W+I)^-1 ; lambda^-1 (W-I)(W+I)^-1], returned as series
+    coefficients plus a pointwise rule that reads H, C and its Herglotz
+    transform at the points eval_many checked.  The lambda^-1 is a
+    coefficient shift: W(0) = I is asserted within 1e-8 and the bottom
+    block's coefficient n is taken from W's degree n+1.
     """
     u, y = p.U_dim, p.Y_dim
     G = as_operator(Gamma, cols=u)
@@ -322,27 +323,28 @@ def z_from_C(p: InterpolationProblem, H: PolyOpFn, Gamma, Cfun, N: int) -> Analy
     w0res = operator_norm(W[0] - eye)
     if w0res > W_ZERO_TOL:
         raise WNotNormalizedAtZero(f"W(0) differs from I by {w0res:.3e}")
-    Wp = W.copy()
-    Wp[0] += eye
-    M = series.inv(Wp)
+    W[0] += eye
+    M = series.inv(W)
     coeffs = np.concatenate([2.0 * series.mul(Hs, M), -2.0 * M[1:]], axis=1)
     remainder = D @ D - DB @ BD
+    Hfull = H.taylor_stack(H.degree)
+
+    def _rule(lam):
+        lam3 = lam[:, None, None]
+        # polynomial part is exact: the truncated shift is nilpotent
+        first_v, Hv = series.polyval_many([first, Hfull], lam)
+        Wv = gamma_sq + 2.0 * lam3 * first_v + DB @ _herglotz(Cfun, lam) @ BD + remainder
+        inv = require_invertible(Wv + eye, "W(lambda) + I")
+        return np.concatenate([2.0 * (Hv @ inv), ((Wv - eye) @ inv) / lam3], axis=1)
 
     def _eval_many(z):
-        out = np.empty((z.size, y + u, u), dtype=np.complex128)
         at0 = z == 0
+        if not at0.any():
+            return _rule(z)
+        out = np.empty((z.size, y + u, u), dtype=np.complex128)
         out[at0] = coeffs[0]
-        lam = z[~at0]
-        if lam.size:
-            lam3 = lam[:, None, None]
-            # polynomial part is exact: the truncated shift is nilpotent
-            Wv = (gamma_sq + 2.0 * lam3 * series.polyval(first, lam)
-                  + DB @ herglotz_many(Cfun, lam) @ BD + remainder)
-            Aplus = Wv + eye
-            require_invertible(Aplus, "W(lambda) + I")
-            inv = np.linalg.inv(Aplus)
-            out[~at0, :y] = 2.0 * (H.eval_many(lam) @ inv)
-            out[~at0, y:] = ((Wv - eye) @ inv) / lam3
+        if not at0.all():
+            out[~at0] = _rule(z[~at0])
         return out
 
     return AnalyticFn(y + u, u, coeffs, _eval_many, meta={"w0_residual": w0res})

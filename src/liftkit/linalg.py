@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DimensionMismatch, InconsistentGenerators,
-                     NotAContraction, SingularResolvent)
+                     NonFiniteResult, NotAContraction, SingularResolvent)
 
 ORTH_TOL = 1e-12
 RANK_TOL = 1e-9
@@ -167,17 +167,46 @@ def require_contraction(M, what: str, slack: float) -> float:
     return nrm
 
 
-def require_invertible(M, what: str) -> None:
-    """Raise SingularResolvent if M, or a matrix of a (P, n, n) stack, has
-    sigma_min * COND_MAX < max(1, sigma_max).
+def require_invertible(M, what: str) -> np.ndarray:
+    """np.linalg.inv(M) of a matrix or a (P, n, n) stack, raising
+    SingularResolvent if a matrix has sigma_min * COND_MAX < max(1, sigma_max).
 
     A rule on the inverse norm, so [[eps]], of condition 1, is singular;
-    for sigma_max >= 1 it reads cond > COND_MAX.
+    for sigma_max >= 1 it reads cond > COND_MAX.  See require_inverse.
     """
-    s = np.linalg.svd(M, compute_uv=False)
-    # empty matrices pass
-    if s.shape[-1] and np.any(s[..., -1] * COND_MAX < np.maximum(1.0, s[..., 0])):
-        raise SingularResolvent(f"{what} is numerically singular")
+    M = np.asarray(M)
+    try:
+        Minv = np.linalg.inv(M)
+    except np.linalg.LinAlgError:  # no inverse clears, so the SVD decides
+        require_inverse(M, np.full(M.shape, np.nan), what)
+        raise
+    require_inverse(M, Minv, what)
+    return Minv
+
+
+def require_inverse(M, Minv, what: str) -> None:
+    """require_invertible's rule for M, decided from Minv, a computed M^-1.
+
+    As sigma_max <= ||M||_F and 1 / sigma_min <= ||M^-1||_F, the rule cannot
+    fire where ||Minv||_F max(1, ||M||_F) <= COND_MAX / 2, the 2 absorbing
+    Minv's round-off.  Only the matrices this certificate cannot clear get
+    the SVD and the exact rule, so the decisions are the SVD's; one with an
+    inf or NaN entry raises NonFiniteResult.
+    """
+    if not M.size:  # empty matrices pass
+        return
+    M3 = M.reshape((-1,) + M.shape[-2:])
+    # squared Frobenius norms; an overflow or a NaN leaves a matrix uncleared
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = [np.square(np.ascontiguousarray(X, np.complex128).view(np.float64))
+              .reshape(len(M3), -1).sum(axis=1) for X in (M3, Minv)]
+        rest = M3[~(sq[1] * np.maximum(1.0, sq[0]) <= (COND_MAX / 2.0) ** 2)]
+    if rest.size:
+        if not np.isfinite(rest).all():
+            raise NonFiniteResult(f"{what} has non-finite entries")
+        s = np.linalg.svd(rest, compute_uv=False)
+        if np.any(s[:, -1] * COND_MAX < np.maximum(1.0, s[:, 0])):
+            raise SingularResolvent(f"{what} is numerically singular")
 
 
 def contraction_on_generators(gen, img, tol: float) -> tuple[Subspace, np.ndarray]:

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import series
 from .errors import DegreeTooSmall, DimensionMismatch, DomainError
-from .hardy import (GRID, AnalyticFn, PolyOpFn, column_operator,
+from .hardy import (GRID, AnalyticFn, Evaluable, PolyOpFn, column_operator,
                     multiplication_operator, shift, shift_adjoint)
 from .lifting import (CHECK_TOL, InterpolationProblem, _feedback, central_C,
                       z_from_C)
@@ -83,7 +83,7 @@ class BlaschkeFactor:
 
 
 @dataclass(frozen=True, eq=False)
-class InnerFn:
+class InnerFn(Evaluable):
     """Inner function lambda^power * product(factors) * V0, vanishing at 0.
 
     kind "bp_product": square, factors nonempty allowed to be (), V0
@@ -179,14 +179,13 @@ class InnerFn:
     def eval_many(self, points) -> np.ndarray:
         """Exact rational evaluation at each point; the closed disk is allowed."""
         z = np.asarray(points, dtype=np.complex128).reshape(-1)
-        bad = np.flatnonzero(np.abs(z) > 1.0 + 1e-12)
+        bad = np.flatnonzero(~(np.abs(z) <= 1.0 + 1e-12))
         if bad.size:
-            raise DomainError(f"|lambda| = {abs(z[bad[0]]):.6f} exceeds 1")
-        return _transfer_values(*self._realization, z)
+            raise DomainError(f"|lambda| = {abs(z[bad[0]]):.6f} is not <= 1")
+        return self._values(z)
 
-    def eval(self, lam: complex) -> np.ndarray:
-        """Exact rational evaluation; the closed disk is allowed."""
-        return self.eval_many([lam])[0]
+    def _values(self, z: np.ndarray) -> np.ndarray:
+        return _transfer_values(*self._realization, z)
 
 
 @dataclass(frozen=True)
@@ -349,7 +348,7 @@ def z_from_H_theta(theta: InnerFn, Hfn: PolyOpFn, ms: ModelSpace, N: int) -> Ana
     meta = dict(Zt.meta)
     meta["mult_tail"] = float(tail)
     return AnalyticFn(y + e, u, compress(Zt.taylor_stack(N)),
-                      lambda z: compress(Zt.eval_many(z)), meta=meta)
+                      lambda z: compress(Zt._values(z)), meta=meta)
 
 
 def multiplier_roundtrip_residual(theta: InnerFn, Hfn: PolyOpFn, ms: ModelSpace,

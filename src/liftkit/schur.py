@@ -17,13 +17,14 @@ import numpy as np
 
 from . import series
 from .errors import DimensionMismatch
-from .hardy import disk_points
+from .hardy import Evaluable, disk_points
 from .linalg import (CONTRACTION_SLACK, as_operator, defect, operator_norm,
-                     orthonormal_range, require_contraction, require_invertible)
+                     orthonormal_range, require_contraction, require_inverse,
+                     require_invertible)
 
 
 @dataclass(frozen=True)
-class SchurRealization:
+class SchurRealization(Evaluable):
     """Colligation data (A, B, C, D) with [[A, B], [C, D]] contractive."""
 
     A: np.ndarray
@@ -62,13 +63,8 @@ class SchurRealization:
         bot = np.hstack([self.C, self.D])
         return np.vstack([top, bot])
 
-    def eval_many(self, points) -> np.ndarray:
-        """Z at points of the open disk, one batched solve, as a (P, out, in) stack."""
-        return _transfer_values(self.A, self.B, self.C, self.D, disk_points(points))
-
-    def eval(self, lam: complex) -> np.ndarray:
-        """Z(lambda) = D + lambda C (I - lambda A)^-1 B on the open disk."""
-        return self.eval_many([lam])[0]
+    def _values(self, z: np.ndarray) -> np.ndarray:
+        return _transfer_values(self.A, self.B, self.C, self.D, z)
 
     def taylor_stack(self, N: int) -> np.ndarray:
         """Coefficients 0..N as an (N+1, out, in) stack: D, then C A^(k-1) B."""
@@ -156,15 +152,25 @@ def herglotz_many(Cfun, points) -> np.ndarray:
     Evaluated at every point at once, as a (P, d, d) stack.  Equals I at
     lambda = 0 and has positive semidefinite Hermitian part on the disk.
     Raises SingularResolvent when I - lambda C(lambda) is numerically
-    singular at any of the points (linalg.require_invertible).
+    singular at any of the points (linalg.require_inverse, from the value).
     """
-    z = disk_points(points)
-    V = z[:, None, None] * Cfun.eval_many(z)
+    return _herglotz(Cfun, disk_points(points))
+
+
+def _herglotz(Cfun, z: np.ndarray) -> np.ndarray:
+    """herglotz_many at checked points: one batched right division, guarded
+    from the inverse it gives, (I - lambda C)^-1 = (herglotz + I) / 2."""
+    V = z[:, None, None] * Cfun._values(z)
     if V.shape[1] != V.shape[2]:
         raise DimensionMismatch("herglotz_many needs a square-valued function")
     eye = np.eye(V.shape[1])
     A = eye - V
-    require_invertible(A, "I - lambda*C(lambda)")
     # right-divide: (I + V) A^-1 solved as A^T X^T = (I + V)^T
     At = A.transpose(0, 2, 1)
-    return np.linalg.solve(At, (eye + V).transpose(0, 2, 1)).transpose(0, 2, 1)
+    try:
+        X = np.linalg.solve(At, (eye + V).transpose(0, 2, 1)).transpose(0, 2, 1)
+    except np.linalg.LinAlgError:
+        require_invertible(A, "I - lambda*C(lambda)")
+        raise
+    require_inverse(A, (X + eye) / 2.0, "I - lambda*C(lambda)")
+    return X

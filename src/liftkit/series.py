@@ -111,14 +111,13 @@ def inv(a) -> np.ndarray:
 
     Writing a = a_0 (I - lambda x) reduces the inverse to a resolvent.
     Raises SingularResolvent when a_0 is numerically singular
-    (linalg.require_invertible, a rule on the inverse norm).
+    (linalg.require_invertible, which gives a_0^-1 and decides from it).
     """
     a = _as_series(a)
     L, m, n = a.shape
     if m != n:
         raise DimensionMismatch(f"only square series are invertible, got {m} x {n}")
-    require_invertible(a[0], "constant term of the series")
-    a0inv = np.linalg.inv(a[0])
+    a0inv = require_invertible(a[0], "constant term of the series")
     return _resolvent(-(a0inv @ a[1:])) @ a0inv
 
 
@@ -154,9 +153,19 @@ def polyval(a, points) -> np.ndarray:
 
     One power-vector matmul: (P, N+1) powers times the (N+1, m*n) stack.
     """
-    a = _as_series(a)
+    return polyval_many([_as_series(a)], points)[0]
+
+
+def polyval_many(stacks, points) -> list:
+    """polyval of each (L, m, n) stack at the same points, from one cumprod:
+    the first columns of the longest stack's powers are a shorter one's."""
     z = np.asarray(points, dtype=np.complex128).reshape(-1)
-    L, m, n = a.shape
+    L = max(len(a) for a in stacks)
     powers = np.ones((z.size, L), dtype=np.complex128)
     powers[:, 1:] = np.cumprod(np.broadcast_to(z[:, None], (z.size, L - 1)), axis=1)
-    return (powers @ a.reshape(L, m * n)).reshape(z.size, m, n)
+    values = []
+    for a in stacks:
+        k, m, n = a.shape
+        pw = np.ascontiguousarray(powers[:, :k])
+        values.append((pw @ a.reshape(k, m * n)).reshape(z.size, m, n))
+    return values

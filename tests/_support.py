@@ -2,8 +2,11 @@
 
 import numpy as np
 
-from liftkit import InterpolationProblem, Subspace
-from liftkit.linalg import operator_norm
+from liftkit import InterpolationProblem, Subspace, series
+from liftkit.errors import SingularResolvent
+from liftkit.hardy import disk_points
+from liftkit.lifting import W_ZERO_TOL, _w_taylor
+from liftkit.linalg import COND_MAX, defect, operator_norm
 
 # dimension cycle (U, Y, dim F) used by the randomized suites
 DIMS = [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 2),
@@ -136,3 +139,87 @@ def inner_values_oracle(theta, points) -> np.ndarray:
         P = np.outer(f.w, f.w.conj())
         acc = acc @ (np.eye(u) - P + blaschke_value(f.a, z)[:, None, None] * P)
     return (z ** theta.power)[:, None, None] * (acc @ theta.V0)
+
+
+def svd_singular_rule(M, what: str) -> None:
+    """The singularity guard as the SVD decides it, before any certificate.
+
+    The oracle of linalg.require_invertible and require_inverse: raise
+    SingularResolvent if M, or a matrix of a (P, n, n) stack, has
+    sigma_min * COND_MAX < max(1, sigma_max).
+    """
+    s = np.linalg.svd(M, compute_uv=False)
+    if s.shape[-1] and np.any(s[..., -1] * COND_MAX < np.maximum(1.0, s[..., 0])):
+        raise SingularResolvent(f"{what} is numerically singular")
+
+
+def series_inv_oracle(a) -> np.ndarray:
+    """series.inv as the SVD-guarded inverse of a_0 and a resolvent."""
+    a = np.asarray(a, dtype=np.complex128)
+    svd_singular_rule(a[0], "constant term of the series")
+    a0inv = np.linalg.inv(a[0])
+    return series._resolvent(-(a0inv @ a[1:])) @ a0inv
+
+
+def herglotz_oracle(Cfun, points) -> np.ndarray:
+    """herglotz_many with the SVD guard before its batched right division."""
+    z = disk_points(points)
+    V = z[:, None, None] * Cfun.eval_many(z)
+    eye = np.eye(V.shape[1])
+    A = eye - V
+    svd_singular_rule(A, "I - lambda*C(lambda)")
+    At = A.transpose(0, 2, 1)
+    return np.linalg.solve(At, (eye + V).transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
+def polyval_oracle(a, z) -> np.ndarray:
+    """sum_k a_k z^k at each point of z, its own powers for each call."""
+    L, m, n = a.shape
+    powers = np.ones((z.size, L), dtype=np.complex128)
+    powers[:, 1:] = np.cumprod(np.broadcast_to(z[:, None], (z.size, L - 1)), axis=1)
+    return (powers @ a.reshape(L, m * n)).reshape(z.size, m, n)
+
+
+def z_from_C_rule_oracle(p, H, Gamma, Cfun, N: int):
+    """The pointwise rule of lifting.z_from_C, a function of a point vector.
+
+    Every value is checked as a public call checks it: H, C and the
+    Herglotz transform each check the points again, each polynomial gets
+    its own powers, and W(lambda) + I gets the SVD guard before
+    np.linalg.inv.
+    """
+    u, y = p.U_dim, p.Y_dim
+    G = np.asarray(Gamma, dtype=np.complex128)
+    D, drange = defect(G, W_ZERO_TOL)
+    Bd = drange.basis
+    Hs = H.taylor_stack(N)
+    gamma_sq = G.conj().T @ G
+    DB = D @ Bd
+    BD = Bd.conj().T @ D
+    W, first = _w_taylor(Hs, gamma_sq + D @ D, Cfun, DB, BD)
+    eye = np.eye(u, dtype=np.complex128)
+    Wp = W.copy()
+    Wp[0] += eye
+    M = series_inv_oracle(Wp)
+    coeff0 = np.concatenate([2.0 * series.mul(Hs, M), -2.0 * M[1:]], axis=1)[0]
+    remainder = D @ D - DB @ BD
+
+    def rule(points):
+        z = np.asarray(points, dtype=np.complex128).reshape(-1)
+        out = np.empty((z.size, y + u, u), dtype=np.complex128)
+        at0 = z == 0
+        out[at0] = coeff0
+        lam = z[~at0]
+        if lam.size:
+            lam3 = lam[:, None, None]
+            Wv = (gamma_sq + 2.0 * lam3 * polyval_oracle(first, lam)
+                  + DB @ herglotz_oracle(Cfun, lam) @ BD + remainder)
+            Aplus = Wv + eye
+            svd_singular_rule(Aplus, "W(lambda) + I")
+            inv = np.linalg.inv(Aplus)
+            Hv = polyval_oracle(H.taylor_stack(H.degree), disk_points(lam))
+            out[~at0, :y] = 2.0 * (Hv @ inv)
+            out[~at0, y:] = ((Wv - eye) @ inv) / lam3
+        return out
+
+    return rule

@@ -167,7 +167,7 @@ def _name(node) -> str | None:
 
 
 def test_numerical_guards_are_decided_only_in_linalg():
-    raised, constants, slacks = [], [], []
+    raised, constants, slacks, inverses = [], [], [], []
     paths = sorted((ROOT / "src" / "liftkit").glob("*.py"))
     assert ROOT / "src" / "liftkit" / "linalg.py" in paths
     for path in paths:
@@ -184,6 +184,11 @@ def test_numerical_guards_are_decided_only_in_linalg():
                     and isinstance(node.left, ast.Constant) and node.left.value == 1.0
                     and isinstance(node.right, ast.Constant) and node.right.value == 1e-10):
                 slacks.append(where)
+            # every inverse comes with its guard: np.linalg.inv
+            if (path.name != "linalg.py" and isinstance(node, ast.Attribute)
+                    and node.attr == "inv" and _name(node.value) == "linalg"):
+                inverses.append(where)
     assert not raised
     assert not constants
     assert not slacks
+    assert not inverses

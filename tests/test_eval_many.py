@@ -1,28 +1,37 @@
 """eval_many against the per-point eval for every analytic function type."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from _support import inner_values_oracle
+from _support import herglotz_oracle, inner_values_oracle, z_from_C_rule_oracle
+from liftkit import hardy, schur
 from liftkit.errors import DomainError, SingularResolvent
-from liftkit.hardy import AnalyticFn, PolyOpFn, column_operator, default_grid
-from liftkit.lifting import (central_C, random_constrained_z, random_problem,
-                             solve_from_Z, z_from_C)
-from liftkit.linalg import hermitian_sqrt_psd
+from liftkit.hardy import GRID, AnalyticFn, PolyOpFn, column_operator, default_grid
+from liftkit.lifting import (_gamma_data, central_C, parameter_membership,
+                             random_constrained_z, random_problem, solve_from_Z,
+                             z_from_C)
+from liftkit.linalg import Subspace, hermitian_sqrt_psd
 from liftkit.modelspace import random_inner
-from liftkit.schur import SchurRealization, random_schur
+from liftkit.schur import (SchurRealization, _complete, _completion_frame,
+                           herglotz_many, random_schur)
 
 N = 24
 POINTS = (0.0,) + default_grid(N).points
 
 
-def fiber_parameter(seed=3, Cfun=None):
+def fiber_data(seed=3):
+    """(problem, H, Gamma, central C) of a (2, 2, 1) problem."""
     p = random_problem(2, 2, 1, seed, scale=0.45)
     H = solve_from_Z(p, random_constrained_z(p, 2, seed + 1, scale=0.5), N)
     Gamma = column_operator(H, N)
-    if Cfun is None:
-        Cfun = central_C(p, Gamma)
-    return z_from_C(p, H, Gamma, Cfun, N), Gamma
+    return p, H, Gamma, central_C(p, Gamma)
+
+
+def fiber_parameter(seed=3, Cfun=None):
+    p, H, Gamma, C = fiber_data(seed)
+    return z_from_C(p, H, Gamma, C if Cfun is None else Cfun, N), Gamma
 
 
 def poly():
@@ -86,6 +95,14 @@ def test_one_point_off_the_disk_raises_domain_error(name):
     fn = FUNCTIONS[name]()
     bad = 1.01 if name == "InnerFn" else 1.0
     assert_same_error(fn, [0.2, 0.5j, bad, 0.1], DomainError)
+    # NaN compares False with every bound, so it must fail the disk test
+    assert_same_error(fn, [0.2, 0.5j, float("nan"), 0.1], DomainError, match="nan")
+
+
+def test_herglotz_rejects_a_nan_point():
+    C = fiber_data()[3]
+    with pytest.raises(DomainError, match="nan"):
+        herglotz_many(C, [0.3, float("nan")])
 
 
 def test_inner_fn_keeps_the_closed_disk():
@@ -130,3 +147,75 @@ def test_w_plus_identity_guard_raises_in_batch():
     Z1, _ = fiber_parameter(Cfun=Cfun)
     assert_same_error(Z1, [0.3, lam0, 0.2], SingularResolvent,
                       match="W\\(lambda\\) \\+ I")
+
+
+def fiber_members(p, Gamma):
+    """Three fiber members over Gamma: the central C, a realized C with
+    two states and that C as an AnalyticFn.
+
+    The realized member is Omega P_(F_Gamma) + D_(Omega*) X(lambda) P_(F_Gamma perp)
+    in defect coordinates, the constrained completion of (F_Gamma, Omega).
+    """
+    Bd, FG, Om = _gamma_data(p, Gamma)
+    d = Bd.shape[1]
+    q = SimpleNamespace(omega=Om, F=Subspace(d, Bd.conj().T @ FG.basis), U_dim=d)
+    frame = _completion_frame(q)
+    X = random_schur(frame[0].shape[1], frame[1].shape[1], 2, seed=8, scale=0.9)
+    realized = _complete(q, frame, X)
+    wrapped = AnalyticFn(d, d, realized.taylor_stack(N + 1), realized.eval_many)
+    return {"central": central_C(p, Gamma), "realized": realized, "analytic": wrapped}
+
+
+@pytest.mark.parametrize("member", ["central", "realized", "analytic"])
+def test_z_from_C_values_are_bit_identical_to_the_checked_rule(member):
+    # the rule that checks every point at every call and guards by the SVD
+    p, H, Gamma, _ = fiber_data()
+    C = fiber_members(p, Gamma)[member]
+    assert parameter_membership(C, p, Gamma)
+    if member == "realized":
+        assert C.state_dim == 2
+    Zc = z_from_C(p, H, Gamma, C, N)
+    rule = z_from_C_rule_oracle(p, H, Gamma, C, N)
+    assert np.array_equal(Zc.eval_many(POINTS), rule(POINTS))
+    assert np.array_equal(Zc.eval_many(GRID), rule(GRID))
+    for z in POINTS:
+        assert np.array_equal(Zc.eval(z), rule([z])[0])
+    assert np.array_equal(herglotz_many(C, POINTS), herglotz_oracle(C, POINTS))
+    for z in POINTS[:8]:
+        assert np.array_equal(herglotz_many(C, [z]), herglotz_oracle(C, [z]))
+
+
+def test_one_evaluation_checks_its_point_once(monkeypatch):
+    Z1, _ = fiber_parameter()
+    calls = []
+
+    def counted(points):
+        calls.append(points)
+        return check(points)
+
+    check = hardy.disk_points
+    # schur imported disk_points by name, so it holds its own reference
+    monkeypatch.setattr(hardy, "disk_points", counted)
+    monkeypatch.setattr(schur, "disk_points", counted)
+    Z1.eval(0.3 + 0.2j)
+    assert len(calls) == 1
+    Z1.eval_many(GRID)
+    assert len(calls) == 2
+
+
+def test_grid_evaluation_of_central_parameter_needs_no_svd(monkeypatch):
+    # every W(lambda) + I and I - lambda C on GRID is cleared by the
+    # certificate, so the SVD rule never runs
+    Z1, _ = fiber_parameter()
+    shapes = []
+
+    def counted(M, **kw):
+        shapes.append(np.shape(M))
+        return svd(M, **kw)
+
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    Z1.eval_many(GRID)
+    for z in GRID:
+        Z1.eval(z)
+    assert shapes == []

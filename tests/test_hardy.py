@@ -234,3 +234,8 @@ def test_multiplication_operator_memory_stays_below_the_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_truncation_grid_rejects_a_nan_point():
+    with pytest.raises(ConfigError, match="open unit disk"):
+        TruncationGrid(8, (0.5, float("nan")))

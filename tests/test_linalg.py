@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _support import svd_singular_rule
 from liftkit.errors import (DimensionMismatch, InconsistentGenerators,
-                            NotAContraction, SingularResolvent)
+                            NonFiniteResult, NotAContraction, SingularResolvent)
 from liftkit.linalg import (CONTRACTION_SLACK, Subspace, as_operator,
                             contraction_on_generators, defect, haar_unitary,
                             hermitian_sqrt_psd, operator_norm, operator_norms,
@@ -272,3 +273,82 @@ def test_contraction_on_generators_rescales_round_off_only(excess, raises):
     else:
         F, om = contraction_on_generators(gen, T @ gen, tol)
         assert abs(operator_norm(om) - 1.0) <= 1e-15
+
+
+def _decision(guard, M):
+    """(raised exception type or None, its message) of one guard call."""
+    try:
+        guard(M, "x")
+    except (SingularResolvent, NonFiniteResult) as exc:
+        return type(exc), str(exc)
+    return None, ""
+
+
+def _sweep_matrices(rng, n, count):
+    """Seeded matrices with log-uniform singular values; every third one
+    within 1% of the rule's threshold max(1, sigma_max) / sigma_min = 1e10."""
+    for k in range(count):
+        smax = 10.0 ** rng.uniform(-3, 3)
+        if k % 3 == 0:
+            smin = max(1.0, smax) / (1e10 * rng.uniform(0.99, 1.01))
+        else:
+            smin = smax / 10.0 ** rng.uniform(0, 13)
+        s = np.sort(np.exp(rng.uniform(np.log(smin), np.log(smax), n)))[::-1]
+        s[0], s[-1] = smax, smin
+        yield haar_unitary(rng, n) @ np.diag(s) @ haar_unitary(rng, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 24])
+def test_certified_guard_decides_as_the_svd_rule(n):
+    rng = np.random.default_rng(100 + n)
+    decisions = []
+    for M in _sweep_matrices(rng, n, 150):
+        want = _decision(svd_singular_rule, M)
+        assert _decision(require_invertible, M) == want
+        decisions.append(want[0])
+        if want[0] is None:
+            assert np.array_equal(require_invertible(M, "x"), np.linalg.inv(M))
+    # the sweep reaches both sides of the rule
+    assert None in decisions and SingularResolvent in decisions
+
+
+@pytest.mark.parametrize("M", [np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros((3, 3))],
+                         ids=["lu-fails", "zero"])
+def test_certified_guard_on_exactly_singular_matrices(M):
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(M)
+    assert _decision(require_invertible, M) == _decision(svd_singular_rule, M)
+    assert _decision(require_invertible, M)[0] is SingularResolvent
+
+
+def test_certified_guard_on_an_empty_stack():
+    assert require_invertible(np.zeros((5, 0, 0)), "x").shape == (5, 0, 0)
+
+
+def test_certified_guard_runs_the_svd_on_the_one_matrix_it_cannot_clear(monkeypatch):
+    shapes = []
+
+    def counted(M, **kw):
+        shapes.append(np.shape(M))
+        return svd(M, **kw)
+
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    rng = np.random.default_rng(12)
+    S = np.stack([haar_unitary(rng, 4) @ np.diag([2.0, 1.0, 0.5, 0.2]) for _ in range(64)])
+    assert np.array_equal(require_invertible(S, "x"), np.linalg.inv(S))
+    assert shapes == []
+    S[37] = S[37] @ np.diag([1.0, 1.0, 1.0, 1e-12])
+    with pytest.raises(SingularResolvent, match=r"^x is numerically singular$"):
+        require_invertible(S, "x")
+    assert shapes == [(1, 4, 4)]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_certified_guard_rejects_a_non_finite_matrix(bad):
+    S = np.stack([np.eye(2, dtype=np.complex128)] * 3)
+    S[1, 0, 1] = bad
+    with pytest.raises(NonFiniteResult, match=r"^x has non-finite entries$"):
+        require_invertible(S, "x")
+    with pytest.raises(NonFiniteResult, match=r"^x has non-finite entries$"):
+        require_invertible(S[1], "x")

@@ -4,7 +4,7 @@ import pytest
 from _support import scalar_fixture, taylor_sum
 from liftkit.errors import (DimensionMismatch, DomainError, NotAContraction,
                             SingularResolvent)
-from liftkit.hardy import default_grid
+from liftkit.hardy import AnalyticFn, default_grid
 from liftkit.lifting import random_problem
 from liftkit.linalg import operator_norm
 from liftkit.schur import (SchurRealization, constrained_completion,
@@ -119,6 +119,16 @@ def test_herglotz_singular_resolvent():
         herglotz_many(C, [1.0 - 1e-13])
     with pytest.raises(DomainError):
         herglotz_many(C, [1.0])
+
+
+def test_herglotz_guard_where_the_solve_fails():
+    # C = 2 I is no Schur function, but I - lambda C is exactly 0 at 1/2:
+    # the LU of the right division fails and the SVD rule decides
+    two = 2.0 * np.eye(2)
+    C = AnalyticFn(2, 2, [two], lambda z: np.broadcast_to(two, (z.size, 2, 2)))
+    with pytest.raises(SingularResolvent,
+                       match=r"^I - lambda\*C\(lambda\) is numerically singular$"):
+        herglotz_many(C, [0.1, 0.5])
 
 
 def test_herglotz_requires_square():
