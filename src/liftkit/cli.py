@@ -81,12 +81,14 @@ def _parse(argv):
     return args
 
 
-def _envelope(args, **fields) -> dict:
+def _envelope(args, failures: list, **fields) -> tuple[dict, int]:
+    """The output record, ok when no check failed, and the exit code."""
     out = {"schema": SCHEMA, "command": args.cmd, "seed": args.seed,
            "degree": args.degree,
-           "tolerances": {"verify": RECURRENCE_TOL, "contract": CHECK_TOL}}
+           "tolerances": {"verify": RECURRENCE_TOL, "contract": CHECK_TOL},
+           "ok": not failures, "failures": failures}
     out.update(fields)
-    return out
+    return out, EXIT_OK if not failures else EXIT_VERIFY
 
 
 def _mapping(name: str, fn, u: int, y: int):
@@ -122,9 +124,8 @@ def _report_failures(rep) -> list:
 
 def _cmd_gen(args, payload_in):
     p, Z = _problem_and_z(args, payload_in)
-    out = _envelope(args, problem=problem_to_json(p), Z=schur_to_json(Z),
-                    unique=uniqueness_certificate(p), ok=True, failures=[])
-    return out, EXIT_OK
+    return _envelope(args, [], problem=problem_to_json(p), Z=schur_to_json(Z),
+                     unique=uniqueness_certificate(p))
 
 
 def _cmd_solve(args, payload_in):
@@ -132,11 +133,8 @@ def _cmd_solve(args, payload_in):
     N = args.degree
     H = solve_from_Z(p, Z, N)
     rep = verify_solution(p, H, N)
-    failures = _report_failures(rep)
-    out = _envelope(args, problem=problem_to_json(p), H=poly_to_json(H),
-                    report=asdict(rep), ok=not failures,
-                    failures=failures)
-    return out, EXIT_OK if not failures else EXIT_VERIFY
+    return _envelope(args, _report_failures(rep), problem=problem_to_json(p),
+                     H=poly_to_json(H), report=asdict(rep))
 
 
 def _cmd_verify(args, payload_in):
@@ -145,20 +143,15 @@ def _cmd_verify(args, payload_in):
     p = problem_from_json(field(payload_in, "problem"), "problem")
     H = _mapping("H", poly_from_json(field(payload_in, "H"), "H"), p.U_dim, p.Y_dim)
     rep = verify_solution(p, H, H.degree)
-    failures = _report_failures(rep)
-    out = _envelope(args, degree=rep.degree, report=asdict(rep),
-                    ok=not failures, failures=failures)
-    return out, EXIT_OK if not failures else EXIT_VERIFY
+    return _envelope(args, _report_failures(rep), degree=rep.degree, report=asdict(rep))
 
 
 def _cmd_fiber(args, payload_in):
     p, Z = _problem_and_z(args, payload_in)
     diff, constraint, w0 = fiber_roundtrip_residuals(p, Z, args.degree)
-    failures = _exceeding(("fiber roundtrip residual", diff, FIBER_GAP_TOL))
-    out = _envelope(args, roundtrip_residual=diff,
-                    constraint_residual=constraint, w0_residual=w0,
-                    ok=not failures, failures=failures)
-    return out, EXIT_OK if not failures else EXIT_VERIFY
+    return _envelope(args, _exceeding(("fiber roundtrip residual", diff, FIBER_GAP_TOL)),
+                     roundtrip_residual=diff, constraint_residual=constraint,
+                     w0_residual=w0)
 
 
 def _rcl_report(ds, z_seed: int, N: int):
@@ -184,8 +177,7 @@ def _cmd_rcl(args, payload_in):
         fields["intertwining_residual"] = rep.intertwining_residual
         failures += _exceeding(("projection_residual", rep.projection_residual, CHECK_TOL),
                                ("intertwining_residual", rep.intertwining_residual, CHECK_TOL))
-    out = _envelope(args, ok=not failures, failures=failures, **fields)
-    return out, EXIT_OK if not failures else EXIT_VERIFY
+    return _envelope(args, failures, **fields)
 
 
 def _modelspace_roundtrip(theta_seed: int, mult_seed: int, N: int):
@@ -210,11 +202,10 @@ def _cmd_modelspace(args, payload_in):
                           ("multiplier roundtrip residual", diff, MULT_ROUNDTRIP_TOL))
     if not mb.contractive:
         failures.append(f"multiplication norm {mb.norm:.6f} exceeds 1")
-    out = _envelope(args, degree=ms.N, model_dim=ms.basis.dim, h0_dim=ms.H0_basis.dim,
-                    decomposition_residuals=list(map(float, dec[:4])),
-                    mult_norm=mb.norm, roundtrip_residual=diff,
-                    ok=not failures, failures=failures)
-    return out, EXIT_OK if not failures else EXIT_VERIFY
+    return _envelope(args, failures, degree=ms.N, model_dim=ms.basis.dim,
+                     h0_dim=ms.H0_basis.dim,
+                     decomposition_residuals=list(map(float, dec[:4])),
+                     mult_norm=mb.norm, roundtrip_residual=diff)
 
 
 def _suite_scalar_fixture(seed: int, N: int):
@@ -291,8 +282,7 @@ def _cmd_selftest(args, payload_in):
             suites[name] = {"degree": N, "max_residual": float(value), "tol": tol,
                             "pass": bool(value <= tol)}
             failures += _exceeding((name, value, tol))
-    out = _envelope(args, suites=suites, ok=not failures, failures=failures)
-    return out, EXIT_OK if not failures else EXIT_VERIFY
+    return _envelope(args, failures, suites=suites)
 
 
 def _load_input(path: str):

@@ -11,7 +11,8 @@ InnerFn) exposes the same protocol: ``taylor_stack(N)`` returns the
 coefficients 0..N as an (N+1, out, in) stack for the series engine in
 ``liftkit.series``, and ``eval_many(points)`` returns the values at P
 points as a (P, out, in) stack, raising what the per-point ``eval`` would
-raise at any of them; it checks them once (``Evaluable``).
+raise at any of them.  The library's types check the points once
+(``Evaluable``); their internal ``_values`` reads checked points.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ def disk_points(points) -> np.ndarray:
     """The points, checked once per evaluation call, as a complex128 vector;
     DomainError names the first |z| >= 1 or NaN."""
     z = np.asarray(points, dtype=np.complex128).reshape(-1)
-    bad = np.flatnonzero(~(np.abs(z) < 1.0))
-    if bad.size:
-        raise DomainError(f"|lambda| = {abs(z[bad[0]]):.6f} is not < 1")
+    inside = np.abs(z) < 1.0
+    if not inside.all():
+        raise DomainError(f"|lambda| = {abs(z[~inside][0]):.6f} is not < 1")
     return z
 
 

@@ -327,24 +327,20 @@ def z_from_C(p: InterpolationProblem, H: PolyOpFn, Gamma, Cfun, N: int) -> Analy
     M = series.inv(W)
     coeffs = np.concatenate([2.0 * series.mul(Hs, M), -2.0 * M[1:]], axis=1)
     remainder = D @ D - DB @ BD
-    Hfull = H.taylor_stack(H.degree)
-
-    def _rule(lam):
-        lam3 = lam[:, None, None]
-        # polynomial part is exact: the truncated shift is nilpotent
-        first_v, Hv = series.polyval_many([first, Hfull], lam)
-        Wv = gamma_sq + 2.0 * lam3 * first_v + DB @ _herglotz(Cfun, lam) @ BD + remainder
-        inv = require_invertible(Wv + eye, "W(lambda) + I")
-        return np.concatenate([2.0 * (Hv @ inv), ((Wv - eye) @ inv) / lam3], axis=1)
 
     def _eval_many(z):
-        at0 = z == 0
-        if not at0.any():
-            return _rule(z)
         out = np.empty((z.size, y + u, u), dtype=np.complex128)
-        out[at0] = coeffs[0]
-        if not at0.all():
-            out[~at0] = _rule(z[~at0])
+        nz = z != 0
+        out[~nz] = coeffs[0]
+        lam = z[nz]
+        if lam.size:
+            lam3 = lam[:, None, None]
+            # polynomial part is exact: the truncated shift is nilpotent
+            Wv = (gamma_sq + 2.0 * lam3 * series.polyval(first, lam)
+                  + DB @ _herglotz(Cfun, lam) @ BD + remainder)
+            inv = require_invertible(Wv + eye, "W(lambda) + I")
+            out[nz, :y] = 2.0 * (H._values(lam) @ inv)
+            out[nz, y:] = ((Wv - eye) @ inv) / lam3
         return out
 
     return AnalyticFn(y + u, u, coeffs, _eval_many, meta={"w0_residual": w0res})

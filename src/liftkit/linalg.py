@@ -188,25 +188,21 @@ def require_inverse(M, Minv, what: str) -> None:
     """require_invertible's rule for M, decided from Minv, a computed M^-1.
 
     As sigma_max <= ||M||_F and 1 / sigma_min <= ||M^-1||_F, the rule cannot
-    fire where ||Minv||_F max(1, ||M||_F) <= COND_MAX / 2, the 2 absorbing
-    Minv's round-off.  Only the matrices this certificate cannot clear get
-    the SVD and the exact rule, so the decisions are the SVD's; one with an
-    inf or NaN entry raises NonFiniteResult.
+    fire where ||Minv||_F max(1, ||M||_F) <= COND_MAX / 2, the 2 a margin
+    for Minv's round-off.  For a stack the norms are taken over the whole
+    stack, which bounds them for each matrix.  Where this certificate
+    cannot clear M, the SVD decides the exact rule for every matrix; an
+    inf or NaN entry then raises NonFiniteResult.
     """
-    if not M.size:  # empty matrices pass
+    # squared Frobenius norms; an overflow or a NaN clears nothing
+    if np.vdot(Minv, Minv).real * max(np.vdot(M, M).real, 1.0) <= (COND_MAX / 2.0) ** 2:
         return
-    M3 = M.reshape((-1,) + M.shape[-2:])
-    # squared Frobenius norms; an overflow or a NaN leaves a matrix uncleared
-    with np.errstate(over="ignore", invalid="ignore"):
-        sq = [np.square(np.ascontiguousarray(X, np.complex128).view(np.float64))
-              .reshape(len(M3), -1).sum(axis=1) for X in (M3, Minv)]
-        rest = M3[~(sq[1] * np.maximum(1.0, sq[0]) <= (COND_MAX / 2.0) ** 2)]
-    if rest.size:
-        if not np.isfinite(rest).all():
-            raise NonFiniteResult(f"{what} has non-finite entries")
-        s = np.linalg.svd(rest, compute_uv=False)
-        if np.any(s[:, -1] * COND_MAX < np.maximum(1.0, s[:, 0])):
-            raise SingularResolvent(f"{what} is numerically singular")
+    if not np.isfinite(M).all():
+        raise NonFiniteResult(f"{what} has non-finite entries")
+    s = np.linalg.svd(M, compute_uv=False)
+    # empty matrices pass
+    if s.shape[-1] and np.any(s[..., -1] * COND_MAX < np.maximum(1.0, s[..., 0])):
+        raise SingularResolvent(f"{what} is numerically singular")
 
 
 def contraction_on_generators(gen, img, tol: float) -> tuple[Subspace, np.ndarray]:

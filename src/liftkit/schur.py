@@ -159,16 +159,17 @@ def herglotz_many(Cfun, points) -> np.ndarray:
 
 def _herglotz(Cfun, z: np.ndarray) -> np.ndarray:
     """herglotz_many at checked points: one batched right division, guarded
-    from the inverse it gives, (I - lambda C)^-1 = (herglotz + I) / 2."""
-    V = z[:, None, None] * Cfun._values(z)
+    from the inverse it gives, (I - lambda C)^-1 = (herglotz + I) / 2.  A C
+    with only the protocol's eval_many checks the points again."""
+    Cv = Cfun._values(z) if isinstance(Cfun, Evaluable) else Cfun.eval_many(z)
+    V = z[:, None, None] * Cv
     if V.shape[1] != V.shape[2]:
         raise DimensionMismatch("herglotz_many needs a square-valued function")
     eye = np.eye(V.shape[1])
     A = eye - V
     # right-divide: (I + V) A^-1 solved as A^T X^T = (I + V)^T
-    At = A.transpose(0, 2, 1)
     try:
-        X = np.linalg.solve(At, (eye + V).transpose(0, 2, 1)).transpose(0, 2, 1)
+        X = np.linalg.solve(A.transpose(0, 2, 1), (eye + V).transpose(0, 2, 1)).transpose(0, 2, 1)
     except np.linalg.LinAlgError:
         require_invertible(A, "I - lambda*C(lambda)")
         raise

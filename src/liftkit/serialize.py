@@ -49,13 +49,6 @@ def _int(d, key: str, path: str) -> int:
         raise ConfigError(f"{_at(path, key)}: expected an integer") from exc
 
 
-def _list(d, key: str, path: str) -> list:
-    v = field(d, key, path)
-    if not isinstance(v, list):
-        raise ConfigError(f"{_at(path, key)}: expected a list")
-    return v
-
-
 def _build(path: str, make, *args, **kwargs):
     """make(*args, **kwargs), with shape and value errors as ConfigError at path."""
     try:
@@ -99,10 +92,11 @@ def poly_to_json(p: PolyOpFn) -> dict:
 
 
 def poly_from_json(d: dict, path: str = "poly") -> PolyOpFn:
-    coeffs = tuple(matrix_from_json(c, f"{path}.coeffs[{n}]")
-                   for n, c in enumerate(_list(d, "coeffs", path)))
-    return _build(path, PolyOpFn, _int(d, "out", path), _int(d, "in", path),
-                  coeffs)
+    raw = field(d, "coeffs", path)
+    if not isinstance(raw, list):
+        raise ConfigError(f"{_at(path, 'coeffs')}: expected a list")
+    coeffs = tuple(matrix_from_json(c, f"{path}.coeffs[{n}]") for n, c in enumerate(raw))
+    return _build(path, PolyOpFn, _int(d, "out", path), _int(d, "in", path), coeffs)
 
 
 def schur_to_json(s: SchurRealization) -> dict:

@@ -35,12 +35,6 @@ def _as_series(a) -> np.ndarray:
     return s
 
 
-def _block_row(a: np.ndarray) -> np.ndarray:
-    """[a_0 a_1 ... a_N] as one m x (N+1)n matrix."""
-    L, m, n = a.shape
-    return a.transpose(1, 0, 2).reshape(m, L * n)
-
-
 def _fft_len(L: int) -> int:
     """Smallest power of two >= L: a cyclic product of that length holds L
     coefficients of the linear one without wrapping."""
@@ -97,7 +91,8 @@ def resolvent(x) -> np.ndarray:
 def _resolvent(x: np.ndarray) -> np.ndarray:
     """resolvent on a checked (L, m, m) complex128 stack."""
     L, m, _ = x.shape
-    row = _block_row(x)
+    # the block row [x_0 x_1 ... x_(L-1)]
+    row = x.transpose(1, 0, 2).reshape(m, L * m)
     # y_k is stored at block L-k, so y_k..y_0 is the tail from block L-k
     col = np.zeros(((L + 1) * m, m), dtype=np.complex128)
     col[L * m:] = np.eye(m)
@@ -153,19 +148,11 @@ def polyval(a, points) -> np.ndarray:
 
     One power-vector matmul: (P, N+1) powers times the (N+1, m*n) stack.
     """
-    return polyval_many([_as_series(a)], points)[0]
-
-
-def polyval_many(stacks, points) -> list:
-    """polyval of each (L, m, n) stack at the same points, from one cumprod:
-    the first columns of the longest stack's powers are a shorter one's."""
+    a = _as_series(a)
     z = np.asarray(points, dtype=np.complex128).reshape(-1)
-    L = max(len(a) for a in stacks)
-    powers = np.ones((z.size, L), dtype=np.complex128)
-    powers[:, 1:] = np.cumprod(np.broadcast_to(z[:, None], (z.size, L - 1)), axis=1)
-    values = []
-    for a in stacks:
-        k, m, n = a.shape
-        pw = np.ascontiguousarray(powers[:, :k])
-        values.append((pw @ a.reshape(k, m * n)).reshape(z.size, m, n))
-    return values
+    L, m, n = a.shape
+    powers = np.empty((z.size, L), dtype=np.complex128)
+    powers[:, 0] = 1.0
+    powers[:, 1:] = z[:, None]
+    np.cumprod(powers[:, 1:], axis=1, out=powers[:, 1:])
+    return (powers @ a.reshape(L, m * n)).reshape(z.size, m, n)

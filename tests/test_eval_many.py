@@ -150,8 +150,9 @@ def test_w_plus_identity_guard_raises_in_batch():
 
 
 def fiber_members(p, Gamma):
-    """Three fiber members over Gamma: the central C, a realized C with
-    two states and that C as an AnalyticFn.
+    """Four fiber members over Gamma: the central C, a realized C with
+    two states, that C as an AnalyticFn and as a bare object with only
+    the protocol (taylor_stack and eval_many, no _values).
 
     The realized member is Omega P_(F_Gamma) + D_(Omega*) X(lambda) P_(F_Gamma perp)
     in defect coordinates, the constrained completion of (F_Gamma, Omega).
@@ -163,10 +164,13 @@ def fiber_members(p, Gamma):
     X = random_schur(frame[0].shape[1], frame[1].shape[1], 2, seed=8, scale=0.9)
     realized = _complete(q, frame, X)
     wrapped = AnalyticFn(d, d, realized.taylor_stack(N + 1), realized.eval_many)
-    return {"central": central_C(p, Gamma), "realized": realized, "analytic": wrapped}
+    bare = SimpleNamespace(in_dim=d, out_dim=d, taylor_stack=realized.taylor_stack,
+                           eval_many=realized.eval_many)
+    return {"central": central_C(p, Gamma), "realized": realized, "analytic": wrapped,
+            "protocol": bare}
 
 
-@pytest.mark.parametrize("member", ["central", "realized", "analytic"])
+@pytest.mark.parametrize("member", ["central", "realized", "analytic", "protocol"])
 def test_z_from_C_values_are_bit_identical_to_the_checked_rule(member):
     # the rule that checks every point at every call and guards by the SVD
     p, H, Gamma, _ = fiber_data()

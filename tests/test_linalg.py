@@ -1,5 +1,7 @@
 """Unit tests for the dense linear-algebra helpers."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from liftkit.linalg import (CONTRACTION_SLACK, Subspace, as_operator,
                             hermitian_sqrt_psd, operator_norm, operator_norms,
                             orthonormal_range, projector_gap,
                             require_contraction, require_invertible)
+from liftkit.schur import herglotz_many
 
 
 def _complex_matrix(rng, m, n, scale=1.0):
@@ -275,10 +278,10 @@ def test_contraction_on_generators_rescales_round_off_only(excess, raises):
         assert abs(operator_norm(om) - 1.0) <= 1e-15
 
 
-def _decision(guard, M):
+def _decision(guard, M, what="x"):
     """(raised exception type or None, its message) of one guard call."""
     try:
-        guard(M, "x")
+        guard(M, what)
     except (SingularResolvent, NonFiniteResult) as exc:
         return type(exc), str(exc)
     return None, ""
@@ -312,6 +315,26 @@ def test_certified_guard_decides_as_the_svd_rule(n):
     assert None in decisions and SingularResolvent in decisions
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 24])
+def test_herglotz_guard_decides_as_the_svd_rule(n):
+    # herglotz_many decides from (herglotz + I) / 2, the inverse of
+    # I - lambda C that its own right division gives; a constant C puts
+    # each swept matrix there as A = I - lambda C
+    rng = np.random.default_rng(200 + n)
+    lam = 0.5
+    what = "I - lambda*C(lambda)"
+    decisions = []
+    for M in _sweep_matrices(rng, n, 150):
+        C0 = (np.eye(n) - M) / lam
+        Cfun = SimpleNamespace(in_dim=n, out_dim=n,
+                               eval_many=lambda z, C0=C0: np.repeat(C0[None], len(z), axis=0))
+        A = np.eye(n) - lam * C0
+        want = _decision(svd_singular_rule, A, what)
+        assert _decision(lambda _, w: herglotz_many(Cfun, [lam]), A, what) == want
+        decisions.append(want[0])
+    assert None in decisions and SingularResolvent in decisions
+
+
 @pytest.mark.parametrize("M", [np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros((3, 3))],
                          ids=["lu-fails", "zero"])
 def test_certified_guard_on_exactly_singular_matrices(M):
@@ -325,7 +348,9 @@ def test_certified_guard_on_an_empty_stack():
     assert require_invertible(np.zeros((5, 0, 0)), "x").shape == (5, 0, 0)
 
 
-def test_certified_guard_runs_the_svd_on_the_one_matrix_it_cannot_clear(monkeypatch):
+def test_certified_guard_runs_the_svd_only_on_a_stack_it_cannot_clear(monkeypatch):
+    # the certificate bounds the whole stack at once; one matrix past the
+    # threshold leaves it uncleared, and the SVD rule then decides
     shapes = []
 
     def counted(M, **kw):
@@ -341,7 +366,21 @@ def test_certified_guard_runs_the_svd_on_the_one_matrix_it_cannot_clear(monkeypa
     S[37] = S[37] @ np.diag([1.0, 1.0, 1.0, 1e-12])
     with pytest.raises(SingularResolvent, match=r"^x is numerically singular$"):
         require_invertible(S, "x")
-    assert shapes == [(1, 4, 4)]
+    assert shapes == [(64, 4, 4)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 24])
+def test_certified_guard_decides_stacks_as_the_svd_rule(n):
+    # stacks of three swept matrices, so most hold one near the threshold
+    rng = np.random.default_rng(300 + n)
+    decisions = []
+    mats = list(_sweep_matrices(rng, n, 90))
+    for k in range(0, len(mats), 3):
+        S = np.stack(mats[k:k + 3])
+        want = _decision(svd_singular_rule, S)
+        assert _decision(require_invertible, S) == want
+        decisions.append(want[0])
+    assert None in decisions and SingularResolvent in decisions
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _support import polyval_oracle, series_inv_oracle
+from _support import series_inv_oracle
 from liftkit import series
 from liftkit.errors import DimensionMismatch, SingularResolvent
 
@@ -217,13 +217,3 @@ def test_inv_is_bit_identical_to_the_svd_guarded_inverse(L, m):
     a[0] += np.eye(m)
     assert np.array_equal(series.inv(a), series_inv_oracle(a))
 
-
-def test_polyval_many_shares_its_powers_bit_for_bit():
-    # a shorter stack reads the first columns of the longer one's powers
-    rng = np.random.default_rng(41)
-    a, b = rand_series(rng, 7, 2, 3), rand_series(rng, 12, 1, 2)
-    z = 0.9 * np.exp(2j * np.pi * rng.random(5))
-    got = series.polyval_many([a, b], z)
-    for stack, values in zip((a, b), got):
-        assert np.array_equal(values, series.polyval(stack, z))
-        assert np.array_equal(values, polyval_oracle(stack, z))
