@@ -105,7 +105,9 @@ class RclReport:
 
 def validate_data_set(ds: RclDataSet) -> bool:
     """Check contractivity, the intertwining relation and R*R <= Q*Q."""
-    if max(operator_norm(ds.A), operator_norm(ds.Tprime)) > 1.0 + DATA_SET_TOL:
+    if operator_norm(ds.A) > 1.0 + DATA_SET_TOL:
+        return False
+    if operator_norm(ds.Tprime) > 1.0 + DATA_SET_TOL:
         return False
     if operator_norm(ds.Tprime @ ds.A @ ds.R - ds.A @ ds.Q) > DATA_SET_TOL:
         return False
