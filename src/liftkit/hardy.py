@@ -6,13 +6,14 @@ forward shift drops the degree-N coefficient on overflow, so shift
 identities are exact on the retained blocks 0..N-1 and every routine that
 multiplies truncated series reports the mass it dropped.
 
-Every analytic operator function (PolyOpFn, AnalyticFn, SchurRealization,
-InnerFn) exposes the same protocol: ``taylor_stack(N)`` returns the
-coefficients 0..N as an (N+1, out, in) stack for the series engine in
-``liftkit.series``, and ``eval_many(points)`` returns the values at P
-points as a (P, out, in) stack, raising what the per-point ``eval`` would
-raise at any of them.  The library's types check the points once
-(``Evaluable``); their internal ``_values`` reads checked points.
+Every analytic operator function (PolyOpFn, AnalyticFn, and
+SchurRealization with its subclass InnerFn) exposes the same protocol:
+``taylor_stack(N)`` returns the coefficients 0..N as an (N+1, out, in)
+stack for the series engine in ``liftkit.series``, and
+``eval_many(points)`` returns the values at P points as a (P, out, in)
+stack, raising what the per-point ``eval`` would raise at any of them.
+The library's types check the points once (``Evaluable``); their
+internal ``_values`` reads checked points.
 """
 
 from __future__ import annotations

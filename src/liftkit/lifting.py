@@ -294,7 +294,7 @@ def _w_taylor(Hs: np.ndarray, W0, Cfun, DB, BD):
 
 
 def z_from_C(p: InterpolationProblem, H: PolyOpFn, Gamma, Cfun, N: int) -> AnalyticFn:
-    """Parameter Z_C attached to a solution H and a fiber member C.
+    """Parameter Z_C of a solution H, its degree-N column Gamma and a fiber member C.
 
     Z_C = [2 H (W+I)^-1 ; lambda^-1 (W-I)(W+I)^-1], returned as series
     coefficients plus a pointwise rule that reads H, C and its Herglotz
@@ -303,7 +303,7 @@ def z_from_C(p: InterpolationProblem, H: PolyOpFn, Gamma, Cfun, N: int) -> Analy
     block's coefficient n is taken from W's degree n+1.
     """
     u, y = p.U_dim, p.Y_dim
-    G = as_operator(Gamma, cols=u)
+    G = as_operator(Gamma, rows=(N + 1) * y, cols=u)
     if H.in_dim != u or H.out_dim != y:
         raise DimensionMismatch("H has wrong dimensions for this problem")
     # W(0) misses I by about 2 (||Gamma|| - 1), so with this slack the W(0)

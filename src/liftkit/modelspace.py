@@ -2,17 +2,16 @@
 
 For an inner function Theta with Theta(0) = 0 the model space is
 H = H^2(U) - Theta H^2(E) (orthogonal complement).  An InnerFn
-Theta = lambda^p B_1...B_k V0 is held as one realization: the cascade of
-a shift register for lambda^p and one unitary colligation per rank-one
-factor is unitary with rho(A) < 1, and V0 multiplies it on the right
-(Ball, Gohberg and Rodman, Interpolation of Rational Matrix Functions,
-1990).  Its coefficients, its values and its model space all come from
-that realization.  The model space of lambda^p B_1...B_k is the range of
-the observability map x -> C (I - lambda A)^-1 x (Foias, Frazho, Gohberg
-and Kaashoek, Metric Constrained Interpolation, Commutant Lifting and
-Systems, 1998), and H adds lambda^p H^2(ker V0*) to it; model_space
-truncates these columns at degree N and orthonormalizes them.  With
-Phi = Theta/lambda the space splits two ways,
+Theta = lambda^p B_1...B_k V0 is a SchurRealization, built and checked
+once: the cascade of a shift register for lambda^p and one unitary
+colligation per rank-one factor is unitary with rho(A) < 1, and V0
+multiplies it on the right (Ball, Gohberg and Rodman, Interpolation of
+Rational Matrix Functions, 1990).  The model space of lambda^p B_1...B_k
+is the range of the observability map x -> C (I - lambda A)^-1 x (Foias,
+Frazho, Gohberg and Kaashoek, Metric Constrained Interpolation, Commutant
+Lifting and Systems, 1998), and H adds lambda^p H^2(ker V0*) to it;
+model_space truncates these columns at degree N and orthonormalizes
+them.  With Phi = Theta/lambda the space splits two ways,
 
     H = (constants U) + lambda H0   and   H = H0 + Phi (constants E),
 
@@ -22,7 +21,7 @@ contractive multiplier from H into H^2(Y) exactly when
 H(lambda) = P_Y Z(lambda) (I - Theta(lambda) P_E Z(lambda))^-1 for a
 Schur-class Z from U into Y + E.  This is the linear-fractional map of
 interpolation, lifting.solve_from_Z, with Theta in place of lambda I;
-h_from_Z_theta runs it (lifting._feedback) on the realization of Theta,
+h_from_Z_theta runs it (lifting._feedback) on Theta's A, B and C,
 well posed because Theta(0) = 0, and z_from_H_theta reverses it by posing the
 multiplication map as an interpolation problem on H, taking the central
 parameter of its fiber and compressing back to U -> Y + E coordinates.
@@ -35,21 +34,20 @@ finite-dimensional model spaces and exact truncation bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from . import series
 from .errors import DegreeTooSmall, DimensionMismatch, DomainError
-from .hardy import (GRID, AnalyticFn, Evaluable, PolyOpFn, column_operator,
+from .hardy import (GRID, AnalyticFn, PolyOpFn, column_operator,
                     multiplication_operator, shift, shift_adjoint)
 from .lifting import (CHECK_TOL, InterpolationProblem, _feedback, central_C,
                       z_from_C)
 from .linalg import (Subspace, as_operator, haar_unitary, operator_norm,
                      operator_norms, orthonormal_range, projector_gap,
                      require_contraction)
-from .schur import SchurRealization, _transfer_values, random_schur
+from .schur import SchurRealization, random_schur
 
 # threshold of each residual of check_decompositions
 DECOMPOSITION_TOL = 1e-9
@@ -82,51 +80,28 @@ class BlaschkeFactor:
         object.__setattr__(self, "w", w / nrm)
 
 
-@dataclass(frozen=True, eq=False)
-class InnerFn(Evaluable):
+@dataclass(frozen=True, eq=False, init=False)
+class InnerFn(SchurRealization):
     """Inner function lambda^power * product(factors) * V0, vanishing at 0.
 
     kind "bp_product": square, factors nonempty allowed to be (), V0
     unitary.  kind "power": Theta = lambda^power * V0 with V0 an isometry
-    (possibly rectangular, E smaller than U).
+    (possibly rectangular, E smaller than U).  Theta is its own
+    realization (A, B, C, D), with state power * out_dim + len(factors),
+    and compares and hashes by identity.
     """
 
     kind: str
-    out_dim: int
-    in_dim: int
-    power: int = 1
-    factors: tuple = ()
-    V0: np.ndarray | None = None
+    power: int
+    factors: tuple
+    V0: np.ndarray
 
-    def __post_init__(self):
-        if self.kind not in ("bp_product", "power"):
-            raise DomainError(f"unknown inner-function kind {self.kind!r}")
-        if self.power < 1:
-            raise DomainError("power must be >= 1 so that Theta(0) = 0")
-        if self.kind == "bp_product" and self.out_dim != self.in_dim:
-            raise DimensionMismatch("Blaschke-Potapov products must be square")
-        if self.kind == "power" and self.factors:
-            raise DomainError("power kind takes no factors")
-        for fac in self.factors:
-            if fac.w.shape[0] != self.out_dim:
-                raise DimensionMismatch("factor direction has wrong dimension")
-        V0 = self.V0
-        if V0 is None:
-            V0 = np.eye(self.out_dim, self.in_dim)
-        V0 = as_operator(V0, rows=self.out_dim, cols=self.in_dim)
-        if operator_norm(V0.conj().T @ V0 - np.eye(self.in_dim)) > 1e-12:
-            raise DomainError("V0 must have orthonormal columns")
-        object.__setattr__(self, "V0", V0)
-        object.__setattr__(self, "factors", tuple(self.factors))
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    @property
-    def degree_bound(self) -> int:
-        """Blaschke degree: pole count governing dim of the model space."""
-        return self.power + len(self.factors)
-
-    @cached_property
-    def _realization(self) -> tuple[np.ndarray, ...]:
-        """(A, B, C, D) of Theta, with state power * out_dim + len(factors).
+    def __init__(self, kind: str, out_dim: int, in_dim: int, power: int = 1,
+                 factors: tuple = (), V0: np.ndarray | None = None):
+        """Check the data and build the unitary cascade of Theta.
 
         lambda^power I_U is a shift register of power blocks, and C reads
         its last block.  The factor with zero a and s = sqrt(1 - |a|^2)
@@ -144,7 +119,26 @@ class InnerFn(Evaluable):
         unitary, with rho(A) = max |a| < 1.  V0 multiplies B and D on the
         right; it is an isometry, so the colligation of Theta is one.
         """
-        u, m = self.out_dim, self.power * self.out_dim
+        if kind not in ("bp_product", "power"):
+            raise DomainError(f"unknown inner-function kind {kind!r}")
+        if power < 1:
+            raise DomainError("power must be >= 1 so that Theta(0) = 0")
+        if out_dim < 1:
+            raise DimensionMismatch(f"an inner function needs out_dim >= 1, got {out_dim}")
+        if kind == "bp_product" and out_dim != in_dim:
+            raise DimensionMismatch("Blaschke-Potapov products must be square")
+        if kind == "power" and factors:
+            raise DomainError("power kind takes no factors")
+        for fac in factors:
+            if fac.w.shape[0] != out_dim:
+                raise DimensionMismatch("factor direction has wrong dimension")
+        V0 = as_operator(np.eye(out_dim, in_dim) if V0 is None else V0,
+                         rows=out_dim, cols=in_dim)
+        if operator_norm(V0.conj().T @ V0 - np.eye(in_dim)) > 1e-12:
+            raise DomainError("V0 must have orthonormal columns")
+        # frozen: the fields are set past the dataclass's __setattr__
+        self.__dict__.update(kind=kind, power=power, factors=tuple(factors), V0=V0)
+        u, m = out_dim, power * out_dim
         n = m + len(self.factors)
         A = np.zeros((n, n), dtype=np.complex128)
         A[:m, :m] = np.eye(m, k=-u)
@@ -159,15 +153,12 @@ class InnerFn(Evaluable):
             A[j, j] = np.conj(a)
             B[:j] -= (1.0 - r) * np.outer(Bw, w.conj())
             B[j] = s * w.conj()
-        return A, B @ self.V0, C, np.zeros((u, self.in_dim), dtype=np.complex128)
+        super().__init__(A, B @ V0, C, np.zeros((u, in_dim), dtype=np.complex128))
 
-    def colligation(self) -> SchurRealization:
-        """Isometric colligation of Theta (see _realization)."""
-        return SchurRealization(*self._realization)
-
-    def taylor_stack(self, N: int) -> np.ndarray:
-        """Exact Taylor coefficients 0..N as an (N+1, out, in) stack."""
-        return series.realization_stack(*self._realization, N)
+    @property
+    def degree_bound(self) -> int:
+        """Blaschke degree: pole count governing dim of the model space."""
+        return self.power + len(self.factors)
 
     def coeff(self, n: int) -> np.ndarray:
         return self.taylor_stack(n)[n]
@@ -183,9 +174,6 @@ class InnerFn(Evaluable):
         if bad.size:
             raise DomainError(f"|lambda| = {abs(z[bad[0]]):.6f} is not <= 1")
         return self._values(z)
-
-    def _values(self, z: np.ndarray) -> np.ndarray:
-        return _transfer_values(*self._realization, z)
 
 
 @dataclass(frozen=True)
@@ -242,9 +230,8 @@ def model_space(theta: InnerFn, N: int) -> ModelSpace:
         raise DegreeTooSmall(f"truncation degree {N} < {need}")
     u, e, p = theta.out_dim, theta.in_dim, theta.power
     amb = (N + 1) * u
-    A, _, C, _ = theta._realization
     # C (I - lambda A)^-1 = C + lambda C (I - lambda A)^-1 A: C A^j, j = 0..N+1
-    obs = series.realization_stack(A, A, C, C, N + 1)
+    obs = series.realization_stack(theta.A, theta.A, theta.C, theta.C, N + 1)
 
     def basis(cols: np.ndarray, q: int) -> Subspace:
         """One QR of the (N+1, u, m) columns and lambda^q ker V0*."""
@@ -301,7 +288,7 @@ def h_from_Z_theta(theta: InnerFn, Z, N: int) -> PolyOpFn:
     if Z.in_dim != u or Z.out_dim < e:
         raise DimensionMismatch(
             f"Z must map C^{u} into C^y + C^{e}, got {Z.out_dim} x {Z.in_dim}")
-    return _feedback(Z, Z.out_dim - e, theta._realization[:3], N)
+    return _feedback(Z, Z.out_dim - e, (theta.A, theta.B, theta.C), N)
 
 
 def z_from_H_theta(theta: InnerFn, Hfn: PolyOpFn, ms: ModelSpace, N: int) -> AnalyticFn:

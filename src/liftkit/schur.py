@@ -64,21 +64,22 @@ class SchurRealization(Evaluable):
         return np.vstack([top, bot])
 
     def _values(self, z: np.ndarray) -> np.ndarray:
-        return _transfer_values(self.A, self.B, self.C, self.D, z)
+        """D + z C (I - z A)^-1 B at each point of z, one guarded batched solve."""
+        n = self.state_dim
+        if n == 0:
+            return np.repeat(self.D[None], z.size, axis=0)
+        z3 = z[:, None, None]
+        M = np.eye(n) - z3 * self.A
+        try:
+            res = np.linalg.solve(M, np.broadcast_to(self.B, (z.size,) + self.B.shape))
+        except np.linalg.LinAlgError:
+            require_invertible(M, "I - lambda*A")
+            raise
+        return self.D + z3 * (self.C @ res)
 
     def taylor_stack(self, N: int) -> np.ndarray:
         """Coefficients 0..N as an (N+1, out, in) stack: D, then C A^(k-1) B."""
         return series.realization_stack(self.A, self.B, self.C, self.D, N)
-
-
-def _transfer_values(A, B, C, D, z: np.ndarray) -> np.ndarray:
-    """D + z C (I - z A)^-1 B at each point of the vector z, one batched solve."""
-    n = A.shape[0]
-    if n == 0:
-        return np.repeat(D[None], z.size, axis=0)
-    z3 = z[:, None, None]
-    res = np.linalg.solve(np.eye(n) - z3 * A, np.broadcast_to(B, (z.size,) + B.shape))
-    return D + z3 * (C @ res)
 
 
 def random_schur(out_dim: int, in_dim: int, state_dim: int, seed: int,

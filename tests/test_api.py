@@ -82,6 +82,7 @@ def test_every_exported_name_resolves():
     (BlaschkeFactor, "eval_scalar"), (InnerFn, "model_columns"),
     (importlib.import_module("liftkit.serialize"), "inner_to_json"),
     (importlib.import_module("liftkit.serialize"), "inner_from_json"),
+    (InnerFn, "_realization"), (importlib.import_module("liftkit.schur"), "_transfer_values"),
 ])
 def test_removed_aliases_are_gone(owner, name):
     assert not hasattr(owner, name)
@@ -148,6 +149,13 @@ def _passes(call: ast.Call, param: str, position) -> bool:
     return position is not None and position < len(call.args)
 
 
+def test_the_knob_scan_reads_a_custom_init():
+    # InnerFn's keywords are the parameters of its own __init__, not fields
+    knobs = {(call, param, position) for _, call, param, position in _knobs()}
+    assert {("InnerFn", "power", 3), ("InnerFn", "factors", 4),
+            ("InnerFn", "V0", 5)} <= knobs
+
+
 def test_every_default_parameter_is_set_by_some_caller():
     # a default that no call in the library, the tests or the benchmark
     # overrides is an untested setting; it should be a constant instead
@@ -192,3 +200,33 @@ def test_numerical_guards_are_decided_only_in_linalg():
     assert not constants
     assert not slacks
     assert not inverses
+
+
+def _linalg_calls(node, attr: str) -> list:
+    """Every call `*.linalg.<attr>(...)` under an AST node."""
+    return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute) and call.func.attr == attr
+            and _name(call.func.value) == "linalg"]
+
+
+def _guards(handler: ast.ExceptHandler) -> bool:
+    """True iff the handler catches LinAlgError and lets linalg decide."""
+    return _name(handler.type) == "LinAlgError" and any(
+        _name(call.func) == "require_invertible"
+        for call in ast.walk(handler) if isinstance(call, ast.Call))
+
+
+def test_linear_solves_are_made_only_in_schur_and_guarded():
+    # np.linalg.solve raises LinAlgError on an exactly singular matrix; each
+    # call sits in a try whose handler turns that into SingularResolvent
+    for path in sorted((ROOT / "src" / "liftkit").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        solves = _linalg_calls(tree, "solve")
+        if path.name != "schur.py":
+            assert not solves, path.name
+            continue
+        guarded = [call for node in ast.walk(tree) if isinstance(node, ast.Try)
+                   and any(map(_guards, node.handlers))
+                   for stmt in node.body for call in _linalg_calls(stmt, "solve")]
+        assert len(solves) == 2
+        assert sorted(map(id, guarded)) == sorted(map(id, solves))

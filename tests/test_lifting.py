@@ -294,6 +294,17 @@ def test_z_from_C_checks_C_dims():
         z_from_C(p, H, G, random_schur(3, 3, 1, seed=0), N)
 
 
+def test_z_from_C_checks_the_rows_of_gamma():
+    # a column truncated below the degree N drops H's tail; unchecked, the
+    # parameter missed the constraint by 1.6e-01 on the grid
+    p = InterpolationProblem(U_dim=2, Y_dim=1, F=Subspace(2, np.eye(2, 1)),
+                             omega1=np.array([[0.5]]), omega2=np.array([[0.85], [0.0]]))
+    H = solve_from_Z(p, random_constrained_z(p, 2, 6, scale=0.5), N)
+    C = central_C(p, column_operator(H, N))
+    with pytest.raises(DimensionMismatch):
+        z_from_C(p, H, column_operator(H, 6), C, N)
+
+
 def test_w_coefficients_match_pointwise_resolvents():
     # Taylor data of Z_C against a direct evaluation of
     # W = Gamma*(I + lam S*)(I - lam S*)^-1 Gamma + D(I + lam C)(I - lam C)^-1 D

@@ -123,6 +123,10 @@ def test_inner_validation():
     with pytest.raises(DimensionMismatch):
         InnerFn(kind="bp_product", out_dim=2, in_dim=2,
                 factors=(BlaschkeFactor(a=0.1, w=np.array([1.0, 0.0, 0.0])),))
+    with pytest.raises(DimensionMismatch):
+        InnerFn(kind="power", out_dim=0, in_dim=0)
+    # E = 0: Theta is the zero map and H is all of H^2(U)
+    assert model_space(InnerFn(kind="power", out_dim=2, in_dim=0), 8).basis.dim == 18
 
 
 def test_inner_degree_bound():
@@ -353,7 +357,7 @@ def feedback_thetas():
 @pytest.mark.parametrize("case", range(5))
 def test_inner_colligation_is_isometric_and_realizes_theta(case):
     theta = feedback_thetas()[case]
-    col = theta.colligation()
+    col = theta
     assert col.state_dim == theta.power * theta.out_dim + len(theta.factors)
     M = col.colligation()
     assert operator_norm(M.conj().T @ M - np.eye(M.shape[1])) <= 1e-12
@@ -376,7 +380,7 @@ def feedback_parameters(theta):
 @pytest.mark.parametrize("case", range(5))
 def test_h_from_Z_feedback_matches_the_series_path(case, N):
     theta = feedback_thetas()[case]
-    col = theta.colligation()
+    col = theta
     for Z in feedback_parameters(theta):
         got = h_from_Z_theta(theta, Z, N).taylor_stack(N)
         want = h_from_Z_theta(theta, PolyOpFn(Z.out_dim, Z.in_dim, Z.taylor_stack(N)),
@@ -396,6 +400,39 @@ def test_realized_multipliers_never_take_the_resolvent(monkeypatch):
     theta = random_inner(74, 3, 3)
     H = h_from_Z_theta(theta, random_schur(5, 3, 2, seed=75, scale=0.6), 64)
     assert H.degree == 64
+
+
+def test_inner_function_is_its_own_realization():
+    # its coefficients, values and colligation are SchurRealization's
+    assert isinstance(random_inner(74, 3, 3), SchurRealization)
+    for name in ("taylor_stack", "_values", "colligation"):
+        assert name not in vars(InnerFn)
+
+
+def test_inner_functions_compare_and_hash_by_identity():
+    a, b = random_inner(3, 2, 2), random_inner(3, 2, 2)
+    assert np.array_equal(a.colligation(), b.colligation())
+    assert a == a and a != b
+    assert len({a, b, a}) == 2 and hash(a) == hash(a)
+
+
+@pytest.mark.parametrize("N", [4, 64])
+def test_inner_function_as_a_parameter_takes_the_closed_loop(monkeypatch, N):
+    # Z = lambda^3 V0 maps U = C^2 into C^3, which is Y + E and Y + U for Y = C
+    theta = feedback_thetas()[0]
+    Z = feedback_thetas()[4]
+    poly = PolyOpFn(Z.out_dim, Z.in_dim, Z.taylor_stack(N))
+    want = [h_from_Z_theta(theta, poly, N).taylor_stack(N),
+            solve_from_Z(unconstrained_problem(2, 1), poly, N).taylor_stack(N)]
+
+    def refuse(x):
+        raise AssertionError("series.resolvent called on a realized parameter")
+
+    monkeypatch.setattr(series, "resolvent", refuse)
+    got = [h_from_Z_theta(theta, Z, N).taylor_stack(N),
+           solve_from_Z(unconstrained_problem(2, 1), Z, N).taylor_stack(N)]
+    for g, w in zip(got, want):
+        assert np.linalg.norm(g - w) <= 1e-13 * max(1.0, np.linalg.norm(w))
 
 
 # --- reverse parameterization -------------------------------------------

@@ -41,6 +41,15 @@ def test_constant_realization():
     assert operator_norm(Z.taylor_stack(3)[3]) == 0.0
 
 
+def test_an_exactly_singular_resolvent_raises_singular_resolvent():
+    # the colligation passes within CONTRACTION_SLACK, and I - z A is
+    # exactly zero at the point z = 1 / (1 + 5e-11) of the open disk
+    Z = SchurRealization([[1 + 5e-11]], [[0]], [[0]], [[0]])
+    with pytest.raises(SingularResolvent):
+        Z.eval(1 / (1 + 5e-11))
+    assert np.array_equal(Z.eval_many([0.0, 0.5]), np.zeros((2, 1, 1)))
+
+
 def test_realization_taylor_stack_matches_state_space_formula():
     Z = random_schur(2, 3, 3, seed=5, scale=0.9)
     stack = Z.taylor_stack(8)
