@@ -86,6 +86,30 @@ class PolyOpFn(Evaluable):
     in_dim: int
     coeffs: tuple
 
+    # (A, B, C, D) of a polynomial made by truncated
+    realization = None
+
+    @classmethod
+    def truncated(cls, A, B, C, D, N: int) -> PolyOpFn:
+        """Coefficients 0..N of D + lambda C (I - lambda A)^-1 B from contiguous
+        complex128 copies of the matrices, kept as ``realization`` so that they
+        give the same stack bit for bit.  DimensionMismatch when they do not
+        chain, ValueError naming the first non-finite coefficient."""
+        loop = tuple(np.array(X, dtype=np.complex128, order="C") for X in (A, B, C, D))
+        n, (out, inn) = len(loop[0]), loop[3].shape
+        for name, X, shape in zip("ABCD", loop, ((n, n), (n, inn), (out, n), (out, inn))):
+            if X.shape != shape:
+                raise DimensionMismatch(f"{name} is {' x '.join(map(str, X.shape))}, "
+                                        f"expected {shape[0]} x {shape[1]}")
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            stack = series.realization_stack(*loop, N)
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"coefficient {int(finite.argmin())} is not finite")
+        H = cls(out, inn, stack)
+        object.__setattr__(H, "realization", loop)
+        return H
+
     def __post_init__(self):
         if len(self.coeffs) == 0:
             raise DimensionMismatch("at least one coefficient required")

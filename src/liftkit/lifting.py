@@ -134,10 +134,8 @@ def _feedback(Z, y: int, theta, N: int) -> PolyOpFn:
     Theta / lambda has the coefficients C_t A_t^k B_t: the constant C_t B_t,
     one matrix product, when A_t = 0, as for lambda I.
     """
-    u = Z.in_dim
     if isinstance(Z, SchurRealization):
-        loop = _closed_loop(Z.A, Z.B, Z.C, Z.D, y, theta)
-        return PolyOpFn(y, u, series.realization_stack(*loop, N))
+        return PolyOpFn.truncated(*_closed_loop(Z.A, Z.B, Z.C, Z.D, y, theta), N)
     At, Bt, Ct = theta
     Zc = Z.taylor_stack(N)
     ZE = Zc[:N, y:, :]
@@ -146,7 +144,7 @@ def _feedback(Z, y: int, theta, N: int) -> PolyOpFn:
         x = series.mul(series.realization_stack(At, Bt, Ct @ At, Ct @ Bt, N - 1), ZE)
     else:
         x = (Ct @ Bt) @ ZE
-    return PolyOpFn(y, u, series.mul(Zc[:, :y, :], series.resolvent(x)))
+    return PolyOpFn(y, Z.in_dim, series.mul(Zc[:, :y, :], series.resolvent(x)))
 
 
 def _closed_loop(A, B, C, D, y: int, theta) -> tuple:
@@ -300,12 +298,19 @@ def z_from_C(p: InterpolationProblem, H: PolyOpFn, Gamma, Cfun, N: int) -> Analy
     coefficients plus a pointwise rule that reads H, C and its Herglotz
     transform at the points eval_many checked.  The lambda^-1 is a
     coefficient shift: W(0) = I is asserted within 1e-8 and the bottom
-    block's coefficient n is taken from W's degree n+1.
+    block's coefficient n is taken from W's degree n+1.  A Gamma further
+    than CHECK_TOL * max(1, ||Gamma||_F) from H's column, in Frobenius
+    norm, raises NotASolution.
     """
     u, y = p.U_dim, p.Y_dim
     G = as_operator(Gamma, rows=(N + 1) * y, cols=u)
     if H.in_dim != u or H.out_dim != y:
         raise DimensionMismatch("H has wrong dimensions for this problem")
+    Hs = H.taylor_stack(N)
+    gap = float(np.linalg.norm(G - Hs.reshape(G.shape)))
+    if gap > CHECK_TOL * max(1.0, float(np.linalg.norm(G))):
+        raise NotASolution(f"Gamma is not the column of H: they differ by {gap:.3e} "
+                           f"in Frobenius norm")
     # W(0) misses I by about 2 (||Gamma|| - 1), so with this slack the W(0)
     # check below still rejects norms in (1 + W_ZERO_TOL / 2, 1 + W_ZERO_TOL]
     D, drange = defect(G, W_ZERO_TOL)
@@ -314,7 +319,6 @@ def z_from_C(p: InterpolationProblem, H: PolyOpFn, Gamma, Cfun, N: int) -> Analy
     if Cfun.in_dim != d or Cfun.out_dim != d:
         raise DimensionMismatch(
             f"C must act on the {d}-dimensional defect space of Gamma")
-    Hs = H.taylor_stack(N)
     gamma_sq = G.conj().T @ G
     DB = D @ Bd
     BD = Bd.conj().T @ D

@@ -121,6 +121,8 @@ class InnerFn(SchurRealization):
         """
         if kind not in ("bp_product", "power"):
             raise DomainError(f"unknown inner-function kind {kind!r}")
+        if not isinstance(power, (int, np.integer)):
+            raise DomainError(f"power must be an integer, got {power!r}")
         if power < 1:
             raise DomainError("power must be >= 1 so that Theta(0) = 0")
         if out_dim < 1:

@@ -11,6 +11,7 @@ first bad field, for example
 from __future__ import annotations
 
 import json
+import operator
 
 import numpy as np
 
@@ -22,6 +23,9 @@ from .rcl import RclDataSet
 from .schur import SchurRealization
 
 SCHEMA = "liftkit/1"
+# largest degree of a realization record, which asks for degree + 1
+# coefficients; a realized polynomial above it is written as coefficients
+MAX_DEGREE = 4096
 
 
 def field(d, key: str, path: str = ""):
@@ -44,8 +48,9 @@ def _at(path: str, key: str) -> str:
 
 def _int(d, key: str, path: str) -> int:
     try:
-        return int(field(d, key, path))
-    except (TypeError, ValueError, OverflowError) as exc:
+        # unlike int(), this refuses 2.5 and "3"
+        return operator.index(field(d, key, path))
+    except TypeError as exc:
         raise ConfigError(f"{_at(path, key)}: expected an integer") from exc
 
 
@@ -87,16 +92,36 @@ def subspace_from_json(d: dict, path: str = "subspace") -> Subspace:
 
 
 def poly_to_json(p: PolyOpFn) -> dict:
+    """A realized p up to MAX_DEGREE as its loop, any other as its coefficients."""
+    if p.realization is not None and p.degree <= MAX_DEGREE:
+        return {"out": p.out_dim, "in": p.in_dim, "degree": p.degree,
+                "realization": dict(zip("ABCD", map(matrix_to_json, p.realization)))}
     return {"out": p.out_dim, "in": p.in_dim,
             "coeffs": [matrix_to_json(c) for c in p.coeffs]}
 
 
 def poly_from_json(d: dict, path: str = "poly") -> PolyOpFn:
+    """Either record of poly_to_json, a loop rebuilt by PolyOpFn.truncated."""
+    if isinstance(d, dict) and "realization" in d:
+        return _realized_poly(d, path)
     raw = field(d, "coeffs", path)
     if not isinstance(raw, list):
         raise ConfigError(f"{_at(path, 'coeffs')}: expected a list")
     coeffs = tuple(matrix_from_json(c, f"{path}.coeffs[{n}]") for n, c in enumerate(raw))
     return _build(path, PolyOpFn, _int(d, "out", path), _int(d, "in", path), coeffs)
+
+
+def _realized_poly(d: dict, path: str) -> PolyOpFn:
+    N = _int(d, "degree", path)
+    # checked before anything is allocated: the record asks for N + 1 coefficients
+    if not 0 <= N <= MAX_DEGREE:
+        raise ConfigError(f"{_at(path, 'degree')}: {N} is not in 0..{MAX_DEGREE}")
+    out, inn = _int(d, "out", path), _int(d, "in", path)
+    at = _at(path, "realization")
+    loop = _matrices(field(d, "realization", path), "ABCD", at)
+    if loop[3].shape != (out, inn):
+        raise ConfigError(f"{at}.D: expected {out} x {inn}, got %d x %d" % loop[3].shape)
+    return _build(at, PolyOpFn.truncated, *loop, N)
 
 
 def schur_to_json(s: SchurRealization) -> dict:

@@ -8,14 +8,22 @@ import pytest
 
 from _support import scalar_fixture
 from liftkit.cli import main
+from liftkit.hardy import PolyOpFn
 from liftkit.linalg import Subspace
 from liftkit.lifting import InterpolationProblem
-from liftkit.serialize import dumps, load, problem_to_json
+from liftkit.serialize import (MAX_DEGREE, dumps, load, poly_from_json, poly_to_json,
+                               problem_to_json)
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr()
+
+
+def coefficient_record(record: dict) -> dict:
+    """The coefficient record of the H that a solve record encodes."""
+    H = poly_from_json(record, "H")
+    return poly_to_json(PolyOpFn(H.out_dim, H.in_dim, H.coeffs))
 
 
 def one_line_usage_error(capsys, *argv) -> str:
@@ -87,11 +95,28 @@ def test_verify_rejects_tampered_solution(tmp_path, capsys):
     run(capsys, "--cmd", "gen", "--seed", "5", "--out", g)
     run(capsys, "--cmd", "solve", "--in", g, "--out", s)
     solved = load(s)
+    solved["H"] = coefficient_record(solved["H"])
     solved["H"]["coeffs"][0]["re"][0] += 0.05
     bad = tmp_path / "tampered.json"
     bad.write_text(dumps(solved))
     code, out = run(capsys, "--cmd", "verify", "--in", str(bad))
     assert code == 2
+    payload = json.loads(out.out)
+    assert payload["ok"] is False
+    assert any("recurrence_residual" in msg for msg in payload["failures"])
+
+
+def test_verify_rejects_a_tampered_realization(tmp_path, capsys):
+    # solve writes H as its closed loop; D is H_0
+    s = tmp_path / "solve.json"
+    assert run(capsys, "--cmd", "solve", "--seed", "5", "--out", str(s))[0] == 0
+    solved = load(str(s))
+    assert "coeffs" not in solved["H"]
+    solved["H"]["realization"]["D"]["re"][0] += 0.05
+    s.write_text(dumps(solved))
+    code, out = run(capsys, "--cmd", "verify", "--in", str(s))
+    assert code == 2
+    assert_canonical_json(out.out)
     payload = json.loads(out.out)
     assert payload["ok"] is False
     assert any("recurrence_residual" in msg for msg in payload["failures"])
@@ -103,6 +128,7 @@ def test_solve_scalar_fixture_from_file(tmp_path, capsys):
     code, out = run(capsys, "--cmd", "solve", "--in", str(inp))
     assert code == 0
     payload = json.loads(out.out)
+    payload["H"] = coefficient_record(payload["H"])
     coeffs = payload["H"]["coeffs"]
     worst = max(abs(coeffs[n]["re"][0] - 0.6 * 0.8 ** n)
                 for n in range(len(coeffs)))
@@ -225,6 +251,7 @@ def test_chain_files_and_error_envelopes_are_byte_identical_to_json(tmp_path, ca
     assert code == 0
     assert_canonical_json(out.out)
     solved = load(str(s))
+    solved["H"] = coefficient_record(solved["H"])
     solved["H"]["coeffs"][0]["re"][0] += 0.05
     s.write_text(dumps(solved))
     code, out = run(capsys, "--cmd", "verify", "--in", str(s))
@@ -270,6 +297,7 @@ def test_verify_of_an_overflowing_H_is_a_numeric_error(tmp_path, capsys):
     s = tmp_path / "solve.json"
     assert run(capsys, "--cmd", "solve", "--seed", "1", "--out", str(s))[0] == 0
     solved = load(str(s))
+    solved["H"] = coefficient_record(solved["H"])
     for c in solved["H"]["coeffs"]:
         c["re"] = [(-1.0) ** i * 1e308 for i in range(len(c["re"]))]
     s.write_text(dumps(solved))
@@ -334,6 +362,7 @@ def test_h_of_another_problem_is_a_one_line_usage_error(tmp_path, capsys):
     s = tmp_path / "solve.json"
     assert run(capsys, "--cmd", "solve", "--seed", "1", "--out", str(s))[0] == 0
     solved = load(str(s))
+    solved["H"] = coefficient_record(solved["H"])
     for c in solved["H"]["coeffs"]:
         # keep the first row of every coefficient
         c["rows"], c["re"], c["im"] = 1, c["re"][:c["cols"]], c["im"][:c["cols"]]
@@ -355,3 +384,37 @@ def test_selftest_reports_the_degree_each_suite_ran_at(capsys):
                        "omega_roundtrip": degree, "rcl_equivalence": degree,
                        "modelspace_decomposition": modelspace,
                        "modelspace_roundtrip": modelspace, "tilde_validates": degree}
+
+
+def _diagonal(n: int, value: float) -> dict:
+    return {"rows": n, "cols": n, "re": [value if i % (n + 1) == 0 else 0.0
+                                         for i in range(n * n)], "im": [0.0] * (n * n)}
+
+
+# edits of the realization record of `solve --seed 1` (state 4, U = Y = 2,
+# degree 24) and the error line each must give
+@pytest.mark.parametrize("edit,message", [
+    ({"degree": -1}, f"H.degree: -1 is not in 0..{MAX_DEGREE}"),
+    ({"degree": 2.5}, "H.degree: expected an integer"),
+    ({"degree": "24"}, "H.degree: expected an integer"),
+    ({"degree": MAX_DEGREE + 1}, f"H.degree: {MAX_DEGREE + 1} is not in 0..{MAX_DEGREE}"),
+    ({"degree": 10 ** 7}, f"H.degree: 10000000 is not in 0..{MAX_DEGREE}"),
+    ({"degree": 10 ** 9}, f"H.degree: 1000000000 is not in 0..{MAX_DEGREE}"),
+    ({"A": _zero_map(4, 3)}, "H.realization: A is 4 x 3, expected 4 x 4"),
+    ({"B": _zero_map(3, 2)}, "H.realization: B is 3 x 2, expected 4 x 2"),
+    ({"C": _zero_map(2, 3)}, "H.realization: C is 2 x 3, expected 2 x 4"),
+    ({"D": _zero_map(2, 3)}, "H.realization.D: expected 2 x 2, got 2 x 3"),
+    ({"D": _zero_map(1, 2)}, "H.realization.D: expected 2 x 2, got 1 x 2"),
+    # A^2 overflows, so C A^2 B, the coefficient of degree 3, is not finite
+    ({"A": _diagonal(4, 1e300)}, "H.realization: coefficient 3 is not finite"),
+])
+@pytest.mark.filterwarnings("error")
+def test_a_bad_realization_record_is_a_one_line_usage_error(tmp_path, capsys, edit, message):
+    s = tmp_path / "solve.json"
+    assert run(capsys, "--cmd", "solve", "--seed", "1", "--out", str(s))[0] == 0
+    solved = load(str(s))
+    for key, value in edit.items():
+        (solved["H"] if key == "degree" else solved["H"]["realization"])[key] = value
+    s.write_text(dumps(solved))
+    err = one_line_usage_error(capsys, "--cmd", "verify", "--in", str(s))
+    assert err == f"error: {message}\n"

@@ -1,5 +1,7 @@
 """Tests for the interpolation core: solve, verify, fiber extraction."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -303,6 +305,20 @@ def test_z_from_C_checks_the_rows_of_gamma():
     C = central_C(p, column_operator(H, N))
     with pytest.raises(DimensionMismatch):
         z_from_C(p, H, column_operator(H, 6), C, N)
+
+
+def test_z_from_C_rejects_the_column_of_another_solution():
+    # unchecked, the parameter missed the constraint by 1.6e-02 on the grid
+    p = random_problem(3, 2, 2, seed=41, scale=0.45)
+    H, H2 = (solve_from_Z(p, random_constrained_z(p, 2, seed=s, scale=0.5), N)
+             for s in (42, 43))
+    G, G2 = column_operator(H, N), column_operator(H2, N)
+    message = (f"Gamma is not the column of H: they differ by "
+               f"{np.linalg.norm(G2 - G):.3e} in Frobenius norm")
+    with pytest.raises(NotASolution, match=f"^{re.escape(message)}$"):
+        z_from_C(p, H, G2, central_C(p, G2), N)
+    # a column within the tolerance is accepted
+    z_from_C(p, H, G + 1e-9 * G / np.linalg.norm(G), central_C(p, G), N)
 
 
 def test_w_coefficients_match_pointwise_resolvents():

@@ -125,6 +125,8 @@ def test_inner_validation():
                 factors=(BlaschkeFactor(a=0.1, w=np.array([1.0, 0.0, 0.0])),))
     with pytest.raises(DimensionMismatch):
         InnerFn(kind="power", out_dim=0, in_dim=0)
+    with pytest.raises(DomainError, match=r"^power must be an integer, got 1\.5$"):
+        InnerFn(kind="power", out_dim=1, in_dim=1, power=1.5)
     # E = 0: Theta is the zero map and H is all of H^2(U)
     assert model_space(InnerFn(kind="power", out_dim=2, in_dim=0), 8).basis.dim == 18
 
