@@ -91,21 +91,17 @@ class PolyOpFn(Evaluable):
 
     @classmethod
     def truncated(cls, A, B, C, D, N: int) -> PolyOpFn:
-        """Coefficients 0..N of D + lambda C (I - lambda A)^-1 B from contiguous
-        complex128 copies of the matrices, kept as ``realization`` so that they
-        give the same stack bit for bit.  DimensionMismatch when they do not
-        chain, ValueError naming the first non-finite coefficient."""
+        """Coefficients 0..N of D + lambda C (I - lambda A)^-1 B, keeping the
+        contiguous complex128 copies of the matrices that give the stack as
+        ``realization``.  DimensionMismatch when they do not chain."""
         loop = tuple(np.array(X, dtype=np.complex128, order="C") for X in (A, B, C, D))
         n, (out, inn) = len(loop[0]), loop[3].shape
         for name, X, shape in zip("ABCD", loop, ((n, n), (n, inn), (out, n), (out, inn))):
             if X.shape != shape:
                 raise DimensionMismatch(f"{name} is {' x '.join(map(str, X.shape))}, "
                                         f"expected {shape[0]} x {shape[1]}")
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        with np.errstate(over="ignore", invalid="ignore"):  # cls checks the stack
             stack = series.realization_stack(*loop, N)
-        finite = np.isfinite(stack).all(axis=(1, 2))
-        if not finite.all():
-            raise ValueError(f"coefficient {int(finite.argmin())} is not finite")
         H = cls(out, inn, stack)
         object.__setattr__(H, "realization", loop)
         return H

@@ -23,9 +23,11 @@ from .rcl import RclDataSet
 from .schur import SchurRealization
 
 SCHEMA = "liftkit/1"
-# largest degree of a realization record, which asks for degree + 1
-# coefficients; a realized polynomial above it is written as coefficients
+# limits of a realization record: its degree, and the entries of the largest
+# array that decoding it allocates (see _stack_entries); a realized
+# polynomial above either is written as coefficients
 MAX_DEGREE = 4096
+MAX_ENTRIES = 1 << 20
 
 
 def field(d, key: str, path: str = ""):
@@ -91,11 +93,18 @@ def subspace_from_json(d: dict, path: str = "subspace") -> Subspace:
                   matrix_from_json(field(d, "basis", path), _at(path, "basis")))
 
 
+def _stack_entries(N: int, n: int, out: int, inn: int) -> int:
+    """Size of the largest array realization_stack makes for a degree-N loop of state n."""
+    return (N + 1) * max(n, out) * inn
+
+
 def poly_to_json(p: PolyOpFn) -> dict:
-    """A realized p up to MAX_DEGREE as its loop, any other as its coefficients."""
-    if p.realization is not None and p.degree <= MAX_DEGREE:
+    """A realized p within the limits as its loop, any other as its coefficients."""
+    loop = p.realization
+    if loop is not None and p.degree <= MAX_DEGREE and _stack_entries(
+            p.degree, len(loop[0]), p.out_dim, p.in_dim) <= MAX_ENTRIES:
         return {"out": p.out_dim, "in": p.in_dim, "degree": p.degree,
-                "realization": dict(zip("ABCD", map(matrix_to_json, p.realization)))}
+                "realization": dict(zip("ABCD", map(matrix_to_json, loop)))}
     return {"out": p.out_dim, "in": p.in_dim,
             "coeffs": [matrix_to_json(c) for c in p.coeffs]}
 
@@ -113,7 +122,7 @@ def poly_from_json(d: dict, path: str = "poly") -> PolyOpFn:
 
 def _realized_poly(d: dict, path: str) -> PolyOpFn:
     N = _int(d, "degree", path)
-    # checked before anything is allocated: the record asks for N + 1 coefficients
+    # checked before the matrices are read: the record asks for N + 1 coefficients
     if not 0 <= N <= MAX_DEGREE:
         raise ConfigError(f"{_at(path, 'degree')}: {N} is not in 0..{MAX_DEGREE}")
     out, inn = _int(d, "out", path), _int(d, "in", path)
@@ -121,6 +130,10 @@ def _realized_poly(d: dict, path: str) -> PolyOpFn:
     loop = _matrices(field(d, "realization", path), "ABCD", at)
     if loop[3].shape != (out, inn):
         raise ConfigError(f"{at}.D: expected {out} x {inn}, got %d x %d" % loop[3].shape)
+    # a stack far larger than the record is refused before it is built
+    size = _stack_entries(N, len(loop[0]), out, inn)
+    if size > MAX_ENTRIES:
+        raise ConfigError(f"{at}: its stack needs {size} entries, above {MAX_ENTRIES}")
     return _build(at, PolyOpFn.truncated, *loop, N)
 
 

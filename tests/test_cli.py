@@ -11,8 +11,8 @@ from liftkit.cli import main
 from liftkit.hardy import PolyOpFn
 from liftkit.linalg import Subspace
 from liftkit.lifting import InterpolationProblem
-from liftkit.serialize import (MAX_DEGREE, dumps, load, poly_from_json, poly_to_json,
-                               problem_to_json)
+from liftkit.serialize import (MAX_DEGREE, MAX_ENTRIES, dumps, load, poly_from_json,
+                               poly_to_json, problem_to_json)
 
 
 def run(capsys, *argv):
@@ -406,7 +406,11 @@ def _diagonal(n: int, value: float) -> dict:
     ({"D": _zero_map(2, 3)}, "H.realization.D: expected 2 x 2, got 2 x 3"),
     ({"D": _zero_map(1, 2)}, "H.realization.D: expected 2 x 2, got 1 x 2"),
     # A^2 overflows, so C A^2 B, the coefficient of degree 3, is not finite
-    ({"A": _diagonal(4, 1e300)}, "H.realization: coefficient 3 is not finite"),
+    ({"A": _diagonal(4, 1e300)}, "H.realization: matrix has non-finite entries"),
+    # a record of a few kB whose stack would take hundreds of MB
+    ({"degree": MAX_DEGREE, "in": 100, "B": _zero_map(4, 100), "D": _zero_map(2, 100)},
+     f"H.realization: its stack needs {(MAX_DEGREE + 1) * 4 * 100} entries, "
+     f"above {MAX_ENTRIES}"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_a_bad_realization_record_is_a_one_line_usage_error(tmp_path, capsys, edit, message):
@@ -414,7 +418,7 @@ def test_a_bad_realization_record_is_a_one_line_usage_error(tmp_path, capsys, ed
     assert run(capsys, "--cmd", "solve", "--seed", "1", "--out", str(s))[0] == 0
     solved = load(str(s))
     for key, value in edit.items():
-        (solved["H"] if key == "degree" else solved["H"]["realization"])[key] = value
+        (solved["H"] if key in ("degree", "in") else solved["H"]["realization"])[key] = value
     s.write_text(dumps(solved))
     err = one_line_usage_error(capsys, "--cmd", "verify", "--in", str(s))
     assert err == f"error: {message}\n"

@@ -10,6 +10,7 @@ from liftkit.lifting import random_constrained_z, random_problem, solve_from_Z
 from liftkit.linalg import Subspace, operator_norm
 from liftkit.modelspace import h_from_Z_theta, random_inner
 from liftkit.rcl import random_data_set
+from liftkit import serialize
 from liftkit.schur import random_schur
 from liftkit.serialize import (MAX_DEGREE, SCHEMA, dataset_from_json, dataset_to_json,
                                dumps, load, matrix_from_json, matrix_to_json,
@@ -103,6 +104,16 @@ def test_a_realized_poly_above_the_degree_limit_is_written_as_coefficients():
     assert "realization" not in d and len(d["coeffs"]) == MAX_DEGREE + 2
     assert np.array_equal(_through_json(H).taylor_stack(MAX_DEGREE + 1),
                           H.taylor_stack(MAX_DEGREE + 1))
+
+
+def test_a_realized_poly_above_the_entry_limit_is_written_as_coefficients(monkeypatch):
+    monkeypatch.setattr(serialize, "MAX_ENTRIES", 8)
+    one = np.full((1, 1), 0.5)
+    # degree N of a scalar loop of state 1 asks for N + 1 entries
+    assert "realization" in poly_to_json(PolyOpFn.truncated(one, one, one, one, 7))
+    H = PolyOpFn.truncated(one, one, one, one, 8)
+    assert len(poly_to_json(H)["coeffs"]) == 9
+    assert np.array_equal(_through_json(H).taylor_stack(8), H.taylor_stack(8))
 
 
 def test_schur_roundtrip():
