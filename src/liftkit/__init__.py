@@ -22,8 +22,8 @@ from .rcl import (LiftingCandidate, RclDataSet, RclReport, b_to_gamma,
                   data_set_from_omega, gamma_to_B, omega_roundtrip_residual,
                   random_data_set, sns_lifting, underlying_contraction,
                   validate_data_set, verify_rcl)
-from .schur import (SchurRealization, constrained_completion, herglotz_many,
-                    random_schur)
+from .schur import (Realization, SchurRealization, constrained_completion,
+                    herglotz_many, random_schur)
 
 __version__ = "0.1.0"
 
@@ -31,8 +31,8 @@ __all__ = [
     "AnalyticFn", "BlaschkeFactor", "ConfigError", "ConstraintViolated",
     "DegreeTooSmall", "DimensionMismatch", "DomainError",
     "InconsistentGenerators", "InnerFn", "InterpolationProblem",
-    "LiftingCandidate", "LiftkitError", "ModelSpace", "NotAContraction",
-    "NotASolution", "PolyOpFn", "RclDataSet", "RclReport", "SchurRealization",
+    "LiftingCandidate", "LiftkitError", "ModelSpace", "NotAContraction", "NotASolution",
+    "PolyOpFn", "RclDataSet", "RclReport", "Realization", "SchurRealization",
     "SingularResolvent", "SolutionReport", "Subspace", "TruncationGrid",
     "WNotNormalizedAtZero", "as_operator", "b_to_gamma",
     "central_C", "check_decompositions", "column_operator",

@@ -256,7 +256,7 @@ def _suite_tilde_validates(seed: int, N: int):
 # (suite, least degree, checks as (name, tolerance)) in report order.  A
 # suite runs at max(--degree, least degree) and yields rows of residuals, one
 # entry per check, each passing when its largest residual is at most its
-# tolerance.  The fiber's Z_C meets the grid constraint only from degree 24.
+# tolerance.  The fiber's D_Gamma is truncated, so Z_C may miss its constraint at low degree.
 _SELFTEST = (
     (_suite_scalar_fixture, 0, (("scalar_fixture", 1e-12),)),
     (_suite_solve_verify, 0, (("solve_recurrence", RECURRENCE_TOL),

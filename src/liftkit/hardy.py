@@ -7,7 +7,7 @@ identities are exact on the retained blocks 0..N-1 and every routine that
 multiplies truncated series reports the mass it dropped.
 
 Every analytic operator function (PolyOpFn, AnalyticFn, and
-SchurRealization with its subclass InnerFn) exposes the same protocol:
+schur.Realization with its subclasses) exposes the same protocol:
 ``taylor_stack(N)`` returns the coefficients 0..N as an (N+1, out, in)
 stack for the series engine in ``liftkit.series``, and
 ``eval_many(points)`` returns the values at P points as a (P, out, in)

@@ -6,25 +6,19 @@ Gamma: U -> H^2(Y), with defining function H, such that
 
     H_0|_F = omega1   and   H_n|_F = H_(n-1) omega2  for n >= 1.
 
-Solutions are produced from Schur-class parameters Z in S(U, Y + U)
-satisfying Z(lambda)|_F = omega via the linear-fractional formula
-
-    H(lambda) = P_Y Z(lambda) (I - lambda P_U Z(lambda))^-1,
-
-computed as the closed loop of Z's realization when Z is a
-SchurRealization and as a Taylor recursion otherwise.  The fiber of
-parameters over one solution is indexed by Schur-class functions C on
-the defect space of Gamma whose restriction to F_Gamma =
-closure(D_Gamma F) equals the extracted contraction Omega; z_from_C
-maps a fiber member back to a parameter through the positive-real
-factor
+Solutions come from Schur-class parameters Z in S(U, Y + U) with
+Z(lambda)|_F = omega as H = P_Y Z (I - lambda P_U Z)^-1, the closed loop
+of Z's realization when Z is a Realization and a Taylor recursion
+otherwise.  The fiber of parameters over one solution is indexed by
+Schur-class C on the defect space of Gamma with C|_(F_Gamma) = Omega,
+F_Gamma = closure(D_Gamma F); z_from_C maps C back to the parameter
+Z_C = [2 H (W+I)^-1 ; lambda^-1 (W-I)(W+I)^-1] through
 
     W(lambda) = Gamma* (I + lambda S*)(I - lambda S*)^-1 Gamma
                 + D_Gamma (I + lambda C(lambda))(I - lambda C(lambda))^-1 D_Gamma,
 
-with Z_C = [2 H (W+I)^-1 ; lambda^-1 (W-I)(W+I)^-1] and the lambda^-1
-realized as a Taylor-coefficient shift (W(0) = I is asserted, never
-divided by).
+with W(0) = I.  Z_C is a finite realization, W summed over every degree
+of H, when H and C are realized, and a truncated series otherwise.
 """
 
 from __future__ import annotations
@@ -39,11 +33,11 @@ from .errors import (ConstraintViolated, DimensionMismatch, InconsistentGenerato
                      WNotNormalizedAtZero)
 from .hardy import GRID, AnalyticFn, PolyOpFn, column_operator
 from .linalg import (CONTRACTION_SLACK, Subspace, as_operator,
-                     contraction_on_generators, defect, operator_norm,
-                     operator_norms, orthonormal_range, require_contraction,
-                     require_invertible)
-from .schur import (SchurRealization, _complete, _completion_frame, _herglotz,
-                    random_schur)
+                     contraction_on_generators, defect, observability_gramian,
+                     operator_norm, operator_norms, orthonormal_range,
+                     require_contraction, require_invertible, stable_radius)
+from .schur import (Realization, SchurRealization, _complete, _completion_frame,
+                    _herglotz, random_schur)
 
 W_ZERO_TOL = 1e-8
 # contraction slack and residual tolerance of the checks on a solution column
@@ -134,7 +128,7 @@ def _feedback(Z, y: int, theta, N: int) -> PolyOpFn:
     Theta / lambda has the coefficients C_t A_t^k B_t: the constant C_t B_t,
     one matrix product, when A_t = 0, as for lambda I.
     """
-    if isinstance(Z, SchurRealization):
+    if isinstance(Z, Realization):
         return PolyOpFn.truncated(*_closed_loop(Z.A, Z.B, Z.C, Z.D, y, theta), N)
     At, Bt, Ct = theta
     Zc = Z.taylor_stack(N)
@@ -262,27 +256,28 @@ def parameter_membership(Cfun, p: InterpolationProblem, Gamma) -> bool:
     return not np.any(operator_norms(Cv @ Bfd - Om) > CHECK_TOL)
 
 
+def _resolvent_loop(Cfun: Realization) -> tuple:
+    """(A, B, C, I) of (I - lambda C)^-1: the closed loop of [I; C], I on top of C."""
+    d, n = Cfun.out_dim, Cfun.state_dim
+    return _closed_loop(Cfun.A, Cfun.B, np.vstack([np.zeros((d, n)), Cfun.C]),
+                        np.vstack([np.eye(d), Cfun.D]), d, _lambda_identity(d))
+
+
 def _w_taylor(Hs: np.ndarray, W0, Cfun, DB, BD):
     """Coefficients W_0..W_(N+1) of the positive-real factor, and the sums.
 
-    W_0 = Gamma*Gamma + D^2, DB = D_Gamma Bd and BD = Bd* D_Gamma for the
-    range basis Bd of D_Gamma and, for k >= 1,
-    W_k = 2 sum_n H_n* H_(n+k) + 2 D_Gamma (herglotz of C)_k D_Gamma,
-    the first sum running over the retained degrees n <= N - k.  Returns
-    W as an (N+2, u, u) stack and the first sums, k = 1..N+1, as an
-    (N+1, u, u) stack.
+    W_0 = Gamma*Gamma + D^2 and, for k >= 1, with DB = D_Gamma Bd and
+    BD = Bd* D_Gamma for the range basis Bd of D_Gamma,
+    W_k = 2 sum_(n <= N-k) H_n* H_(n+k) + 2 D_Gamma (herglotz of C)_k D_Gamma.
+    Returns W as an (N+2, u, u) stack and the first sums, k = 1..N+1.
     """
     L, y, u = Hs.shape
     # the sum for k = N+1 is empty
     first = np.concatenate([series.correlate(Hs)[1:], np.zeros((1, u, u))])
     # the Herglotz transform of C is 2 (I - lambda C)^-1 - I, so its
-    # degree-k coefficient is 2 P_k for k >= 1; for a realized C, P is
-    # the closed loop of [I; C], the constant I on top of C
-    if isinstance(Cfun, SchurRealization):
-        d, n = Cfun.out_dim, Cfun.state_dim
-        loop = _closed_loop(Cfun.A, Cfun.B, np.vstack([np.zeros((d, n)), Cfun.C]),
-                            np.vstack([np.eye(d), Cfun.D]), d, _lambda_identity(d))
-        P = series.realization_stack(*loop, L)
+    # degree-k coefficient is 2 P_k for k >= 1
+    if isinstance(Cfun, Realization):
+        P = series.realization_stack(*_resolvent_loop(Cfun), L)
     else:
         P = series.resolvent(Cfun.taylor_stack(L - 1))
     W = np.empty((L + 1, u, u), dtype=np.complex128)
@@ -291,16 +286,50 @@ def _w_taylor(Hs: np.ndarray, W0, Cfun, DB, BD):
     return W, first
 
 
-def z_from_C(p: InterpolationProblem, H: PolyOpFn, Gamma, Cfun, N: int) -> AnalyticFn:
+def _realized_z(loop: tuple, Cfun: Realization, DB, BD, w0res: float) -> Realization | None:
+    """Z_C from H's loop (A_H, B_H, C_H, D_H) and C's, or None if not stable.
+
+    With P the observability Gramian of (A_H, C_H), the first sums over
+    every degree are (D_H* C_H + B_H* P A_H) A_H^(k-1) B_H, so W = I +
+    lambda C_W (I - lambda A_W)^-1 B_W, A_W holding H's and
+    _resolvent_loop(C)'s states.  (W+I)^-1 = 1/2 I - 1/4 lambda C_W
+    (I - lambda Ax)^-1 B_W, Ax = A_W - 1/2 B_W C_W (Bart, Gohberg and
+    Kaashoek, 1979), whose H block is H's state driven by 2 (W+I)^-1: so
+    2 H (W+I)^-1 is (Ax, B_W, [C_H, 0] - 1/2 D_H C_W, D_H), and
+    lambda^-1 (W-I)(W+I)^-1 is (Ax, B_W, 1/2 C_W Ax, 1/2 C_W B_W).  None
+    when P does not converge or rho(Ax) >= 1; meta records rho(Ax).
+    """
+    Ah, Bh, Ch, Dh = loop
+    P = observability_gramian(Ah, Ch)
+    if P is None:
+        return None
+    Al, Bl, Cl, _ = _resolvent_loop(Cfun)
+    n = len(Ah)
+    B = np.vstack([Bh, Bl @ BD])
+    Cw = 2.0 * np.hstack([Dh.conj().T @ Ch + Bh.conj().T @ P @ Ah, DB @ Cl])
+    A = -0.5 * (B @ Cw)
+    A[:n, :n] += Ah
+    A[n:, n:] += Al
+    rho = stable_radius(A)
+    if rho is None:
+        return None
+    top = np.hstack([Ch, np.zeros((len(Ch), len(Al)))]) - 0.5 * (Dh @ Cw)
+    return Realization(A, B, np.vstack([top, 0.5 * (Cw @ A)]), np.vstack([Dh, 0.5 * (Cw @ B)]),
+                       meta={"w0_residual": w0res, "pole_radius": rho})
+
+
+def z_from_C(p: InterpolationProblem, H: PolyOpFn, Gamma, Cfun,
+             N: int) -> Realization | AnalyticFn:
     """Parameter Z_C of a solution H, its degree-N column Gamma and a fiber member C.
 
-    Z_C = [2 H (W+I)^-1 ; lambda^-1 (W-I)(W+I)^-1], returned as series
-    coefficients plus a pointwise rule that reads H, C and its Herglotz
-    transform at the points eval_many checked.  The lambda^-1 is a
-    coefficient shift: W(0) = I is asserted within 1e-8 and the bottom
-    block's coefficient n is taken from W's degree n+1.  A Gamma further
-    than CHECK_TOL * max(1, ||Gamma||_F) from H's column, in Frobenius
-    norm, raises NotASolution.
+    Z_C = [2 H (W+I)^-1 ; lambda^-1 (W-I)(W+I)^-1]; D_Gamma, whose range
+    basis C is written in, and the check of W(0) = I within 1e-8 come from
+    Gamma.  It is _realized_z's Realization when H carries its loop
+    (PolyOpFn.realization), C is a Realization and both are stable, else
+    an AnalyticFn: coefficients to degree N from series.inv(W + I), with
+    W's sums over the retained degrees, and a pointwise rule reading H, C
+    and its Herglotz transform.  A Gamma further than CHECK_TOL * max(1,
+    ||Gamma||_F) from H's column, in Frobenius norm, raises NotASolution.
     """
     u, y = p.U_dim, p.Y_dim
     G = as_operator(Gamma, rows=(N + 1) * y, cols=u)
@@ -322,11 +351,16 @@ def z_from_C(p: InterpolationProblem, H: PolyOpFn, Gamma, Cfun, N: int) -> Analy
     gamma_sq = G.conj().T @ G
     DB = D @ Bd
     BD = Bd.conj().T @ D
-    W, first = _w_taylor(Hs, gamma_sq + D @ D, Cfun, DB, BD)
     eye = np.eye(u, dtype=np.complex128)
-    w0res = operator_norm(W[0] - eye)
+    w0res = operator_norm(gamma_sq + D @ D - eye)
     if w0res > W_ZERO_TOL:
         raise WNotNormalizedAtZero(f"W(0) differs from I by {w0res:.3e}")
+    loop = getattr(H, "realization", None)
+    if loop is not None and isinstance(Cfun, Realization):
+        Z = _realized_z(loop, Cfun, DB, BD, w0res)
+        if Z is not None:
+            return Z
+    W, first = _w_taylor(Hs, gamma_sq + D @ D, Cfun, DB, BD)
     W[0] += eye
     M = series.inv(W)
     coeffs = np.concatenate([2.0 * series.mul(Hs, M), -2.0 * M[1:]], axis=1)

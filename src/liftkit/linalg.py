@@ -21,6 +21,8 @@ RANK_TOL = 1e-9
 CONTRACTION_SLACK = 1e-10
 # a matrix is numerically singular when sigma_min * COND_MAX < max(1, sigma_max)
 COND_MAX = 1e10
+# the most squarings of Smith doubling: 2^64 terms
+STEIN_DOUBLINGS = 64
 
 
 def as_operator(M, rows: int | None = None, cols: int | None = None) -> np.ndarray:
@@ -203,6 +205,31 @@ def require_inverse(M, Minv, what: str) -> None:
     # empty matrices pass
     if s.shape[-1] and np.any(s[..., -1] * COND_MAX < np.maximum(1.0, s[..., 0])):
         raise SingularResolvent(f"{what} is numerically singular")
+
+
+def observability_gramian(A, C) -> np.ndarray | None:
+    """P = sum_k (A*)^k C* C A^k, solving P = A* P A + C* C, by Smith doubling.
+
+    Step k adds A_k* P A_k, A_k = A^(2^k), doubling the terms summed.  P
+    is returned once ||A_k||_F <= eps puts the tail below round-off; None
+    when that takes over STEIN_DOUBLINGS steps, as for rho(A) >= 1 or an
+    overflow: A is not stable enough for the sum.
+    """
+    P, Ak = np.conj(C).T @ C, np.asarray(A)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(STEIN_DOUBLINGS):
+            if np.linalg.norm(Ak) <= np.finfo(np.float64).eps:
+                return P
+            P, Ak = P + Ak.conj().T @ P @ Ak, Ak @ Ak
+    return None
+
+
+def stable_radius(A) -> float | None:
+    """rho(A) if it is below 1, so that C A^k B and its round-off decay;
+    else None, as for non-finite entries.  0.0 for an empty A."""
+    A = np.asarray(A, dtype=np.complex128)
+    rho = np.abs(np.linalg.eigvals(A)).max(initial=0.0) if np.isfinite(A).all() else np.inf
+    return float(rho) if rho < 1.0 else None
 
 
 def contraction_on_generators(gen, img, tol: float) -> tuple[Subspace, np.ndarray]:

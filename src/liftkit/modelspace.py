@@ -96,9 +96,6 @@ class InnerFn(SchurRealization):
     factors: tuple
     V0: np.ndarray
 
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
     def __init__(self, kind: str, out_dim: int, in_dim: int, power: int = 1,
                  factors: tuple = (), V0: np.ndarray | None = None):
         """Check the data and build the unitary cascade of Theta.

@@ -11,7 +11,7 @@ which turns "Z with Z|_F = omega" into a free choice of X.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,28 +23,24 @@ from .linalg import (CONTRACTION_SLACK, as_operator, defect, operator_norm,
                      require_invertible)
 
 
-@dataclass(frozen=True)
-class SchurRealization(Evaluable):
-    """Colligation data (A, B, C, D) with [[A, B], [C, D]] contractive."""
+@dataclass(frozen=True, eq=False)
+class Realization(Evaluable):
+    """D + lambda C (I - lambda A)^-1 B, with only the shapes and finiteness
+    of (A, B, C, D) checked; meta holds what the code making it measured."""
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
+    meta: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        A = as_operator(self.A)
+        A, D = as_operator(self.A), as_operator(self.D)
         if A.shape[0] != A.shape[1]:
             raise DimensionMismatch("state matrix must be square")
-        n = A.shape[0]
-        D = as_operator(self.D)
-        B = as_operator(self.B, rows=n, cols=D.shape[1])
-        C = as_operator(self.C, rows=D.shape[0], cols=n)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "D", D)
-        require_contraction(self.colligation(), "colligation", CONTRACTION_SLACK)
+        B = as_operator(self.B, rows=len(A), cols=D.shape[1])
+        C = as_operator(self.C, rows=D.shape[0], cols=len(A))
+        self.__dict__.update(A=A, B=B, C=C, D=D, meta=dict(self.meta))
 
     @property
     def state_dim(self) -> int:
@@ -57,11 +53,6 @@ class SchurRealization(Evaluable):
     @property
     def out_dim(self) -> int:
         return self.D.shape[0]
-
-    def colligation(self) -> np.ndarray:
-        top = np.hstack([self.A, self.B])
-        bot = np.hstack([self.C, self.D])
-        return np.vstack([top, bot])
 
     def _values(self, z: np.ndarray) -> np.ndarray:
         """D + z C (I - z A)^-1 B at each point of z, one guarded batched solve."""
@@ -80,6 +71,17 @@ class SchurRealization(Evaluable):
     def taylor_stack(self, N: int) -> np.ndarray:
         """Coefficients 0..N as an (N+1, out, in) stack: D, then C A^(k-1) B."""
         return series.realization_stack(self.A, self.B, self.C, self.D, N)
+
+
+class SchurRealization(Realization):
+    """A Realization whose colligation [[A, B], [C, D]] is contractive."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        require_contraction(self.colligation(), "colligation", CONTRACTION_SLACK)
+
+    def colligation(self) -> np.ndarray:
+        return np.block([[self.A, self.B], [self.C, self.D]])
 
 
 def random_schur(out_dim: int, in_dim: int, state_dim: int, seed: int,

@@ -175,7 +175,7 @@ def _name(node) -> str | None:
 
 
 def test_numerical_guards_are_decided_only_in_linalg():
-    raised, constants, slacks, inverses = [], [], [], []
+    raised, constants, slacks, inverses, spectra = [], [], [], [], []
     paths = sorted((ROOT / "src" / "liftkit").glob("*.py"))
     assert ROOT / "src" / "liftkit" / "linalg.py" in paths
     for path in paths:
@@ -196,10 +196,15 @@ def test_numerical_guards_are_decided_only_in_linalg():
             if (path.name != "linalg.py" and isinstance(node, ast.Attribute)
                     and node.attr == "inv" and _name(node.value) == "linalg"):
                 inverses.append(where)
+            # and every stability decision is linalg's: np.linalg.eigvals
+            if (path.name != "linalg.py" and isinstance(node, ast.Attribute)
+                    and node.attr == "eigvals" and _name(node.value) == "linalg"):
+                spectra.append(where)
     assert not raised
     assert not constants
     assert not slacks
     assert not inverses
+    assert not spectra
 
 
 def _linalg_calls(node, attr: str) -> list:

@@ -166,6 +166,18 @@ def test_fiber_command(capsys):
     assert payload["w0_residual"] <= 1e-10
 
 
+@pytest.mark.parametrize("degree", [8, 12])
+@pytest.mark.parametrize("seed", range(4))
+def test_fiber_command_meets_the_constraint_at_low_degree(capsys, degree, seed):
+    # W's first sums run over every degree of the realized H, so Z_C meets
+    # the constraint where the sums over the retained degrees missed it
+    code, out = run(capsys, "--cmd", "fiber", "--seed", str(seed), "--degree", str(degree))
+    assert code == 0
+    payload = json.loads(out.out)
+    assert payload["ok"] is True
+    assert payload["constraint_residual"] <= 1e-8
+
+
 def test_rcl_command(capsys):
     code, out = run(capsys, "--cmd", "rcl", "--seed", "3")
     assert code == 0

@@ -29,8 +29,14 @@ def fiber_data(seed=3):
     return p, H, Gamma, central_C(p, Gamma)
 
 
-def fiber_parameter(seed=3, Cfun=None):
+def coefficient_H(H):
+    """H without its loop, so that z_from_C takes the coefficient path."""
+    return PolyOpFn(H.out_dim, H.in_dim, H.coeffs)
+
+
+def fiber_parameter(seed=3, Cfun=None, realized=True):
     p, H, Gamma, C = fiber_data(seed)
+    H = H if realized else coefficient_H(H)
     return z_from_C(p, H, Gamma, C if Cfun is None else Cfun, N), Gamma
 
 
@@ -44,7 +50,8 @@ FUNCTIONS = {
     "PolyOpFn": poly,
     "SchurRealization": lambda: random_schur(3, 2, 3, seed=9, scale=0.9),
     "InnerFn": lambda: random_inner(seed=5, dim=3, n_factors=2),
-    "AnalyticFn": lambda: fiber_parameter()[0],
+    "AnalyticFn": lambda: fiber_parameter(realized=False)[0],
+    "Realization": lambda: fiber_parameter()[0],
 }
 
 
@@ -55,7 +62,7 @@ def reference(name, fn, z):
         for c in reversed(fn.coeffs):
             acc = c + z * acc
         return acc
-    if name == "SchurRealization":
+    if name in ("SchurRealization", "Realization"):
         n = fn.state_dim
         return fn.D + z * fn.C @ np.linalg.solve(np.eye(n) - z * fn.A, fn.B)
     if name == "InnerFn":
@@ -75,8 +82,8 @@ def test_eval_many_matches_per_point_eval(name):
 
 def test_z_from_C_at_zero_is_constant_coefficient():
     Z1, _ = fiber_parameter()
-    assert np.array_equal(Z1.eval_many([0.0, 0.5])[0], Z1.coeffs[0])
-    assert np.array_equal(Z1.eval(0.0), Z1.coeffs[0])
+    assert np.array_equal(Z1.eval_many([0.0, 0.5])[0], Z1.taylor_stack(0)[0])
+    assert np.array_equal(Z1.eval(0.0), Z1.taylor_stack(0)[0])
 
 
 def per_point(fn, points):
@@ -120,7 +127,7 @@ def test_herglotz_guard_raises_in_batch():
                               tol=1e-9)
     C = SchurRealization(np.zeros((0, 0)), np.zeros((0, d)), np.zeros((d, 0)),
                          np.eye(d))
-    Z1, _ = fiber_parameter(Cfun=C)
+    Z1, _ = fiber_parameter(Cfun=C, realized=False)
     assert_same_error(Z1, [0.3, 1.0 - 1e-13, 0.2], SingularResolvent,
                       match="lambda\\*C")
 
@@ -135,7 +142,7 @@ def test_w_plus_identity_guard_raises_in_batch():
     d = np.linalg.matrix_rank(hermitian_sqrt_psd(D2), tol=1e-9)
     zero = AnalyticFn(d, d, [np.zeros((d, d))] * (N + 1),
                       lambda z: np.zeros((z.size, d, d)))
-    Zc, _ = fiber_parameter(Cfun=zero)
+    Zc, _ = fiber_parameter(Cfun=zero, realized=False)
     bot = Zc.eval(lam0)[2:, :]
     A0inv = (np.eye(2) - lam0 * bot) / 2.0
     mu = np.linalg.eigvals(A0inv @ D2)
@@ -144,7 +151,7 @@ def test_w_plus_identity_guard_raises_in_batch():
     coeffs = [c * np.eye(d)] + [np.zeros((d, d))] * N
     Cfun = AnalyticFn(d, d, coeffs,
                       lambda z: np.broadcast_to(c * np.eye(d), (z.size, d, d)))
-    Z1, _ = fiber_parameter(Cfun=Cfun)
+    Z1, _ = fiber_parameter(Cfun=Cfun, realized=False)
     assert_same_error(Z1, [0.3, lam0, 0.2], SingularResolvent,
                       match="W\\(lambda\\) \\+ I")
 
@@ -172,8 +179,10 @@ def fiber_members(p, Gamma):
 
 @pytest.mark.parametrize("member", ["central", "realized", "analytic", "protocol"])
 def test_z_from_C_values_are_bit_identical_to_the_checked_rule(member):
-    # the rule that checks every point at every call and guards by the SVD
+    # the rule that checks every point at every call and guards by the SVD,
+    # for the pointwise rule of the coefficient path
     p, H, Gamma, _ = fiber_data()
+    H = coefficient_H(H)
     C = fiber_members(p, Gamma)[member]
     assert parameter_membership(C, p, Gamma)
     if member == "realized":

@@ -18,7 +18,7 @@ from liftkit.lifting import (InterpolationProblem, _feedback, _lambda_identity,
                              uniqueness_certificate, verify_solution, z_from_C)
 from liftkit.linalg import Subspace, hermitian_sqrt_psd, operator_norm, orthonormal_range
 from liftkit.modelspace import h_from_Z_theta, theta_shift
-from liftkit.schur import SchurRealization, random_schur
+from liftkit.schur import Realization, SchurRealization, random_schur
 
 N = 24
 
@@ -251,15 +251,17 @@ def test_fiber_roundtrip_random():
 
 def test_fiber_roundtrip_evaluates_the_parameter_once(monkeypatch):
     # Z_C is evaluated on GRID by the constraint check of the second solve,
-    # whose worst residual is the reported constraint
+    # whose worst residual is the reported constraint; Z, a SchurRealization,
+    # is evaluated by the first solve and not counted
     calls = []
-    eval_many = AnalyticFn.eval_many
+    eval_many = Realization.eval_many
 
     def counting_eval_many(self, points):
-        calls.append(len(points))
+        if not isinstance(self, SchurRealization):
+            calls.append(len(points))
         return eval_many(self, points)
 
-    monkeypatch.setattr(AnalyticFn, "eval_many", counting_eval_many)
+    monkeypatch.setattr(Realization, "eval_many", counting_eval_many)
     p = random_problem(3, 2, 2, seed=41, scale=0.45)
     Z = random_constrained_z(p, 2, seed=42, scale=0.5)
     gap, constraint, _ = fiber_roundtrip_residuals(p, Z, N)
@@ -404,26 +406,67 @@ def test_solve_is_the_multiplier_map_at_lambda_identity(n, case):
 
 @pytest.mark.parametrize("state", [1, 3])
 def test_z_from_C_with_a_realized_C_matches_the_resolvent_path(state):
+    # the realized Z_C takes W's first sums over every degree of H; the
+    # coefficient path at 4N, cut to degrees 0..N, keeps all but a tail
+    # far below round-off
     p = random_problem(3, 2, 1, seed=890, scale=0.45)
     H = solve_from_Z(p, random_constrained_z(p, 2, seed=891, scale=0.5), N)
     G = column_operator(H, N)
     d = central_C(p, G).in_dim
     C = random_schur(d, d, state, seed=892 + state, scale=0.9)
     got = z_from_C(p, H, G, C, N)
-    want = z_from_C(p, H, G, coefficients_only(C, N), N)
+    assert isinstance(got, Realization)
+    n = 4 * N
+    H4 = PolyOpFn(p.Y_dim, p.U_dim, series.realization_stack(*H.realization, n))
+    want = z_from_C(p, H4, column_operator(H4, n), coefficients_only(C, n), n)
+    assert isinstance(want, AnalyticFn)
     assert_rel_close(got.taylor_stack(N), want.taylor_stack(N))
     assert_rel_close(got.eval_many(GRID), want.eval_many(GRID))
 
 
 def test_realized_inputs_never_take_the_resolvent(monkeypatch):
-    def refuse(x):
-        raise AssertionError("series.resolvent called on realized input")
+    def refuse(*args):
+        raise AssertionError("series.inv or series.resolvent called on realized input")
 
     monkeypatch.setattr(series, "resolvent", refuse)
+    monkeypatch.setattr(series, "inv", refuse)
     p = random_problem(3, 2, 2, seed=41, scale=0.45)
     H = solve_from_Z(p, random_constrained_z(p, 2, seed=42, scale=0.5), N)
     G = column_operator(H, N)
-    z_from_C(p, H, G, central_C(p, G), N)
+    Z1 = z_from_C(p, H, G, central_C(p, G), N)
+    assert coeff_diff(H, solve_from_Z(p, Z1, N), N) < 1e-12
+
+
+def test_z_from_C_falls_back_to_the_coefficient_path_for_an_unstable_loop():
+    # A = 1 gives rho = 1: the Gramian of H's loop does not converge, and
+    # Z_C is the one of H's coefficients alone
+    u, y = 3, 2
+    p = unconstrained_problem(u, y)
+    D = 0.3 * random_schur(y, u, 0, seed=12).D
+    H = PolyOpFn.truncated(np.eye(1), np.zeros((1, u)), np.zeros((y, 1)), D, N)
+    G = column_operator(H, N)
+    C = central_C(p, G)
+    got = z_from_C(p, H, G, C, N)
+    want = z_from_C(p, PolyOpFn(y, u, H.coeffs), G, C, N)
+    assert isinstance(got, AnalyticFn) and "pole_radius" not in got.meta
+    assert np.array_equal(got.taylor_stack(N), want.taylor_stack(N))
+    assert np.array_equal(got.eval_many(GRID), want.eval_many(GRID))
+
+
+def test_realized_z_from_C_records_its_pole_radius():
+    # Z_C's state is that of (W + I)^-1, H's loop beside the [I; C] loop of
+    # the central C; rho of its state matrix is the pole radius, below 1 on
+    # the realized path
+    p = random_problem(3, 2, 2, seed=41, scale=0.45)
+    H = solve_from_Z(p, random_constrained_z(p, 2, seed=42, scale=0.5), N)
+    G = column_operator(H, N)
+    C = central_C(p, G)
+    Z1 = z_from_C(p, H, G, C, N)
+    assert Z1.state_dim == len(H.realization[0]) + C.in_dim
+    rho = np.abs(np.linalg.eigvals(Z1.A)).max()
+    assert Z1.meta["pole_radius"] == pytest.approx(rho, abs=1e-12)
+    assert 0.0 < Z1.meta["pole_radius"] < 1.0
+    assert Z1.meta["w0_residual"] <= 1e-10
 
 
 def test_uniqueness_certificate_examples():

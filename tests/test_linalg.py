@@ -12,9 +12,10 @@ from liftkit.errors import (DimensionMismatch, InconsistentGenerators,
                             NonFiniteResult, NotAContraction, SingularResolvent)
 from liftkit.linalg import (CONTRACTION_SLACK, Subspace, as_operator,
                             contraction_on_generators, defect, haar_unitary,
-                            hermitian_sqrt_psd, operator_norm, operator_norms,
-                            orthonormal_range, projector_gap,
-                            require_contraction, require_invertible)
+                            hermitian_sqrt_psd, observability_gramian,
+                            operator_norm, operator_norms, orthonormal_range,
+                            projector_gap, require_contraction,
+                            require_invertible, stable_radius)
 from liftkit.schur import herglotz_many
 
 
@@ -391,3 +392,35 @@ def test_certified_guard_rejects_a_non_finite_matrix(bad):
         require_invertible(S, "x")
     with pytest.raises(NonFiniteResult, match=r"^x has non-finite entries$"):
         require_invertible(S[1], "x")
+
+
+@pytest.mark.parametrize("radius", [0.0, 0.5, 0.99])
+def test_observability_gramian_solves_the_stein_equation(radius):
+    rng = np.random.default_rng(17)
+    A = _complex_matrix(rng, 4, 4)
+    A *= radius / max(np.abs(np.linalg.eigvals(A)).max(), 1e-300)
+    C = _complex_matrix(rng, 2, 4)
+    P = observability_gramian(A, C)
+    assert np.linalg.norm(A.conj().T @ P @ A + C.conj().T @ C - P) <= 1e-12 * np.linalg.norm(P)
+    # the direct sum, to a tail below round-off
+    direct, term = np.zeros((4, 4), dtype=np.complex128), C
+    for _ in range(8000 if radius else 1):
+        direct += term.conj().T @ term
+        term = term @ A
+    assert np.linalg.norm(P - direct) <= 1e-11 * np.linalg.norm(P)
+
+
+@pytest.mark.parametrize("A", [np.eye(2), [[1.0, 1.0], [0.0, 1.0]], [[2.0]],
+                               np.diag([0.5, -1.0]), [[np.nan]]])
+def test_observability_gramian_and_radius_refuse_what_is_not_stable(A):
+    # rho(A) = 1, a Jordan block, rho > 1 (overflow) and a non-finite entry
+    C = np.ones((1, len(A)))
+    assert observability_gramian(A, C) is None
+    assert stable_radius(A) is None
+
+
+def test_stable_radius_of_stable_and_empty_matrices():
+    assert stable_radius(np.zeros((0, 0))) == 0.0
+    assert stable_radius(np.diag([0.5, -0.75j])) == pytest.approx(0.75, abs=1e-15)
+    assert stable_radius([[0.0, 1.0], [0.0, 0.0]]) == 0.0
+    assert observability_gramian(np.zeros((0, 0)), np.zeros((3, 0))).shape == (0, 0)
