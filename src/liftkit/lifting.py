@@ -286,7 +286,7 @@ def _w_taylor(Hs: np.ndarray, W0, Cfun, DB, BD):
     return W, first
 
 
-def _realized_z(loop: tuple, Cfun: Realization, DB, BD, w0res: float) -> Realization | None:
+def _realized_z(loop: tuple, P, Cfun: Realization, DB, BD, w0res: float) -> Realization | None:
     """Z_C from H's loop (A_H, B_H, C_H, D_H) and C's, or None if not stable.
 
     With P the observability Gramian of (A_H, C_H), the first sums over
@@ -297,10 +297,9 @@ def _realized_z(loop: tuple, Cfun: Realization, DB, BD, w0res: float) -> Realiza
     Kaashoek, 1979), whose H block is H's state driven by 2 (W+I)^-1: so
     2 H (W+I)^-1 is (Ax, B_W, [C_H, 0] - 1/2 D_H C_W, D_H), and
     lambda^-1 (W-I)(W+I)^-1 is (Ax, B_W, 1/2 C_W Ax, 1/2 C_W B_W).  None
-    when P does not converge or rho(Ax) >= 1; meta records rho(Ax).
+    when P is None, not converged, or rho(Ax) >= 1; meta records rho(Ax).
     """
     Ah, Bh, Ch, Dh = loop
-    P = observability_gramian(Ah, Ch)
     if P is None:
         return None
     Al, Bl, Cl, _ = _resolvent_loop(Cfun)
@@ -316,6 +315,24 @@ def _realized_z(loop: tuple, Cfun: Realization, DB, BD, w0res: float) -> Realiza
     top = np.hstack([Ch, np.zeros((len(Ch), len(Al)))]) - 0.5 * (Dh @ Cw)
     return Realization(A, B, np.vstack([top, 0.5 * (Cw @ A)]), np.vstack([Dh, 0.5 * (Cw @ B)]),
                        meta={"w0_residual": w0res, "pole_radius": rho})
+
+
+def _w_zero(G, Cfun) -> tuple:
+    """(G*G, D, D Bd, Bd* D, ||G*G + D^2 - I||) of a solution column G, or a
+    root of its Gram, with D = D_G and Bd the range basis of D that C acts on."""
+    # W(0) misses I by about 2 (||G|| - 1), so with this slack the W(0)
+    # check below still rejects norms in (1 + W_ZERO_TOL / 2, 1 + W_ZERO_TOL]
+    D, drange = defect(G, W_ZERO_TOL)
+    Bd = drange.basis
+    d = Bd.shape[1]
+    if Cfun.in_dim != d or Cfun.out_dim != d:
+        raise DimensionMismatch(
+            f"C must act on the {d}-dimensional defect space of Gamma")
+    gamma_sq = G.conj().T @ G
+    w0res = operator_norm(gamma_sq + D @ D - np.eye(len(D)))
+    if w0res > W_ZERO_TOL:
+        raise WNotNormalizedAtZero(f"W(0) differs from I by {w0res:.3e}")
+    return gamma_sq, D, D @ Bd, Bd.conj().T @ D, w0res
 
 
 def z_from_C(p: InterpolationProblem, H: PolyOpFn, Gamma, Cfun,
@@ -340,26 +357,13 @@ def z_from_C(p: InterpolationProblem, H: PolyOpFn, Gamma, Cfun,
     if gap > CHECK_TOL * max(1.0, float(np.linalg.norm(G))):
         raise NotASolution(f"Gamma is not the column of H: they differ by {gap:.3e} "
                            f"in Frobenius norm")
-    # W(0) misses I by about 2 (||Gamma|| - 1), so with this slack the W(0)
-    # check below still rejects norms in (1 + W_ZERO_TOL / 2, 1 + W_ZERO_TOL]
-    D, drange = defect(G, W_ZERO_TOL)
-    Bd = drange.basis
-    d = Bd.shape[1]
-    if Cfun.in_dim != d or Cfun.out_dim != d:
-        raise DimensionMismatch(
-            f"C must act on the {d}-dimensional defect space of Gamma")
-    gamma_sq = G.conj().T @ G
-    DB = D @ Bd
-    BD = Bd.conj().T @ D
-    eye = np.eye(u, dtype=np.complex128)
-    w0res = operator_norm(gamma_sq + D @ D - eye)
-    if w0res > W_ZERO_TOL:
-        raise WNotNormalizedAtZero(f"W(0) differs from I by {w0res:.3e}")
+    gamma_sq, D, DB, BD, w0res = _w_zero(G, Cfun)
     loop = getattr(H, "realization", None)
     if loop is not None and isinstance(Cfun, Realization):
-        Z = _realized_z(loop, Cfun, DB, BD, w0res)
+        Z = _realized_z(loop, observability_gramian(loop[0], loop[2]), Cfun, DB, BD, w0res)
         if Z is not None:
             return Z
+    eye = np.eye(u, dtype=np.complex128)
     W, first = _w_taylor(Hs, gamma_sq + D @ D, Cfun, DB, BD)
     W[0] += eye
     M = series.inv(W)

@@ -21,10 +21,12 @@ contractive multiplier from H into H^2(Y) exactly when
 H(lambda) = P_Y Z(lambda) (I - Theta(lambda) P_E Z(lambda))^-1 for a
 Schur-class Z from U into Y + E.  This is the linear-fractional map of
 interpolation, lifting.solve_from_Z, with Theta in place of lambda I;
-h_from_Z_theta runs it (lifting._feedback) on Theta's A, B and C,
-well posed because Theta(0) = 0, and z_from_H_theta reverses it by posing the
+h_from_Z_theta runs it (lifting._feedback) on Theta's A, B and C, well
+posed because Theta(0) = 0.  z_from_H_theta reverses it by posing the
 multiplication map as an interpolation problem on H, taking the central
-parameter of its fiber and compressing back to U -> Y + E coordinates.
+parameter of its fiber and compressing back to U -> Y + E: exactly in
+the observability map's state coordinates for square Theta and a realized
+H, and on model_space's truncated basis otherwise.
 
 Inner functions are restricted to lambda^k times finite Blaschke-Potapov
 products (rank-one factors) times a constant isometry; these have
@@ -42,12 +44,12 @@ from . import series
 from .errors import DegreeTooSmall, DimensionMismatch, DomainError
 from .hardy import (GRID, AnalyticFn, PolyOpFn, column_operator,
                     multiplication_operator, shift, shift_adjoint)
-from .lifting import (CHECK_TOL, InterpolationProblem, _feedback, central_C,
-                      z_from_C)
-from .linalg import (Subspace, as_operator, haar_unitary, operator_norm,
-                     operator_norms, orthonormal_range, projector_gap,
-                     require_contraction)
-from .schur import SchurRealization, random_schur
+from .lifting import (CHECK_TOL, InterpolationProblem, _feedback, _realized_z,
+                      _w_zero, central_C, z_from_C)
+from .linalg import (Subspace, as_operator, haar_unitary, hermitian_sqrt_psd,
+                     observability_gramian, operator_norm, operator_norms,
+                     orthonormal_range, projector_gap, require_contraction)
+from .schur import Realization, SchurRealization, random_schur
 
 # threshold of each residual of check_decompositions
 DECOMPOSITION_TOL = 1e-9
@@ -290,16 +292,17 @@ def h_from_Z_theta(theta: InnerFn, Z, N: int) -> PolyOpFn:
     return _feedback(Z, Z.out_dim - e, (theta.A, theta.B, theta.C), N)
 
 
-def z_from_H_theta(theta: InnerFn, Hfn: PolyOpFn, ms: ModelSpace, N: int) -> AnalyticFn:
+def z_from_H_theta(theta: InnerFn, Hfn: PolyOpFn, ms: ModelSpace,
+                   N: int) -> Realization | AnalyticFn:
     """Schur parameter recovering a contractive multiplier Hfn.
 
-    The multiplication matrix on the model space solves an interpolation
-    problem whose input space is H itself (F = lambda H0, omega1 = 0,
-    omega2 undoes the shift); the central fiber member is mapped through
-    z_from_C and the resulting [F; G] block pair is compressed to
-    Z = [F restricted to constants; const-coeff of Phi* G on constants],
-    an element of the Schur class from U into Y + E up to truncation.
-    """
+    Multiplication by Hfn on H solves an interpolation problem on H (F =
+    lambda H0, omega1 = 0, omega2 undoes the shift); the central member's
+    parameter [F; G] gives Z = [F on constants; const-coeff of Phi* G on
+    constants].  Z is _state_space_z's exact Realization when Theta is
+    square and Hfn carries a stable loop to degree >= N, else an AnalyticFn
+    on ms's basis.  The truncated multiplication matrix must be a
+    contraction, and meta["mult_tail"] is its tail."""
     u, e = theta.out_dim, theta.in_dim
     y = Hfn.out_dim
     if Hfn.in_dim != u:
@@ -308,8 +311,12 @@ def z_from_H_theta(theta: InnerFn, Hfn: PolyOpFn, ms: ModelSpace, N: int) -> Ana
         raise DimensionMismatch("model space does not match theta at this degree")
     Gmat, tail = multiplication_operator(Hfn, ms.basis, N)
     require_contraction(Gmat, "multiplication operator", CHECK_TOL)
-    msb = ms.basis.basis
-    h0b = ms.H0_basis.basis
+    loop = getattr(Hfn, "realization", None)
+    if loop is not None and e == u and Hfn.degree >= N:
+        Z = _state_space_z(theta, loop, float(tail))
+        if Z is not None:
+            return Z
+    msb, h0b = ms.basis.basis, ms.H0_basis.basis
     m = msb.shape[1]
     F = orthonormal_range(msb.conj().T @ shift(h0b, u))
     om2 = msb.conj().T @ shift_adjoint(msb @ F.basis, u)
@@ -318,12 +325,10 @@ def z_from_H_theta(theta: InnerFn, Hfn: PolyOpFn, ms: ModelSpace, N: int) -> Ana
         om2 = om2 / nrm2
     p_model = InterpolationProblem(U_dim=m, Y_dim=y, F=F,
                                    omega1=np.zeros((y, F.dim)), omega2=om2)
-    Htilde = PolyOpFn(y, m, Gmat.reshape(N + 1, y, m))
     C0 = central_C(p_model, Gmat)
-    Zt = z_from_C(p_model, Htilde, Gmat, C0, N)
+    Zt = z_from_C(p_model, PolyOpFn(y, m, Gmat.reshape(N + 1, y, m)), Gmat, C0, N)
     EmU = msb[:u].conj().T
-    colPhi = column_operator(theta.phi_poly(N), N)
-    left = colPhi.conj().T @ msb
+    left = column_operator(theta.phi_poly(N), N).conj().T @ msb
 
     def compress(Zv: np.ndarray) -> np.ndarray:
         """Compress a (P, y + m, m) stack to (P, y + e, u)."""
@@ -331,10 +336,41 @@ def z_from_H_theta(theta: InnerFn, Hfn: PolyOpFn, ms: ModelSpace, N: int) -> Ana
         bottom = left @ (Zv[:, y:, :] @ EmU)
         return np.concatenate([top, bottom], axis=1)
 
-    meta = dict(Zt.meta)
-    meta["mult_tail"] = float(tail)
-    return AnalyticFn(y + e, u, compress(Zt.taylor_stack(N)),
-                      lambda z: compress(Zt._values(z)), meta=meta)
+    return AnalyticFn(y + e, u, compress(Zt.taylor_stack(N)), lambda z: compress(Zt._values(z)),
+                      meta={**Zt.meta, "mult_tail": float(tail)})
+
+
+def _state_space_z(theta: InnerFn, loop: tuple, tail: float) -> Realization | None:
+    """z_from_H_theta in Theta's state coordinates, or None if not stable.
+
+    For square Theta, x -> C (I - lambda A)^-1 x maps the state space
+    isometrically onto H, so multiplication by H's loop (A_h, B_h, C_h,
+    D_h) is the column of H~ = H C (I - lambda A)^-1, the cascade
+    ([[A_h, B_h C], [0, A]], [B_h C; A], [C_h, D_h C], D_h C).  F = ker C,
+    omega2 = A is isometric on it (A*A + C*C = I), and the defect reads
+    the root [D~; P^(1/2) B~] of H~'s H^2 Gram (P from its loop, zero rows
+    pad it to blocks of Y).  U's constants have coordinates C* and Phi's
+    column B: Z is lifting._realized_z's Z~, C* on its input, B* on E rows."""
+    A, B, C = theta.A, theta.B, theta.C
+    Ah, Bh, Ch, Dh = loop
+    n, y = len(A), len(Dh)
+    At = np.block([[Ah, Bh @ C], [np.zeros((n, len(Ah))), A]])
+    Bt, Ct, Dt = np.vstack([Bh @ C, A]), np.hstack([Ch, Dh @ C]), Dh @ C
+    P = observability_gramian(At, Ct)
+    if P is None:
+        return None
+    root = np.vstack([Dt, hermitian_sqrt_psd(P) @ Bt, np.zeros((-len(At) % max(y, 1), n))])
+    F = orthonormal_range(np.eye(n) - C.conj().T @ C)
+    p = InterpolationProblem(U_dim=n, Y_dim=y, F=F, omega1=np.zeros((y, F.dim)),
+                             omega2=A @ F.basis)
+    C0 = central_C(p, root)
+    Zt = _realized_z((At, Bt, Ct, Dt), P, C0, *_w_zero(root, C0)[2:])
+    if Zt is None:
+        return None
+    L = np.eye(y + theta.in_dim, y + n, dtype=np.complex128)
+    L[y:, y:] = B.conj().T
+    return Realization(Zt.A, Zt.B @ C.conj().T, L @ Zt.C, L @ Zt.D @ C.conj().T,
+                       meta={**Zt.meta, "mult_tail": tail})
 
 
 def multiplier_roundtrip_residual(theta: InnerFn, Hfn: PolyOpFn, ms: ModelSpace,

@@ -32,6 +32,12 @@ def coeff_diff(H1, H2, upto: int) -> float:
                for n in range(upto + 1))
 
 
+def assert_rel_close(got, want):
+    """Same shape, and within 1e-13 of want relative to max(1, ||want||_F)."""
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= 1e-13 * max(1.0, np.linalg.norm(want))
+
+
 def taylor_sum(fn, lam: complex, N: int) -> np.ndarray:
     acc = np.zeros((fn.out_dim, fn.in_dim), dtype=np.complex128)
     for c in fn.taylor_stack(N)[::-1]:

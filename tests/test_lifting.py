@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from _support import coeff_diff, scalar_fixture, taylor_sum, unconstrained_problem
+from _support import (assert_rel_close, coeff_diff, scalar_fixture, taylor_sum,
+                      unconstrained_problem)
 from liftkit import series
 from liftkit.errors import (ConstraintViolated, DimensionMismatch,
                             NotAContraction, NotASolution,
@@ -360,11 +361,6 @@ def coefficients_only(fn, N):
     """fn as an AnalyticFn: the same values, Taylor data to degree N, and
     no realization, so the solvers take the resolvent path."""
     return AnalyticFn(fn.out_dim, fn.in_dim, fn.taylor_stack(N), fn.eval_many)
-
-
-def assert_rel_close(got, want):
-    assert got.shape == want.shape
-    assert np.linalg.norm(got - want) <= 1e-13 * max(1.0, np.linalg.norm(want))
 
 
 def closed_loop_cases():

@@ -4,21 +4,22 @@ parameterization for inner functions vanishing at the origin."""
 import numpy as np
 import pytest
 
-from _support import (analytic_toeplitz, coeff_diff, inner_taylor_oracle,
-                      inner_values_oracle, shift_and_embed,
-                      unconstrained_problem)
+from _support import (analytic_toeplitz, assert_rel_close, coeff_diff,
+                      inner_taylor_oracle, inner_values_oracle,
+                      shift_and_embed, unconstrained_problem)
 from liftkit.errors import (DegreeTooSmall, DimensionMismatch, DomainError,
                             NotAContraction)
 from liftkit import series
-from liftkit.hardy import GRID, PolyOpFn, column_operator, multiplication_operator
+from liftkit.hardy import (GRID, AnalyticFn, PolyOpFn, column_operator,
+                           multiplication_operator)
 from liftkit.lifting import _closed_loop, solve_from_Z
 from liftkit.modelspace import (BlaschkeFactor, InnerFn, check_decompositions,
                                 h_from_Z_theta, model_space,
-                                mult_contraction_test, pointwise_mult_check,
-                                random_inner, random_multiplier, theta_shift,
-                                z_from_H_theta)
+                                mult_contraction_test, multiplier_roundtrip_residual,
+                                pointwise_mult_check, random_inner,
+                                random_multiplier, theta_shift, z_from_H_theta)
 from liftkit.linalg import operator_norm, projector_gap
-from liftkit.schur import SchurRealization, random_schur
+from liftkit.schur import Realization, SchurRealization, random_schur
 
 
 def bp_half():
@@ -489,6 +490,81 @@ def test_roundtrip_zero_multiplier():
     assert max(operator_norm(c[:1, :]) for c in Z1.taylor_stack(N)) <= 1e-14
     H1 = h_from_Z_theta(theta, Z1, N)
     assert max(operator_norm(H1.coeff(n)) for n in range(N + 1)) <= 1e-13
+
+
+@pytest.mark.parametrize("k, size", enumerate([(2, 1, 64), (3, 3, 64), (2, 2, 128),
+                                               (3, 2, 128), (3, 3, 128)]))
+def test_realized_multiplier_gives_a_realized_parameter(monkeypatch, k, size):
+    # the model_space benchmark's sizes, zeros of modulus <= 0.45; the
+    # truncated path is run at 2N, where the tail of H's loop, which decays
+    # like its pole radius, is below round-off on the compared degrees
+    dim, n_factors, N = size
+    theta = random_inner(600 + k, dim, n_factors)
+    Z = random_schur(2 + dim, dim, 2, seed=610 + k, scale=0.5)
+    H = h_from_Z_theta(theta, Z, N)
+    H2 = h_from_Z_theta(theta, Z, 2 * N)
+    want = z_from_H_theta(theta, PolyOpFn(2, dim, H2.coeffs), model_space(theta, 2 * N), 2 * N)
+
+    def refuse(*args):
+        raise AssertionError("series.inv or series.resolvent called on a realized multiplier")
+
+    monkeypatch.setattr(series, "resolvent", refuse)
+    monkeypatch.setattr(series, "inv", refuse)
+    ms = model_space(theta, N)
+    got = z_from_H_theta(theta, H, ms, N)
+    assert isinstance(got, Realization)
+    assert set(got.meta) == {"w0_residual", "pole_radius", "mult_tail"}
+    assert got.meta["w0_residual"] <= 1e-12 and 0.0 < got.meta["pole_radius"] < 1.0
+    assert got.meta["mult_tail"] == mult_contraction_test(H, ms).tail_mass
+    keep = N - theta.degree_bound - 4
+    assert_rel_close(got.taylor_stack(keep), want.taylor_stack(keep))
+    assert_rel_close(got.eval_many(GRID), want.eval_many(GRID))
+    assert coeff_diff(H, h_from_Z_theta(theta, got, N), keep) <= 1e-14
+
+
+def near_circle_theta(modulus: float, seed: int) -> InnerFn:
+    """b_a(w) b_0.3(e_1) on C^2 with |a| = modulus, phase and w drawn from seed."""
+    rng = np.random.default_rng(seed)
+    a = modulus * np.exp(2j * np.pi * rng.uniform())
+    w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    return InnerFn(kind="bp_product", out_dim=2, in_dim=2,
+                   factors=(BlaschkeFactor(a=a, w=w), BlaschkeFactor(a=0.3, w=np.eye(2)[0])))
+
+
+@pytest.mark.parametrize("N", [64, 128, 256])
+@pytest.mark.parametrize("modulus", [0.45, 0.9, 0.97, 0.99])
+def test_multiplier_roundtrip_is_exact_near_the_circle(modulus, N):
+    # the truncated basis misses the multiplier's Gram by |a|^N: at 0.99
+    # and N = 64 it raised NotASolution or missed MULT_ROUNDTRIP_TOL
+    for seed in range(10):
+        theta = near_circle_theta(modulus, seed)
+        H = random_multiplier(theta, 2, N, seed=1000 + seed)
+        assert multiplier_roundtrip_residual(theta, H, model_space(theta, N), N) <= 1e-12
+
+
+def test_multipliers_without_an_exact_loop_keep_the_truncated_path():
+    # a coefficient H, a realized H below degree N, a power Theta with
+    # E < U and an H whose loop has rho = 1 all give the AnalyticFn of H's
+    # coefficients alone, bit for bit
+    N = 40
+    theta = random_inner(620, 3, 2)
+    short = random_multiplier(theta, 2, N - 5, seed=621)
+    power = feedback_thetas()[4]
+    stuck = PolyOpFn.truncated(np.eye(1), np.zeros((1, 3)), np.zeros((2, 1)),
+                               0.3 * random_schur(2, 3, 0, seed=622).D, N)
+    cases = [(theta, random_multiplier(theta, 2, N, seed=623)), (theta, short),
+             (power, random_multiplier(power, 2, N, seed=624)), (theta, stuck)]
+    for k, (th, H) in enumerate(cases):
+        ms = model_space(th, N)
+        got = z_from_H_theta(th, H, ms, N)
+        want = z_from_H_theta(th, PolyOpFn(H.out_dim, H.in_dim, H.coeffs), ms, N)
+        assert isinstance(want, AnalyticFn) and "pole_radius" not in want.meta
+        if k == 0:
+            assert isinstance(got, Realization)
+            continue
+        assert isinstance(got, AnalyticFn) and got.meta == want.meta
+        assert got.taylor_stack(N).tobytes() == want.taylor_stack(N).tobytes()
+        assert got.eval_many(GRID).tobytes() == want.eval_many(GRID).tobytes()
 
 
 # --- pointwise multiplication test ---------------------------------------
