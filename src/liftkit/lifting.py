@@ -32,10 +32,10 @@ from .errors import (ConstraintViolated, DimensionMismatch, InconsistentGenerato
                      NonFiniteResult, NotAContraction, NotASolution,
                      WNotNormalizedAtZero)
 from .hardy import GRID, AnalyticFn, PolyOpFn, column_operator
-from .linalg import (CONTRACTION_SLACK, Subspace, as_operator,
-                     contraction_on_generators, defect, observability_gramian,
-                     operator_norm, operator_norms, orthonormal_range,
-                     require_contraction, require_invertible, stable_radius)
+from .linalg import (CONTRACTION_SLACK, Subspace, as_operator, contraction_on_generators,
+                     defect, observability_gramian, operator_norm, operator_norms,
+                     orthonormal_range, realized_sup_bound, require_contraction,
+                     require_invertible, stable_radius)
 from .schur import (Realization, SchurRealization, _complete, _completion_frame,
                     _herglotz, random_schur)
 
@@ -92,11 +92,16 @@ def solve_from_Z(p: InterpolationProblem, Z, N: int) -> PolyOpFn:
 
     Z may be any analytic operator function exposing eval_many and
     taylor_stack with in_dim = U and out_dim = Y + U; its restriction to F
-    is checked against omega on GRID at CHECK_TOL before solving.  H is
-    the feedback map P_Y Z (I - Theta P_U Z)^-1 at Theta = lambda I
-    (_feedback).
+    must match omega at CHECK_TOL: certified for a Realization whose
+    linalg.realized_sup_bound of Z|_F - omega = (A, B F, C, D F - omega) on
+    |lambda| <= max |GRID| is at most CHECK_TOL / 2, else checked on GRID.
+    H is the feedback map P_Y Z (I - Theta P_U Z)^-1 at Theta = lambda I (_feedback).
     """
-    _constraint_residual(p, Z)
+    Fb, bound = p.F.basis, None
+    if isinstance(Z, Realization) and Z.D.shape == (p.Y_dim + p.U_dim, p.U_dim) and p.F.dim:
+        bound = realized_sup_bound(Z.A, Z.B @ Fb, Z.C, Z.D @ Fb - p.omega, np.abs(GRID).max())
+    if bound is None or bound > CHECK_TOL / 2:
+        _constraint_residual(p, Z)
     return _feedback(Z, p.Y_dim, _lambda_identity(p.U_dim), N)
 
 
@@ -199,9 +204,13 @@ def verify_solution(p: InterpolationProblem, H: PolyOpFn, N: int) -> SolutionRep
                           grid_sup_norm=float(sup), degree=N)
 
 
-def _gamma_data(p: InterpolationProblem,
-                Gamma) -> tuple[np.ndarray, Subspace, np.ndarray]:
-    """(Bd, F_Gamma, Omega): defect data of a solution column.
+def _gamma_data(p: InterpolationProblem, Gamma) -> tuple[np.ndarray, Subspace, np.ndarray]:
+    """(Bd, F_Gamma, Omega) of _defect_data."""
+    return _defect_data(p, Gamma)[1:]
+
+
+def _defect_data(p: InterpolationProblem, Gamma) -> tuple:
+    """(D_Gamma, Bd, F_Gamma, Omega): defect data of a solution column.
 
     Bd is the range basis of D_Gamma and Omega the contraction
     F_Gamma -> defect(Gamma) given on generators by Omega D_Gamma|_F =
@@ -218,7 +227,7 @@ def _gamma_data(p: InterpolationProblem,
                                            Bd.conj().T @ (D @ p.omega2), CHECK_TOL)
     except (NotAContraction, InconsistentGenerators) as exc:
         raise NotASolution(f"candidate column: {exc}") from exc
-    return Bd, FG, Om
+    return D, Bd, FG, Om
 
 
 def omega_hat(p: InterpolationProblem, Gamma):
@@ -234,7 +243,11 @@ def omega_hat(p: InterpolationProblem, Gamma):
 
 def central_C(p: InterpolationProblem, Gamma) -> SchurRealization:
     """The constant fiber member C = Omega P_(F_Gamma) on the defect space."""
-    Bd, FG, Om = _gamma_data(p, Gamma)
+    return _central(*_gamma_data(p, Gamma))
+
+
+def _central(Bd, FG: Subspace, Om) -> SchurRealization:
+    """central_C from _gamma_data's (Bd, F_Gamma, Omega)."""
     Cmat = Om @ (FG.basis.conj().T @ Bd)
     d = Bd.shape[1]
     return SchurRealization(np.zeros((0, 0)), np.zeros((0, d)),
@@ -317,13 +330,9 @@ def _realized_z(loop: tuple, P, Cfun: Realization, DB, BD, w0res: float) -> Real
                        meta={"w0_residual": w0res, "pole_radius": rho})
 
 
-def _w_zero(G, Cfun) -> tuple:
-    """(G*G, D, D Bd, Bd* D, ||G*G + D^2 - I||) of a solution column G, or a
+def _w_zero(G, Cfun, D, Bd) -> tuple:
+    """(G*G, D Bd, Bd* D, ||G*G + D^2 - I||) of a solution column G, or a
     root of its Gram, with D = D_G and Bd the range basis of D that C acts on."""
-    # W(0) misses I by about 2 (||G|| - 1), so with this slack the W(0)
-    # check below still rejects norms in (1 + W_ZERO_TOL / 2, 1 + W_ZERO_TOL]
-    D, drange = defect(G, W_ZERO_TOL)
-    Bd = drange.basis
     d = Bd.shape[1]
     if Cfun.in_dim != d or Cfun.out_dim != d:
         raise DimensionMismatch(
@@ -332,7 +341,7 @@ def _w_zero(G, Cfun) -> tuple:
     w0res = operator_norm(gamma_sq + D @ D - np.eye(len(D)))
     if w0res > W_ZERO_TOL:
         raise WNotNormalizedAtZero(f"W(0) differs from I by {w0res:.3e}")
-    return gamma_sq, D, D @ Bd, Bd.conj().T @ D, w0res
+    return gamma_sq, D @ Bd, Bd.conj().T @ D, w0res
 
 
 def z_from_C(p: InterpolationProblem, H: PolyOpFn, Gamma, Cfun,
@@ -357,7 +366,10 @@ def z_from_C(p: InterpolationProblem, H: PolyOpFn, Gamma, Cfun,
     if gap > CHECK_TOL * max(1.0, float(np.linalg.norm(G))):
         raise NotASolution(f"Gamma is not the column of H: they differ by {gap:.3e} "
                            f"in Frobenius norm")
-    gamma_sq, D, DB, BD, w0res = _w_zero(G, Cfun)
+    # W(0) misses I by about 2 (||G|| - 1), so with this slack the W(0)
+    # check still rejects norms in (1 + W_ZERO_TOL / 2, 1 + W_ZERO_TOL]
+    D, drange = defect(G, W_ZERO_TOL)
+    gamma_sq, DB, BD, w0res = _w_zero(G, Cfun, D, drange.basis)
     loop = getattr(H, "realization", None)
     if loop is not None and isinstance(Cfun, Realization):
         Z = _realized_z(loop, observability_gramian(loop[0], loop[2]), Cfun, DB, BD, w0res)

@@ -99,6 +99,13 @@ class Subspace:
         return self.basis.shape[1]
 
 
+def _orthonormal(basis: np.ndarray) -> Subspace:
+    """Subspace of an SVD or QR factor, unchecked: orthonormal by construction."""
+    S = object.__new__(Subspace)
+    S.__dict__.update(ambient_dim=basis.shape[0], basis=basis)
+    return S
+
+
 def orthonormal_range(M) -> Subspace:
     """Orthonormal basis of the numerical column range of M.
 
@@ -106,13 +113,10 @@ def orthonormal_range(M) -> Subspace:
     max(1, .) floor makes the cutoff absolute for contractions, so ranges
     of near-zero operators collapse to the zero subspace.
     """
-    A = as_operator(M)
-    if A.shape[1] == 0 or A.shape[0] == 0:
-        return Subspace(A.shape[0], np.zeros((A.shape[0], 0)))
-    u, s, _ = np.linalg.svd(A, full_matrices=False)
+    u, s, _ = np.linalg.svd(as_operator(M), full_matrices=False)
     cutoff = RANK_TOL * max(1.0, float(s[0]) if s.size else 0.0)
     r = int(np.count_nonzero(s > cutoff))
-    return Subspace(A.shape[0], u[:, :r])
+    return _orthonormal(u[:, :r])
 
 
 def _sqrt_psd(G) -> tuple[np.ndarray, np.ndarray]:
@@ -163,10 +167,32 @@ def defect(T, tol: float = RANK_TOL) -> tuple[np.ndarray, Subspace]:
 
 def require_contraction(M, what: str, slack: float) -> float:
     """operator_norm(M), raising NotAContraction when it exceeds 1 + slack."""
-    nrm = operator_norm(M)
+    return _at_most_one(operator_norm(M), what, slack)
+
+
+def require_gram_contraction(blocks, what: str, slack: float) -> float:
+    """require_contraction of the row stack of blocks, from gram_norm."""
+    return _at_most_one(gram_norm(blocks), what, slack)
+
+
+def _at_most_one(nrm: float, what: str, slack: float) -> float:
     if nrm > 1.0 + slack:
         raise NotAContraction(f"{what} has norm {nrm:.6e}, above 1 + {slack:g}")
     return nrm
+
+
+def gram_norm(blocks) -> float:
+    """operator_norm of the row stack of blocks from its small Gram, summed in
+    real arithmetic, scaled exactly by a power of two if an entry lies outside
+    2^(+-256) so that it over- or underflows nowhere the SVD would not."""
+    Ys = [np.ascontiguousarray(X, dtype=np.complex128).view(np.float64) for X in blocks]
+    s = np.max([np.abs(Y).max(initial=0.0) for Y in Ys], initial=0.0)
+    if not np.isfinite(s):
+        raise ValueError("matrix has non-finite entries")
+    k = 0 if s == 0.0 or 2.0 ** -256 < s < 2.0 ** 256 else int(np.frexp(s)[1])
+    M = sum(Y.T @ Y for Y in ([np.ldexp(Y, -k) for Y in Ys] if k else Ys))
+    G = M[::2, ::2] + M[1::2, 1::2] + 1j * (M[::2, 1::2] - M[1::2, ::2])
+    return float(np.ldexp(np.sqrt(np.max(np.linalg.eigvalsh(G), initial=0.0)), k))
 
 
 def require_invertible(M, what: str) -> np.ndarray:
@@ -222,6 +248,23 @@ def observability_gramian(A, C) -> np.ndarray | None:
                 return P
             P, Ak = P + Ak.conj().T @ P @ Ak, Ak @ Ak
     return None
+
+
+def realized_sup_bound(A, B, C, D, radius: float) -> float | None:
+    """||D|| + radius / sqrt(1 - radius) ||L B||_F, by Cauchy-Schwarz a bound on
+    ||D + lambda C (I - lambda A)^-1 B|| for |lambda| <= radius < 1, L* L the
+    Gramian of (sqrt(radius) A, C) doubled as a QR factor (README, "Numerical
+    notes").  None when that takes over STEIN_DOUBLINGS steps or overflows."""
+    L, Ak = np.asarray(C, dtype=np.complex128), np.sqrt(radius) * np.asarray(A)
+    eps2 = np.finfo(np.float64).eps ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(STEIN_DOUBLINGS):
+            sq = np.vdot(Ak, Ak).real
+            if not eps2 < sq < np.inf:  # converged, overflowed or NaN
+                break
+            L, Ak = np.linalg.qr(np.concatenate((L, L @ Ak)), mode="r"), Ak @ Ak
+        bound = operator_norm(D) + radius / np.sqrt(1.0 - radius) * np.linalg.norm(L @ B)
+    return float(bound) if sq <= eps2 and np.isfinite(bound) else None
 
 
 def stable_radius(A) -> float | None:

@@ -44,9 +44,9 @@ from . import series
 from .errors import DegreeTooSmall, DimensionMismatch, DomainError
 from .hardy import (GRID, AnalyticFn, PolyOpFn, column_operator,
                     multiplication_operator, shift, shift_adjoint)
-from .lifting import (CHECK_TOL, InterpolationProblem, _feedback, _realized_z,
-                      _w_zero, central_C, z_from_C)
-from .linalg import (Subspace, as_operator, haar_unitary, hermitian_sqrt_psd,
+from .lifting import (CHECK_TOL, InterpolationProblem, _central, _defect_data,
+                      _feedback, _realized_z, _w_zero, central_C, z_from_C)
+from .linalg import (Subspace, _orthonormal, as_operator, haar_unitary, hermitian_sqrt_psd,
                      observability_gramian, operator_norm, operator_norms,
                      orthonormal_range, projector_gap, require_contraction)
 from .schur import Realization, SchurRealization, random_schur
@@ -241,7 +241,7 @@ def model_space(theta: InnerFn, N: int) -> ModelSpace:
             # a basis of ker V0* in each degree q..N
             ker = np.linalg.qr(theta.V0, mode="complete")[0][:, e:]
             cols = np.hstack([cols, np.kron(np.eye(N + 1, N + 1 - q, k=-q), ker)])
-        return Subspace(amb, np.linalg.qr(cols)[0])
+        return _orthonormal(np.linalg.qr(cols)[0])
 
     h0 = np.delete(obs[1:], np.s_[(p - 1) * u:p * u], axis=2)
     return ModelSpace(N=N, U_dim=u, basis=basis(obs[:N + 1], p),
@@ -363,8 +363,9 @@ def _state_space_z(theta: InnerFn, loop: tuple, tail: float) -> Realization | No
     F = orthonormal_range(np.eye(n) - C.conj().T @ C)
     p = InterpolationProblem(U_dim=n, Y_dim=y, F=F, omega1=np.zeros((y, F.dim)),
                              omega2=A @ F.basis)
-    C0 = central_C(p, root)
-    Zt = _realized_z((At, Bt, Ct, Dt), P, C0, *_w_zero(root, C0)[2:])
+    D, Bd, FG, Om = _defect_data(p, root)  # one defect: CHECK_TOL = W_ZERO_TOL
+    C0 = _central(Bd, FG, Om)
+    Zt = _realized_z((At, Bt, Ct, Dt), P, C0, *_w_zero(root, C0, D, Bd)[1:])
     if Zt is None:
         return None
     L = np.eye(y + theta.in_dim, y + n, dtype=np.complex128)

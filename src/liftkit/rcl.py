@@ -23,11 +23,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch
-from .hardy import PolyOpFn, column_operator, shift
+from .hardy import PolyOpFn, column_operator
 from .lifting import CHECK_TOL, InterpolationProblem, random_problem
 from .linalg import (CONTRACTION_SLACK, Subspace, as_operator,
-                     contraction_on_generators, defect, haar_unitary,
-                     operator_norm, require_contraction)
+                     contraction_on_generators, defect, gram_norm, haar_unitary,
+                     operator_norm, require_gram_contraction)
 
 DATA_SET_TOL = 1e-10
 # residual and contraction slack of the omega induced by a data set
@@ -86,7 +86,8 @@ class LiftingCandidate:
     def __post_init__(self):
         A = as_operator(self.A_part, cols=self.tail.in_dim)
         object.__setattr__(self, "A_part", A)
-        require_contraction(self.stacked(), "lifting candidate", CONTRACTION_SLACK)
+        col = self.tail._stack.reshape(-1, A.shape[1])
+        require_gram_contraction((A, col), "lifting candidate", CONTRACTION_SLACK)
 
     def stacked(self) -> np.ndarray:
         return np.vstack([self.A_part, column_operator(self.tail, self.tail.degree)])
@@ -118,28 +119,11 @@ def validate_data_set(ds: RclDataSet) -> bool:
     return float(eig[0]) >= -DATA_SET_TOL
 
 
-def _apply_sns(T: np.ndarray, dT: tuple[np.ndarray, Subspace], X) -> np.ndarray:
-    """U' @ X for the truncated lifting U' = [[T', 0], [E C, S]], blockwise.
-
-    C = Bd* D is the defect dT = (D, range Bd) of T' in range coordinates.
-    X stacks an H' part over a truncated H^2 part with blocks of
-    dim C.shape[0]; U' X = [T' X_h; C X_h + shift(X_tail)], so neither
-    U' nor the shift is formed.
-    """
-    D, drange = dT
-    C = drange.basis.conj().T @ D
-    hp, d = T.shape[0], C.shape[0]
-    Xh, Xt = X[:hp], X[hp:]
-    tail = shift(Xt, d)
-    tail[:d] += C @ Xh
-    return np.vstack([T @ Xh, tail])
-
-
 def sns_lifting(Tprime, N: int) -> np.ndarray:
     """Truncated minimal isometric lifting of a contraction.
 
-    Block matrix [[T', 0], [E D_T', S]] on H' + truncated H^2 over the
-    defect space of T', with the defect written in its orthonormal range
+    Block matrix [[T', 0], [E C, S]] on H' + truncated H^2 over the
+    defect space of T', with C = D_T' written in its orthonormal range
     coordinates.  Isometric except on the top-degree block, which the
     truncated shift drops.  verify_rcl applies the same blocks without
     forming this matrix.
@@ -147,9 +131,12 @@ def sns_lifting(Tprime, N: int) -> np.ndarray:
     T = as_operator(Tprime)
     if T.shape[0] != T.shape[1]:
         raise DimensionMismatch("Tprime must be square")
-    dT = defect(T)
-    rows = T.shape[0] + (N + 1) * dT[1].dim
-    return _apply_sns(T, dT, np.eye(rows, dtype=np.complex128))
+    D, drange = defect(T)
+    hp, d = len(T), drange.dim
+    U = np.eye(hp + (N + 1) * d, k=-d, dtype=np.complex128)  # T', C overwrite H''s columns
+    U[:hp, :hp] = T
+    U[hp:hp + d, :hp] = drange.basis.conj().T @ D
+    return U
 
 
 def underlying_contraction(ds: RclDataSet) -> InterpolationProblem:
@@ -175,16 +162,13 @@ def gamma_to_B(ds: RclDataSet, Gamma, N: int) -> LiftingCandidate:
     """Candidate B = [A; Gamma D_A] from a contraction on the defect of A."""
     DA, rA = ds.defect_A
     G = as_operator(Gamma, cols=rA.dim)
-    require_contraction(G, "Gamma", CHECK_TOL)
     dT = ds.defect_Tprime[1].dim
     if G.shape[0] != (N + 1) * dT:
-        raise DimensionMismatch(
-            f"Gamma must have {(N + 1) * dT} rows for degree {N}, "
-            f"got {G.shape[0]}")
-    tail_mat = G @ (rA.basis.conj().T @ DA)
-    coeffs = tuple(tail_mat[n * dT:(n + 1) * dT, :] for n in range(N + 1))
-    return LiftingCandidate(A_part=ds.A,
-                            tail=PolyOpFn(dT, ds.H_dim, coeffs))
+        raise DimensionMismatch(f"Gamma must have {(N + 1) * dT} rows for degree {N}, "
+                                f"got {G.shape[0]}")
+    require_gram_contraction((G,), "Gamma", CHECK_TOL)
+    tail = (G @ (rA.basis.conj().T @ DA)).reshape(N + 1, dT, ds.H_dim)
+    return LiftingCandidate(A_part=ds.A, tail=PolyOpFn(dT, ds.H_dim, tail))
 
 
 def b_to_gamma(ds: RclDataSet, cand: LiftingCandidate) -> np.ndarray:
@@ -202,7 +186,7 @@ def verify_rcl(ds: RclDataSet, cand: LiftingCandidate, N: int) -> RclReport:
 
     The intertwining identity is compared on the H' row and coefficient
     blocks 0..N-1; the top block is excluded because the truncated shift
-    drops it.
+    drops it.  Formed blockwise, with no stacked B; the norm is gram_norm's.
     """
     if cand.tail.degree != N:
         raise DimensionMismatch(
@@ -213,11 +197,11 @@ def verify_rcl(ds: RclDataSet, cand: LiftingCandidate, N: int) -> RclReport:
         raise DimensionMismatch(
             f"candidate tail has {cand.tail.out_dim} rows per block, "
             f"defect of T' has dimension {dT}")
-    B = cand.stacked()
-    lhs = _apply_sns(ds.Tprime, ds.defect_Tprime, B @ ds.R)
-    rhs = B @ ds.Q
-    keep = ds.Hprime_dim + N * dT
-    inter = operator_norm(lhs[:keep, :] - rhs[:keep, :])
+    A, col = cand.A_part, cand.tail._stack.reshape(-1, cand.tail.in_dim)
+    (D, drange), AR, keep = ds.defect_Tprime, A @ ds.R, N * dT
+    # U' B R's tail: C A R, C = D_T' in range coordinates, then B's blocks times R
+    shifted = np.concatenate(((drange.basis.conj().T @ D) @ AR, col[:keep - dT] @ ds.R))
+    inter = gram_norm((ds.Tprime @ AR - A @ ds.Q, shifted[:keep] - col[:keep] @ ds.Q))
     return RclReport(projection_residual=float(proj),
                      intertwining_residual=float(inter), degree=N)
 

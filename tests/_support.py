@@ -32,6 +32,29 @@ def coeff_diff(H1, H2, upto: int) -> float:
                for n in range(upto + 1))
 
 
+def refuse(monkeypatch, owner, *names) -> None:
+    """Patch each named attribute of owner to raise AssertionError when called."""
+    for name in names:
+        def refused(*args, _name=name, **kwargs):
+            raise AssertionError(f"{getattr(owner, '__name__', owner)}.{_name} was called")
+
+        monkeypatch.setattr(owner, name, refused)
+
+
+def count_calls(monkeypatch, owner, name) -> list:
+    """Record the positional arguments of each call of owner.name, which
+    still runs; the returned list grows with every call."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def assert_rel_close(got, want):
     """Same shape, and within 1e-13 of want relative to max(1, ||want||_F)."""
     assert got.shape == want.shape

@@ -5,20 +5,22 @@ import re
 import numpy as np
 import pytest
 
-from _support import (assert_rel_close, coeff_diff, scalar_fixture, taylor_sum,
-                      unconstrained_problem)
+from _support import (DIMS, assert_rel_close, coeff_diff, count_calls, refuse,
+                      scalar_fixture, taylor_sum, unconstrained_problem)
 from liftkit import series
 from liftkit.errors import (ConstraintViolated, DimensionMismatch,
                             NotAContraction, NotASolution,
                             WNotNormalizedAtZero)
 from liftkit.hardy import GRID, AnalyticFn, PolyOpFn, column_operator, default_grid
-from liftkit.lifting import (InterpolationProblem, _feedback, _lambda_identity,
+from liftkit.lifting import (CHECK_TOL, InterpolationProblem, _feedback, _lambda_identity,
                              central_C, fiber_roundtrip_residuals, omega_hat,
                              parameter_membership, random_constrained_z,
                              random_problem, solve_from_Z,
                              uniqueness_certificate, verify_solution, z_from_C)
-from liftkit.linalg import Subspace, hermitian_sqrt_psd, operator_norm, orthonormal_range
+from liftkit.linalg import (Subspace, hermitian_sqrt_psd, operator_norm, orthonormal_range,
+                            realized_sup_bound)
 from liftkit.modelspace import h_from_Z_theta, theta_shift
+from liftkit.rcl import random_data_set, underlying_contraction
 from liftkit.schur import Realization, SchurRealization, random_schur
 
 N = 24
@@ -67,6 +69,90 @@ def test_solve_rejects_unconstrained_Z():
     Z = random_schur(2, 1, 2, seed=14, scale=0.4)
     with pytest.raises(ConstraintViolated):
         solve_from_Z(p, Z, N)
+
+
+def _certified_parameters(u: int, y: int, f: int, n: int, seed: int):
+    """(problem, parameter) pairs of one solve -> fiber -> lifting pipeline:
+    Z, the central Z_C of its solution and the induced problem's Zq."""
+    p = random_problem(u, y, f, seed, scale=0.45)
+    Z = random_constrained_z(p, 2, seed + 1, scale=0.5)
+    H = solve_from_Z(p, Z, n)
+    G = column_operator(H, n)
+    Z1 = z_from_C(p, H, G, central_C(p, G), n)
+    assert isinstance(Z1, Realization)
+    q = underlying_contraction(random_data_set(seed + 2, u=u, y=y, f=f))
+    return [(p, Z), (p, Z1), (q, random_constrained_z(q, 2, seed + 3, scale=0.5))]
+
+
+@pytest.mark.parametrize("dims,n", [(d, N) for d in DIMS]
+                         + [(d, 192) for d in [(8, 8, 4), (16, 16, 8), (24, 24, 12)]])
+def test_solve_never_evaluates_a_certified_parameter(monkeypatch, dims, n):
+    # the Gramian bound clears the constraint, so no value of Z is taken
+    cases = _certified_parameters(*dims, n, seed=sum(dims) + n)
+    want = [_feedback(Z, p.Y_dim, _lambda_identity(p.U_dim), n).taylor_stack(n) for p, Z in cases]
+    refuse(monkeypatch, Realization, "eval_many", "_values")
+    for (p, Z), w in zip(cases, want):
+        assert solve_from_Z(p, Z, n).taylor_stack(n).tobytes() == w.tobytes()
+
+
+def _grid_miss(p, Z) -> float:
+    """The largest ||Z(z)|_F - omega|| over GRID, one point at a time."""
+    return max(np.linalg.norm(Z.eval(z) @ p.F.basis - p.omega, 2) for z in GRID)
+
+
+def _missing_by(p, Z, miss: float, A=None) -> Realization:
+    """Z with D moved by miss on F's first basis vector, and A replaced if given."""
+    e = np.zeros((p.Y_dim + p.U_dim, 1))
+    e[0] = miss
+    return Realization(Z.A if A is None else A, Z.B, Z.C, Z.D + e @ p.F.basis[:, :1].conj().T)
+
+
+@pytest.mark.parametrize("miss", [2.0, 1.01])
+def test_a_parameter_missing_the_constraint_raises_its_grid_residual(monkeypatch, miss):
+    p = random_problem(3, 2, 2, seed=51, scale=0.45)
+    Z = _missing_by(p, random_constrained_z(p, 2, seed=52, scale=0.5), miss * CHECK_TOL)
+    worst = _grid_miss(p, Z)
+    assert worst > CHECK_TOL
+    calls = count_calls(monkeypatch, Realization, "eval_many")
+    with pytest.raises(ConstraintViolated,
+                       match=re.escape(f"Z|_F differs from omega by {worst:.3e} on the grid")):
+        solve_from_Z(p, Z, N)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("miss,checked", [(0.99, True), (0.4, False)])
+def test_a_parameter_within_the_constraint_is_solved_as_before(monkeypatch, miss, checked):
+    # a miss below CHECK_TOL / 2 is certified, one above is checked on GRID
+    p = random_problem(3, 2, 2, seed=51, scale=0.45)
+    Z = _missing_by(p, random_constrained_z(p, 2, seed=52, scale=0.5), miss * CHECK_TOL)
+    assert _grid_miss(p, Z) <= CHECK_TOL
+    calls = count_calls(monkeypatch, Realization, "eval_many")
+    got = solve_from_Z(p, Z, N).taylor_stack(N)
+    assert len(calls) == int(checked)
+    assert got.tobytes() == _feedback(Z, 2, _lambda_identity(3), N).taylor_stack(N).tobytes()
+
+
+def test_a_parameter_without_a_gramian_is_checked_on_the_grid(monkeypatch):
+    # A = 2 I: the weighted Gramian of (sqrt(0.95) A, C) overflows, so there
+    # is no bound; Z(lambda)|_F is still omega, its poles at 1/2 off GRID
+    p = random_problem(3, 2, 2, seed=53, scale=0.45)
+    Z0 = random_constrained_z(p, 2, seed=54, scale=0.5)
+    for miss in (0.0, 2.0 * CHECK_TOL):
+        Z = _missing_by(p, Z0, miss, A=2.0 * np.eye(2))
+        assert realized_sup_bound(Z.A, Z.B @ p.F.basis, Z.C, Z.D @ p.F.basis - p.omega,
+                                  0.95) is None
+        worst = _grid_miss(p, Z)
+        want = _feedback(Z, 2, _lambda_identity(3), N).taylor_stack(N)
+        calls = count_calls(monkeypatch, Realization, "eval_many")
+        if miss:
+            with pytest.raises(ConstraintViolated,
+                               match=re.escape(f"differs from omega by {worst:.3e} on")):
+                solve_from_Z(p, Z, N)
+        else:
+            assert worst <= 1e-14
+            assert solve_from_Z(p, Z, N).taylor_stack(N).tobytes() == want.tobytes()
+        assert len(calls) == 1
+        monkeypatch.undo()
 
 
 def test_verify_reports_do_not_throw():
@@ -421,11 +507,7 @@ def test_z_from_C_with_a_realized_C_matches_the_resolvent_path(state):
 
 
 def test_realized_inputs_never_take_the_resolvent(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("series.inv or series.resolvent called on realized input")
-
-    monkeypatch.setattr(series, "resolvent", refuse)
-    monkeypatch.setattr(series, "inv", refuse)
+    refuse(monkeypatch, series, "resolvent", "inv")
     p = random_problem(3, 2, 2, seed=41, scale=0.45)
     H = solve_from_Z(p, random_constrained_z(p, 2, seed=42, scale=0.5), N)
     G = column_operator(H, N)

@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _support import svd_singular_rule
+from _support import refuse, svd_singular_rule
 from liftkit.errors import (DimensionMismatch, InconsistentGenerators,
                             NonFiniteResult, NotAContraction, SingularResolvent)
 from liftkit.linalg import (CONTRACTION_SLACK, Subspace, as_operator,
-                            contraction_on_generators, defect, haar_unitary,
+                            contraction_on_generators, defect, gram_norm, haar_unitary,
                             hermitian_sqrt_psd, observability_gramian,
                             operator_norm, operator_norms, orthonormal_range,
-                            projector_gap, require_contraction,
-                            require_invertible, stable_radius)
+                            projector_gap, realized_sup_bound, require_contraction,
+                            require_gram_contraction, require_invertible, stable_radius)
 from liftkit.schur import herglotz_many
 
 
@@ -424,3 +424,93 @@ def test_stable_radius_of_stable_and_empty_matrices():
     assert stable_radius(np.diag([0.5, -0.75j])) == pytest.approx(0.75, abs=1e-15)
     assert stable_radius([[0.0, 1.0], [0.0, 0.0]]) == 0.0
     assert observability_gramian(np.zeros((0, 0)), np.zeros((3, 0))).shape == (0, 0)
+
+
+@pytest.mark.parametrize("slack", [CONTRACTION_SLACK, 1e-8])
+@pytest.mark.parametrize("excess", [-2.0, -0.5, 0.5, 0.9, 1.1, 2.0])
+def test_gram_guard_decides_as_require_contraction_on_tall_columns(slack, excess):
+    # a 300 x 4 column of norm 1 + excess * slack, whole and split in row blocks
+    rng = np.random.default_rng(21)
+    M = (haar_unitary(rng, 300)[:, :4] @ np.diag([1.0 + excess * slack, 0.7, 0.4, 0.0])
+         @ haar_unitary(rng, 4))
+    for blocks in ((M,), (M[:1], M[1:250], M[250:])):
+        if excess > 1.0:
+            with pytest.raises(NotAContraction) as svd_rule:
+                require_contraction(M, "Gamma", slack)
+            with pytest.raises(NotAContraction) as gram_rule:
+                require_gram_contraction(blocks, "Gamma", slack)
+            assert str(gram_rule.value) == str(svd_rule.value)
+        else:
+            got = require_gram_contraction(blocks, "Gamma", slack)
+            assert got == pytest.approx(require_contraction(M, "Gamma", slack), rel=1e-15)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e-77, 1.0, 1e77, 1e160, 1e300])
+def test_gram_norm_is_the_svd_norm_at_every_scale(scale):
+    # no Gram entry over- or underflows where the SVD of the stack does not
+    rng = np.random.default_rng(22)
+    blocks = [_complex_matrix(rng, 40, 3, scale / 4), _complex_matrix(rng, 2, 3, scale / 4)]
+    want = np.linalg.norm(np.vstack(blocks), 2)
+    assert gram_norm(blocks) == pytest.approx(want, rel=1e-14)
+
+
+def test_gram_norm_of_empty_zero_and_non_finite_stacks():
+    assert gram_norm((np.zeros((0, 3)), np.zeros((5, 3)))) == 0.0
+    assert gram_norm((np.zeros((4, 0)),)) == 0.0
+    with pytest.raises(ValueError, match="non-finite"):
+        gram_norm((np.ones((3, 2)), np.array([[np.inf, 0.0]])))
+    with pytest.raises(ValueError, match="non-finite"):
+        gram_norm((np.array([[np.nan, 0.0]]), np.ones((3, 2))))
+
+
+def _sampled_sup(A, B, C, D, radius):
+    """Largest ||D + z C (I - z A)^-1 B|| on 721 points of |z| <= radius."""
+    z = np.concatenate([r * np.exp(2j * np.pi * np.arange(240) / 240)
+                        for r in (radius / 3, 2 * radius / 3, radius)] + [[0.0]])
+    n = len(A)
+    vals = [D + zi * C @ np.linalg.solve(np.eye(n) - zi * A, B) for zi in z]
+    return max(np.linalg.norm(v, 2) for v in vals)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, 1.0])
+def test_realized_sup_bound_bounds_the_values(rho):
+    # rho = 1 too: the weight sqrt(radius) keeps the Gramian finite
+    rng = np.random.default_rng(23)
+    U = haar_unitary(rng, 4)
+    A = U @ np.diag([rho, 0.5 * rho, -0.3 * rho, 0.1j]) @ U.conj().T
+    B, C, D = (_complex_matrix(rng, *s, scale=0.3) for s in ((4, 2), (3, 4), (3, 2)))
+    bound = realized_sup_bound(A, B, C, D, 0.95)
+    assert np.isfinite(bound)
+    assert _sampled_sup(A, B, C, D, 0.95) <= bound
+
+
+def test_realized_sup_bound_keeps_an_unobservable_input_at_round_off():
+    # B spans an A-invariant direction that C does not see: C A^k B = 0, and
+    # the bound is ||D|| to round-off, where B* P B would cancel to about
+    # eps ||P|| ||B||^2 and its root to 1e-9
+    rng = np.random.default_rng(24)
+    U = haar_unitary(rng, 5)
+    A = U @ np.diag([0.9, 0.5, -0.4, 0.3j, 0.2]) @ U.conj().T
+    C = _complex_matrix(rng, 3, 5) @ np.diag([1.0, 0.0, 1.0, 1.0, 1.0]) @ U.conj().T
+    B = U[:, 1:2] * 0.8
+    D = _complex_matrix(rng, 3, 1, scale=1e-12)
+    bound = realized_sup_bound(A, B, C, D, 0.95)
+    assert bound - operator_norm(D) <= 1e-14
+
+
+@pytest.mark.parametrize("A", [[[2.0]], 1.1 * np.eye(3), [[np.nan]]])
+def test_realized_sup_bound_refuses_what_is_not_stable(A):
+    n = len(A)
+    assert realized_sup_bound(A, np.ones((n, 1)), np.ones((1, n)), np.zeros((1, 1)), 0.95) is None
+
+
+def test_library_bases_skip_the_orthonormality_recheck(monkeypatch):
+    # SVD factors need no second Gram and SVD; the public constructor keeps them
+    refuse(monkeypatch, Subspace, "__post_init__")
+    rng = np.random.default_rng(25)
+    for M in (_complex_matrix(rng, 7, 3) @ _complex_matrix(rng, 3, 5), np.zeros((4, 0))):
+        S = orthonormal_range(M)
+        assert S.ambient_dim == M.shape[0] and S.basis.dtype == np.complex128
+        assert operator_norm(S.basis.conj().T @ S.basis - np.eye(S.dim)) <= 1e-14
+    with pytest.raises(AssertionError):
+        Subspace(3, np.eye(3))

@@ -4,12 +4,12 @@ parameterization for inner functions vanishing at the origin."""
 import numpy as np
 import pytest
 
-from _support import (analytic_toeplitz, assert_rel_close, coeff_diff,
-                      inner_taylor_oracle, inner_values_oracle,
+from _support import (analytic_toeplitz, assert_rel_close, coeff_diff, count_calls,
+                      inner_taylor_oracle, inner_values_oracle, refuse,
                       shift_and_embed, unconstrained_problem)
 from liftkit.errors import (DegreeTooSmall, DimensionMismatch, DomainError,
                             NotAContraction)
-from liftkit import series
+from liftkit import lifting, series
 from liftkit.hardy import (GRID, AnalyticFn, PolyOpFn, column_operator,
                            multiplication_operator)
 from liftkit.lifting import _closed_loop, solve_from_Z
@@ -18,7 +18,7 @@ from liftkit.modelspace import (BlaschkeFactor, InnerFn, check_decompositions,
                                 mult_contraction_test, multiplier_roundtrip_residual,
                                 pointwise_mult_check, random_inner,
                                 random_multiplier, theta_shift, z_from_H_theta)
-from liftkit.linalg import operator_norm, projector_gap
+from liftkit.linalg import Subspace, operator_norm, projector_gap
 from liftkit.schur import Realization, SchurRealization, random_schur
 
 
@@ -396,10 +396,7 @@ def test_h_from_Z_feedback_matches_the_series_path(case, N):
 
 
 def test_realized_multipliers_never_take_the_resolvent(monkeypatch):
-    def refuse(x):
-        raise AssertionError("series.resolvent called on a realized parameter")
-
-    monkeypatch.setattr(series, "resolvent", refuse)
+    refuse(monkeypatch, series, "resolvent")
     theta = random_inner(74, 3, 3)
     H = h_from_Z_theta(theta, random_schur(5, 3, 2, seed=75, scale=0.6), 64)
     assert H.degree == 64
@@ -427,11 +424,7 @@ def test_inner_function_as_a_parameter_takes_the_closed_loop(monkeypatch, N):
     poly = PolyOpFn(Z.out_dim, Z.in_dim, Z.taylor_stack(N))
     want = [h_from_Z_theta(theta, poly, N).taylor_stack(N),
             solve_from_Z(unconstrained_problem(2, 1), poly, N).taylor_stack(N)]
-
-    def refuse(x):
-        raise AssertionError("series.resolvent called on a realized parameter")
-
-    monkeypatch.setattr(series, "resolvent", refuse)
+    refuse(monkeypatch, series, "resolvent")
     got = [h_from_Z_theta(theta, Z, N).taylor_stack(N),
            solve_from_Z(unconstrained_problem(2, 1), Z, N).taylor_stack(N)]
     for g, w in zip(got, want):
@@ -504,12 +497,7 @@ def test_realized_multiplier_gives_a_realized_parameter(monkeypatch, k, size):
     H = h_from_Z_theta(theta, Z, N)
     H2 = h_from_Z_theta(theta, Z, 2 * N)
     want = z_from_H_theta(theta, PolyOpFn(2, dim, H2.coeffs), model_space(theta, 2 * N), 2 * N)
-
-    def refuse(*args):
-        raise AssertionError("series.inv or series.resolvent called on a realized multiplier")
-
-    monkeypatch.setattr(series, "resolvent", refuse)
-    monkeypatch.setattr(series, "inv", refuse)
+    refuse(monkeypatch, series, "resolvent", "inv")
     ms = model_space(theta, N)
     got = z_from_H_theta(theta, H, ms, N)
     assert isinstance(got, Realization)
@@ -650,3 +638,24 @@ def test_random_multiplier_is_contractive():
     H = random_multiplier(theta, 2, N, seed=7)
     rep = mult_contraction_test(H, ms)
     assert rep.contractive, rep.norm
+
+
+def test_model_space_bases_skip_the_orthonormality_recheck(monkeypatch):
+    # QR factors are orthonormal by construction; the public Subspace checks
+    refuse(monkeypatch, Subspace, "__post_init__")
+    for theta, N in ((random_inner(71, 3, 3), 64),
+                     (InnerFn(kind="power", out_dim=3, in_dim=2, power=2), 16)):
+        ms = model_space(theta, N)
+        for S in (ms.basis, ms.H0_basis):
+            assert S.ambient_dim == (N + 1) * theta.out_dim
+            assert operator_norm(S.basis.conj().T @ S.basis - np.eye(S.dim)) <= 1e-13
+
+
+def test_state_space_parameter_takes_one_defect(monkeypatch):
+    # central_C's guard and W(0)'s read one defect of the Gram root
+    theta = random_inner(72, 3, 3)
+    H = h_from_Z_theta(theta, random_schur(5, 3, 2, seed=73, scale=0.6), 64)
+    ms = model_space(theta, 64)
+    calls = count_calls(monkeypatch, lifting, "defect")
+    assert isinstance(z_from_H_theta(theta, H, ms, 64), Realization)
+    assert len(calls) == 1

@@ -4,10 +4,10 @@ reduction between lifting data and interpolation problems."""
 import numpy as np
 import pytest
 
-from _support import scalar_fixture
+from _support import count_calls, scalar_fixture
 from liftkit.errors import (DimensionMismatch, InconsistentGenerators,
                             NotAContraction)
-from liftkit.hardy import PolyOpFn, column_operator
+from liftkit.hardy import PolyOpFn, column_operator, shift
 from liftkit.lifting import random_constrained_z, solve_from_Z
 from liftkit.linalg import defect, haar_unitary, operator_norm
 from liftkit.rcl import (LiftingCandidate, RclDataSet, b_to_gamma,
@@ -174,6 +174,9 @@ def test_gamma_to_B_validates_shape_and_norm():
         gamma_to_B(ds, np.zeros((4, 1)), N=2)
     with pytest.raises(NotAContraction):
         gamma_to_B(ds, 1.2 * np.ones((1, 1)), N=0)
+    # the row count is checked before the norm, as for a zero Gamma
+    with pytest.raises(DimensionMismatch, match=r"^Gamma must have 6 rows for degree 2, got 7$"):
+        gamma_to_B(random_data_set(seed=1), 1.2 * np.ones((7, 2)), N=2)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -273,3 +276,44 @@ def test_verify_rcl_matches_dense_lifting(seed, f, perturb):
     if perturb and f:
         # with f = 0 only the unitary padding block meets R and Q
         assert rep.intertwining_residual > 1e-4
+
+
+def _lifting_case(seed: int, dims: tuple, n: int, perturb: float):
+    """(ds, candidate) from a solution of the induced problem, its column
+    perturbed by perturb and scaled back into the unit ball."""
+    ds = random_data_set(seed=seed, u=dims[0], y=dims[1], f=dims[2])
+    q = underlying_contraction(ds)
+    G = column_operator(solve_from_Z(q, random_constrained_z(q, 2, seed=seed + 1, scale=0.5), n), n)
+    rng = np.random.default_rng(seed + 2)
+    G = G + perturb * (rng.standard_normal(G.shape) + 1j * rng.standard_normal(G.shape))
+    return ds, gamma_to_B(ds, G / max(1.0, operator_norm(G)), n)
+
+
+def test_lifting_checks_decompose_no_tall_matrix(monkeypatch):
+    # the high_degree size: Gamma has 4632 rows and 24 columns, B 4681 and 49
+    n = 192
+    ds = random_data_set(seed=5, u=24, y=24, f=12)
+    q = underlying_contraction(ds)
+    G = column_operator(solve_from_Z(q, random_constrained_z(q, 2, seed=6, scale=0.5), n), n)
+    calls = count_calls(monkeypatch, np.linalg, "svd")
+    rep = verify_rcl(ds, gamma_to_B(ds, G, n), n)
+    assert rep.ok()
+    assert calls and all(M.shape[-2] <= 2 * M.shape[-1] for M, *_ in calls)
+
+
+@pytest.mark.parametrize("dims,n", [((1, 1, 1), 24), ((2, 2, 1), 24), ((3, 2, 2), 24),
+                                    ((5, 3, 4), 24), ((8, 8, 4), 192)])
+@pytest.mark.parametrize("perturb", [0.0, 1e-3])
+def test_intertwining_residual_is_the_svd_norm_of_the_stacked_difference(dims, n, perturb):
+    # the SVD of U' B R - B Q, formed from the stacked B, on H' and blocks 0..n-1
+    for seed in (31, 32, 33):
+        ds, cand = _lifting_case(seed, dims, n, perturb)
+        B = cand.stacked()
+        X, (D, drange) = B @ ds.R, ds.defect_Tprime
+        hp, d = ds.Hprime_dim, drange.dim
+        tail = shift(X[hp:], d)
+        tail[:d] += (drange.basis.conj().T @ D) @ X[:hp]
+        diff = np.vstack([ds.Tprime @ X[:hp], tail]) - B @ ds.Q
+        want = np.linalg.norm(diff[:hp + n * d], 2)
+        got = verify_rcl(ds, cand, n).intertwining_residual
+        assert abs(got - want) <= 1e-12 * want
