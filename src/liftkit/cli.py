@@ -29,8 +29,8 @@ from .modelspace import (DECOMPOSITION_TOL, MULT_ROUNDTRIP_TOL,
 from .rcl import (data_set_from_omega, gamma_to_B, omega_roundtrip_residual,
                   random_data_set, underlying_contraction, validate_data_set,
                   verify_rcl)
-from .serialize import (SCHEMA, dataset_from_json, dataset_to_json, dumps,
-                        field, load, poly_from_json, poly_to_json,
+from .serialize import (MAX_DEGREE, SCHEMA, dataset_from_json, dataset_to_json,
+                        dumps, field, load, poly_from_json, poly_to_json,
                         problem_from_json, problem_to_json, save,
                         schur_from_json, schur_to_json)
 
@@ -68,6 +68,8 @@ def _parse(argv):
     args = ap.parse_args(argv)
     if args.degree < 4:
         ap.error("--degree must be at least 4")
+    if args.degree > MAX_DEGREE:
+        ap.error(f"--degree must be at most {MAX_DEGREE}")
     if args.seed < 0:
         # numpy's generators take only non-negative seeds
         ap.error(f"--seed must be non-negative, got {args.seed}")

@@ -86,25 +86,8 @@ class PolyOpFn(Evaluable):
     in_dim: int
     coeffs: tuple
 
-    # (A, B, C, D) of a polynomial made by truncated
+    # the schur.Realization of a polynomial made by its truncated
     realization = None
-
-    @classmethod
-    def truncated(cls, A, B, C, D, N: int) -> PolyOpFn:
-        """Coefficients 0..N of D + lambda C (I - lambda A)^-1 B, keeping the
-        contiguous complex128 copies of the matrices that give the stack as
-        ``realization``.  DimensionMismatch when they do not chain."""
-        loop = tuple(np.array(X, dtype=np.complex128, order="C") for X in (A, B, C, D))
-        n, (out, inn) = len(loop[0]), loop[3].shape
-        for name, X, shape in zip("ABCD", loop, ((n, n), (n, inn), (out, n), (out, inn))):
-            if X.shape != shape:
-                raise DimensionMismatch(f"{name} is {' x '.join(map(str, X.shape))}, "
-                                        f"expected {shape[0]} x {shape[1]}")
-        with np.errstate(over="ignore", invalid="ignore"):  # cls checks the stack
-            stack = series.realization_stack(*loop, N)
-        H = cls(out, inn, stack)
-        object.__setattr__(H, "realization", loop)
-        return H
 
     def __post_init__(self):
         if len(self.coeffs) == 0:

@@ -7,12 +7,13 @@ Gamma: U -> H^2(Y), with defining function H, such that
     H_0|_F = omega1   and   H_n|_F = H_(n-1) omega2  for n >= 1.
 
 Solutions come from Schur-class parameters Z in S(U, Y + U) with
-Z(lambda)|_F = omega as H = P_Y Z (I - lambda P_U Z)^-1, the closed loop
-of Z's realization when Z is a Realization and a Taylor recursion
-otherwise.  The fiber of parameters over one solution is indexed by
-Schur-class C on the defect space of Gamma with C|_(F_Gamma) = Omega,
-F_Gamma = closure(D_Gamma F); z_from_C maps C back to the parameter
-Z_C = [2 H (W+I)^-1 ; lambda^-1 (W-I)(W+I)^-1] through
+Z(lambda)|_F = omega as H = P_Y Z (I - lambda P_U Z)^-1: for a realized Z,
+the truncation of the closed loop, a schur.Realization kept as
+H.realization; a Taylor recursion otherwise.  The fiber of parameters
+over one solution is indexed by Schur-class C on the defect space of
+Gamma with C|_(F_Gamma) = Omega, F_Gamma = closure(D_Gamma F); z_from_C
+maps C back to the parameter Z_C = [2 H (W+I)^-1 ; lambda^-1 (W-I)(W+I)^-1]
+through
 
     W(lambda) = Gamma* (I + lambda S*)(I - lambda S*)^-1 Gamma
                 + D_Gamma (I + lambda C(lambda))(I - lambda C(lambda))^-1 D_Gamma,
@@ -24,6 +25,7 @@ of H, when H and C are realized, and a truncated series otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -123,34 +125,34 @@ def _constraint_residual(p: InterpolationProblem, Z) -> float:
     return worst
 
 
-def _feedback(Z, y: int, theta, N: int) -> PolyOpFn:
+def _feedback(Z, y: int, theta: Realization, N: int) -> PolyOpFn:
     """Coefficients 0..N of P_Y Z (I - Theta P_E Z)^-1, unchecked.
 
-    Z maps U into Y + E, Y being its first y outputs; theta = (A_t, B_t,
-    C_t) realizes Theta from E into U with Theta(0) = 0.  A realized Z is
-    closed in a loop (_closed_loop).  Any other Z gives H = P_Y Z G with
+    Z maps U into Y + E, Y being its first y outputs; theta realizes Theta
+    from E into U with Theta(0) = 0, its D unread.  A realized Z is closed
+    in a loop (_closed_loop).  Any other Z gives H = P_Y Z G with
     G = (I - lambda x)^-1 the resolvent of x = (Theta / lambda) P_E Z, where
     Theta / lambda has the coefficients C_t A_t^k B_t: the constant C_t B_t,
     one matrix product, when A_t = 0, as for lambda I.
     """
     if isinstance(Z, Realization):
-        return PolyOpFn.truncated(*_closed_loop(Z.A, Z.B, Z.C, Z.D, y, theta), N)
-    At, Bt, Ct = theta
+        return _closed_loop(Z, y, theta).truncated(N)
     Zc = Z.taylor_stack(N)
     ZE = Zc[:N, y:, :]
-    if N and At.any():
+    if N and theta.A.any():
         # (A_t, B_t, C_t A_t, C_t B_t) realizes Theta / lambda
-        x = series.mul(series.realization_stack(At, Bt, Ct @ At, Ct @ Bt, N - 1), ZE)
+        phi = Realization(theta.A, theta.B, theta.C @ theta.A, theta.C @ theta.B)
+        x = series.mul(phi.taylor_stack(N - 1), ZE)
     else:
-        x = (Ct @ Bt) @ ZE
+        x = (theta.C @ theta.B) @ ZE
     return PolyOpFn(y, Z.in_dim, series.mul(Zc[:, :y, :], series.resolvent(x)))
 
 
-def _closed_loop(A, B, C, D, y: int, theta) -> tuple:
+def _closed_loop(Z: Realization, y: int, theta: Realization) -> Realization:
     """Realization (A_cl, B_cl, C_cl, D_cl) of P_Y Z (I - Theta P_E Z)^-1.
 
     Z = (A, B, C, D) maps U into Y + E: the first y rows of C and D are
-    its Y part, the rest its E part.  theta = (A_t, B_t, C_t) realizes
+    its Y part, the rest its E part.  theta = (A_t, B_t, C_t, 0) realizes
     Theta from E into U with Theta(0) = 0, so the loop has no algebraic
     part.  Feeding Z's E output through Theta back into its input gives
     the realization with the two states side by side,
@@ -160,19 +162,19 @@ def _closed_loop(A, B, C, D, y: int, theta) -> tuple:
 
     For contractive colligations of Z and Theta, the loop with zero
     input is a contraction from the state into the next state and Y, so
-    ||A_cl|| <= 1.  Theta = lambda I, realized as (0, I, I), gives the
+    ||A_cl|| <= 1.  Theta = lambda I, realized as (0, I, I, 0), gives the
     interpolation loop A_cl = [[A, B], [C_U, D_U]].
     """
-    At, Bt, Ct = theta
-    BtDE = Bt @ D[y:]
-    Acl = np.block([[A, B @ Ct], [Bt @ C[y:], At + BtDE @ Ct]])
-    return Acl, np.vstack([B, BtDE]), np.hstack([C[:y], D[:y] @ Ct]), D[:y]
+    BtDE = theta.B @ Z.D[y:]
+    Acl = np.block([[Z.A, Z.B @ theta.C], [theta.B @ Z.C[y:], theta.A + BtDE @ theta.C]])
+    return Realization(Acl, np.vstack([Z.B, BtDE]),
+                       np.hstack([Z.C[:y], Z.D[:y] @ theta.C]), Z.D[:y])
 
 
-def _lambda_identity(d: int) -> tuple:
-    """(A, B, C) of Theta(lambda) = lambda I_d: one state per coordinate."""
-    eye = np.eye(d, dtype=np.complex128)
-    return np.zeros((d, d), dtype=np.complex128), eye, eye
+@lru_cache(maxsize=None)
+def _lambda_identity(d: int) -> Realization:
+    """(0, I, I, 0), Theta(lambda) = lambda I_d, built once per d."""
+    return Realization(np.zeros((d, d)), np.eye(d), np.eye(d), np.zeros((d, d)))
 
 
 def verify_solution(p: InterpolationProblem, H: PolyOpFn, N: int) -> SolutionReport:
@@ -269,11 +271,12 @@ def parameter_membership(Cfun, p: InterpolationProblem, Gamma) -> bool:
     return not np.any(operator_norms(Cv @ Bfd - Om) > CHECK_TOL)
 
 
-def _resolvent_loop(Cfun: Realization) -> tuple:
-    """(A, B, C, I) of (I - lambda C)^-1: the closed loop of [I; C], I on top of C."""
+def _resolvent_loop(Cfun: Realization) -> Realization:
+    """(I - lambda C)^-1 as the closed loop of [I; C] at Theta = lambda I:
+    ([[A, B], [C, D]], [B; D], [0, I], I), state that of C plus its input."""
     d, n = Cfun.out_dim, Cfun.state_dim
-    return _closed_loop(Cfun.A, Cfun.B, np.vstack([np.zeros((d, n)), Cfun.C]),
-                        np.vstack([np.eye(d), Cfun.D]), d, _lambda_identity(d))
+    return Realization(np.block([[Cfun.A, Cfun.B], [Cfun.C, Cfun.D]]),
+                       np.vstack([Cfun.B, Cfun.D]), np.eye(d, n + d, n), np.eye(d))
 
 
 def _w_taylor(Hs: np.ndarray, W0, Cfun, DB, BD):
@@ -290,7 +293,7 @@ def _w_taylor(Hs: np.ndarray, W0, Cfun, DB, BD):
     # the Herglotz transform of C is 2 (I - lambda C)^-1 - I, so its
     # degree-k coefficient is 2 P_k for k >= 1
     if isinstance(Cfun, Realization):
-        P = series.realization_stack(*_resolvent_loop(Cfun), L)
+        P = _resolvent_loop(Cfun).taylor_stack(L)
     else:
         P = series.resolvent(Cfun.taylor_stack(L - 1))
     W = np.empty((L + 1, u, u), dtype=np.complex128)
@@ -299,7 +302,7 @@ def _w_taylor(Hs: np.ndarray, W0, Cfun, DB, BD):
     return W, first
 
 
-def _realized_z(loop: tuple, P, Cfun: Realization, DB, BD, w0res: float) -> Realization | None:
+def _realized_z(H: Realization, P, Cfun: Realization, DB, BD, w0res: float) -> Realization | None:
     """Z_C from H's loop (A_H, B_H, C_H, D_H) and C's, or None if not stable.
 
     With P the observability Gramian of (A_H, C_H), the first sums over
@@ -312,21 +315,20 @@ def _realized_z(loop: tuple, P, Cfun: Realization, DB, BD, w0res: float) -> Real
     lambda^-1 (W-I)(W+I)^-1 is (Ax, B_W, 1/2 C_W Ax, 1/2 C_W B_W).  None
     when P is None, not converged, or rho(Ax) >= 1; meta records rho(Ax).
     """
-    Ah, Bh, Ch, Dh = loop
     if P is None:
         return None
-    Al, Bl, Cl, _ = _resolvent_loop(Cfun)
-    n = len(Ah)
-    B = np.vstack([Bh, Bl @ BD])
-    Cw = 2.0 * np.hstack([Dh.conj().T @ Ch + Bh.conj().T @ P @ Ah, DB @ Cl])
+    R = _resolvent_loop(Cfun)
+    n = H.state_dim
+    B = np.vstack([H.B, R.B @ BD])
+    Cw = 2.0 * np.hstack([H.D.conj().T @ H.C + H.B.conj().T @ P @ H.A, DB @ R.C])
     A = -0.5 * (B @ Cw)
-    A[:n, :n] += Ah
-    A[n:, n:] += Al
+    A[:n, :n] += H.A
+    A[n:, n:] += R.A
     rho = stable_radius(A)
     if rho is None:
         return None
-    top = np.hstack([Ch, np.zeros((len(Ch), len(Al)))]) - 0.5 * (Dh @ Cw)
-    return Realization(A, B, np.vstack([top, 0.5 * (Cw @ A)]), np.vstack([Dh, 0.5 * (Cw @ B)]),
+    top = np.hstack([H.C, np.zeros((H.out_dim, R.state_dim))]) - 0.5 * (H.D @ Cw)
+    return Realization(A, B, np.vstack([top, 0.5 * (Cw @ A)]), np.vstack([H.D, 0.5 * (Cw @ B)]),
                        meta={"w0_residual": w0res, "pole_radius": rho})
 
 
@@ -350,9 +352,9 @@ def z_from_C(p: InterpolationProblem, H: PolyOpFn, Gamma, Cfun,
 
     Z_C = [2 H (W+I)^-1 ; lambda^-1 (W-I)(W+I)^-1]; D_Gamma, whose range
     basis C is written in, and the check of W(0) = I within 1e-8 come from
-    Gamma.  It is _realized_z's Realization when H carries its loop
-    (PolyOpFn.realization), C is a Realization and both are stable, else
-    an AnalyticFn: coefficients to degree N from series.inv(W + I), with
+    Gamma.  It is _realized_z's Realization when H carries its loop as
+    the Realization H.realization, C is a Realization and both are stable,
+    else an AnalyticFn: coefficients to degree N from series.inv(W + I), with
     W's sums over the retained degrees, and a pointwise rule reading H, C
     and its Herglotz transform.  A Gamma further than CHECK_TOL * max(1,
     ||Gamma||_F) from H's column, in Frobenius norm, raises NotASolution.
@@ -370,9 +372,9 @@ def z_from_C(p: InterpolationProblem, H: PolyOpFn, Gamma, Cfun,
     # check still rejects norms in (1 + W_ZERO_TOL / 2, 1 + W_ZERO_TOL]
     D, drange = defect(G, W_ZERO_TOL)
     gamma_sq, DB, BD, w0res = _w_zero(G, Cfun, D, drange.basis)
-    loop = getattr(H, "realization", None)
+    loop = H.realization
     if loop is not None and isinstance(Cfun, Realization):
-        Z = _realized_z(loop, observability_gramian(loop[0], loop[2]), Cfun, DB, BD, w0res)
+        Z = _realized_z(loop, observability_gramian(loop.A, loop.C), Cfun, DB, BD, w0res)
         if Z is not None:
             return Z
     eye = np.eye(u, dtype=np.complex128)

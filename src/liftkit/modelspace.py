@@ -21,7 +21,7 @@ contractive multiplier from H into H^2(Y) exactly when
 H(lambda) = P_Y Z(lambda) (I - Theta(lambda) P_E Z(lambda))^-1 for a
 Schur-class Z from U into Y + E.  This is the linear-fractional map of
 interpolation, lifting.solve_from_Z, with Theta in place of lambda I;
-h_from_Z_theta runs it (lifting._feedback) on Theta's A, B and C, well
+h_from_Z_theta runs it (lifting._feedback) on Theta's realization, well
 posed because Theta(0) = 0.  z_from_H_theta reverses it by posing the
 multiplication map as an interpolation problem on H, taking the central
 parameter of its fiber and compressing back to U -> Y + E: exactly in
@@ -289,7 +289,7 @@ def h_from_Z_theta(theta: InnerFn, Z, N: int) -> PolyOpFn:
     if Z.in_dim != u or Z.out_dim < e:
         raise DimensionMismatch(
             f"Z must map C^{u} into C^y + C^{e}, got {Z.out_dim} x {Z.in_dim}")
-    return _feedback(Z, Z.out_dim - e, (theta.A, theta.B, theta.C), N)
+    return _feedback(Z, Z.out_dim - e, theta, N)
 
 
 def z_from_H_theta(theta: InnerFn, Hfn: PolyOpFn, ms: ModelSpace,
@@ -311,9 +311,8 @@ def z_from_H_theta(theta: InnerFn, Hfn: PolyOpFn, ms: ModelSpace,
         raise DimensionMismatch("model space does not match theta at this degree")
     Gmat, tail = multiplication_operator(Hfn, ms.basis, N)
     require_contraction(Gmat, "multiplication operator", CHECK_TOL)
-    loop = getattr(Hfn, "realization", None)
-    if loop is not None and e == u and Hfn.degree >= N:
-        Z = _state_space_z(theta, loop, float(tail))
+    if Hfn.realization is not None and e == u and Hfn.degree >= N:
+        Z = _state_space_z(theta, Hfn.realization, float(tail))
         if Z is not None:
             return Z
     msb, h0b = ms.basis.basis, ms.H0_basis.basis
@@ -340,7 +339,7 @@ def z_from_H_theta(theta: InnerFn, Hfn: PolyOpFn, ms: ModelSpace,
                       meta={**Zt.meta, "mult_tail": float(tail)})
 
 
-def _state_space_z(theta: InnerFn, loop: tuple, tail: float) -> Realization | None:
+def _state_space_z(theta: InnerFn, H: Realization, tail: float) -> Realization | None:
     """z_from_H_theta in Theta's state coordinates, or None if not stable.
 
     For square Theta, x -> C (I - lambda A)^-1 x maps the state space
@@ -351,26 +350,26 @@ def _state_space_z(theta: InnerFn, loop: tuple, tail: float) -> Realization | No
     the root [D~; P^(1/2) B~] of H~'s H^2 Gram (P from its loop, zero rows
     pad it to blocks of Y).  U's constants have coordinates C* and Phi's
     column B: Z is lifting._realized_z's Z~, C* on its input, B* on E rows."""
-    A, B, C = theta.A, theta.B, theta.C
-    Ah, Bh, Ch, Dh = loop
-    n, y = len(A), len(Dh)
-    At = np.block([[Ah, Bh @ C], [np.zeros((n, len(Ah))), A]])
-    Bt, Ct, Dt = np.vstack([Bh @ C, A]), np.hstack([Ch, Dh @ C]), Dh @ C
-    P = observability_gramian(At, Ct)
+    n, y = theta.state_dim, H.out_dim
+    HC, DC = H.B @ theta.C, H.D @ theta.C
+    Ht = Realization(np.block([[H.A, HC], [np.zeros((n, H.state_dim)), theta.A]]),
+                     np.vstack([HC, theta.A]), np.hstack([H.C, DC]), DC)
+    P = observability_gramian(Ht.A, Ht.C)
     if P is None:
         return None
-    root = np.vstack([Dt, hermitian_sqrt_psd(P) @ Bt, np.zeros((-len(At) % max(y, 1), n))])
-    F = orthonormal_range(np.eye(n) - C.conj().T @ C)
+    root = np.vstack([Ht.D, hermitian_sqrt_psd(P) @ Ht.B,
+                      np.zeros((-Ht.state_dim % max(y, 1), n))])
+    F = orthonormal_range(np.eye(n) - theta.C.conj().T @ theta.C)
     p = InterpolationProblem(U_dim=n, Y_dim=y, F=F, omega1=np.zeros((y, F.dim)),
-                             omega2=A @ F.basis)
+                             omega2=theta.A @ F.basis)
     D, Bd, FG, Om = _defect_data(p, root)  # one defect: CHECK_TOL = W_ZERO_TOL
     C0 = _central(Bd, FG, Om)
-    Zt = _realized_z((At, Bt, Ct, Dt), P, C0, *_w_zero(root, C0, D, Bd)[1:])
+    Zt = _realized_z(Ht, P, C0, *_w_zero(root, C0, D, Bd)[1:])
     if Zt is None:
         return None
     L = np.eye(y + theta.in_dim, y + n, dtype=np.complex128)
-    L[y:, y:] = B.conj().T
-    return Realization(Zt.A, Zt.B @ C.conj().T, L @ Zt.C, L @ Zt.D @ C.conj().T,
+    L[y:, y:] = theta.B.conj().T
+    return Realization(Zt.A, Zt.B @ theta.C.conj().T, L @ Zt.C, L @ Zt.D @ theta.C.conj().T,
                        meta={**Zt.meta, "mult_tail": tail})
 
 

@@ -99,9 +99,9 @@ class RclReport:
     intertwining_residual: float
     degree: int
 
-    def ok(self, tol: float = CHECK_TOL) -> bool:
-        return (self.projection_residual <= tol
-                and self.intertwining_residual <= tol)
+    def ok(self) -> bool:
+        return (self.projection_residual <= CHECK_TOL
+                and self.intertwining_residual <= CHECK_TOL)
 
 
 def validate_data_set(ds: RclDataSet) -> bool:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import series
 from .errors import DimensionMismatch
-from .hardy import Evaluable, disk_points
+from .hardy import Evaluable, PolyOpFn, disk_points
 from .linalg import (CONTRACTION_SLACK, as_operator, defect, operator_norm,
                      orthonormal_range, require_contraction, require_inverse,
                      require_invertible)
@@ -26,7 +26,9 @@ from .linalg import (CONTRACTION_SLACK, as_operator, defect, operator_norm,
 @dataclass(frozen=True, eq=False)
 class Realization(Evaluable):
     """D + lambda C (I - lambda A)^-1 B, with only the shapes and finiteness
-    of (A, B, C, D) checked; meta holds what the code making it measured."""
+    of (A, B, C, D) checked; meta holds what the code making it measured.
+    Its matrices are read-only C-contiguous copies: a loop can be shared, and
+    a decoded loop repeats the BLAS bits."""
 
     A: np.ndarray
     B: np.ndarray
@@ -35,12 +37,14 @@ class Realization(Evaluable):
     meta: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        A, D = as_operator(self.A), as_operator(self.D)
-        if A.shape[0] != A.shape[1]:
-            raise DimensionMismatch("state matrix must be square")
-        B = as_operator(self.B, rows=len(A), cols=D.shape[1])
-        C = as_operator(self.C, rows=D.shape[0], cols=len(A))
-        self.__dict__.update(A=A, B=B, C=C, D=D, meta=dict(self.meta))
+        mats = [np.array(as_operator(getattr(self, k)), order="C") for k in "ABCD"]
+        n, (out, inn) = len(mats[0]), mats[3].shape
+        for name, X, shape in zip("ABCD", mats, ((n, n), (n, inn), (out, n), (out, inn))):
+            if X.shape != shape:
+                raise DimensionMismatch(f"{name} is {' x '.join(map(str, X.shape))}, "
+                                        f"expected {shape[0]} x {shape[1]}")
+            X.setflags(write=False)
+        self.__dict__.update(zip("ABCD", mats), meta=dict(self.meta))
 
     @property
     def state_dim(self) -> int:
@@ -71,6 +75,15 @@ class Realization(Evaluable):
     def taylor_stack(self, N: int) -> np.ndarray:
         """Coefficients 0..N as an (N+1, out, in) stack: D, then C A^(k-1) B."""
         return series.realization_stack(self.A, self.B, self.C, self.D, N)
+
+    def truncated(self, N: int) -> PolyOpFn:
+        """The PolyOpFn of coefficients 0..N whose ``realization`` is this loop;
+        a stack that overflows fails its check for non-finite entries."""
+        with np.errstate(over="ignore", invalid="ignore"):  # PolyOpFn checks the stack
+            stack = self.taylor_stack(N)
+        H = PolyOpFn(self.out_dim, self.in_dim, stack)
+        object.__setattr__(H, "realization", self)
+        return H
 
 
 class SchurRealization(Realization):

@@ -20,7 +20,7 @@ from .hardy import PolyOpFn
 from .lifting import InterpolationProblem
 from .linalg import Subspace, as_operator
 from .rcl import RclDataSet
-from .schur import SchurRealization
+from .schur import Realization, SchurRealization
 
 SCHEMA = "liftkit/1"
 # limits of a realization record: its degree, and the entries of the largest
@@ -102,15 +102,15 @@ def poly_to_json(p: PolyOpFn) -> dict:
     """A realized p within the limits as its loop, any other as its coefficients."""
     loop = p.realization
     if loop is not None and p.degree <= MAX_DEGREE and _stack_entries(
-            p.degree, len(loop[0]), p.out_dim, p.in_dim) <= MAX_ENTRIES:
+            p.degree, loop.state_dim, p.out_dim, p.in_dim) <= MAX_ENTRIES:
         return {"out": p.out_dim, "in": p.in_dim, "degree": p.degree,
-                "realization": dict(zip("ABCD", map(matrix_to_json, loop)))}
+                "realization": schur_to_json(loop)}
     return {"out": p.out_dim, "in": p.in_dim,
             "coeffs": [matrix_to_json(c) for c in p.coeffs]}
 
 
 def poly_from_json(d: dict, path: str = "poly") -> PolyOpFn:
-    """Either record of poly_to_json, a loop rebuilt by PolyOpFn.truncated."""
+    """Either record of poly_to_json, a loop rebuilt by Realization.truncated."""
     if isinstance(d, dict) and "realization" in d:
         return _realized_poly(d, path)
     raw = field(d, "coeffs", path)
@@ -127,17 +127,17 @@ def _realized_poly(d: dict, path: str) -> PolyOpFn:
         raise ConfigError(f"{_at(path, 'degree')}: {N} is not in 0..{MAX_DEGREE}")
     out, inn = _int(d, "out", path), _int(d, "in", path)
     at = _at(path, "realization")
-    loop = _matrices(field(d, "realization", path), "ABCD", at)
-    if loop[3].shape != (out, inn):
-        raise ConfigError(f"{at}.D: expected {out} x {inn}, got %d x %d" % loop[3].shape)
+    matrices = _matrices(field(d, "realization", path), "ABCD", at)
+    if matrices[3].shape != (out, inn):
+        raise ConfigError(f"{at}.D: expected {out} x {inn}, got %d x %d" % matrices[3].shape)
     # a stack far larger than the record is refused before it is built
-    size = _stack_entries(N, len(loop[0]), out, inn)
+    size = _stack_entries(N, len(matrices[0]), out, inn)
     if size > MAX_ENTRIES:
         raise ConfigError(f"{at}: its stack needs {size} entries, above {MAX_ENTRIES}")
-    return _build(at, PolyOpFn.truncated, *loop, N)
+    return _build(at, lambda: Realization(*matrices).truncated(N))
 
 
-def schur_to_json(s: SchurRealization) -> dict:
+def schur_to_json(s: Realization) -> dict:
     return {"A": matrix_to_json(s.A), "B": matrix_to_json(s.B),
             "C": matrix_to_json(s.C), "D": matrix_to_json(s.D)}
 

@@ -95,7 +95,7 @@ def test_04_lifting_equivalence():
         rep_rcl = verify_rcl(ds, gamma_to_B(ds, G0, n), n)
         assert rep_sol.recurrence_residual <= 1e-8
         assert rep_sol.partial_gram_excess <= 1e-8
-        assert rep_rcl.ok(tol=1e-8)
+        assert rep_rcl.ok()
         worst_pos = max(worst_pos, rep_sol.recurrence_residual,
                         rep_rcl.projection_residual,
                         rep_rcl.intertwining_residual)
@@ -110,7 +110,7 @@ def test_04_lifting_equivalence():
         sol_fails = (rep_bad.recurrence_residual > 1e-8
                      or rep_bad.partial_gram_excess > 1e-8)
         try:
-            rcl_fails = not verify_rcl(ds, gamma_to_B(ds, bad, n), n).ok(tol=1e-8)
+            rcl_fails = not verify_rcl(ds, gamma_to_B(ds, bad, n), n).ok()
         except NotAContraction:
             rcl_fails = True
         assert sol_fails and rcl_fails

@@ -1,7 +1,8 @@
 """The public names: what liftkit exports, what the benchmark imports, the
 aliases that were removed in favour of one accessor each, the
-parameters with defaults that some caller sets, and the one module that
-makes the numerical guards' decisions.
+parameters with defaults that some caller sets, the one module that
+makes the numerical guards' decisions, and the one place that gives a
+polynomial its loop.
 
 The benchmark's own test (bench/test_smoke.py) is not collected with this
 suite, so the benchmark's imports are checked here by parsing its sources,
@@ -83,6 +84,7 @@ def test_every_exported_name_resolves():
     (importlib.import_module("liftkit.serialize"), "inner_to_json"),
     (importlib.import_module("liftkit.serialize"), "inner_from_json"),
     (InnerFn, "_realization"), (importlib.import_module("liftkit.schur"), "_transfer_values"),
+    (PolyOpFn, "truncated"),
 ])
 def test_removed_aliases_are_gone(owner, name):
     assert not hasattr(owner, name)
@@ -235,3 +237,23 @@ def test_linear_solves_are_made_only_in_schur_and_guarded():
                    for stmt in node.body for call in _linalg_calls(stmt, "solve")]
         assert len(solves) == 2
         assert sorted(map(id, guarded)) == sorted(map(id, solves))
+
+
+def _sets_realization(node) -> bool:
+    """True iff node assigns an attribute named realization, by setattr or
+    object.__setattr__ with that name, or as the target of an assignment."""
+    if isinstance(node, ast.Call) and _name(node.func) in ("setattr", "__setattr__"):
+        return any(isinstance(a, ast.Constant) and a.value == "realization" for a in node.args)
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
+    return any(isinstance(t, ast.Attribute) and t.attr == "realization" for t in targets)
+
+
+def test_only_realization_truncated_gives_a_polynomial_its_loop():
+    # PolyOpFn declares the slot (a class attribute, None); a loop is set
+    # only by schur.Realization.truncated, through object.__setattr__
+    setters = [f"{path.name}:{node.lineno}"
+               for path in sorted((ROOT / "src" / "liftkit").glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+               if _sets_realization(node)]
+    assert len(setters) == 1 and setters[0].startswith("schur.py:"), setters

@@ -52,6 +52,13 @@ def test_small_degree_is_usage_error(capsys):
     assert err == "error: --degree must be at least 4\n"
 
 
+@pytest.mark.parametrize("degree", [MAX_DEGREE + 1, 10 ** 15])
+def test_large_degree_is_usage_error(capsys, degree):
+    # a degree past the bound of a record's degree would exhaust memory
+    err = one_line_usage_error(capsys, "--cmd", "solve", "--degree", str(degree))
+    assert err == f"error: --degree must be at most {MAX_DEGREE}\n"
+
+
 @pytest.mark.parametrize("argv,message", [
     ((), "the following arguments are required: --cmd"),
     (("--cmd", "nope"), "argument --cmd: invalid choice: 'nope'"),
@@ -368,6 +375,24 @@ def test_z_of_another_problem_is_a_one_line_usage_error(tmp_path, capsys, cmd):
     g.write_text(dumps(payload))
     err = one_line_usage_error(capsys, "--cmd", cmd, "--in", str(g))
     assert err == "error: Z: must map C^2 into C^4, got 4 x 3\n"
+
+
+# edits of the Z record of `gen --seed 1` (state 2, U = Y = 2) whose
+# matrices do not chain, and the error line each must give
+@pytest.mark.parametrize("edit,message", [
+    ({"A": _zero_map(2, 3)}, "Z: A is 2 x 3, expected 2 x 2"),
+    ({"B": _zero_map(3, 2)}, "Z: B is 3 x 2, expected 2 x 2"),
+    ({"C": _zero_map(4, 3)}, "Z: C is 4 x 3, expected 4 x 2"),
+])
+def test_a_z_record_that_does_not_chain_is_a_one_line_usage_error(tmp_path, capsys, edit,
+                                                                  message):
+    g = tmp_path / "gen.json"
+    assert run(capsys, "--cmd", "gen", "--seed", "1", "--out", str(g))[0] == 0
+    payload = load(str(g))
+    payload["Z"].update(edit)
+    g.write_text(dumps(payload))
+    err = one_line_usage_error(capsys, "--cmd", "solve", "--in", str(g))
+    assert err == f"error: {message}\n"
 
 
 def test_h_of_another_problem_is_a_one_line_usage_error(tmp_path, capsys):

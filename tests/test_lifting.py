@@ -499,7 +499,7 @@ def test_z_from_C_with_a_realized_C_matches_the_resolvent_path(state):
     got = z_from_C(p, H, G, C, N)
     assert isinstance(got, Realization)
     n = 4 * N
-    H4 = PolyOpFn(p.Y_dim, p.U_dim, series.realization_stack(*H.realization, n))
+    H4 = PolyOpFn(p.Y_dim, p.U_dim, H.realization.taylor_stack(n))
     want = z_from_C(p, H4, column_operator(H4, n), coefficients_only(C, n), n)
     assert isinstance(want, AnalyticFn)
     assert_rel_close(got.taylor_stack(N), want.taylor_stack(N))
@@ -521,7 +521,7 @@ def test_z_from_C_falls_back_to_the_coefficient_path_for_an_unstable_loop():
     u, y = 3, 2
     p = unconstrained_problem(u, y)
     D = 0.3 * random_schur(y, u, 0, seed=12).D
-    H = PolyOpFn.truncated(np.eye(1), np.zeros((1, u)), np.zeros((y, 1)), D, N)
+    H = Realization(np.eye(1), np.zeros((1, u)), np.zeros((y, 1)), D).truncated(N)
     G = column_operator(H, N)
     C = central_C(p, G)
     got = z_from_C(p, H, G, C, N)
@@ -540,7 +540,7 @@ def test_realized_z_from_C_records_its_pole_radius():
     G = column_operator(H, N)
     C = central_C(p, G)
     Z1 = z_from_C(p, H, G, C, N)
-    assert Z1.state_dim == len(H.realization[0]) + C.in_dim
+    assert Z1.state_dim == H.realization.state_dim + C.in_dim
     rho = np.abs(np.linalg.eigvals(Z1.A)).max()
     assert Z1.meta["pole_radius"] == pytest.approx(rho, abs=1e-12)
     assert 0.0 < Z1.meta["pole_radius"] < 1.0

@@ -391,7 +391,7 @@ def test_h_from_Z_feedback_matches_the_series_path(case, N):
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-13 * max(1.0, np.linalg.norm(want))
         y = Z.out_dim - theta.in_dim
-        Acl = _closed_loop(Z.A, Z.B, Z.C, Z.D, y, (col.A, col.B, col.C))[0]
+        Acl = _closed_loop(Z, y, col).A
         assert operator_norm(Acl) <= 1.0 + 1e-12
 
 
@@ -538,8 +538,8 @@ def test_multipliers_without_an_exact_loop_keep_the_truncated_path():
     theta = random_inner(620, 3, 2)
     short = random_multiplier(theta, 2, N - 5, seed=621)
     power = feedback_thetas()[4]
-    stuck = PolyOpFn.truncated(np.eye(1), np.zeros((1, 3)), np.zeros((2, 1)),
-                               0.3 * random_schur(2, 3, 0, seed=622).D, N)
+    stuck = Realization(np.eye(1), np.zeros((1, 3)), np.zeros((2, 1)),
+                        0.3 * random_schur(2, 3, 0, seed=622).D).truncated(N)
     cases = [(theta, random_multiplier(theta, 2, N, seed=623)), (theta, short),
              (power, random_multiplier(power, 2, N, seed=624)), (theta, stuck)]
     for k, (th, H) in enumerate(cases):

@@ -11,7 +11,7 @@ from liftkit.linalg import Subspace, operator_norm
 from liftkit.modelspace import h_from_Z_theta, random_inner
 from liftkit.rcl import random_data_set
 from liftkit import serialize
-from liftkit.schur import random_schur
+from liftkit.schur import Realization, random_schur
 from liftkit.serialize import (MAX_DEGREE, SCHEMA, dataset_from_json, dataset_to_json,
                                dumps, load, matrix_from_json, matrix_to_json,
                                poly_from_json, poly_to_json,
@@ -99,7 +99,7 @@ def test_solve_record_of_a_realized_H_stays_small():
 
 def test_a_realized_poly_above_the_degree_limit_is_written_as_coefficients():
     one = np.full((1, 1), 0.5)
-    H = PolyOpFn.truncated(one, one, one, one, MAX_DEGREE + 1)
+    H = Realization(one, one, one, one).truncated(MAX_DEGREE + 1)
     d = poly_to_json(H)
     assert "realization" not in d and len(d["coeffs"]) == MAX_DEGREE + 2
     assert np.array_equal(_through_json(H).taylor_stack(MAX_DEGREE + 1),
@@ -110,8 +110,8 @@ def test_a_realized_poly_above_the_entry_limit_is_written_as_coefficients(monkey
     monkeypatch.setattr(serialize, "MAX_ENTRIES", 8)
     one = np.full((1, 1), 0.5)
     # degree N of a scalar loop of state 1 asks for N + 1 entries
-    assert "realization" in poly_to_json(PolyOpFn.truncated(one, one, one, one, 7))
-    H = PolyOpFn.truncated(one, one, one, one, 8)
+    assert "realization" in poly_to_json(Realization(one, one, one, one).truncated(7))
+    H = Realization(one, one, one, one).truncated(8)
     assert len(poly_to_json(H)["coeffs"]) == 9
     assert np.array_equal(_through_json(H).taylor_stack(8), H.taylor_stack(8))
 
