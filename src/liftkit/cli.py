@@ -29,7 +29,7 @@ from .modelspace import (DECOMPOSITION_TOL, MULT_ROUNDTRIP_TOL,
 from .rcl import (data_set_from_omega, gamma_to_B, omega_roundtrip_residual,
                   random_data_set, underlying_contraction, validate_data_set,
                   verify_rcl)
-from .serialize import (MAX_DEGREE, SCHEMA, dataset_from_json, dataset_to_json,
+from .serialize import (MAX_DEGREE, MAX_ENTRIES, SCHEMA, dataset_from_json, dataset_to_json,
                         dumps, field, load, poly_from_json, poly_to_json,
                         problem_from_json, problem_to_json, save,
                         schur_from_json, schur_to_json)
@@ -79,6 +79,8 @@ def _parse(argv):
         ap.error("--dims expects three comma-separated integers")
     if u < 0 or y < 0 or f < 0 or f > u:
         ap.error("--dims requires 0 <= dimF <= U and Y >= 0")
+    if (u + y) ** 2 > MAX_ENTRIES:  # the largest matrix made from the dims
+        ap.error(f"--dims requires (U + Y)^2 <= {MAX_ENTRIES}")
     args.u, args.y, args.f = u, y, f
     return args
 

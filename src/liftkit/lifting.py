@@ -18,8 +18,8 @@ through
     W(lambda) = Gamma* (I + lambda S*)(I - lambda S*)^-1 Gamma
                 + D_Gamma (I + lambda C(lambda))(I - lambda C(lambda))^-1 D_Gamma,
 
-with W(0) = I.  Z_C is a finite realization, W summed over every degree
-of H, when H and C are realized, and a truncated series otherwise.
+with W(0) = I.  Z_C is a realization, W's sums over H's loop taken from its
+linalg.gramian_root, when C is realized and H to degree >= N; else truncated.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .errors import (ConstraintViolated, DimensionMismatch, InconsistentGenerato
                      WNotNormalizedAtZero)
 from .hardy import GRID, AnalyticFn, PolyOpFn, column_operator
 from .linalg import (CONTRACTION_SLACK, Subspace, as_operator, contraction_on_generators,
-                     defect, observability_gramian, operator_norm, operator_norms,
+                     defect, gramian_root, operator_norm, operator_norms,
                      orthonormal_range, realized_sup_bound, require_contraction,
                      require_invertible, stable_radius)
 from .schur import (Realization, SchurRealization, _complete, _completion_frame,
@@ -302,25 +302,25 @@ def _w_taylor(Hs: np.ndarray, W0, Cfun, DB, BD):
     return W, first
 
 
-def _realized_z(H: Realization, P, Cfun: Realization, DB, BD, w0res: float) -> Realization | None:
+def _realized_z(H: Realization, L, Cfun: Realization, DB, BD, w0res: float) -> Realization | None:
     """Z_C from H's loop (A_H, B_H, C_H, D_H) and C's, or None if not stable.
 
-    With P the observability Gramian of (A_H, C_H), the first sums over
-    every degree are (D_H* C_H + B_H* P A_H) A_H^(k-1) B_H, so W = I +
+    With L the gramian_root of (A_H, C_H), the first sums over every
+    degree are (D_H* C_H + (L B_H)* (L A_H)) A_H^(k-1) B_H, so W = I +
     lambda C_W (I - lambda A_W)^-1 B_W, A_W holding H's and
     _resolvent_loop(C)'s states.  (W+I)^-1 = 1/2 I - 1/4 lambda C_W
     (I - lambda Ax)^-1 B_W, Ax = A_W - 1/2 B_W C_W (Bart, Gohberg and
     Kaashoek, 1979), whose H block is H's state driven by 2 (W+I)^-1: so
     2 H (W+I)^-1 is (Ax, B_W, [C_H, 0] - 1/2 D_H C_W, D_H), and
     lambda^-1 (W-I)(W+I)^-1 is (Ax, B_W, 1/2 C_W Ax, 1/2 C_W B_W).  None
-    when P is None, not converged, or rho(Ax) >= 1; meta records rho(Ax).
+    when L is None, not converged, or rho(Ax) >= 1; meta records rho(Ax).
     """
-    if P is None:
+    if L is None:
         return None
     R = _resolvent_loop(Cfun)
     n = H.state_dim
     B = np.vstack([H.B, R.B @ BD])
-    Cw = 2.0 * np.hstack([H.D.conj().T @ H.C + H.B.conj().T @ P @ H.A, DB @ R.C])
+    Cw = 2.0 * np.hstack([H.D.conj().T @ H.C + (L @ H.B).conj().T @ (L @ H.A), DB @ R.C])
     A = -0.5 * (B @ Cw)
     A[:n, :n] += H.A
     A[n:, n:] += R.A
@@ -352,8 +352,8 @@ def z_from_C(p: InterpolationProblem, H: PolyOpFn, Gamma, Cfun,
 
     Z_C = [2 H (W+I)^-1 ; lambda^-1 (W-I)(W+I)^-1]; D_Gamma, whose range
     basis C is written in, and the check of W(0) = I within 1e-8 come from
-    Gamma.  It is _realized_z's Realization when H carries its loop as
-    the Realization H.realization, C is a Realization and both are stable,
+    Gamma.  It is _realized_z's Realization when H carries its loop
+    H.realization to degree >= N, C is a Realization and both are stable,
     else an AnalyticFn: coefficients to degree N from series.inv(W + I), with
     W's sums over the retained degrees, and a pointwise rule reading H, C
     and its Herglotz transform.  A Gamma further than CHECK_TOL * max(1,
@@ -373,8 +373,8 @@ def z_from_C(p: InterpolationProblem, H: PolyOpFn, Gamma, Cfun,
     D, drange = defect(G, W_ZERO_TOL)
     gamma_sq, DB, BD, w0res = _w_zero(G, Cfun, D, drange.basis)
     loop = H.realization
-    if loop is not None and isinstance(Cfun, Realization):
-        Z = _realized_z(loop, observability_gramian(loop.A, loop.C), Cfun, DB, BD, w0res)
+    if loop is not None and H.degree >= N and isinstance(Cfun, Realization):
+        Z = _realized_z(loop, gramian_root(loop.A, loop.C), Cfun, DB, BD, w0res)
         if Z is not None:
             return Z
     eye = np.eye(u, dtype=np.complex128)

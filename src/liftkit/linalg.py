@@ -21,7 +21,7 @@ RANK_TOL = 1e-9
 CONTRACTION_SLACK = 1e-10
 # a matrix is numerically singular when sigma_min * COND_MAX < max(1, sigma_max)
 COND_MAX = 1e10
-# the most squarings of Smith doubling: 2^64 terms
+# the most squarings of gramian_root: 2^64 terms
 STEIN_DOUBLINGS = 64
 
 
@@ -233,38 +233,37 @@ def require_inverse(M, Minv, what: str) -> None:
         raise SingularResolvent(f"{what} is numerically singular")
 
 
-def observability_gramian(A, C) -> np.ndarray | None:
-    """P = sum_k (A*)^k C* C A^k, solving P = A* P A + C* C, by Smith doubling.
+def gramian_root(A, C) -> np.ndarray | None:
+    """L with L* L = P = sum_k (A*)^k C* C A^k, solving P = A* P A + C* C.
 
-    Step k adds A_k* P A_k, A_k = A^(2^k), doubling the terms summed.  P
-    is returned once ||A_k||_F <= eps puts the tail below round-off; None
-    when that takes over STEIN_DOUBLINGS steps, as for rho(A) >= 1 or an
-    overflow: A is not stable enough for the sum.
-    """
-    P, Ak = np.conj(C).T @ C, np.asarray(A)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(STEIN_DOUBLINGS):
-            if np.linalg.norm(Ak) <= np.finfo(np.float64).eps:
-                return P
-            P, Ak = P + Ak.conj().T @ P @ Ak, Ak @ Ak
-    return None
-
-
-def realized_sup_bound(A, B, C, D, radius: float) -> float | None:
-    """||D|| + radius / sqrt(1 - radius) ||L B||_F, by Cauchy-Schwarz a bound on
-    ||D + lambda C (I - lambda A)^-1 B|| for |lambda| <= radius < 1, L* L the
-    Gramian of (sqrt(radius) A, C) doubled as a QR factor (README, "Numerical
-    notes").  None when that takes over STEIN_DOUBLINGS steps or overflows."""
-    L, Ak = np.asarray(C, dtype=np.complex128), np.sqrt(radius) * np.asarray(A)
+    Square-root doubling (Smith, 1968; Hammarling, 1982): step k stacks
+    [L; L A_k], A_k = A^(2^k), doubling the terms, and takes its QR factor
+    R once it has over 4 len(A) rows.  L is returned once ||A_k||_F <= eps;
+    None after STEIN_DOUBLINGS steps (rho(A) >= 1) or on an overflow or NaN."""
+    L, Ak = np.asarray(C, dtype=np.complex128), np.asarray(A, dtype=np.complex128)
     eps2 = np.finfo(np.float64).eps ** 2
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(STEIN_DOUBLINGS):
             sq = np.vdot(Ak, Ak).real
             if not eps2 < sq < np.inf:  # converged, overflowed or NaN
-                break
-            L, Ak = np.linalg.qr(np.concatenate((L, L @ Ak)), mode="r"), Ak @ Ak
+                return L if sq <= eps2 and np.isfinite(L).all() else None
+            L, Ak = np.concatenate((L, L @ Ak)), Ak @ Ak
+            if len(L) > 4 * len(Ak):
+                L = np.linalg.qr(L, mode="r")
+    return None
+
+
+def realized_sup_bound(A, B, C, D, radius: float) -> float | None:
+    """||D|| + radius / sqrt(1 - radius) ||L B||_F, by Cauchy-Schwarz a bound on
+    ||D + lambda C (I - lambda A)^-1 B|| for |lambda| <= radius < 1, L the
+    gramian_root of (sqrt(radius) A, C) (README, "Numerical notes").  None
+    where that root is None or the bound overflows."""
+    L = gramian_root(np.sqrt(radius) * np.asarray(A), C)
+    if L is None:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
         bound = operator_norm(D) + radius / np.sqrt(1.0 - radius) * np.linalg.norm(L @ B)
-    return float(bound) if sq <= eps2 and np.isfinite(bound) else None
+    return float(bound) if np.isfinite(bound) else None
 
 
 def stable_radius(A) -> float | None:

@@ -46,9 +46,9 @@ from .hardy import (GRID, AnalyticFn, PolyOpFn, column_operator,
                     multiplication_operator, shift, shift_adjoint)
 from .lifting import (CHECK_TOL, InterpolationProblem, _central, _defect_data,
                       _feedback, _realized_z, _w_zero, central_C, z_from_C)
-from .linalg import (Subspace, _orthonormal, as_operator, haar_unitary, hermitian_sqrt_psd,
-                     observability_gramian, operator_norm, operator_norms,
-                     orthonormal_range, projector_gap, require_contraction)
+from .linalg import (Subspace, _orthonormal, as_operator, gramian_root, haar_unitary,
+                     operator_norm, operator_norms, orthonormal_range, projector_gap,
+                     require_contraction)
 from .schur import Realization, SchurRealization, random_schur
 
 # threshold of each residual of check_decompositions
@@ -347,29 +347,28 @@ def _state_space_z(theta: InnerFn, H: Realization, tail: float) -> Realization |
     D_h) is the column of H~ = H C (I - lambda A)^-1, the cascade
     ([[A_h, B_h C], [0, A]], [B_h C; A], [C_h, D_h C], D_h C).  F = ker C,
     omega2 = A is isometric on it (A*A + C*C = I), and the defect reads
-    the root [D~; P^(1/2) B~] of H~'s H^2 Gram (P from its loop, zero rows
-    pad it to blocks of Y).  U's constants have coordinates C* and Phi's
-    column B: Z is lifting._realized_z's Z~, C* on its input, B* on E rows."""
+    the root [D~; L B~] of H~'s H^2 Gram (L = gramian_root of its loop,
+    zero rows pad it to blocks of Y).  U's constants have coordinates C* and
+    Phi's column B: Z is lifting._realized_z's Z~, C* on its input, B* on E rows."""
     n, y = theta.state_dim, H.out_dim
     HC, DC = H.B @ theta.C, H.D @ theta.C
     Ht = Realization(np.block([[H.A, HC], [np.zeros((n, H.state_dim)), theta.A]]),
                      np.vstack([HC, theta.A]), np.hstack([H.C, DC]), DC)
-    P = observability_gramian(Ht.A, Ht.C)
-    if P is None:
+    L = gramian_root(Ht.A, Ht.C)
+    if L is None:
         return None
-    root = np.vstack([Ht.D, hermitian_sqrt_psd(P) @ Ht.B,
-                      np.zeros((-Ht.state_dim % max(y, 1), n))])
+    root = np.vstack([Ht.D, L @ Ht.B, np.zeros((-len(L) % max(y, 1), n))])
     F = orthonormal_range(np.eye(n) - theta.C.conj().T @ theta.C)
     p = InterpolationProblem(U_dim=n, Y_dim=y, F=F, omega1=np.zeros((y, F.dim)),
                              omega2=theta.A @ F.basis)
     D, Bd, FG, Om = _defect_data(p, root)  # one defect: CHECK_TOL = W_ZERO_TOL
     C0 = _central(Bd, FG, Om)
-    Zt = _realized_z(Ht, P, C0, *_w_zero(root, C0, D, Bd)[1:])
+    Zt = _realized_z(Ht, L, C0, *_w_zero(root, C0, D, Bd)[1:])
     if Zt is None:
         return None
-    L = np.eye(y + theta.in_dim, y + n, dtype=np.complex128)
-    L[y:, y:] = theta.B.conj().T
-    return Realization(Zt.A, Zt.B @ theta.C.conj().T, L @ Zt.C, L @ Zt.D @ theta.C.conj().T,
+    left = np.eye(y + theta.in_dim, y + n, dtype=np.complex128)
+    left[y:, y:] = theta.B.conj().T
+    return Realization(Zt.A, Zt.B @ theta.C.conj().T, left @ Zt.C, left @ Zt.D @ theta.C.conj().T,
                        meta={**Zt.meta, "mult_tail": tail})
 
 

@@ -6,12 +6,14 @@ polynomial its loop.
 
 The benchmark's own test (bench/test_smoke.py) is not collected with this
 suite, so the benchmark's imports are checked here by parsing its sources,
-without importing or running them.
+and its pipelines by running each workload once at its smoke size from
+bench/workloads.py, which the run only reads.
 """
 
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,6 +60,36 @@ def test_every_name_the_benchmark_imports_resolves():
     assert not unresolved
 
 
+def _bench_module(monkeypatch, name: str):
+    """bench/<name>.py, imported without writing bytecode under bench/."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_benchmark_pipeline_runs_clean_at_smoke_size(monkeypatch):
+    # the pipelines bench/run.py times, one smoke-size pass of each workload
+    # with the checks on, so that a library change that breaks a benchmark
+    # call fails here
+    wl_mod = _bench_module(monkeypatch, "workloads")
+    tracer = _bench_module(monkeypatch, "tracing").Tracer(False)
+    failures = {}
+    for name, wl in wl_mod.WORKLOADS.items():
+        ck = wl_mod.Checks()
+        for i, inp in enumerate(wl.generate(0, *wl.sizes["smoke"])):
+            ck.start(i)
+            wl.run(inp, tracer, ck)
+        if wl.oracle:
+            wl_mod.check_scalar_oracle(wl_mod.scalar_oracle_input(0), ck)
+        if ck.failures:
+            failures[name] = ck.failures
+    assert not failures
+
+
 def test_every_exported_name_resolves():
     assert len(set(liftkit.__all__)) == len(liftkit.__all__)
     missing = [name for name in liftkit.__all__ if not hasattr(liftkit, name)]
@@ -84,7 +116,7 @@ def test_every_exported_name_resolves():
     (importlib.import_module("liftkit.serialize"), "inner_to_json"),
     (importlib.import_module("liftkit.serialize"), "inner_from_json"),
     (InnerFn, "_realization"), (importlib.import_module("liftkit.schur"), "_transfer_values"),
-    (PolyOpFn, "truncated"),
+    (PolyOpFn, "truncated"), (importlib.import_module("liftkit.linalg"), "observability_gramian"),
 ])
 def test_removed_aliases_are_gone(owner, name):
     assert not hasattr(owner, name)

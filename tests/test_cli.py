@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from _support import scalar_fixture
+from _support import refuse, scalar_fixture
+from liftkit import cli
 from liftkit.cli import main
 from liftkit.hardy import PolyOpFn
 from liftkit.linalg import Subspace
@@ -57,6 +58,16 @@ def test_large_degree_is_usage_error(capsys, degree):
     # a degree past the bound of a record's degree would exhaust memory
     err = one_line_usage_error(capsys, "--cmd", "solve", "--degree", str(degree))
     assert err == f"error: --degree must be at most {MAX_DEGREE}\n"
+
+
+@pytest.mark.parametrize("dims", ["100000,100000,1", "1024,1,0", "0,1025,0"])
+def test_large_dims_is_usage_error(capsys, monkeypatch, dims):
+    # (U + Y)^2 past the bound of a record's entries would exhaust memory;
+    # the error comes before any input is generated
+    refuse(monkeypatch, cli, "random_problem", "random_data_set")
+    for cmd in ("gen", "rcl"):
+        err = one_line_usage_error(capsys, "--cmd", cmd, "--dims", dims)
+        assert err == f"error: --dims requires (U + Y)^2 <= {MAX_ENTRIES}\n"
 
 
 @pytest.mark.parametrize("argv,message", [

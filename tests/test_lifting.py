@@ -531,6 +531,19 @@ def test_z_from_C_falls_back_to_the_coefficient_path_for_an_unstable_loop():
     assert np.array_equal(got.eval_many(GRID), want.eval_many(GRID))
 
 
+def test_z_from_C_reads_a_loop_below_degree_N_by_its_coefficients():
+    # Gamma pads H's degree-10 coefficients to degree N; the realized path
+    # would sum W over every degree of the loop and miss them by 2.1e-04
+    p = random_problem(2, 2, 1, 3, scale=0.45)
+    H = solve_from_Z(p, random_constrained_z(p, 2, 4), 10)
+    G = column_operator(H, N)
+    C = central_C(p, G)
+    got = z_from_C(p, H, G, C, N)
+    want = z_from_C(p, PolyOpFn(H.out_dim, H.in_dim, H.coeffs), G, C, N)
+    assert np.array_equal(got.taylor_stack(N), want.taylor_stack(N))
+    assert np.array_equal(got.eval_many(GRID), want.eval_many(GRID))
+
+
 def test_realized_z_from_C_records_its_pole_radius():
     # Z_C's state is that of (W + I)^-1, H's loop beside the [I; C] loop of
     # the central C; rho of its state matrix is the pole radius, below 1 on

@@ -11,8 +11,8 @@ from _support import refuse, svd_singular_rule
 from liftkit.errors import (DimensionMismatch, InconsistentGenerators,
                             NonFiniteResult, NotAContraction, SingularResolvent)
 from liftkit.linalg import (CONTRACTION_SLACK, Subspace, as_operator,
-                            contraction_on_generators, defect, gram_norm, haar_unitary,
-                            hermitian_sqrt_psd, observability_gramian,
+                            contraction_on_generators, defect, gram_norm, gramian_root,
+                            haar_unitary, hermitian_sqrt_psd,
                             operator_norm, operator_norms, orthonormal_range,
                             projector_gap, realized_sup_bound, require_contraction,
                             require_gram_contraction, require_invertible, stable_radius)
@@ -394,28 +394,56 @@ def test_certified_guard_rejects_a_non_finite_matrix(bad):
         require_invertible(S[1], "x")
 
 
-@pytest.mark.parametrize("radius", [0.0, 0.5, 0.99])
-def test_observability_gramian_solves_the_stein_equation(radius):
-    rng = np.random.default_rng(17)
-    A = _complex_matrix(rng, 4, 4)
-    A *= radius / max(np.abs(np.linalg.eigvals(A)).max(), 1e-300)
-    C = _complex_matrix(rng, 2, 4)
-    P = observability_gramian(A, C)
-    assert np.linalg.norm(A.conj().T @ P @ A + C.conj().T @ C - P) <= 1e-12 * np.linalg.norm(P)
-    # the direct sum, to a tail below round-off
-    direct, term = np.zeros((4, 4), dtype=np.complex128), C
-    for _ in range(8000 if radius else 1):
+def _stable(rng, n, radius):
+    """A random n x n matrix scaled to spectral radius radius."""
+    A = _complex_matrix(rng, n, n)
+    return A * (radius / max(np.abs(np.linalg.eigvals(A)).max(), 1e-300))
+
+
+def _direct_gramian(A, C, terms):
+    """sum_(k < terms) (A*)^k C* C A^k, term by term."""
+    direct, term = np.zeros((len(A), len(A)), dtype=np.complex128), C
+    for _ in range(terms):
         direct += term.conj().T @ term
         term = term @ A
+    return direct
+
+
+@pytest.mark.parametrize("radius", [0.0, 0.5, 0.99])
+def test_observability_gramian_solves_the_stein_equation(radius):
+    # P = L* L of gramian_root
+    rng = np.random.default_rng(17)
+    A = _stable(rng, 4, radius)
+    C = _complex_matrix(rng, 2, 4)
+    L = gramian_root(A, C)
+    P = L.conj().T @ L
+    assert np.linalg.norm(A.conj().T @ P @ A + C.conj().T @ C - P) <= 1e-12 * np.linalg.norm(P)
+    # the direct sum, to a tail below round-off
+    direct = _direct_gramian(A, C, 8000 if radius else 1)
     assert np.linalg.norm(P - direct) <= 1e-11 * np.linalg.norm(P)
+
+
+@pytest.mark.parametrize("rows", [13, 1])
+def test_gramian_root_of_tall_and_wide_outputs_is_the_direct_sum(rows):
+    # 13 > 4 n rows compress on the first step; 1 < n row grows to 32 rows
+    # before the first compression, on the fifth step
+    rng = np.random.default_rng(18)
+    n = 3 if rows > 3 else 5
+    A = _stable(rng, n, 0.5)
+    C = _complex_matrix(rng, rows, n)
+    L = gramian_root(A, C)
+    assert len(L) <= 4 * n
+    P = L.conj().T @ L
+    assert np.linalg.norm(P - _direct_gramian(A, C, 200)) <= 1e-14 * np.linalg.norm(P)
 
 
 @pytest.mark.parametrize("A", [np.eye(2), [[1.0, 1.0], [0.0, 1.0]], [[2.0]],
                                np.diag([0.5, -1.0]), [[np.nan]]])
 def test_observability_gramian_and_radius_refuse_what_is_not_stable(A):
     # rho(A) = 1, a Jordan block, rho > 1 (overflow) and a non-finite entry
+    # have no gramian_root
     C = np.ones((1, len(A)))
-    assert observability_gramian(A, C) is None
+    assert gramian_root(A, C) is None
     assert stable_radius(A) is None
 
 
@@ -423,7 +451,8 @@ def test_stable_radius_of_stable_and_empty_matrices():
     assert stable_radius(np.zeros((0, 0))) == 0.0
     assert stable_radius(np.diag([0.5, -0.75j])) == pytest.approx(0.75, abs=1e-15)
     assert stable_radius([[0.0, 1.0], [0.0, 0.0]]) == 0.0
-    assert observability_gramian(np.zeros((0, 0)), np.zeros((3, 0))).shape == (0, 0)
+    L = gramian_root(np.zeros((0, 0)), np.zeros((3, 0)))
+    assert (L.conj().T @ L).shape == (0, 0)
 
 
 @pytest.mark.parametrize("slack", [CONTRACTION_SLACK, 1e-8])
