@@ -119,6 +119,15 @@ class PolyOpFn(Evaluable):
         return series.polyval(self._stack, z)
 
 
+def _poly(stack: np.ndarray) -> PolyOpFn:
+    """PolyOpFn of a nonempty finite (L, out, in) stack that the library has
+    just computed and hands over: kept as it is, with no copy or recheck."""
+    P = object.__new__(PolyOpFn)
+    P.__dict__.update(out_dim=stack.shape[1], in_dim=stack.shape[2], coeffs=tuple(stack),
+                      _stack=stack)
+    return P
+
+
 class AnalyticFn(Evaluable):
     """Analytic operator function with a batched pointwise rule plus Taylor data.
 

@@ -35,11 +35,11 @@ from .errors import (ConstraintViolated, DimensionMismatch, InconsistentGenerato
                      WNotNormalizedAtZero)
 from .hardy import GRID, AnalyticFn, PolyOpFn, column_operator
 from .linalg import (CONTRACTION_SLACK, Subspace, as_operator, contraction_on_generators,
-                     defect, gramian_root, operator_norm, operator_norms,
+                     defect, gram_defect, gramian_root, operator_norm, operator_norms,
                      orthonormal_range, realized_sup_bound, require_contraction,
                      require_invertible, stable_radius)
-from .schur import (Realization, SchurRealization, _complete, _completion_frame,
-                    _herglotz, random_schur)
+from .schur import (Realization, SchurRealization, _assembled, _complete,
+                    _completion_frame, _herglotz, random_schur)
 
 W_ZERO_TOL = 1e-8
 # contraction slack and residual tolerance of the checks on a solution column
@@ -66,18 +66,26 @@ class InterpolationProblem:
         f = self.F.dim
         om1 = as_operator(self.omega1, rows=self.Y_dim, cols=f)
         om2 = as_operator(self.omega2, rows=self.U_dim, cols=f)
-        object.__setattr__(self, "omega1", om1)
-        object.__setattr__(self, "omega2", om2)
-        require_contraction(self.omega, "omega", CONTRACTION_SLACK)
+        om = np.vstack([om1, om2])
+        om.setflags(write=False)
+        # built once, and kept out of the fields that eq, repr and digests read
+        self.__dict__.update(omega1=om1, omega2=om2, _omega=om)
+        require_contraction(om, "omega", CONTRACTION_SLACK)
 
     @property
     def omega(self) -> np.ndarray:
-        return np.vstack([self.omega1, self.omega2])
+        """[omega1; omega2], read-only."""
+        return self._omega
 
 
 @dataclass(frozen=True)
 class SolutionReport:
-    """Residuals of a candidate solution; reporting never throws."""
+    """Residuals of a candidate solution; reporting never throws.
+
+    For an H that carries its loop (verify_solution), recurrence_residual is
+    the H^2 norm of the recurrence over every degree and partial_gram_excess
+    the excess of the full column's Gram; otherwise both read degrees 0..N.
+    """
 
     recurrence_residual: float
     partial_gram_excess: float
@@ -167,8 +175,8 @@ def _closed_loop(Z: Realization, y: int, theta: Realization) -> Realization:
     """
     BtDE = theta.B @ Z.D[y:]
     Acl = np.block([[Z.A, Z.B @ theta.C], [theta.B @ Z.C[y:], theta.A + BtDE @ theta.C]])
-    return Realization(Acl, np.vstack([Z.B, BtDE]),
-                       np.hstack([Z.C[:y], Z.D[:y] @ theta.C]), Z.D[:y])
+    return _assembled(Acl, np.vstack([Z.B, BtDE]),
+                      np.hstack([Z.C[:y], Z.D[:y] @ theta.C]), Z.D[:y])
 
 
 @lru_cache(maxsize=None)
@@ -180,19 +188,27 @@ def _lambda_identity(d: int) -> Realization:
 def verify_solution(p: InterpolationProblem, H: PolyOpFn, N: int) -> SolutionReport:
     """Residuals of the coefficient recurrence and the partial Gram bound.
 
-    Reports never throw on a bad candidate; SolutionReport.ok applies the
-    thresholds.  An H so large that these residuals or its values on GRID
-    overflow raises NonFiniteResult.
+    For an H that carries its loop H.realization to degree >= N, with a
+    gramian_root L, both are taken over every degree of the loop
+    (_loop_residuals); otherwise over coefficients 0..N.  The grid sup norm
+    reads H's stored coefficients.  Reports never throw on a bad candidate;
+    SolutionReport.ok applies the thresholds.  An H so large that these
+    residuals or its values on GRID overflow raises NonFiniteResult.
     """
     if H.in_dim != p.U_dim or H.out_dim != p.Y_dim:
         raise DimensionMismatch("H has wrong dimensions for this problem")
-    Hs = H.taylor_stack(N)
+    loop = H.realization if H.degree >= N else None
+    L = None if loop is None else gramian_root(loop.A, loop.C)
     # overflow is caught below, as non-finite entries
     with np.errstate(over="ignore", invalid="ignore"):
-        res = Hs @ p.F.basis
-        res[0] -= p.omega1
-        res[1:] -= Hs[:-1] @ p.omega2
-        col = Hs.reshape((N + 1) * p.Y_dim, p.U_dim)
+        if L is None:
+            Hs = H.taylor_stack(N)
+            res = Hs @ p.F.basis
+            res[0] -= p.omega1
+            res[1:] -= Hs[:-1] @ p.omega2
+            col = Hs.reshape((N + 1) * p.Y_dim, p.U_dim)
+        else:
+            res, col = _loop_residuals(p, loop, L)
         gram = col.conj().T @ col
         values = H.eval_many(GRID)
     if not all(np.isfinite(X).all() for X in (res, gram, values)):
@@ -204,6 +220,22 @@ def verify_solution(p: InterpolationProblem, H: PolyOpFn, N: int) -> SolutionRep
     return SolutionReport(recurrence_residual=float(rec),
                           partial_gram_excess=float(excess),
                           grid_sup_norm=float(sup), degree=N)
+
+
+def _loop_residuals(p: InterpolationProblem, loop: Realization, L) -> tuple:
+    """(res, col) of verify_solution over every degree of H = (A, B, C, D).
+
+    R(lambda) = H(lambda) F - lambda H(lambda) omega2 - omega1 has R_0 = D F -
+    omega1, R_1 = C B F - D omega2 and R_n = C A^(n-2) v, v = A B F - B omega2,
+    so with L* L = sum_k (A*)^k C* C A^k the column of R has the norm of the
+    one-matrix stack res = [R_0; R_1; L v], and H's column the Gram of
+    col = [D; L B].  Each is at least its truncation to degree N.
+    """
+    A, B, C, D = loop.A, loop.B, loop.C, loop.D
+    BF = B @ p.F.basis
+    res = np.vstack([D @ p.F.basis - p.omega1, C @ BF - D @ p.omega2,
+                     L @ (A @ BF - B @ p.omega2)])
+    return res[None], np.vstack([D, L @ B])
 
 
 def _gamma_data(p: InterpolationProblem, Gamma) -> tuple[np.ndarray, Subspace, np.ndarray]:
@@ -275,8 +307,8 @@ def _resolvent_loop(Cfun: Realization) -> Realization:
     """(I - lambda C)^-1 as the closed loop of [I; C] at Theta = lambda I:
     ([[A, B], [C, D]], [B; D], [0, I], I), state that of C plus its input."""
     d, n = Cfun.out_dim, Cfun.state_dim
-    return Realization(np.block([[Cfun.A, Cfun.B], [Cfun.C, Cfun.D]]),
-                       np.vstack([Cfun.B, Cfun.D]), np.eye(d, n + d, n), np.eye(d))
+    return _assembled(np.block([[Cfun.A, Cfun.B], [Cfun.C, Cfun.D]]),
+                      np.vstack([Cfun.B, Cfun.D]), np.eye(d, n + d, n), np.eye(d))
 
 
 def _w_taylor(Hs: np.ndarray, W0, Cfun, DB, BD):
@@ -328,22 +360,22 @@ def _realized_z(H: Realization, L, Cfun: Realization, DB, BD, w0res: float) -> R
     if rho is None:
         return None
     top = np.hstack([H.C, np.zeros((H.out_dim, R.state_dim))]) - 0.5 * (H.D @ Cw)
-    return Realization(A, B, np.vstack([top, 0.5 * (Cw @ A)]), np.vstack([H.D, 0.5 * (Cw @ B)]),
-                       meta={"w0_residual": w0res, "pole_radius": rho})
+    return _assembled(A, B, np.vstack([top, 0.5 * (Cw @ A)]), np.vstack([H.D, 0.5 * (Cw @ B)]),
+                      meta={"w0_residual": w0res, "pole_radius": rho})
 
 
-def _w_zero(G, Cfun, D, Bd) -> tuple:
-    """(G*G, D Bd, Bd* D, ||G*G + D^2 - I||) of a solution column G, or a
-    root of its Gram, with D = D_G and Bd the range basis of D that C acts on."""
+def _w_zero(gamma_sq, Cfun, D, Bd) -> tuple:
+    """(D Bd, Bd* D, ||G*G + D^2 - I||) from the Gram gamma_sq = G*G of a
+    solution column G, or of a root of its Gram, with D = D_G and Bd the range
+    basis of D that C acts on."""
     d = Bd.shape[1]
     if Cfun.in_dim != d or Cfun.out_dim != d:
         raise DimensionMismatch(
             f"C must act on the {d}-dimensional defect space of Gamma")
-    gamma_sq = G.conj().T @ G
     w0res = operator_norm(gamma_sq + D @ D - np.eye(len(D)))
     if w0res > W_ZERO_TOL:
         raise WNotNormalizedAtZero(f"W(0) differs from I by {w0res:.3e}")
-    return gamma_sq, D @ Bd, Bd.conj().T @ D, w0res
+    return D @ Bd, Bd.conj().T @ D, w0res
 
 
 def z_from_C(p: InterpolationProblem, H: PolyOpFn, Gamma, Cfun,
@@ -370,8 +402,9 @@ def z_from_C(p: InterpolationProblem, H: PolyOpFn, Gamma, Cfun,
                            f"in Frobenius norm")
     # W(0) misses I by about 2 (||G|| - 1), so with this slack the W(0)
     # check still rejects norms in (1 + W_ZERO_TOL / 2, 1 + W_ZERO_TOL]
-    D, drange = defect(G, W_ZERO_TOL)
-    gamma_sq, DB, BD, w0res = _w_zero(G, Cfun, D, drange.basis)
+    gamma_sq = G.conj().T @ G
+    D, drange = gram_defect(gamma_sq, W_ZERO_TOL)
+    DB, BD, w0res = _w_zero(gamma_sq, Cfun, D, drange.basis)
     loop = H.realization
     if loop is not None and H.degree >= N and isinstance(Cfun, Realization):
         Z = _realized_z(loop, gramian_root(loop.A, loop.C), Cfun, DB, BD, w0res)

@@ -156,7 +156,12 @@ def defect(T, tol: float = RANK_TOL) -> tuple[np.ndarray, Subspace]:
         basis of the numerical range of D.
     """
     A = as_operator(T)
-    D, w = _sqrt_psd(np.eye(A.shape[1]) - A.conj().T @ A)
+    return gram_defect(A.conj().T @ A, tol)
+
+
+def gram_defect(G, tol: float) -> tuple[np.ndarray, Subspace]:
+    """defect(T, tol) from the Gram G = T*T, for a caller that needs G too."""
+    D, w = _sqrt_psd(np.eye(len(G)) - G)
     # the smallest eigenvalue of I - T*T is 1 - ||T||^2, so the guard
     # needs no SVD of T, which may be tall
     if w.size and w[0] < 1.0 - (1.0 + tol) ** 2:
@@ -182,8 +187,13 @@ def _at_most_one(nrm: float, what: str, slack: float) -> float:
 
 
 def gram_norm(blocks) -> float:
-    """operator_norm of the row stack of blocks from its small Gram, summed in
-    real arithmetic, scaled exactly by a power of two if an entry lies outside
+    """operator_norm of the row stack of blocks from its small Gram."""
+    return _top_norm(*_gram(blocks))
+
+
+def _gram(blocks) -> tuple[np.ndarray, int]:
+    """(G, k): the Gram of the row stack of blocks is 4^k G, summed in real
+    arithmetic, scaled exactly by a power of two if an entry lies outside
     2^(+-256) so that it over- or underflows nowhere the SVD would not."""
     Ys = [np.ascontiguousarray(X, dtype=np.complex128).view(np.float64) for X in blocks]
     s = np.max([np.abs(Y).max(initial=0.0) for Y in Ys], initial=0.0)
@@ -191,8 +201,28 @@ def gram_norm(blocks) -> float:
         raise ValueError("matrix has non-finite entries")
     k = 0 if s == 0.0 or 2.0 ** -256 < s < 2.0 ** 256 else int(np.frexp(s)[1])
     M = sum(Y.T @ Y for Y in ([np.ldexp(Y, -k) for Y in Ys] if k else Ys))
-    G = M[::2, ::2] + M[1::2, 1::2] + 1j * (M[::2, 1::2] - M[1::2, ::2])
+    return M[::2, ::2] + M[1::2, 1::2] + 1j * (M[::2, 1::2] - M[1::2, ::2]), k
+
+
+def _top_norm(G, k: int) -> float:
+    """2^k sqrt(top eigenvalue) of a Hermitian Gram G, its lower triangle read."""
     return float(np.ldexp(np.sqrt(np.max(np.linalg.eigvalsh(G), initial=0.0)), k))
+
+
+def contraction_gram(M, what: str, slack: float) -> np.ndarray:
+    """The Gram M*M of a matrix that require_gram_contraction((M,), what, slack)
+    clears, from the one Gram that decides it; raises as that call does."""
+    G, k = _gram((M,))
+    _at_most_one(_top_norm(G, k), what, slack)
+    return G * 4.0 ** k
+
+
+def require_lifted_contraction(top, gram, X, what: str, slack: float) -> float:
+    """require_gram_contraction((top, M @ X), what, slack) from the Gram
+    gram = M*M of a column M that contraction_gram cleared, as the norm of
+    top*top + X* gram X: the tall M @ X is not needed."""
+    G = top.conj().T @ top + X.conj().T @ (gram @ X)
+    return _at_most_one(_top_norm(G, 0), what, slack)
 
 
 def require_invertible(M, what: str) -> np.ndarray:

@@ -49,7 +49,7 @@ from .lifting import (CHECK_TOL, InterpolationProblem, _central, _defect_data,
 from .linalg import (Subspace, _orthonormal, as_operator, gramian_root, haar_unitary,
                      operator_norm, operator_norms, orthonormal_range, projector_gap,
                      require_contraction)
-from .schur import Realization, SchurRealization, random_schur
+from .schur import Realization, SchurRealization, _assembled, random_schur
 
 # threshold of each residual of check_decompositions
 DECOMPOSITION_TOL = 1e-9
@@ -352,8 +352,8 @@ def _state_space_z(theta: InnerFn, H: Realization, tail: float) -> Realization |
     Phi's column B: Z is lifting._realized_z's Z~, C* on its input, B* on E rows."""
     n, y = theta.state_dim, H.out_dim
     HC, DC = H.B @ theta.C, H.D @ theta.C
-    Ht = Realization(np.block([[H.A, HC], [np.zeros((n, H.state_dim)), theta.A]]),
-                     np.vstack([HC, theta.A]), np.hstack([H.C, DC]), DC)
+    Ht = _assembled(np.block([[H.A, HC], [np.zeros((n, H.state_dim)), theta.A]]),
+                    np.vstack([HC, theta.A]), np.hstack([H.C, DC]), DC)
     L = gramian_root(Ht.A, Ht.C)
     if L is None:
         return None
@@ -363,13 +363,13 @@ def _state_space_z(theta: InnerFn, H: Realization, tail: float) -> Realization |
                              omega2=theta.A @ F.basis)
     D, Bd, FG, Om = _defect_data(p, root)  # one defect: CHECK_TOL = W_ZERO_TOL
     C0 = _central(Bd, FG, Om)
-    Zt = _realized_z(Ht, L, C0, *_w_zero(root, C0, D, Bd)[1:])
+    Zt = _realized_z(Ht, L, C0, *_w_zero(root.conj().T @ root, C0, D, Bd))
     if Zt is None:
         return None
     left = np.eye(y + theta.in_dim, y + n, dtype=np.complex128)
     left[y:, y:] = theta.B.conj().T
-    return Realization(Zt.A, Zt.B @ theta.C.conj().T, left @ Zt.C, left @ Zt.D @ theta.C.conj().T,
-                       meta={**Zt.meta, "mult_tail": tail})
+    return _assembled(Zt.A, Zt.B @ theta.C.conj().T, left @ Zt.C, left @ Zt.D @ theta.C.conj().T,
+                      meta={**Zt.meta, "mult_tail": tail})
 
 
 def multiplier_roundtrip_residual(theta: InnerFn, Hfn: PolyOpFn, ms: ModelSpace,

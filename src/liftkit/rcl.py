@@ -23,11 +23,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch
-from .hardy import PolyOpFn, column_operator
+from .hardy import PolyOpFn, _poly, column_operator
 from .lifting import CHECK_TOL, InterpolationProblem, random_problem
-from .linalg import (CONTRACTION_SLACK, Subspace, as_operator,
+from .linalg import (CONTRACTION_SLACK, Subspace, as_operator, contraction_gram,
                      contraction_on_generators, defect, gram_norm, haar_unitary,
-                     operator_norm, require_gram_contraction)
+                     operator_norm, require_gram_contraction, require_lifted_contraction)
 
 DATA_SET_TOL = 1e-10
 # residual and contraction slack of the omega induced by a data set
@@ -91,6 +91,13 @@ class LiftingCandidate:
 
     def stacked(self) -> np.ndarray:
         return np.vstack([self.A_part, column_operator(self.tail, self.tail.degree)])
+
+
+def _candidate(A_part: np.ndarray, tail: PolyOpFn) -> LiftingCandidate:
+    """LiftingCandidate of parts that gamma_to_B has already guarded."""
+    cand = object.__new__(LiftingCandidate)
+    cand.__dict__.update(A_part=A_part, tail=tail)
+    return cand
 
 
 @dataclass(frozen=True)
@@ -159,16 +166,20 @@ def underlying_contraction(ds: RclDataSet) -> InterpolationProblem:
 
 
 def gamma_to_B(ds: RclDataSet, Gamma, N: int) -> LiftingCandidate:
-    """Candidate B = [A; Gamma D_A] from a contraction on the defect of A."""
+    """Candidate B = [A; Gamma D_A] from a contraction on the defect of A.
+
+    Gamma is guarded at CHECK_TOL and B at CONTRACTION_SLACK, both from
+    Gamma's u x u Gram, as LiftingCandidate guards its column."""
     DA, rA = ds.defect_A
     G = as_operator(Gamma, cols=rA.dim)
     dT = ds.defect_Tprime[1].dim
     if G.shape[0] != (N + 1) * dT:
         raise DimensionMismatch(f"Gamma must have {(N + 1) * dT} rows for degree {N}, "
                                 f"got {G.shape[0]}")
-    require_gram_contraction((G,), "Gamma", CHECK_TOL)
-    tail = (G @ (rA.basis.conj().T @ DA)).reshape(N + 1, dT, ds.H_dim)
-    return LiftingCandidate(A_part=ds.A, tail=PolyOpFn(dT, ds.H_dim, tail))
+    gram = contraction_gram(G, "Gamma", CHECK_TOL)
+    X = rA.basis.conj().T @ DA
+    require_lifted_contraction(ds.A, gram, X, "lifting candidate", CONTRACTION_SLACK)
+    return _candidate(ds.A, _poly((G @ X).reshape(N + 1, dT, ds.H_dim)))
 
 
 def b_to_gamma(ds: RclDataSet, cand: LiftingCandidate) -> np.ndarray:

@@ -11,13 +11,13 @@ which turns "Z with Z|_F = omega" into a free choice of X.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import series
 from .errors import DimensionMismatch
-from .hardy import Evaluable, PolyOpFn, disk_points
+from .hardy import Evaluable, PolyOpFn, _poly, disk_points
 from .linalg import (CONTRACTION_SLACK, as_operator, defect, operator_norm,
                      orthonormal_range, require_contraction, require_inverse,
                      require_invertible)
@@ -26,25 +26,28 @@ from .linalg import (CONTRACTION_SLACK, as_operator, defect, operator_norm,
 @dataclass(frozen=True, eq=False)
 class Realization(Evaluable):
     """D + lambda C (I - lambda A)^-1 B, with only the shapes and finiteness
-    of (A, B, C, D) checked; meta holds what the code making it measured.
-    Its matrices are read-only C-contiguous copies: a loop can be shared, and
-    a decoded loop repeats the BLAS bits."""
+    of (A, B, C, D) checked; meta holds what the library code that assembled
+    it measured (_assembled), else nothing.  Its matrices are read-only
+    C-contiguous copies: a loop can be shared, and a decoded loop repeats the
+    BLAS bits."""
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
-    meta: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        mats = [np.array(as_operator(getattr(self, k)), order="C") for k in "ABCD"]
+        self._keep([np.array(as_operator(getattr(self, k)), order="C") for k in "ABCD"], {})
+
+    def _keep(self, mats: list, meta: dict) -> None:
+        """Hold the matrices A, B, C, D of mats, read-only, under the one shape rule."""
         n, (out, inn) = len(mats[0]), mats[3].shape
         for name, X, shape in zip("ABCD", mats, ((n, n), (n, inn), (out, n), (out, inn))):
             if X.shape != shape:
                 raise DimensionMismatch(f"{name} is {' x '.join(map(str, X.shape))}, "
                                         f"expected {shape[0]} x {shape[1]}")
             X.setflags(write=False)
-        self.__dict__.update(zip("ABCD", mats), meta=dict(self.meta))
+        self.__dict__.update(zip("ABCD", mats), meta=dict(meta))
 
     @property
     def state_dim(self) -> int:
@@ -77,13 +80,23 @@ class Realization(Evaluable):
         return series.realization_stack(self.A, self.B, self.C, self.D, N)
 
     def truncated(self, N: int) -> PolyOpFn:
-        """The PolyOpFn of coefficients 0..N whose ``realization`` is this loop;
-        a stack that overflows fails its check for non-finite entries."""
-        with np.errstate(over="ignore", invalid="ignore"):  # PolyOpFn checks the stack
+        """The PolyOpFn of coefficients 0..N whose ``realization`` is this loop,
+        holding the stack it computes; a stack that overflows raises ValueError."""
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
             stack = self.taylor_stack(N)
-        H = PolyOpFn(self.out_dim, self.in_dim, stack)
+        if not np.isfinite(stack).all():
+            raise ValueError("matrix has non-finite entries")
+        H = _poly(stack)
         object.__setattr__(H, "realization", self)
         return H
+
+
+def _assembled(A, B, C, D, meta=None) -> Realization:
+    """Realization of matrices assembled from checked loops, so finite: the
+    complex128 copies and the shape rule of Realization, no finiteness scan."""
+    R = object.__new__(Realization)
+    R._keep([np.array(X, dtype=np.complex128, order="C") for X in (A, B, C, D)], meta or {})
+    return R
 
 
 class SchurRealization(Realization):

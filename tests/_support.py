@@ -7,6 +7,7 @@ from liftkit.errors import SingularResolvent
 from liftkit.hardy import disk_points
 from liftkit.lifting import W_ZERO_TOL, _w_taylor
 from liftkit.linalg import COND_MAX, defect, operator_norm
+from liftkit.schur import Realization
 
 # dimension cycle (U, Y, dim F) used by the randomized suites
 DIMS = [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 2),
@@ -25,6 +26,21 @@ def unconstrained_problem(u: int, y: int) -> InterpolationProblem:
                                 F=Subspace(u, np.zeros((u, 0))),
                                 omega1=np.zeros((y, 0)),
                                 omega2=np.zeros((u, 0)))
+
+
+def wrong_beyond_degree(H, N: int, eps: float):
+    """H's loop plus an (N+2)-state shift register into C, truncated at N.
+
+    The register adds eps c b at degree N+2 only, with c = (1, ..., 1)/sqrt(Y)
+    and b the first row of I_U, so coefficients 0..N+1 are H's and the
+    recurrence breaks, beyond the degree, by eps ||b F||."""
+    loop, k = H.realization, N + 2
+    n, (y, u) = loop.state_dim, loop.D.shape
+    A = np.zeros((n + k, n + k), dtype=np.complex128)
+    A[:n, :n], A[n:, n:] = loop.A, np.eye(k, k=-1)
+    B = np.vstack([loop.B, np.eye(k, 1) @ np.eye(1, u)])
+    C = np.hstack([loop.C, np.zeros((y, k - 1)), np.full((y, 1), eps / np.sqrt(y))])
+    return Realization(A, B, C, loop.D).truncated(N)
 
 
 def coeff_diff(H1, H2, upto: int) -> float:

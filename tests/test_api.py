@@ -1,8 +1,9 @@
 """The public names: what liftkit exports, what the benchmark imports, the
 aliases that were removed in favour of one accessor each, the
 parameters with defaults that some caller sets, the one module that
-makes the numerical guards' decisions, and the one place that gives a
-polynomial its loop.
+makes the numerical guards' decisions, the one place that gives a
+polynomial its loop, and the library-only use of the constructors that
+skip a copy or a check.
 
 The benchmark's own test (bench/test_smoke.py) is not collected with this
 suite, so the benchmark's imports are checked here by parsing its sources,
@@ -289,3 +290,57 @@ def test_only_realization_truncated_gives_a_polynomial_its_loop():
                for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
                if _sets_realization(node)]
     assert len(setters) == 1 and setters[0].startswith("schur.py:"), setters
+
+
+# constructors that keep what they are handed with no copy or no finiteness
+# scan: hardy._poly (a computed coefficient stack), schur._assembled (loops
+# built from checked loops) and rcl._candidate (guarded parts)
+UNCHECKED = {"_poly": "hardy.py", "_assembled": "schur.py", "_candidate": "rcl.py"}
+
+
+def _read_array(node):
+    """The expression an argument reads its entries from, past slices and
+    method calls: `Z.D[:y]` reads `Z.D`, `s.reshape(n)` and `s[1:].T` read `s`."""
+    while True:
+        if isinstance(node, ast.Subscript):
+            node = node.value
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            node = node.func.value
+        elif isinstance(node, ast.Attribute) and node.attr in ("T", "real", "imag"):
+            node = node.value
+        else:
+            return node
+
+
+def _unchecked_calls(node, params=frozenset()):
+    """(call, parameter names of its enclosing functions) for each UNCHECKED call."""
+    if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+        a = node.args
+        params = params | {x.arg for x in (a.posonlyargs + a.args + a.kwonlyargs
+                                           + [a.vararg, a.kwarg]) if x}
+    if isinstance(node, ast.Call) and _name(node.func) in UNCHECKED:
+        yield node, params
+    for child in ast.iter_child_nodes(node):
+        yield from _unchecked_calls(child, params)
+
+
+def test_unchecked_constructors_take_only_arrays_the_library_made():
+    # called in src/liftkit only, and never on an array a caller handed in:
+    # no argument reads a parameter of an enclosing function by name
+    defined, outside, handed, called = [], [], [], set()
+    for top in ("src", "tests", "bench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            defined += [(node.name, path.name) for node in tree.body
+                        if isinstance(node, ast.FunctionDef) and node.name in UNCHECKED]
+            for call, params in _unchecked_calls(tree):
+                where = f"{path.relative_to(ROOT)}:{call.lineno}"
+                called.add(_name(call.func))
+                if top != "src":
+                    outside.append(where)
+                handed += [where for arg in call.args
+                           if isinstance(_read_array(arg), ast.Name) and _read_array(arg).id in params]
+    assert sorted(defined) == sorted(UNCHECKED.items())
+    assert called == set(UNCHECKED)
+    assert not outside
+    assert not handed

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from _support import refuse, scalar_fixture
+from _support import refuse, scalar_fixture, wrong_beyond_degree
 from liftkit import cli
 from liftkit.cli import main
 from liftkit.hardy import PolyOpFn
@@ -138,6 +138,23 @@ def test_verify_rejects_a_tampered_realization(tmp_path, capsys):
     payload = json.loads(out.out)
     assert payload["ok"] is False
     assert any("recurrence_residual" in msg for msg in payload["failures"])
+
+
+def test_verify_rejects_a_realization_wrong_only_beyond_its_degree(tmp_path, capsys):
+    # H's loop plus a shift register that changes degree N + 2 only: the
+    # coefficients verify reads at a coefficient record's degree are H's
+    s = tmp_path / "solve.json"
+    assert run(capsys, "--cmd", "solve", "--seed", "5", "--out", str(s))[0] == 0
+    solved = load(str(s))
+    solved["H"] = poly_to_json(wrong_beyond_degree(poly_from_json(solved["H"], "H"), 24, 1e-3))
+    assert "realization" in solved["H"]
+    s.write_text(dumps(solved))
+    code, out = run(capsys, "--cmd", "verify", "--in", str(s))
+    assert code == 2
+    assert any("recurrence_residual" in msg for msg in json.loads(out.out)["failures"])
+    solved["H"] = coefficient_record(solved["H"])
+    s.write_text(dumps(solved))
+    assert run(capsys, "--cmd", "verify", "--in", str(s))[0] == 0
 
 
 def test_solve_scalar_fixture_from_file(tmp_path, capsys):

@@ -1,13 +1,14 @@
 """Tests for the interpolation core: solve, verify, fiber extraction."""
 
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from _support import (DIMS, assert_rel_close, coeff_diff, count_calls, refuse,
-                      scalar_fixture, taylor_sum, unconstrained_problem)
-from liftkit import series
+                      scalar_fixture, taylor_sum, unconstrained_problem, wrong_beyond_degree)
+from liftkit import hardy, lifting, schur, series
 from liftkit.errors import (ConstraintViolated, DimensionMismatch,
                             NotAContraction, NotASolution,
                             WNotNormalizedAtZero)
@@ -192,6 +193,110 @@ def test_solutions_verify(seed):
     rep = verify_solution(p, H, N)
     assert rep.recurrence_residual <= 1e-9
     assert rep.partial_gram_excess <= 1e-8
+
+
+def _coefficients(H) -> PolyOpFn:
+    """H's stored coefficients with no loop, which verify reads to H's degree."""
+    return PolyOpFn(H.out_dim, H.in_dim, H.coeffs)
+
+
+@pytest.mark.parametrize("dims", DIMS[:5])
+def test_verify_rejects_a_loop_that_is_wrong_only_beyond_its_degree(dims):
+    p = random_problem(*dims, seed=31)
+    H = solve_from_Z(p, random_constrained_z(p, 2, seed=32), N)
+    bad = wrong_beyond_degree(H, N, 1e-3)
+    assert operator_norm((bad.realization.taylor_stack(N + 1)
+                          - H.realization.taylor_stack(N + 1)).reshape(-1, p.U_dim)) <= 1e-15
+    # its coefficients to degree N are a solution's, so they pass
+    assert verify_solution(p, _coefficients(bad), N).ok()
+    rep = verify_solution(p, bad, N)
+    assert rep.recurrence_residual >= 1e-3 * operator_norm(p.F.basis[:1]) - 1e-15
+    assert not rep.ok()
+
+
+def _realized_and_truncated(p, H, n):
+    """verify_solution of a realized H and of its coefficients 0..n."""
+    return verify_solution(p, H, n), verify_solution(p, _coefficients(H), n)
+
+
+@pytest.mark.parametrize("dims,n", [(d, 24) for d in DIMS]
+                         + [(d, 192) for d in ((8, 8, 4), (16, 16, 8), (24, 24, 12))])
+def test_realized_residuals_bound_the_truncated_ones(dims, n):
+    p = random_problem(*dims, seed=41, scale=0.45)
+    H = solve_from_Z(p, random_constrained_z(p, 2, seed=42, scale=0.5), n)
+    exact, cut = _realized_and_truncated(p, H, n)
+    assert exact.recurrence_residual >= cut.recurrence_residual - 1e-15
+    assert exact.partial_gram_excess >= cut.partial_gram_excess - 1e-15
+    assert exact.grid_sup_norm == cut.grid_sup_norm
+    assert exact.ok() and cut.ok()
+    # a coefficient of norm 2 at degree n + 2 only the realized checks see
+    exact, cut = _realized_and_truncated(p, wrong_beyond_degree(H, n, 2.0), n)
+    assert cut.ok() and exact.partial_gram_excess >= 3.0 - 1e-12
+    assert exact.recurrence_residual >= 2.0 * operator_norm(p.F.basis[:1]) - 1e-12
+
+
+@pytest.mark.parametrize("dims,n", [((2, 2, 1), 24), ((24, 24, 12), 192)])
+def test_verify_of_a_realized_h_reads_no_coefficient_stack(monkeypatch, dims, n):
+    p = random_problem(*dims, seed=43, scale=0.45)
+    H = solve_from_Z(p, random_constrained_z(p, 2, seed=44, scale=0.5), n)
+    want = verify_solution(p, _coefficients(H), n)
+    refuse(monkeypatch, PolyOpFn, "taylor_stack")
+    calls = count_calls(monkeypatch, lifting, "operator_norms")
+    rep = verify_solution(p, H, n)
+    assert rep.ok() and rep.grid_sup_norm == want.grid_sup_norm
+    assert calls and all(len(args[0]) <= 64 for args in calls)
+
+
+def test_verify_reads_the_coefficients_of_a_loop_below_degree_n_or_with_no_root():
+    p = random_problem(2, 2, 1, seed=3, scale=0.45)
+    low = solve_from_Z(p, random_constrained_z(p, 2, seed=4, scale=0.5), 10)
+    u, y = p.U_dim, p.Y_dim
+    # A = I has no gramian_root; its coefficients past degree 0 vanish
+    still = Realization(np.eye(1), np.zeros((1, u)), np.zeros((y, 1)), low.coeff(0)).truncated(N)
+    for H in (low, still):
+        assert verify_solution(p, H, N) == verify_solution(p, _coefficients(H), N)
+    # the padded H misses the recurrence at degree 11
+    assert not verify_solution(p, low, N).ok()
+
+
+def test_omega_is_built_once_read_only_and_not_a_field():
+    p = random_problem(3, 2, 2, seed=1)
+    assert p.omega is p.omega and not p.omega.flags.writeable
+    assert np.array_equal(p.omega, np.vstack([p.omega1, p.omega2]))
+    assert [f.name for f in fields(p)] == ["U_dim", "Y_dim", "F", "omega1", "omega2"]
+
+
+def test_z_from_C_forms_the_gram_of_gamma_once(monkeypatch):
+    p = random_problem(3, 2, 2, seed=5, scale=0.45)
+    H = solve_from_Z(p, random_constrained_z(p, 2, seed=6, scale=0.5), N)
+    Gamma = column_operator(H, N)
+    C = central_C(p, Gamma)
+    want = z_from_C(p, H, Gamma, C, N)
+    refuse(monkeypatch, lifting, "defect")
+    grams = count_calls(monkeypatch, lifting, "gram_defect")
+    zeros = count_calls(monkeypatch, lifting, "_w_zero")
+    got = z_from_C(p, H, Gamma, C, N)
+    assert len(grams) == len(zeros) == 1 and grams[0][0] is zeros[0][0]
+    assert np.array_equal(got.taylor_stack(N), want.taylor_stack(N))
+
+
+def test_assembled_loops_skip_the_finiteness_scans(monkeypatch):
+    # a loop built from checked loops is not scanned again, and a computed
+    # stack is not copied: refused here, the scans and the copy would raise
+    p = random_problem(3, 2, 2, seed=7, scale=0.45)
+    Z = random_constrained_z(p, 2, seed=8, scale=0.5)
+    H = solve_from_Z(p, Z, N)
+    Gamma = column_operator(H, N)
+    C = central_C(p, Gamma)
+    Z1 = z_from_C(p, H, Gamma, C, N)
+    want = [H.taylor_stack(N), Z1.taylor_stack(N), solve_from_Z(p, Z1, N).taylor_stack(N)]
+    refuse(monkeypatch, schur, "as_operator")
+    refuse(monkeypatch, hardy, "_coeff_stack")
+    H = solve_from_Z(p, Z, N)
+    Z1 = z_from_C(p, H, Gamma, C, N)
+    got = [H.taylor_stack(N), Z1.taylor_stack(N), solve_from_Z(p, Z1, N).taylor_stack(N)]
+    assert isinstance(Z1, Realization)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_omega_hat_scalar_fixture():

@@ -4,12 +4,14 @@ reduction between lifting data and interpolation problems."""
 import numpy as np
 import pytest
 
-from _support import count_calls, scalar_fixture
+from _support import count_calls, refuse, scalar_fixture
+from liftkit import hardy, linalg
 from liftkit.errors import (DimensionMismatch, InconsistentGenerators,
                             NotAContraction)
 from liftkit.hardy import PolyOpFn, column_operator, shift
 from liftkit.lifting import random_constrained_z, solve_from_Z
-from liftkit.linalg import defect, haar_unitary, operator_norm
+from liftkit.linalg import (CONTRACTION_SLACK, defect, haar_unitary, operator_norm,
+                            require_gram_contraction)
 from liftkit.rcl import (LiftingCandidate, RclDataSet, b_to_gamma,
                          data_set_from_omega, gamma_to_B,
                          omega_roundtrip_residual, random_data_set,
@@ -216,6 +218,45 @@ def test_candidate_rejects_expansive_column():
     with pytest.raises(NotAContraction):
         LiftingCandidate(A_part=np.eye(2),
                          tail=PolyOpFn(1, 2, (np.array([[0.5, 0.0]]),)))
+
+
+@pytest.mark.parametrize("excess", [-2.0, -1.1, -0.9, -0.5, 0.5, 0.9, 1.1, 2.0])
+def test_gamma_to_B_guards_B_as_the_stacked_column(excess):
+    # A = 0.6 I and Gamma = s V, V an isometry, give B*B = (0.36 + 0.64 s^2) I:
+    # ||B|| = 1 + excess * CONTRACTION_SLACK, while Gamma clears CHECK_TOL
+    m, n = 3, 4
+    ds = RclDataSet(A=0.6 * np.eye(m), Tprime=np.zeros((m, m)),
+                    R=np.zeros((m, 1)), Q=np.zeros((m, 1)))
+    s = np.sqrt(((1.0 + excess * CONTRACTION_SLACK) ** 2 - 0.36) / 0.64)
+    rng = np.random.default_rng(9)
+    G = s * haar_unitary(rng, (n + 1) * m)[:, :m] @ haar_unitary(rng, m)
+    DA, rA = ds.defect_A
+    col = G @ (rA.basis.conj().T @ DA)
+    if excess > 1.0:
+        with pytest.raises(NotAContraction) as stacked:
+            require_gram_contraction((ds.A, col), "lifting candidate", CONTRACTION_SLACK)
+        with pytest.raises(NotAContraction) as got:
+            gamma_to_B(ds, G, n)
+        assert str(got.value) == str(stacked.value)
+    else:
+        require_gram_contraction((ds.A, col), "lifting candidate", CONTRACTION_SLACK)
+        cand = gamma_to_B(ds, G, n)
+        assert np.array_equal(column_operator(cand.tail, n), col)
+
+
+def test_gamma_to_B_forms_one_small_gram_and_copies_no_stack(monkeypatch):
+    # the high_degree size: Gamma is 4632 x 24 and B 4681 x 49
+    n = 192
+    ds = random_data_set(seed=5, u=24, y=24, f=12)
+    q = underlying_contraction(ds)
+    G = column_operator(solve_from_Z(q, random_constrained_z(q, 2, seed=6, scale=0.5), n), n)
+    want = LiftingCandidate(A_part=ds.A, tail=gamma_to_B(ds, G, n).tail)
+    grams = count_calls(monkeypatch, linalg, "_gram")
+    refuse(monkeypatch, hardy, "_coeff_stack")
+    cand = gamma_to_B(ds, G, n)
+    assert len(grams) == 1 and grams[0][0][0] is G
+    assert np.array_equal(cand.tail.taylor_stack(n), want.tail.taylor_stack(n))
+    assert verify_rcl(ds, cand, n) == verify_rcl(ds, want, n)
 
 
 @pytest.mark.parametrize("seed", range(10))
