@@ -75,7 +75,7 @@ class Evaluable:
         return self.eval_many([lam])[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyOpFn(Evaluable):
     """Operator-valued polynomial sum_n coeffs[n] * lambda^n.
 

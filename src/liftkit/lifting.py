@@ -50,7 +50,7 @@ RECURRENCE_TOL = 1e-9
 FIBER_GAP_TOL = 1e-7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InterpolationProblem:
     """Interpolation data: a contraction omega from F < C^U_dim into C^(Y+U)."""
 
@@ -68,7 +68,7 @@ class InterpolationProblem:
         om2 = as_operator(self.omega2, rows=self.U_dim, cols=f)
         om = np.vstack([om1, om2])
         om.setflags(write=False)
-        # built once, and kept out of the fields that eq, repr and digests read
+        # built once, and kept out of the fields that repr and digests read
         self.__dict__.update(omega1=om1, omega2=om2, _omega=om)
         require_contraction(om, "omega", CONTRACTION_SLACK)
 

@@ -76,7 +76,7 @@ def projector_gap(X, Y) -> float:
     return operator_norm(R1 @ R1.conj().T - R2 @ R2.conj().T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
     """Subspace of C^ambient_dim given by a matrix with orthonormal columns."""
 

@@ -42,13 +42,13 @@ import numpy as np
 
 from . import series
 from .errors import DegreeTooSmall, DimensionMismatch, DomainError
-from .hardy import (GRID, AnalyticFn, PolyOpFn, column_operator,
-                    multiplication_operator, shift, shift_adjoint)
+from .hardy import (GRID, AnalyticFn, PolyOpFn, multiplication_operator, shift,
+                    shift_adjoint)
 from .lifting import (CHECK_TOL, InterpolationProblem, _central, _defect_data,
                       _feedback, _realized_z, _w_zero, central_C, z_from_C)
 from .linalg import (Subspace, _orthonormal, as_operator, gramian_root, haar_unitary,
                      operator_norm, operator_norms, orthonormal_range, projector_gap,
-                     require_contraction)
+                     require_contraction, require_gram_contraction)
 from .schur import Realization, SchurRealization, _assembled, random_schur
 
 # threshold of each residual of check_decompositions
@@ -57,7 +57,7 @@ DECOMPOSITION_TOL = 1e-9
 MULT_ROUNDTRIP_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlaschkeFactor:
     """Rank-one factor (I - P) + b_a P with P the projection onto w.
 
@@ -164,10 +164,6 @@ class InnerFn(SchurRealization):
     def coeff(self, n: int) -> np.ndarray:
         return self.taylor_stack(n)[n]
 
-    def phi_poly(self, N: int) -> PolyOpFn:
-        """Taylor polynomial of Phi = Theta / lambda to degree N."""
-        return PolyOpFn(self.out_dim, self.in_dim, self.taylor_stack(N + 1)[1:])
-
     def eval_many(self, points) -> np.ndarray:
         """Exact rational evaluation at each point; the closed disk is allowed."""
         z = np.asarray(points, dtype=np.complex128).reshape(-1)
@@ -177,7 +173,7 @@ class InnerFn(SchurRealization):
         return self._values(z)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelSpace:
     """Truncated realization of H and H0 with their orthonormal bases."""
 
@@ -261,7 +257,8 @@ def check_decompositions(theta: InnerFn, ms: ModelSpace) -> DecompositionReport:
     h0b = ms.H0_basis.basis
     Sh0 = shift(h0b, u)
     r1 = projector_gap(np.hstack([np.eye((N + 1) * u, u), Sh0]), msb)
-    r2 = projector_gap(np.hstack([h0b, column_operator(theta.phi_poly(N), N)]), msb)
+    phi = theta.taylor_stack(N + 1)[1:].reshape(-1, theta.in_dim)
+    r2 = projector_gap(np.hstack([h0b, phi]), msb)
     Rm = msb.conj().T @ h0b
     Qm = msb.conj().T @ Sh0
     m0 = h0b.shape[1]
@@ -301,20 +298,20 @@ def z_from_H_theta(theta: InnerFn, Hfn: PolyOpFn, ms: ModelSpace,
     parameter [F; G] gives Z = [F on constants; const-coeff of Phi* G on
     constants].  Z is _state_space_z's exact Realization when Theta is
     square and Hfn carries a stable loop to degree >= N, else an AnalyticFn
-    on ms's basis.  The truncated multiplication matrix must be a
-    contraction, and meta["mult_tail"] is its tail."""
+    on ms's basis.  A norm above 1 + CHECK_TOL raises NotAContraction: the
+    exact one, or the truncated matrix's, whose tail is meta["mult_tail"]."""
     u, e = theta.out_dim, theta.in_dim
     y = Hfn.out_dim
     if Hfn.in_dim != u:
         raise DimensionMismatch("Hfn must act on U-valued functions")
     if ms.N != N or ms.U_dim != u:
         raise DimensionMismatch("model space does not match theta at this degree")
-    Gmat, tail = multiplication_operator(Hfn, ms.basis, N)
-    require_contraction(Gmat, "multiplication operator", CHECK_TOL)
     if Hfn.realization is not None and e == u and Hfn.degree >= N:
-        Z = _state_space_z(theta, Hfn.realization, float(tail))
+        Z = _state_space_z(theta, Hfn.realization)
         if Z is not None:
             return Z
+    Gmat, tail = multiplication_operator(Hfn, ms.basis, N)
+    require_contraction(Gmat, "multiplication operator", CHECK_TOL)
     msb, h0b = ms.basis.basis, ms.H0_basis.basis
     m = msb.shape[1]
     F = orthonormal_range(msb.conj().T @ shift(h0b, u))
@@ -327,7 +324,7 @@ def z_from_H_theta(theta: InnerFn, Hfn: PolyOpFn, ms: ModelSpace,
     C0 = central_C(p_model, Gmat)
     Zt = z_from_C(p_model, PolyOpFn(y, m, Gmat.reshape(N + 1, y, m)), Gmat, C0, N)
     EmU = msb[:u].conj().T
-    left = column_operator(theta.phi_poly(N), N).conj().T @ msb
+    left = theta.taylor_stack(N + 1)[1:].reshape(-1, e).conj().T @ msb
 
     def compress(Zv: np.ndarray) -> np.ndarray:
         """Compress a (P, y + m, m) stack to (P, y + e, u)."""
@@ -339,7 +336,7 @@ def z_from_H_theta(theta: InnerFn, Hfn: PolyOpFn, ms: ModelSpace,
                       meta={**Zt.meta, "mult_tail": float(tail)})
 
 
-def _state_space_z(theta: InnerFn, H: Realization, tail: float) -> Realization | None:
+def _state_space_z(theta: InnerFn, H: Realization) -> Realization | None:
     """z_from_H_theta in Theta's state coordinates, or None if not stable.
 
     For square Theta, x -> C (I - lambda A)^-1 x maps the state space
@@ -348,7 +345,8 @@ def _state_space_z(theta: InnerFn, H: Realization, tail: float) -> Realization |
     ([[A_h, B_h C], [0, A]], [B_h C; A], [C_h, D_h C], D_h C).  F = ker C,
     omega2 = A is isometric on it (A*A + C*C = I), and the defect reads
     the root [D~; L B~] of H~'s H^2 Gram (L = gramian_root of its loop,
-    zero rows pad it to blocks of Y).  U's constants have coordinates C* and
+    zero rows pad it to blocks of Y), whose norm, that of multiplication by H
+    on the model space, is guarded at CHECK_TOL.  U's constants have coordinates C* and
     Phi's column B: Z is lifting._realized_z's Z~, C* on its input, B* on E rows."""
     n, y = theta.state_dim, H.out_dim
     HC, DC = H.B @ theta.C, H.D @ theta.C
@@ -358,6 +356,7 @@ def _state_space_z(theta: InnerFn, H: Realization, tail: float) -> Realization |
     if L is None:
         return None
     root = np.vstack([Ht.D, L @ Ht.B, np.zeros((-len(L) % max(y, 1), n))])
+    require_gram_contraction((root,), "multiplication operator", CHECK_TOL)
     F = orthonormal_range(np.eye(n) - theta.C.conj().T @ theta.C)
     p = InterpolationProblem(U_dim=n, Y_dim=y, F=F, omega1=np.zeros((y, F.dim)),
                              omega2=theta.A @ F.basis)
@@ -369,7 +368,7 @@ def _state_space_z(theta: InnerFn, H: Realization, tail: float) -> Realization |
     left = np.eye(y + theta.in_dim, y + n, dtype=np.complex128)
     left[y:, y:] = theta.B.conj().T
     return _assembled(Zt.A, Zt.B @ theta.C.conj().T, left @ Zt.C, left @ Zt.D @ theta.C.conj().T,
-                      meta={**Zt.meta, "mult_tail": tail})
+                      meta=Zt.meta)
 
 
 def multiplier_roundtrip_residual(theta: InnerFn, Hfn: PolyOpFn, ms: ModelSpace,

@@ -34,7 +34,7 @@ DATA_SET_TOL = 1e-10
 INDUCED_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RclDataSet:
     """Operator data {A, T', R, Q}; only shapes are enforced here.
 
@@ -76,7 +76,7 @@ class RclDataSet:
         return defect(self.Tprime)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LiftingCandidate:
     """Contractive column B = [A_part; tail] from H into H' + H^2(D_T')."""
 
@@ -88,9 +88,6 @@ class LiftingCandidate:
         object.__setattr__(self, "A_part", A)
         col = self.tail._stack.reshape(-1, A.shape[1])
         require_gram_contraction((A, col), "lifting candidate", CONTRACTION_SLACK)
-
-    def stacked(self) -> np.ndarray:
-        return np.vstack([self.A_part, column_operator(self.tail, self.tail.degree)])
 
 
 def _candidate(A_part: np.ndarray, tail: PolyOpFn) -> LiftingCandidate:
@@ -210,9 +207,12 @@ def verify_rcl(ds: RclDataSet, cand: LiftingCandidate, N: int) -> RclReport:
             f"defect of T' has dimension {dT}")
     A, col = cand.A_part, cand.tail._stack.reshape(-1, cand.tail.in_dim)
     (D, drange), AR, keep = ds.defect_Tprime, A @ ds.R, N * dT
-    # U' B R's tail: C A R, C = D_T' in range coordinates, then B's blocks times R
-    shifted = np.concatenate(((drange.basis.conj().T @ D) @ AR, col[:keep - dT] @ ds.R))
-    inter = gram_norm((ds.Tprime @ AR - A @ ds.Q, shifted[:keep] - col[:keep] @ ds.Q))
+    # U' B R - B Q on tail blocks 0..N-1 in one array: -B Q, plus C A R on block 0
+    # (C = D_T' in range coordinates; none at N = 0) and B's block n - 1 times R on n
+    diff = col[:keep] @ -ds.Q
+    diff[:dT] += ((drange.basis.conj().T @ D) @ AR)[:keep]
+    diff[dT:] += col[:keep - dT] @ ds.R
+    inter = gram_norm((ds.Tprime @ AR - A @ ds.Q, diff))
     return RclReport(projection_residual=float(proj),
                      intertwining_residual=float(inter), degree=N)
 

@@ -4,7 +4,7 @@ import numpy as np
 
 from liftkit import InterpolationProblem, Subspace, series
 from liftkit.errors import SingularResolvent
-from liftkit.hardy import disk_points
+from liftkit.hardy import column_operator, disk_points
 from liftkit.lifting import W_ZERO_TOL, _w_taylor
 from liftkit.linalg import COND_MAX, defect, operator_norm
 from liftkit.schur import Realization
@@ -41,6 +41,11 @@ def wrong_beyond_degree(H, N: int, eps: float):
     B = np.vstack([loop.B, np.eye(k, 1) @ np.eye(1, u)])
     C = np.hstack([loop.C, np.zeros((y, k - 1)), np.full((y, 1), eps / np.sqrt(y))])
     return Realization(A, B, C, loop.D).truncated(N)
+
+
+def stacked(cand) -> np.ndarray:
+    """The column B = [A_part; tail's coefficient column] of a lifting candidate."""
+    return np.vstack([cand.A_part, column_operator(cand.tail, cand.tail.degree)])
 
 
 def coeff_diff(H1, H2, upto: int) -> float:

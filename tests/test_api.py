@@ -17,12 +17,16 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import liftkit
+from _support import scalar_fixture
 from liftkit.hardy import AnalyticFn, PolyOpFn
+from liftkit.lifting import InterpolationProblem
 from liftkit.linalg import Subspace
-from liftkit.modelspace import BlaschkeFactor, InnerFn
+from liftkit.modelspace import BlaschkeFactor, InnerFn, ModelSpace
+from liftkit.rcl import LiftingCandidate, RclDataSet
 from liftkit.schur import SchurRealization
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -118,10 +122,33 @@ def test_every_exported_name_resolves():
     (importlib.import_module("liftkit.serialize"), "inner_from_json"),
     (InnerFn, "_realization"), (importlib.import_module("liftkit.schur"), "_transfer_values"),
     (PolyOpFn, "truncated"), (importlib.import_module("liftkit.linalg"), "observability_gramian"),
+    (InnerFn, "phi_poly"), (LiftingCandidate, "stacked"),
 ])
 def test_removed_aliases_are_gone(owner, name):
     assert not hasattr(owner, name)
     assert name not in liftkit.__all__
+
+
+IDENTITY_CASES = [
+    (PolyOpFn, lambda: PolyOpFn(2, 2, [np.eye(2)])),
+    (InterpolationProblem, scalar_fixture),
+    (Subspace, lambda: Subspace(2, np.eye(2))),
+    (BlaschkeFactor, lambda: BlaschkeFactor(a=0.5, w=np.array([1.0, 0.0]))),
+    (ModelSpace, lambda: liftkit.model_space(liftkit.theta_shift(1), 8)),
+    (RclDataSet, lambda: liftkit.random_data_set(0)),
+    (LiftingCandidate, lambda: liftkit.gamma_to_B(
+        liftkit.data_set_from_omega(scalar_fixture()), np.array([[0.6]]), 0)),
+]
+
+
+@pytest.mark.parametrize("cls, make", IDENTITY_CASES, ids=[c.__name__ for c, _ in IDENTITY_CASES])
+def test_library_values_compare_and_hash_by_identity(cls, make):
+    # a field-wise == on array fields raised, and so did hash, so even `in` failed
+    a, b = make(), make()
+    assert type(a) is cls and type(b) is cls
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
+    assert a in [b, a] and a not in [b]
 
 
 def _defaults(where: str, call: str, fn: ast.FunctionDef, skip: int):

@@ -9,7 +9,7 @@ from _support import (analytic_toeplitz, assert_rel_close, coeff_diff, count_cal
                       shift_and_embed, unconstrained_problem)
 from liftkit.errors import (DegreeTooSmall, DimensionMismatch, DomainError,
                             NotAContraction)
-from liftkit import lifting, series
+from liftkit import lifting, modelspace, series
 from liftkit.hardy import (GRID, AnalyticFn, PolyOpFn, column_operator,
                            multiplication_operator)
 from liftkit.lifting import _closed_loop, solve_from_Z
@@ -157,14 +157,6 @@ def test_inner_eval_domain():
     th.eval(1.0)  # closed disk allowed, evaluation is rational
     with pytest.raises(DomainError):
         th.eval(1.01)
-
-
-def test_phi_poly_is_shifted_theta():
-    th = bp_half()
-    phi = th.phi_poly(10)
-    for n in range(10):
-        assert np.allclose(phi.coeff(n), th.coeff(n + 1), atol=1e-15)
-    assert operator_norm(th.coeff(0)) == 0.0
 
 
 def test_rectangular_power_inner():
@@ -499,15 +491,36 @@ def test_realized_multiplier_gives_a_realized_parameter(monkeypatch, k, size):
     want = z_from_H_theta(theta, PolyOpFn(2, dim, H2.coeffs), model_space(theta, 2 * N), 2 * N)
     refuse(monkeypatch, series, "resolvent", "inv")
     ms = model_space(theta, N)
-    got = z_from_H_theta(theta, H, ms, N)
+    with monkeypatch.context() as m:
+        refuse(m, modelspace, "multiplication_operator")
+        got = z_from_H_theta(theta, H, ms, N)
     assert isinstance(got, Realization)
-    assert set(got.meta) == {"w0_residual", "pole_radius", "mult_tail"}
+    assert set(got.meta) == {"w0_residual", "pole_radius"}
     assert got.meta["w0_residual"] <= 1e-12 and 0.0 < got.meta["pole_radius"] < 1.0
-    assert got.meta["mult_tail"] == mult_contraction_test(H, ms).tail_mass
     keep = N - theta.degree_bound - 4
     assert_rel_close(got.taylor_stack(keep), want.taylor_stack(keep))
     assert_rel_close(got.eval_many(GRID), want.eval_many(GRID))
     assert coeff_diff(H, h_from_Z_theta(theta, got, N), keep) <= 1e-14
+
+
+@pytest.mark.parametrize("k, size", enumerate([(2, 1, 64), (3, 3, 64), (2, 2, 128),
+                                               (3, 2, 128), (3, 3, 128)]))
+def test_realized_multiplier_above_norm_one_is_refused_by_its_exact_norm(monkeypatch, k, size):
+    # H scaled to norm 1 + 1e-6 on the model space, that norm read from the
+    # truncated matrix at 2N, where the tails of the basis and of H's loop
+    # are below round-off; at N the realized path builds no truncated matrix
+    dim, n_factors, N = size
+    theta = random_inner(600 + k, dim, n_factors)
+    Z = random_schur(2 + dim, dim, 2, seed=610 + k, scale=0.5)
+    loop = h_from_Z_theta(theta, Z, N).realization
+    norm = mult_contraction_test(loop.truncated(2 * N), model_space(theta, 2 * N)).norm
+    c = (1.0 + 1e-6) / norm
+    big = Realization(loop.A, loop.B, c * loop.C, c * loop.D).truncated(N)
+    ms = model_space(theta, N)
+    refuse(monkeypatch, modelspace, "multiplication_operator")
+    with pytest.raises(NotAContraction, match="multiplication operator has norm"):
+        z_from_H_theta(theta, big, ms, N)
+    assert isinstance(z_from_H_theta(theta, loop.truncated(N), ms, N), Realization)
 
 
 def near_circle_theta(modulus: float, seed: int) -> InnerFn:

@@ -4,14 +4,14 @@ reduction between lifting data and interpolation problems."""
 import numpy as np
 import pytest
 
-from _support import count_calls, refuse, scalar_fixture
-from liftkit import hardy, linalg
+from _support import DIMS, count_calls, refuse, scalar_fixture, stacked
+from liftkit import hardy, linalg, rcl
 from liftkit.errors import (DimensionMismatch, InconsistentGenerators,
                             NotAContraction)
 from liftkit.hardy import PolyOpFn, column_operator, shift
 from liftkit.lifting import random_constrained_z, solve_from_Z
-from liftkit.linalg import (CONTRACTION_SLACK, defect, haar_unitary, operator_norm,
-                            require_gram_contraction)
+from liftkit.linalg import (CONTRACTION_SLACK, defect, gram_norm, haar_unitary,
+                            operator_norm, require_gram_contraction)
 from liftkit.rcl import (LiftingCandidate, RclDataSet, b_to_gamma,
                          data_set_from_omega, gamma_to_B,
                          omega_roundtrip_residual, random_data_set,
@@ -156,7 +156,7 @@ def test_omega_roundtrip(seed):
 
 def test_gamma_to_B_scalar_stack():
     cand = gamma_to_B(tilde_set(), np.array([[0.6]]), N=0)
-    assert np.allclose(cand.stacked(),
+    assert np.allclose(stacked(cand),
                        np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.6]]),
                        atol=1e-12)
     assert cand.tail.degree == 0
@@ -309,7 +309,7 @@ def test_verify_rcl_matches_dense_lifting(seed, f, perturb):
                        + 1j * rng.standard_normal(G.shape))
     cand = gamma_to_B(ds, G / max(1.0, operator_norm(G)), n)
     rep = verify_rcl(ds, cand, n)
-    B = cand.stacked()
+    B = stacked(cand)
     keep = ds.Hprime_dim + n * cand.tail.out_dim
     dense = operator_norm((sns_lifting(ds.Tprime, n) @ B @ ds.R
                            - B @ ds.Q)[:keep])
@@ -328,6 +328,23 @@ def _lifting_case(seed: int, dims: tuple, n: int, perturb: float):
     rng = np.random.default_rng(seed + 2)
     G = G + perturb * (rng.standard_normal(G.shape) + 1j * rng.standard_normal(G.shape))
     return ds, gamma_to_B(ds, G / max(1.0, operator_norm(G)), n)
+
+
+@pytest.mark.parametrize("dims,n", [(d, 24) for d in DIMS] + [((2, 2, 1), 0), ((2, 2, 1), 1)]
+                         + [((8, 8, 4), 192), ((16, 16, 8), 192), ((24, 24, 12), 192)])
+def test_intertwining_tail_block_has_the_bits_of_the_difference_of_its_parts(monkeypatch, dims, n):
+    # oracle: the shifted U' B R, concatenated, minus B Q, on tail blocks 0..n-1
+    ds, cand = _lifting_case(sum(dims) + n, dims, n, 1e-3)
+    calls = count_calls(monkeypatch, rcl, "gram_norm")
+    rep = verify_rcl(ds, cand, n)
+    [((top, got),)] = calls
+    (D, drange), dT = ds.defect_Tprime, ds.defect_Tprime[1].dim
+    col, keep = cand.tail._stack.reshape(-1, cand.tail.in_dim), n * dT
+    shifted = np.concatenate(((drange.basis.conj().T @ D) @ (cand.A_part @ ds.R),
+                              col[:keep - dT] @ ds.R))
+    want = shifted[:keep] - col[:keep] @ ds.Q
+    assert np.array_equal(got, want)
+    assert rep.intertwining_residual == gram_norm((top, want))
 
 
 def test_lifting_checks_decompose_no_tall_matrix(monkeypatch):
@@ -349,7 +366,7 @@ def test_intertwining_residual_is_the_svd_norm_of_the_stacked_difference(dims, n
     # the SVD of U' B R - B Q, formed from the stacked B, on H' and blocks 0..n-1
     for seed in (31, 32, 33):
         ds, cand = _lifting_case(seed, dims, n, perturb)
-        B = cand.stacked()
+        B = stacked(cand)
         X, (D, drange) = B @ ds.R, ds.defect_Tprime
         hp, d = ds.Hprime_dim, drange.dim
         tail = shift(X[hp:], d)
