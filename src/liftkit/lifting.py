@@ -19,7 +19,8 @@ through
                 + D_Gamma (I + lambda C(lambda))(I - lambda C(lambda))^-1 D_Gamma,
 
 with W(0) = I.  Z_C is a realization, W's sums over H's loop taken from its
-linalg.gramian_root, when C is realized and H to degree >= N; else truncated.
+Realization.gramian_root, when C is realized and H to degree >= N; else
+truncated.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from .errors import (ConstraintViolated, DimensionMismatch, InconsistentGenerato
                      WNotNormalizedAtZero)
 from .hardy import GRID, AnalyticFn, PolyOpFn, column_operator
 from .linalg import (CONTRACTION_SLACK, Subspace, as_operator, contraction_on_generators,
-                     defect, gram_defect, gramian_root, operator_norm, operator_norms,
-                     orthonormal_range, realized_sup_bound, require_contraction,
-                     require_invertible, stable_radius)
+                     defect, gram_defect, operator_norm, operator_norms, orthonormal_range,
+                     realized_sup_bound, require_contraction, require_invertible,
+                     roundoff_range, stable_radius)
 from .schur import (Realization, SchurRealization, _assembled, _complete,
                     _completion_frame, _herglotz, random_schur)
 
@@ -189,7 +190,7 @@ def verify_solution(p: InterpolationProblem, H: PolyOpFn, N: int) -> SolutionRep
     """Residuals of the coefficient recurrence and the partial Gram bound.
 
     For an H that carries its loop H.realization to degree >= N, with a
-    gramian_root L, both are taken over every degree of the loop
+    Realization.gramian_root L, both are taken over every degree of the loop
     (_loop_residuals); otherwise over coefficients 0..N.  The grid sup norm
     reads H's stored coefficients.  Reports never throw on a bad candidate;
     SolutionReport.ok applies the thresholds.  An H so large that these
@@ -198,7 +199,7 @@ def verify_solution(p: InterpolationProblem, H: PolyOpFn, N: int) -> SolutionRep
     if H.in_dim != p.U_dim or H.out_dim != p.Y_dim:
         raise DimensionMismatch("H has wrong dimensions for this problem")
     loop = H.realization if H.degree >= N else None
-    L = None if loop is None else gramian_root(loop.A, loop.C)
+    L = None if loop is None else loop.gramian_root
     # overflow is caught below, as non-finite entries
     with np.errstate(over="ignore", invalid="ignore"):
         if L is None:
@@ -239,29 +240,34 @@ def _loop_residuals(p: InterpolationProblem, loop: Realization, L) -> tuple:
 
 
 def _gamma_data(p: InterpolationProblem, Gamma) -> tuple[np.ndarray, Subspace, np.ndarray]:
-    """(Bd, F_Gamma, Omega) of _defect_data."""
-    return _defect_data(p, Gamma)[1:]
+    """(Bd, F_Gamma, Omega): defect data of a solution column.
 
-
-def _defect_data(p: InterpolationProblem, Gamma) -> tuple:
-    """(D_Gamma, Bd, F_Gamma, Omega): defect data of a solution column.
-
-    Bd is the range basis of D_Gamma and Omega the contraction
-    F_Gamma -> defect(Gamma) given on generators by Omega D_Gamma|_F =
-    D_Gamma omega2 (linalg.contraction_on_generators), in the SVD bases of
-    F_Gamma and of the defect range.  A failed guard raises NotASolution.
+    Bd is the range basis of D_Gamma, and (F_Gamma, Omega) are
+    _omega_data's.  A failed guard raises NotASolution.
     """
     G = as_operator(Gamma, cols=p.U_dim)
     if G.shape[0] % max(p.Y_dim, 1) != 0 and p.Y_dim > 0:
         raise DimensionMismatch("Gamma rows are not a multiple of Y_dim")
     try:
         D, drange = defect(G, CHECK_TOL)
-        Bd = drange.basis
-        FG, Om = contraction_on_generators(D @ p.F.basis,
-                                           Bd.conj().T @ (D @ p.omega2), CHECK_TOL)
+    except NotAContraction as exc:
+        raise NotASolution(f"candidate column: {exc}") from exc
+    return (drange.basis,) + _omega_data(p, D, drange.basis)
+
+
+def _omega_data(p: InterpolationProblem, D, Bd) -> tuple[Subspace, np.ndarray]:
+    """(F_Gamma, Omega) from D = D_Gamma and its range basis Bd.
+
+    Omega is the contraction F_Gamma -> defect(Gamma) given on generators
+    by Omega D_Gamma|_F = D_Gamma omega2 (linalg.contraction_on_generators),
+    in the SVD bases of F_Gamma and of the defect range.  A failed guard
+    raises NotASolution.
+    """
+    try:
+        return contraction_on_generators(D @ p.F.basis, Bd.conj().T @ (D @ p.omega2),
+                                         CHECK_TOL)
     except (NotAContraction, InconsistentGenerators) as exc:
         raise NotASolution(f"candidate column: {exc}") from exc
-    return D, Bd, FG, Om
 
 
 def omega_hat(p: InterpolationProblem, Gamma):
@@ -304,11 +310,21 @@ def parameter_membership(Cfun, p: InterpolationProblem, Gamma) -> bool:
 
 
 def _resolvent_loop(Cfun: Realization) -> Realization:
-    """(I - lambda C)^-1 as the closed loop of [I; C] at Theta = lambda I:
-    ([[A, B], [C, D]], [B; D], [0, I], I), state that of C plus its input."""
-    d, n = Cfun.out_dim, Cfun.state_dim
-    return _assembled(np.block([[Cfun.A, Cfun.B], [Cfun.C, Cfun.D]]),
-                      np.vstack([Cfun.B, Cfun.D]), np.eye(d, n + d, n), np.eye(d))
+    """(I - lambda C)^-1 as the closed loop of [I; C] at Theta = lambda I, the
+    fed-back output of C = (A, B, C, D) kept on the range Q of [C, D].
+
+    The loop ([[A, B], [C, D]], [B; D], [0, I], I) feeds C's output, which
+    lies in that range, back into its input, so its output state x = Q w
+    reduces to ([[A, B Q], [Q* C, Q* D Q]], [B; Q* D], [0, Q], I), state
+    that of C plus rank Q.  Q is linalg.roundoff_range's, so the two loops
+    differ by the dropped singular values; meta records the kept rank,
+    resolvent_rank, and the largest dropped value, resolvent_dropped."""
+    kept, dropped = roundoff_range(np.hstack([Cfun.C, Cfun.D]))
+    Q, (d, n) = kept.basis, Cfun.C.shape
+    QD = Q.conj().T @ Cfun.D
+    return _assembled(np.block([[Cfun.A, Cfun.B @ Q], [Q.conj().T @ Cfun.C, QD @ Q]]),
+                      np.vstack([Cfun.B, QD]), np.hstack([np.zeros((d, n)), Q]), np.eye(d),
+                      meta={"resolvent_rank": kept.dim, "resolvent_dropped": dropped})
 
 
 def _w_taylor(Hs: np.ndarray, W0, Cfun, DB, BD):
@@ -334,22 +350,23 @@ def _w_taylor(Hs: np.ndarray, W0, Cfun, DB, BD):
     return W, first
 
 
-def _realized_z(H: Realization, L, Cfun: Realization, DB, BD, w0res: float) -> Realization | None:
-    """Z_C from H's loop (A_H, B_H, C_H, D_H) and C's, or None if not stable.
+def _realized_z(H: Realization, R: Realization, DB, BD, meta: dict) -> Realization | None:
+    """Z_C from H's loop (A_H, B_H, C_H, D_H) and R = _resolvent_loop(C), or
+    None if not stable.
 
-    With L the gramian_root of (A_H, C_H), the first sums over every
-    degree are (D_H* C_H + (L B_H)* (L A_H)) A_H^(k-1) B_H, so W = I +
-    lambda C_W (I - lambda A_W)^-1 B_W, A_W holding H's and
-    _resolvent_loop(C)'s states.  (W+I)^-1 = 1/2 I - 1/4 lambda C_W
-    (I - lambda Ax)^-1 B_W, Ax = A_W - 1/2 B_W C_W (Bart, Gohberg and
-    Kaashoek, 1979), whose H block is H's state driven by 2 (W+I)^-1: so
-    2 H (W+I)^-1 is (Ax, B_W, [C_H, 0] - 1/2 D_H C_W, D_H), and
-    lambda^-1 (W-I)(W+I)^-1 is (Ax, B_W, 1/2 C_W Ax, 1/2 C_W B_W).  None
-    when L is None, not converged, or rho(Ax) >= 1; meta records rho(Ax).
+    With L = H.gramian_root, the first sums over every degree are
+    (D_H* C_H + (L B_H)* (L A_H)) A_H^(k-1) B_H, so W = I +
+    lambda C_W (I - lambda A_W)^-1 B_W, A_W holding H's and R's states.
+    (W+I)^-1 = 1/2 I - 1/4 lambda C_W (I - lambda Ax)^-1 B_W,
+    Ax = A_W - 1/2 B_W C_W (Bart, Gohberg and Kaashoek, 1979), whose H
+    block is H's state driven by 2 (W+I)^-1: so 2 H (W+I)^-1 is
+    (Ax, B_W, [C_H, 0] - 1/2 D_H C_W, D_H), and lambda^-1 (W-I)(W+I)^-1 is
+    (Ax, B_W, 1/2 C_W Ax, 1/2 C_W B_W).  None when L is None or
+    rho(Ax) >= 1; meta is the caller's, with rho(Ax) as pole_radius.
     """
+    L = H.gramian_root
     if L is None:
         return None
-    R = _resolvent_loop(Cfun)
     n = H.state_dim
     B = np.vstack([H.B, R.B @ BD])
     Cw = 2.0 * np.hstack([H.D.conj().T @ H.C + (L @ H.B).conj().T @ (L @ H.A), DB @ R.C])
@@ -361,7 +378,7 @@ def _realized_z(H: Realization, L, Cfun: Realization, DB, BD, w0res: float) -> R
         return None
     top = np.hstack([H.C, np.zeros((H.out_dim, R.state_dim))]) - 0.5 * (H.D @ Cw)
     return _assembled(A, B, np.vstack([top, 0.5 * (Cw @ A)]), np.vstack([H.D, 0.5 * (Cw @ B)]),
-                      meta={"w0_residual": w0res, "pole_radius": rho})
+                      meta={**meta, "pole_radius": rho})
 
 
 def _w_zero(gamma_sq, Cfun, D, Bd) -> tuple:
@@ -386,7 +403,8 @@ def z_from_C(p: InterpolationProblem, H: PolyOpFn, Gamma, Cfun,
     basis C is written in, and the check of W(0) = I within 1e-8 come from
     Gamma.  It is _realized_z's Realization when H carries its loop
     H.realization to degree >= N, C is a Realization and both are stable,
-    else an AnalyticFn: coefficients to degree N from series.inv(W + I), with
+    its meta holding _resolvent_loop's rank decision beside w0_residual and
+    pole_radius; else an AnalyticFn: coefficients to degree N from series.inv(W + I), with
     W's sums over the retained degrees, and a pointwise rule reading H, C
     and its Herglotz transform.  A Gamma further than CHECK_TOL * max(1,
     ||Gamma||_F) from H's column, in Frobenius norm, raises NotASolution.
@@ -407,7 +425,8 @@ def z_from_C(p: InterpolationProblem, H: PolyOpFn, Gamma, Cfun,
     DB, BD, w0res = _w_zero(gamma_sq, Cfun, D, drange.basis)
     loop = H.realization
     if loop is not None and H.degree >= N and isinstance(Cfun, Realization):
-        Z = _realized_z(loop, gramian_root(loop.A, loop.C), Cfun, DB, BD, w0res)
+        R = _resolvent_loop(Cfun)
+        Z = _realized_z(loop, R, DB, BD, {"w0_residual": w0res, **R.meta})
         if Z is not None:
             return Z
     eye = np.eye(u, dtype=np.complex128)

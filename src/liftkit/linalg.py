@@ -17,6 +17,8 @@ from .errors import (DimensionMismatch, InconsistentGenerators,
 
 ORTH_TOL = 1e-12
 RANK_TOL = 1e-9
+# round-off floor of a spectrum, relative to max(1, its top value)
+ROUNDOFF = 64.0 * np.finfo(np.float64).eps
 # contraction slack of the input types: problems, colligations, liftings
 CONTRACTION_SLACK = 1e-10
 # a matrix is numerically singular when sigma_min * COND_MAX < max(1, sigma_max)
@@ -113,17 +115,33 @@ def orthonormal_range(M) -> Subspace:
     max(1, .) floor makes the cutoff absolute for contractions, so ranges
     of near-zero operators collapse to the zero subspace.
     """
+    return _range(M, RANK_TOL)[0]
+
+
+def roundoff_range(M) -> tuple[Subspace, float]:
+    """The column range of M above its round-off, and the largest singular
+    value dropped (0.0 when none is).
+
+    Singular vectors with sigma > ROUNDOFF * max(1, sigma_max), the floor of
+    hermitian_sqrt_psd, are kept: a range that only round-off leaves out,
+    not RANK_TOL's numerical one.
+    """
+    return _range(M, ROUNDOFF)
+
+
+def _range(M, rel: float) -> tuple[Subspace, float]:
+    """(range, dropped) of M at the cutoff rel * max(1, sigma_max), one SVD."""
     u, s, _ = np.linalg.svd(as_operator(M), full_matrices=False)
-    cutoff = RANK_TOL * max(1.0, float(s[0]) if s.size else 0.0)
+    cutoff = rel * max(1.0, float(s[0]) if s.size else 0.0)
     r = int(np.count_nonzero(s > cutoff))
-    return _orthonormal(u[:, :r])
+    return _orthonormal(u[:, :r]), float(s[r]) if r < s.size else 0.0
 
 
 def _sqrt_psd(G) -> tuple[np.ndarray, np.ndarray]:
     """hermitian_sqrt_psd(G) and the eigenvalues of G, before the clamp."""
     A = as_operator(G)
     w, V = np.linalg.eigh((A + A.conj().T) / 2.0)
-    floor = 64.0 * np.finfo(np.float64).eps * max(1.0, float(w[-1]) if w.size else 0.0)
+    floor = ROUNDOFF * max(1.0, float(w[-1]) if w.size else 0.0)
     return (V * np.sqrt(np.where(w > floor, w, 0.0))) @ V.conj().T, w
 
 

@@ -44,11 +44,11 @@ from . import series
 from .errors import DegreeTooSmall, DimensionMismatch, DomainError
 from .hardy import (GRID, AnalyticFn, PolyOpFn, multiplication_operator, shift,
                     shift_adjoint)
-from .lifting import (CHECK_TOL, InterpolationProblem, _central, _defect_data,
-                      _feedback, _realized_z, _w_zero, central_C, z_from_C)
-from .linalg import (Subspace, _orthonormal, as_operator, gramian_root, haar_unitary,
-                     operator_norm, operator_norms, orthonormal_range, projector_gap,
-                     require_contraction, require_gram_contraction)
+from .lifting import (CHECK_TOL, InterpolationProblem, _central, _feedback, _omega_data,
+                      _realized_z, _resolvent_loop, _w_zero, central_C, z_from_C)
+from .linalg import (Subspace, _orthonormal, as_operator, contraction_gram, gram_defect,
+                     haar_unitary, operator_norm, operator_norms, orthonormal_range,
+                     projector_gap, require_contraction)
 from .schur import Realization, SchurRealization, _assembled, random_schur
 
 # threshold of each residual of check_decompositions
@@ -344,25 +344,27 @@ def _state_space_z(theta: InnerFn, H: Realization) -> Realization | None:
     D_h) is the column of H~ = H C (I - lambda A)^-1, the cascade
     ([[A_h, B_h C], [0, A]], [B_h C; A], [C_h, D_h C], D_h C).  F = ker C,
     omega2 = A is isometric on it (A*A + C*C = I), and the defect reads
-    the root [D~; L B~] of H~'s H^2 Gram (L = gramian_root of its loop,
-    zero rows pad it to blocks of Y), whose norm, that of multiplication by H
-    on the model space, is guarded at CHECK_TOL.  U's constants have coordinates C* and
-    Phi's column B: Z is lifting._realized_z's Z~, C* on its input, B* on E rows."""
+    the root [D~; L B~] of H~'s H^2 Gram (L = Ht.gramian_root), through the
+    root's small Gram, formed once (linalg.contraction_gram): its norm, that
+    of multiplication by H on the model space, is guarded at CHECK_TOL, and
+    the one defect serves the central C and W(0) (CHECK_TOL = W_ZERO_TOL).
+    U's constants have coordinates C* and Phi's column B: Z is
+    lifting._realized_z's Z~, C* on its input, B* on E rows."""
     n, y = theta.state_dim, H.out_dim
     HC, DC = H.B @ theta.C, H.D @ theta.C
     Ht = _assembled(np.block([[H.A, HC], [np.zeros((n, H.state_dim)), theta.A]]),
                     np.vstack([HC, theta.A]), np.hstack([H.C, DC]), DC)
-    L = gramian_root(Ht.A, Ht.C)
+    L = Ht.gramian_root
     if L is None:
         return None
-    root = np.vstack([Ht.D, L @ Ht.B, np.zeros((-len(L) % max(y, 1), n))])
-    require_gram_contraction((root,), "multiplication operator", CHECK_TOL)
+    gram = contraction_gram(np.vstack([Ht.D, L @ Ht.B]), "multiplication operator", CHECK_TOL)
     F = orthonormal_range(np.eye(n) - theta.C.conj().T @ theta.C)
     p = InterpolationProblem(U_dim=n, Y_dim=y, F=F, omega1=np.zeros((y, F.dim)),
                              omega2=theta.A @ F.basis)
-    D, Bd, FG, Om = _defect_data(p, root)  # one defect: CHECK_TOL = W_ZERO_TOL
-    C0 = _central(Bd, FG, Om)
-    Zt = _realized_z(Ht, L, C0, *_w_zero(root.conj().T @ root, C0, D, Bd))
+    D, drange = gram_defect(gram, CHECK_TOL)
+    C0 = _central(drange.basis, *_omega_data(p, D, drange.basis))
+    DB, BD, w0res = _w_zero(gram, C0, D, drange.basis)
+    Zt = _realized_z(Ht, _resolvent_loop(C0), DB, BD, {"w0_residual": w0res})
     if Zt is None:
         return None
     left = np.eye(y + theta.in_dim, y + n, dtype=np.complex128)

@@ -12,13 +12,14 @@ which turns "Z with Z|_F = omega" into a free choice of X.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import series
 from .errors import DimensionMismatch
 from .hardy import Evaluable, PolyOpFn, _poly, disk_points
-from .linalg import (CONTRACTION_SLACK, as_operator, defect, operator_norm,
+from .linalg import (CONTRACTION_SLACK, as_operator, defect, gramian_root, operator_norm,
                      orthonormal_range, require_contraction, require_inverse,
                      require_invertible)
 
@@ -52,6 +53,15 @@ class Realization(Evaluable):
     @property
     def state_dim(self) -> int:
         return self.A.shape[0]
+
+    @cached_property
+    def gramian_root(self) -> np.ndarray | None:
+        """linalg.gramian_root(A, C), read-only, computed once per loop: L with
+        L* L = sum_k (A*)^k C* C A^k, or None when A is not stable."""
+        L = gramian_root(self.A, self.C)
+        if L is not None:
+            L.setflags(write=False)
+        return L
 
     @property
     def in_dim(self) -> int:

@@ -21,10 +21,11 @@ from .lifting import InterpolationProblem
 from .linalg import Subspace, as_operator
 from .rcl import RclDataSet
 from .schur import Realization, SchurRealization
+from .series import stack_entries
 
 SCHEMA = "liftkit/1"
 # limits of a realization record: its degree, and the entries of the largest
-# array that decoding it allocates (see _stack_entries); a realized
+# array that decoding it allocates (series.stack_entries); a realized
 # polynomial above either is written as coefficients
 MAX_DEGREE = 4096
 MAX_ENTRIES = 1 << 20
@@ -93,15 +94,10 @@ def subspace_from_json(d: dict, path: str = "subspace") -> Subspace:
                   matrix_from_json(field(d, "basis", path), _at(path, "basis")))
 
 
-def _stack_entries(N: int, n: int, out: int, inn: int) -> int:
-    """Size of the largest array realization_stack makes for a degree-N loop of state n."""
-    return (N + 1) * max(n, out) * inn
-
-
 def poly_to_json(p: PolyOpFn) -> dict:
     """A realized p within the limits as its loop, any other as its coefficients."""
     loop = p.realization
-    if loop is not None and p.degree <= MAX_DEGREE and _stack_entries(
+    if loop is not None and p.degree <= MAX_DEGREE and stack_entries(
             p.degree, loop.state_dim, p.out_dim, p.in_dim) <= MAX_ENTRIES:
         return {"out": p.out_dim, "in": p.in_dim, "degree": p.degree,
                 "realization": schur_to_json(loop)}
@@ -131,7 +127,7 @@ def _realized_poly(d: dict, path: str) -> PolyOpFn:
     if matrices[3].shape != (out, inn):
         raise ConfigError(f"{at}.D: expected {out} x {inn}, got %d x %d" % matrices[3].shape)
     # a stack far larger than the record is refused before it is built
-    size = _stack_entries(N, len(matrices[0]), out, inn)
+    size = stack_entries(N, len(matrices[0]), out, inn)
     if size > MAX_ENTRIES:
         raise ConfigError(f"{at}: its stack needs {size} entries, above {MAX_ENTRIES}")
     return _build(at, lambda: Realization(*matrices).truncated(N))

@@ -14,9 +14,10 @@ column,
 
 because Newton doubling on the FFT product measured slower at N = 192.
 A function with a state-space realization (A, B, C, D) needs neither:
-its coefficients D, CB, CAB, ... come from block powers of A by
-doubling (``realization_stack``).  No dense block-Toeplitz matrix is
-ever formed.
+its coefficient of degree 1 + j + s i is (C A^j)(A^(s i) B), about sqrt(N)
+left and right powers of A, each built by doubling, and one batched
+product (``realization_stack``).  No dense block-Toeplitz matrix is ever
+formed.
 """
 
 from __future__ import annotations
@@ -116,31 +117,63 @@ def inv(a) -> np.ndarray:
     return _resolvent(-(a0inv @ a[1:])) @ a0inv
 
 
+def _split(N: int) -> tuple[int, int]:
+    """(s, t) of realization_stack at degree N >= 1: s = 2^k near sqrt(N)
+    left powers and t = ceil(N / s) right powers, s t >= N."""
+    s = 1 << (N.bit_length() // 2)
+    return s, -(-N // s)
+
+
+def stack_entries(N: int, n: int, out: int, inn: int) -> int:
+    """A bound on the entries of every array realization_stack allocates for a
+    degree-N loop of state n, beside the n x n powers of A: (N + 1) max(n, out)
+    in holds the stack and the t <= N right powers, s out n the left powers."""
+    return max((N + 1) * max(n, out) * inn, _split(N)[0] * out * n)
+
+
 def realization_stack(A, B, C, D, N: int) -> np.ndarray:
     """Coefficients D, CB, CAB, ..., CA^(N-1)B as an (N+1, out, in) stack.
 
     These are the Taylor coefficients of D + lambda C (I - lambda A)^-1 B.
-    The block row K_k = [B, AB, ..., A^(k-1)B] doubles as
-    K_2k = [K_k, A^k K_k] with A^2k = A^k A^k, so degree N costs
-    O(log N) matrix products rather than N.
+    With (s, t) = _split(N), the coefficient of degree 1 + j + s i is
+    (C A^j)(A^(s i) B), j < s, i < t (a baby-step giant-step split,
+    Paterson and Stockmeyer, 1973).  The left powers, a block column
+    L_m = [C; CA; ...; CA^(m-1)], double as L_2m = [L_m; L_m A^m] with
+    A^2m = A^m A^m, the last square being A^s; the right powers A^(s i) B
+    double the same way with A^s, kept as the block column of their
+    transposes.  One batched product then writes the full giant steps in
+    stack order and a second the partial last one, so the products cost
+    about N out n in multiply-adds, and the doublings (s out + t in) n^2
+    and log N n^3.
     """
     A, B, C, D = (np.asarray(X, dtype=np.complex128) for X in (A, B, C, D))
-    n, inn = B.shape
-    out = np.empty((N + 1, D.shape[0], inn), dtype=np.complex128)
-    out[0] = D
-    if N == 0:
-        return out
-    K = np.empty((n, N * inn), dtype=np.complex128)
-    K[:, :inn] = B
-    k, Ak = 1, A
-    while k < N:
-        step = min(k, N - k)
-        K[:, k * inn:(k + step) * inn] = Ak @ K[:, :step * inn]
-        k += step
-        if k < N:
-            Ak = Ak @ Ak
-    out[1:] = (C @ K).reshape(len(D), N, inn).transpose(1, 0, 2)
-    return out
+    (out, inn), n = D.shape, len(A)
+    stack = np.empty((N + 1, out, inn), dtype=np.complex128)
+    stack[0] = D
+    if N == 0 or out * inn == 0:
+        return stack
+    s, t = _split(N)
+    left = np.empty((s * out, n), dtype=np.complex128)
+    left[:out] = C
+    Am, m = A, 1
+    while m < s:
+        np.matmul(left[:m * out], Am, out=left[m * out:2 * m * out])
+        Am, m = Am @ Am, 2 * m
+    # Am is A^s; block i of right is (A^(s i) B)^T
+    right = np.empty((t * inn, n), dtype=np.complex128)
+    right[:inn] = B.T
+    m = 1
+    while m < t:
+        step = min(m, t - m)
+        np.matmul(right[:step * inn], Am.T, out=right[m * inn:(m + step) * inn])
+        m += step
+        if m < t:
+            Am = Am @ Am
+    powers = right.reshape(t, inn, n).transpose(0, 2, 1)
+    full = s * (t - 1)
+    np.matmul(left, powers[:t - 1], out=stack[1:full + 1].reshape(t - 1, s * out, inn))
+    np.matmul(left[:(N - full) * out], powers[t - 1], out=stack[full + 1:].reshape(-1, inn))
+    return stack
 
 
 def polyval(a, points) -> np.ndarray:

@@ -43,6 +43,15 @@ def wrong_beyond_degree(H, N: int, eps: float):
     return Realization(A, B, C, loop.D).truncated(N)
 
 
+def resolvent_loop_oracle(Cfun) -> Realization:
+    """(I - lambda C)^-1 as the closed loop of [I; C] at Theta = lambda I with
+    no rank decision: ([[A, B], [C, D]], [B; D], [0, I], I), state that of C
+    plus its input."""
+    d, n = Cfun.out_dim, Cfun.state_dim
+    return Realization(np.block([[Cfun.A, Cfun.B], [Cfun.C, Cfun.D]]),
+                       np.vstack([Cfun.B, Cfun.D]), np.eye(d, n + d, n), np.eye(d))
+
+
 def stacked(cand) -> np.ndarray:
     """The column B = [A_part; tail's coefficient column] of a lifting candidate."""
     return np.vstack([cand.A_part, column_operator(cand.tail, cand.tail.degree)])

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from _support import (DIMS, assert_rel_close, coeff_diff, count_calls, refuse,
-                      scalar_fixture, taylor_sum, unconstrained_problem, wrong_beyond_degree)
+                      resolvent_loop_oracle, scalar_fixture, taylor_sum, unconstrained_problem,
+                      wrong_beyond_degree)
 from liftkit import hardy, lifting, schur, series
 from liftkit.errors import (ConstraintViolated, DimensionMismatch,
                             NotAContraction, NotASolution,
@@ -18,8 +19,8 @@ from liftkit.lifting import (CHECK_TOL, InterpolationProblem, _feedback, _lambda
                              parameter_membership, random_constrained_z,
                              random_problem, solve_from_Z,
                              uniqueness_certificate, verify_solution, z_from_C)
-from liftkit.linalg import (Subspace, hermitian_sqrt_psd, operator_norm, orthonormal_range,
-                            realized_sup_bound)
+from liftkit.linalg import (ROUNDOFF, Subspace, hermitian_sqrt_psd, operator_norm,
+                            orthonormal_range, realized_sup_bound)
 from liftkit.modelspace import h_from_Z_theta, theta_shift
 from liftkit.rcl import random_data_set, underlying_contraction
 from liftkit.schur import Realization, SchurRealization, random_schur
@@ -651,18 +652,79 @@ def test_z_from_C_reads_a_loop_below_degree_N_by_its_coefficients():
 
 def test_realized_z_from_C_records_its_pole_radius():
     # Z_C's state is that of (W + I)^-1, H's loop beside the [I; C] loop of
-    # the central C; rho of its state matrix is the pole radius, below 1 on
+    # the central C, whose fed-back state is the range of C, of rank
+    # dim F_Gamma; rho of its state matrix is the pole radius, below 1 on
     # the realized path
     p = random_problem(3, 2, 2, seed=41, scale=0.45)
     H = solve_from_Z(p, random_constrained_z(p, 2, seed=42, scale=0.5), N)
     G = column_operator(H, N)
     C = central_C(p, G)
     Z1 = z_from_C(p, H, G, C, N)
-    assert Z1.state_dim == H.realization.state_dim + C.in_dim
+    assert Z1.state_dim == H.realization.state_dim + omega_hat(p, G)[1].dim
     rho = np.abs(np.linalg.eigvals(Z1.A)).max()
     assert Z1.meta["pole_radius"] == pytest.approx(rho, abs=1e-12)
     assert 0.0 < Z1.meta["pole_radius"] < 1.0
     assert Z1.meta["w0_residual"] <= 1e-10
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_a_rank_r_constant_C_gives_z_C_the_state_of_H_plus_r(monkeypatch, r):
+    # the [I; C] loop feeds back C's output, which lies in the rank-r range
+    # of C; the uncompressed loop keeps all d = 3 of its input's states
+    p = random_problem(3, 2, 2, seed=45, scale=0.45)
+    H = solve_from_Z(p, random_constrained_z(p, 2, seed=46, scale=0.5), N)
+    G = column_operator(H, N)
+    d = central_C(p, G).in_dim
+    rng = np.random.default_rng(47 + r)
+    X, Y = (rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r)) for _ in range(2))
+    M = X @ Y.conj().T
+    M *= 0.9 / max(operator_norm(M), 1e-300)
+    C = SchurRealization(np.zeros((0, 0)), np.zeros((0, d)), np.zeros((d, 0)), M)
+    got = z_from_C(p, H, G, C, N)
+    monkeypatch.setattr(lifting, "_resolvent_loop", resolvent_loop_oracle)
+    want = z_from_C(p, H, G, C, N)
+    n = H.realization.state_dim
+    assert (d, got.state_dim, want.state_dim) == (3, n + r, n + d)
+    assert got.meta["resolvent_rank"] == r and got.meta["resolvent_dropped"] <= 1e-15
+    for a, b in ((got.taylor_stack(N), want.taylor_stack(N)),
+                 (got.eval_many(GRID), want.eval_many(GRID))):
+        assert np.abs(a - b).max() <= 1e-14
+
+
+def test_a_realized_C_of_full_rank_keeps_its_full_state():
+    p = random_problem(3, 2, 2, seed=45, scale=0.45)
+    H = solve_from_Z(p, random_constrained_z(p, 2, seed=46, scale=0.5), N)
+    G = column_operator(H, N)
+    d = central_C(p, G).in_dim
+    C = random_schur(d, d, 2, seed=48, scale=0.9)
+    Z1 = z_from_C(p, H, G, C, N)
+    assert Z1.state_dim == H.realization.state_dim + C.state_dim + d
+    assert (Z1.meta["resolvent_rank"], Z1.meta["resolvent_dropped"]) == (d, 0.0)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 1), (3, 2, 2), (8, 8, 4)])
+def test_z_from_C_reports_the_margin_of_its_resolvent_rank(dims):
+    # the central C = Omega P_(F_Gamma) has rank dim F_Gamma; what the
+    # round-off cutoff drops is below it
+    p = random_problem(*dims, seed=49, scale=0.45)
+    H = solve_from_Z(p, random_constrained_z(p, 2, seed=50, scale=0.5), N)
+    G = column_operator(H, N)
+    C = central_C(p, G)
+    Z1 = z_from_C(p, H, G, C, N)
+    cutoff = ROUNDOFF * max(1.0, operator_norm(np.hstack([C.C, C.D])))
+    assert Z1.meta["resolvent_rank"] == omega_hat(p, G)[1].dim < C.in_dim
+    assert 0.0 <= Z1.meta["resolvent_dropped"] <= cutoff
+
+
+def test_verify_and_z_from_C_take_the_gramian_root_of_a_loop_once(monkeypatch):
+    p = random_problem(3, 2, 2, seed=51, scale=0.45)
+    H = solve_from_Z(p, random_constrained_z(p, 2, seed=52, scale=0.5), N)
+    calls = count_calls(monkeypatch, schur, "gramian_root")
+    assert verify_solution(p, H, N).ok()
+    G = column_operator(H, N)
+    assert isinstance(z_from_C(p, H, G, central_C(p, G), N), Realization)
+    assert len(calls) == 1 and calls[0][0] is H.realization.A
+    assert not H.realization.gramian_root.flags.writeable
 
 
 def test_uniqueness_certificate_examples():

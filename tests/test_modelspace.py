@@ -9,7 +9,7 @@ from _support import (analytic_toeplitz, assert_rel_close, coeff_diff, count_cal
                       shift_and_embed, unconstrained_problem)
 from liftkit.errors import (DegreeTooSmall, DimensionMismatch, DomainError,
                             NotAContraction)
-from liftkit import lifting, modelspace, series
+from liftkit import lifting, linalg, modelspace, series
 from liftkit.hardy import (GRID, AnalyticFn, PolyOpFn, column_operator,
                            multiplication_operator)
 from liftkit.lifting import _closed_loop, solve_from_Z
@@ -665,10 +665,14 @@ def test_model_space_bases_skip_the_orthonormality_recheck(monkeypatch):
 
 
 def test_state_space_parameter_takes_one_defect(monkeypatch):
-    # central_C's guard and W(0)'s read one defect of the Gram root
+    # the norm guard, central_C and W(0) read one Gram of the root, formed
+    # once, and one defect of it
     theta = random_inner(72, 3, 3)
     H = h_from_Z_theta(theta, random_schur(5, 3, 2, seed=73, scale=0.6), 64)
     ms = model_space(theta, 64)
-    calls = count_calls(monkeypatch, lifting, "defect")
+    refuse(monkeypatch, lifting, "defect")
+    grams = count_calls(monkeypatch, linalg, "_gram")
+    calls = count_calls(monkeypatch, modelspace, "gram_defect")
+    zeros = count_calls(monkeypatch, modelspace, "_w_zero")
     assert isinstance(z_from_H_theta(theta, H, ms, 64), Realization)
-    assert len(calls) == 1
+    assert len(grams) == len(calls) == len(zeros) == 1 and calls[0][0] is zeros[0][0]

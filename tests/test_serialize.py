@@ -10,7 +10,7 @@ from liftkit.lifting import random_constrained_z, random_problem, solve_from_Z
 from liftkit.linalg import Subspace, operator_norm
 from liftkit.modelspace import h_from_Z_theta, random_inner
 from liftkit.rcl import random_data_set
-from liftkit import serialize
+from liftkit import serialize, series
 from liftkit.schur import Realization, random_schur
 from liftkit.serialize import (MAX_DEGREE, SCHEMA, dataset_from_json, dataset_to_json,
                                dumps, load, matrix_from_json, matrix_to_json,
@@ -114,6 +114,19 @@ def test_a_realized_poly_above_the_entry_limit_is_written_as_coefficients(monkey
     H = Realization(one, one, one, one).truncated(8)
     assert len(poly_to_json(H)["coeffs"]) == 9
     assert np.array_equal(_through_json(H).taylor_stack(8), H.taylor_stack(8))
+
+
+def test_the_entry_limit_counts_the_left_powers_of_the_stack(monkeypatch):
+    # degree 16 splits into s = 4 left powers C A^j, 4 x 8 x 8 entries, more
+    # than the 17 x 8 x 1 of the stack: the limit refuses the loop on both sides
+    monkeypatch.setattr(serialize, "MAX_ENTRIES", 200)
+    Z = random_schur(8, 1, 8, seed=9, scale=0.9)
+    H = Z.truncated(16)
+    assert series.stack_entries(16, 8, 8, 1) == 256
+    assert "realization" not in poly_to_json(H)
+    record = {"out": 8, "in": 1, "degree": 16, "realization": serialize.schur_to_json(Z)}
+    with pytest.raises(ConfigError, match="H.realization: its stack needs 256 entries, above 200"):
+        poly_from_json(record, "H")
 
 
 def test_schur_roundtrip():

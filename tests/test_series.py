@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -192,14 +194,22 @@ def test_correlate_rejects_an_empty_series():
         series.correlate(np.zeros((0, 2, 2)))
 
 
-@pytest.mark.parametrize("N", [0, 1, 2, 3, 5, 8, 193])
-@pytest.mark.parametrize("n,out,inn", [(3, 2, 4), (0, 2, 1), (2, 0, 3), (4, 3, 0)])
-def test_realization_stack_matches_the_state_power_loop(N, n, out, inn):
-    # doubling covers degrees 1..N in blocks of 1, 2, 4, ...; these N end
-    # on, just past and just short of a power of two
+@pytest.mark.parametrize("N", [0, 1, 2, 3, 5, 8, 17, 24, 193, 4096])
+@pytest.mark.parametrize("n,out,inn,rho", [
+    *(pytest.param(n, out, inn, None, id=f"{n}-{out}-{inn}")
+      for n, out, inn in ((3, 2, 4), (0, 2, 1), (2, 0, 3), (4, 3, 0))),
+    pytest.param(6, 3, 2, 0.99, id="6-3-2-rho0.99")])
+def test_realization_stack_matches_the_state_power_loop(N, n, out, inn, rho):
+    # the split covers degrees 1..N in s = 2^k left and ceil(N / s) right
+    # powers, each doubled; these N end on, just past and just short of a
+    # power of two, and 17, 24 and 193 leave a partial last giant step.  A
+    # has norm at most 1, or is non-normal with spectral radius rho
     rng = np.random.default_rng(N + 10 * n + 100 * out + 1000 * inn)
     A = rand_series(rng, 1, n, n)[0]
-    A /= max(1.0, np.linalg.norm(A, 2))
+    if rho is None:
+        A /= max(1.0, np.linalg.norm(A, 2))
+    else:
+        A *= rho / np.abs(np.linalg.eigvals(A)).max()
     B, C, D = (rand_series(rng, 1, r, c)[0] for r, c in ((n, inn), (out, n), (out, inn)))
     want = np.empty((N + 1, out, inn), dtype=np.complex128)
     want[0] = D
@@ -208,6 +218,24 @@ def test_realization_stack_matches_the_state_power_loop(N, n, out, inn):
         want[k] = C @ P
         P = A @ P
     assert_close(series.realization_stack(A, B, C, D, N), want)
+
+
+@pytest.mark.parametrize("N,n,out", [(256, 96, 96), (17, 40, 40), (4000, 64, 1)])
+def test_realization_stack_allocates_within_its_entry_bound(N, n, out):
+    # with one input and a large state and output, the s out n left powers
+    # outgrow the (N + 1) max(n, out) in of the stack and the right powers;
+    # the peak holds the stack, the left powers and a few n x n powers of A
+    rng = np.random.default_rng(N + n)
+    A, B, C, D = (rand_series(rng, 1, r, c)[0] for r, c in ((n, n), (n, 1), (out, n), (out, 1)))
+    A /= np.linalg.norm(A, 2)
+    bound = series.stack_entries(N, n, out, 1)
+    tracemalloc.start()
+    try:
+        series.realization_stack(A, B, C, D, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * (2 * bound + 3 * n * n)
 
 
 @pytest.mark.parametrize("L,m", [(1, 1), (5, 2), (25, 3), (193, 4)])
