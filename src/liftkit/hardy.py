@@ -13,7 +13,9 @@ stack for the series engine in ``liftkit.series``, and
 ``eval_many(points)`` returns the values at P points as a (P, out, in)
 stack, raising what the per-point ``eval`` would raise at any of them.
 The library's types check the points once (``Evaluable``); their
-internal ``_values`` reads checked points.
+internal ``_values`` reads checked points.  A ``taylor_stack`` result may
+be a read-only view of stored coefficients, so callers never write into
+it; a caller that needs a stack to change copies it.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ def disk_points(points) -> np.ndarray:
 
 
 def _coeff_stack(coeffs, rows: int, cols: int) -> np.ndarray:
-    """Copy of a nonempty coefficient sequence as a finite (L, rows, cols) stack.
+    """Read-only copy of a coefficient sequence as a finite (L, rows, cols) stack.
 
     Checked once for the whole stack; raises what as_operator(c, rows,
     cols) raises for the first bad coefficient c.
@@ -61,6 +63,7 @@ def _coeff_stack(coeffs, rows: int, cols: int) -> np.ndarray:
         raise DimensionMismatch(f"expected {cols} columns, got {S.shape[2]}")
     if S.size and not np.isfinite(S).all():
         raise ValueError("matrix has non-finite entries")
+    S.setflags(write=False)
     return S
 
 
@@ -79,7 +82,9 @@ class Evaluable:
 class PolyOpFn(Evaluable):
     """Operator-valued polynomial sum_n coeffs[n] * lambda^n.
 
-    Each coefficient is an (out_dim x in_dim) matrix.
+    Each coefficient is an (out_dim x in_dim) matrix.  The coefficients are
+    held as one read-only stack, copied from those given; ``coeffs`` and
+    ``taylor_stack`` up to the degree are views of it.
     """
 
     out_dim: int
@@ -109,10 +114,12 @@ class PolyOpFn(Evaluable):
         return np.zeros((self.out_dim, self.in_dim), dtype=np.complex128)
 
     def taylor_stack(self, N: int) -> np.ndarray:
-        """Coefficients 0..N as an (N+1, out, in) stack, zero-padded."""
+        """Coefficients 0..N as an (N+1, out, in) stack: a read-only view of
+        the stored stack up to the degree, a fresh zero-padded array above it."""
+        if N < len(self.coeffs):
+            return self._stack[:N + 1]
         out = np.zeros((N + 1, self.out_dim, self.in_dim), dtype=np.complex128)
-        k = min(N + 1, len(self.coeffs))
-        out[:k] = self._stack[:k]
+        out[:len(self.coeffs)] = self._stack
         return out
 
     def _values(self, z: np.ndarray) -> np.ndarray:
@@ -121,7 +128,9 @@ class PolyOpFn(Evaluable):
 
 def _poly(stack: np.ndarray) -> PolyOpFn:
     """PolyOpFn of a nonempty finite (L, out, in) stack that the library has
-    just computed and hands over: kept as it is, with no copy or recheck."""
+    just computed and hands over: kept as it is, made read-only, with no copy
+    or recheck."""
+    stack.setflags(write=False)
     P = object.__new__(PolyOpFn)
     P.__dict__.update(out_dim=stack.shape[1], in_dim=stack.shape[2], coeffs=tuple(stack),
                       _stack=stack)
@@ -135,14 +144,15 @@ class AnalyticFn(Evaluable):
     but still need coefficient access for the truncated recursions.  The
     rule ``eval_many_fn`` maps a vector of P points of the open disk to a
     (P, out_dim, in_dim) stack.  The Taylor data is precomputed to a fixed
-    degree; asking beyond it raises DegreeTooSmall.
+    degree and held read-only; asking beyond it raises DegreeTooSmall.
     """
 
     def __init__(self, out_dim, in_dim, coeffs, eval_many_fn, meta=None):
         self.out_dim = int(out_dim)
         self.in_dim = int(in_dim)
-        self._stack = (_coeff_stack(coeffs, self.out_dim, self.in_dim) if len(coeffs)
-                       else np.zeros((0, self.out_dim, self.in_dim), dtype=np.complex128))
+        self._stack = _coeff_stack(coeffs, self.out_dim, self.in_dim) if len(coeffs) else (
+            np.zeros((0, self.out_dim, self.in_dim), dtype=np.complex128))
+        self._stack.setflags(write=False)
         self.coeffs = tuple(self._stack)
         self._eval_many = eval_many_fn
         self.meta = dict(meta or {})
@@ -152,10 +162,11 @@ class AnalyticFn(Evaluable):
         return len(self.coeffs) - 1
 
     def taylor_stack(self, N: int) -> np.ndarray:
-        """Coefficients 0..N as an (N+1, out, in) stack."""
+        """Coefficients 0..N as an (N+1, out, in) stack, a read-only view of
+        the stored one."""
         if N >= len(self.coeffs):
             raise DegreeTooSmall(f"Taylor data stored to degree {self.degree}, asked for {N}")
-        return self._stack[:N + 1].copy()
+        return self._stack[:N + 1]
 
     def _values(self, z: np.ndarray) -> np.ndarray:
         vals = np.asarray(self._eval_many(z), dtype=np.complex128)
@@ -222,7 +233,10 @@ def _block_rows(X: np.ndarray, dim: int) -> int:
 
 
 def column_operator(H, N: int) -> np.ndarray:
-    """Stack H_0..H_N into the column operator C^in -> truncated H^2(C^out)."""
+    """Stack H_0..H_N into the column operator C^in -> truncated H^2(C^out).
+
+    A reshape of H.taylor_stack(N): a read-only view, with no zero-fill and
+    no copy, wherever that stack is one of stored coefficients."""
     return H.taylor_stack(N).reshape((N + 1) * H.out_dim, H.in_dim)
 
 

@@ -214,7 +214,8 @@ def _gram(blocks) -> tuple[np.ndarray, int]:
     arithmetic, scaled exactly by a power of two if an entry lies outside
     2^(+-256) so that it over- or underflows nowhere the SVD would not."""
     Ys = [np.ascontiguousarray(X, dtype=np.complex128).view(np.float64) for X in blocks]
-    s = np.max([np.abs(Y).max(initial=0.0) for Y in Ys], initial=0.0)
+    # max |y| without a temporary of |Y|; a NaN in Y is the max and the min
+    s = np.max([max(Y.max(initial=0.0), -Y.min(initial=0.0)) for Y in Ys], initial=0.0)
     if not np.isfinite(s):
         raise ValueError("matrix has non-finite entries")
     k = 0 if s == 0.0 or 2.0 ** -256 < s < 2.0 ** 256 else int(np.frexp(s)[1])

@@ -76,24 +76,41 @@ class RclDataSet:
         return defect(self.Tprime)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class LiftingCandidate:
-    """Contractive column B = [A_part; tail] from H into H' + H^2(D_T')."""
+    """Contractive column B = [A_part; tail] from H into H' + H^2(D_T').
+
+    The tail is kept factored, its coefficient column being gamma @ X:
+    gamma_to_B keeps the solution column Gamma, as the read-only
+    (N+1, dim D_T', u) stack gamma, and X = Bd_A* D_A, so no
+    (N+1) dim D_T' x dim H array is made.  A candidate built from a tail
+    holds the pair (its coefficient column, I).  ``tail`` is the PolyOpFn
+    of gamma @ X, multiplied out on first access.
+    """
 
     A_part: np.ndarray
-    tail: PolyOpFn
+    gamma: np.ndarray
+    X: np.ndarray
 
-    def __post_init__(self):
-        A = as_operator(self.A_part, cols=self.tail.in_dim)
-        object.__setattr__(self, "A_part", A)
-        col = self.tail._stack.reshape(-1, A.shape[1])
-        require_gram_contraction((A, col), "lifting candidate", CONTRACTION_SLACK)
+    def __init__(self, A_part, tail: PolyOpFn):
+        A = as_operator(A_part, cols=tail.in_dim)
+        require_gram_contraction((A, tail._stack.reshape(-1, A.shape[1])), "lifting candidate",
+                                 CONTRACTION_SLACK)
+        eye = np.eye(A.shape[1], dtype=np.complex128)
+        eye.setflags(write=False)
+        self.__dict__.update(A_part=A, gamma=tail._stack, X=eye, tail=tail)
+
+    @cached_property
+    def tail(self) -> PolyOpFn:
+        """The PolyOpFn of B's tail, coefficient column gamma @ X."""
+        L, d, u = self.gamma.shape
+        return _poly((self.gamma.reshape(L * d, u) @ self.X).reshape(L, d, self.X.shape[1]))
 
 
-def _candidate(A_part: np.ndarray, tail: PolyOpFn) -> LiftingCandidate:
-    """LiftingCandidate of parts that gamma_to_B has already guarded."""
+def _candidate(A_part: np.ndarray, gamma: np.ndarray, X: np.ndarray) -> LiftingCandidate:
+    """LiftingCandidate of read-only parts that gamma_to_B has already guarded."""
     cand = object.__new__(LiftingCandidate)
-    cand.__dict__.update(A_part=A_part, tail=tail)
+    cand.__dict__.update(A_part=A_part, gamma=gamma, X=X)
     return cand
 
 
@@ -166,7 +183,10 @@ def gamma_to_B(ds: RclDataSet, Gamma, N: int) -> LiftingCandidate:
     """Candidate B = [A; Gamma D_A] from a contraction on the defect of A.
 
     Gamma is guarded at CHECK_TOL and B at CONTRACTION_SLACK, both from
-    Gamma's u x u Gram, as LiftingCandidate guards its column."""
+    Gamma's u x u Gram, as LiftingCandidate guards its column.  The tail is
+    kept as the pair (Gamma, X = Bd_A* D_A) (LiftingCandidate): a read-only
+    Gamma as it is given, a writable one copied once, so that the candidate
+    aliases no memory its caller can change."""
     DA, rA = ds.defect_A
     G = as_operator(Gamma, cols=rA.dim)
     dT = ds.defect_Tprime[1].dim
@@ -176,11 +196,17 @@ def gamma_to_B(ds: RclDataSet, Gamma, N: int) -> LiftingCandidate:
     gram = contraction_gram(G, "Gamma", CHECK_TOL)
     X = rA.basis.conj().T @ DA
     require_lifted_contraction(ds.A, gram, X, "lifting candidate", CONTRACTION_SLACK)
-    return _candidate(ds.A, _poly((G @ X).reshape(N + 1, dT, ds.H_dim)))
+    if G.flags.writeable:
+        G = G.copy()
+    G = G.reshape(N + 1, dT, rA.dim)
+    for M in (G, X):
+        M.setflags(write=False)
+    return _candidate(ds.A, G, X)
 
 
 def b_to_gamma(ds: RclDataSet, cand: LiftingCandidate) -> np.ndarray:
-    """Recover Gamma from B's tail; minimum-norm, exact on range(D_A)."""
+    """Recover Gamma from B's tail, multiplied out; minimum-norm, exact on
+    range(D_A)."""
     DA, rA = ds.defect_A
     X = rA.basis.conj().T @ DA
     tail_mat = column_operator(cand.tail, cand.tail.degree)
@@ -194,24 +220,27 @@ def verify_rcl(ds: RclDataSet, cand: LiftingCandidate, N: int) -> RclReport:
 
     The intertwining identity is compared on the H' row and coefficient
     blocks 0..N-1; the top block is excluded because the truncated shift
-    drops it.  Formed blockwise, with no stacked B; the norm is gram_norm's.
+    drops it.  Formed blockwise from the factored tail, Gamma times the
+    small X R and X Q, with no stacked B and no multiplied-out tail; the
+    norm is gram_norm's.
     """
-    if cand.tail.degree != N:
+    gamma, X = cand.gamma, cand.X
+    if len(gamma) - 1 != N:
         raise DimensionMismatch(
-            f"candidate has degree {cand.tail.degree}, expected {N}")
+            f"candidate has degree {len(gamma) - 1}, expected {N}")
     proj = operator_norm(cand.A_part - ds.A)
     dT = ds.defect_Tprime[1].dim
-    if cand.tail.out_dim != dT:
+    if gamma.shape[1] != dT:
         raise DimensionMismatch(
-            f"candidate tail has {cand.tail.out_dim} rows per block, "
+            f"candidate tail has {gamma.shape[1]} rows per block, "
             f"defect of T' has dimension {dT}")
-    A, col = cand.A_part, cand.tail._stack.reshape(-1, cand.tail.in_dim)
+    A, col = cand.A_part, gamma.reshape(-1, gamma.shape[2])
     (D, drange), AR, keep = ds.defect_Tprime, A @ ds.R, N * dT
     # U' B R - B Q on tail blocks 0..N-1 in one array: -B Q, plus C A R on block 0
     # (C = D_T' in range coordinates; none at N = 0) and B's block n - 1 times R on n
-    diff = col[:keep] @ -ds.Q
+    diff = col[:keep] @ (X @ -ds.Q)
     diff[:dT] += ((drange.basis.conj().T @ D) @ AR)[:keep]
-    diff[dT:] += col[:keep - dT] @ ds.R
+    diff[dT:] += col[:keep - dT] @ (X @ ds.R)
     inter = gram_norm((ds.Tprime @ AR - A @ ds.Q, diff))
     return RclReport(projection_residual=float(proj),
                      intertwining_residual=float(inter), degree=N)

@@ -11,6 +11,7 @@ from liftkit.hardy import (GRID, AnalyticFn, PolyOpFn, TruncationGrid,
                            multiplication_operator, shift, shift_adjoint)
 from liftkit.linalg import Subspace, operator_norm
 from liftkit.modelspace import model_space, random_inner, random_multiplier
+from liftkit.schur import random_schur
 
 
 def geometric_poly(ratio, degree, lead=1.0):
@@ -51,6 +52,34 @@ def test_polyopfn_copies_its_coefficients():
     p = PolyOpFn(1, 1, c)
     c[0] = 5.0
     assert p.coeff(0)[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda c: PolyOpFn(2, 3, c),
+    lambda c: AnalyticFn(2, 3, c, lambda z: None),
+    lambda c: random_schur(2, 3, 2, seed=4).truncated(len(c) - 1),
+], ids=["poly", "analytic", "realized"])
+def test_stored_coefficients_are_handed_out_as_read_only_views(make):
+    # a PolyOpFn or AnalyticFn copies what it is given, and Realization.truncated
+    # keeps the stack it computes: each is read-only, and handed out as it is
+    rng = np.random.default_rng(4)
+    H = make(rng.standard_normal((5, 2, 3)) + 0j)
+    assert not H._stack.flags.writeable
+    for N in range(H.degree + 1):
+        for V in (H.taylor_stack(N), column_operator(H, N), H.coeffs[N]):
+            assert np.shares_memory(V, H._stack)
+            with pytest.raises(ValueError, match="read-only"):
+                V[...] = 0.0
+    assert np.array_equal(column_operator(H, H.degree), H._stack.reshape(-1, 3))
+
+
+def test_polyopfn_above_its_degree_pads_a_fresh_stack():
+    H = PolyOpFn(1, 2, (np.ones((1, 2)), 2 * np.ones((1, 2))))
+    for S in (H.taylor_stack(4), column_operator(H, 4).reshape(5, 1, 2)):
+        assert not np.shares_memory(S, H._stack) and S.flags.writeable
+        assert np.array_equal(S[:2], H._stack) and not S[2:].any()
+        S[...] = 7.0
+    assert np.array_equal(H.taylor_stack(1), [[[1.0, 1.0]], [[2.0, 2.0]]])
 
 
 def test_polyopfn_eval_geometric():

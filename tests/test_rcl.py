@@ -1,6 +1,8 @@
 """Lifting-data validation, the truncated isometric dilation, and the
 reduction between lifting data and interpolation problems."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -255,8 +257,53 @@ def test_gamma_to_B_forms_one_small_gram_and_copies_no_stack(monkeypatch):
     refuse(monkeypatch, hardy, "_coeff_stack")
     cand = gamma_to_B(ds, G, n)
     assert len(grams) == 1 and grams[0][0][0] is G
+    rep = verify_rcl(ds, cand, n)
+    assert "tail" not in cand.__dict__
     assert np.array_equal(cand.tail.taylor_stack(n), want.tail.taylor_stack(n))
-    assert verify_rcl(ds, cand, n) == verify_rcl(ds, want, n)
+    assert rep == rcl.RclReport(0.0, gram_norm(_factored_difference(ds, cand, n)), n)
+
+
+def test_gamma_to_B_keeps_a_read_only_gamma_and_copies_a_writable_one():
+    n = 8
+    ds = random_data_set(seed=2)
+    q = underlying_contraction(ds)
+    G = column_operator(solve_from_Z(q, random_constrained_z(q, 2, seed=3), n), n)
+    assert not G.flags.writeable
+    kept = gamma_to_B(ds, G, n)
+    assert np.shares_memory(kept.gamma, G)
+    W = G.copy()
+    cand = gamma_to_B(ds, W, n)
+    assert not np.shares_memory(cand.gamma, W)
+    # the tail is formed, and the lifting checked, after the caller's Gamma changed
+    W[...] = 0.0
+    assert not (cand.gamma.flags.writeable or cand.X.flags.writeable)
+    assert np.array_equal(cand.tail.taylor_stack(n), kept.tail.taylor_stack(n))
+    assert verify_rcl(ds, cand, n) == verify_rcl(ds, kept, n)
+
+
+def test_a_candidate_from_a_tail_is_its_column_times_the_identity():
+    tail = PolyOpFn(1, 2, (np.array([[0.0, 0.3]]), np.array([[0.0, 0.4]])))
+    cand = LiftingCandidate(A_part=tilde_set().A, tail=tail)
+    assert cand.tail is tail and np.shares_memory(cand.gamma, tail.taylor_stack(1))
+    assert np.array_equal(cand.X, np.eye(2)) and not cand.X.flags.writeable
+
+
+def test_lifting_path_allocates_within_two_and_a_half_columns():
+    # the high_degree size: the column of H is 4632 x 24, 1.8 MB; the factored
+    # tail makes no 4632 x 49 array, and the column is a view of H's stack
+    n = 192
+    ds = random_data_set(seed=5, u=24, y=24, f=12)
+    q = underlying_contraction(ds)
+    H = solve_from_Z(q, random_constrained_z(q, 2, seed=6, scale=0.5), n)
+    column = 16 * (n + 1) * H.out_dim * H.in_dim
+    tracemalloc.start()
+    try:
+        rep = verify_rcl(ds, gamma_to_B(ds, column_operator(H, n), n), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok()
+    assert peak <= 2.5 * column
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -319,6 +366,21 @@ def test_verify_rcl_matches_dense_lifting(seed, f, perturb):
         assert rep.intertwining_residual > 1e-4
 
 
+def _factored_rows(cand, M) -> tuple:
+    """(A_part M, tail rows of B M) with the tail kept factored: gamma (X M)."""
+    col = cand.gamma.reshape(-1, cand.gamma.shape[2])
+    return cand.A_part @ M, col @ (cand.X @ M)
+
+
+def _factored_difference(ds, cand, n: int) -> tuple:
+    """(H' row, tail blocks 0..n-1) of U' B R - B Q, the shifted U' B R,
+    concatenated, minus B Q, from the factored tail."""
+    (AR, tail_R), (AQ, tail_Q) = _factored_rows(cand, ds.R), _factored_rows(cand, ds.Q)
+    (D, drange), keep = ds.defect_Tprime, n * ds.defect_Tprime[1].dim
+    shifted = np.concatenate(((drange.basis.conj().T @ D) @ AR, tail_R))
+    return ds.Tprime @ AR - AQ, shifted[:keep] - tail_Q[:keep]
+
+
 def _lifting_case(seed: int, dims: tuple, n: int, perturb: float):
     """(ds, candidate) from a solution of the induced problem, its column
     perturbed by perturb and scaled back into the unit ball."""
@@ -338,13 +400,20 @@ def test_intertwining_tail_block_has_the_bits_of_the_difference_of_its_parts(mon
     calls = count_calls(monkeypatch, rcl, "gram_norm")
     rep = verify_rcl(ds, cand, n)
     [((top, got),)] = calls
-    (D, drange), dT = ds.defect_Tprime, ds.defect_Tprime[1].dim
-    col, keep = cand.tail._stack.reshape(-1, cand.tail.in_dim), n * dT
-    shifted = np.concatenate(((drange.basis.conj().T @ D) @ (cand.A_part @ ds.R),
-                              col[:keep - dT] @ ds.R))
-    want = shifted[:keep] - col[:keep] @ ds.Q
-    assert np.array_equal(got, want)
+    want_top, want = _factored_difference(ds, cand, n)
+    assert np.array_equal(top, want_top) and np.array_equal(got, want)
     assert rep.intertwining_residual == gram_norm((top, want))
+
+
+@pytest.mark.parametrize("dims,n", [(d, 24) for d in DIMS]
+                         + [((8, 8, 4), 192), ((16, 16, 8), 192), ((24, 24, 12), 192)])
+def test_factored_and_multiplied_out_tails_give_the_same_residual(dims, n):
+    # the tail column Gamma X, multiplied out, is the pair (Gamma X, I)
+    ds, cand = _lifting_case(sum(dims) + n, dims, n, 1e-3)
+    whole = LiftingCandidate(A_part=cand.A_part, tail=cand.tail)
+    got, want = verify_rcl(ds, cand, n), verify_rcl(ds, whole, n)
+    assert got.projection_residual == want.projection_residual
+    assert abs(got.intertwining_residual - want.intertwining_residual) <= 1e-16
 
 
 def test_lifting_checks_decompose_no_tall_matrix(monkeypatch):
@@ -363,15 +432,16 @@ def test_lifting_checks_decompose_no_tall_matrix(monkeypatch):
                                     ((5, 3, 4), 24), ((8, 8, 4), 192)])
 @pytest.mark.parametrize("perturb", [0.0, 1e-3])
 def test_intertwining_residual_is_the_svd_norm_of_the_stacked_difference(dims, n, perturb):
-    # the SVD of U' B R - B Q, formed from the stacked B, on H' and blocks 0..n-1
+    # the SVD of U' B R - B Q, formed from the stacked B R and B Q (the tail
+    # rows from the factored tail), on H' and blocks 0..n-1
     for seed in (31, 32, 33):
         ds, cand = _lifting_case(seed, dims, n, perturb)
-        B = stacked(cand)
-        X, (D, drange) = B @ ds.R, ds.defect_Tprime
+        X, BQ = (np.vstack(_factored_rows(cand, M)) for M in (ds.R, ds.Q))
+        D, drange = ds.defect_Tprime
         hp, d = ds.Hprime_dim, drange.dim
         tail = shift(X[hp:], d)
         tail[:d] += (drange.basis.conj().T @ D) @ X[:hp]
-        diff = np.vstack([ds.Tprime @ X[:hp], tail]) - B @ ds.Q
+        diff = np.vstack([ds.Tprime @ X[:hp], tail]) - BQ
         want = np.linalg.norm(diff[:hp + n * d], 2)
         got = verify_rcl(ds, cand, n).intertwining_residual
         assert abs(got - want) <= 1e-12 * want
