@@ -11,9 +11,9 @@ Z(lambda)|_F = omega as H = P_Y Z (I - lambda P_U Z)^-1: for a realized Z,
 the truncation of the closed loop, a schur.Realization kept as
 H.realization; a Taylor recursion otherwise.  The fiber of parameters
 over one solution is indexed by Schur-class C on the defect space of
-Gamma with C|_(F_Gamma) = Omega, F_Gamma = closure(D_Gamma F); z_from_C
-maps C back to the parameter Z_C = [2 H (W+I)^-1 ; lambda^-1 (W-I)(W+I)^-1]
-through
+Gamma with C|_(F_Gamma) = Omega, F_Gamma = closure(D_Gamma F); _fiber_z,
+the one construction behind z_from_C and the fiber roundtrips, maps C to
+Z_C = [2 H (W+I)^-1 ; lambda^-1 (W-I)(W+I)^-1] through
 
     W(lambda) = Gamma* (I + lambda S*)(I - lambda S*)^-1 Gamma
                 + D_Gamma (I + lambda C(lambda))(I - lambda C(lambda))^-1 D_Gamma,
@@ -240,11 +240,8 @@ def _loop_residuals(p: InterpolationProblem, loop: Realization, L) -> tuple:
 
 
 def _gamma_data(p: InterpolationProblem, Gamma) -> tuple[np.ndarray, Subspace, np.ndarray]:
-    """(Bd, F_Gamma, Omega): defect data of a solution column.
-
-    Bd is the range basis of D_Gamma, and (F_Gamma, Omega) are
-    _omega_data's.  A failed guard raises NotASolution.
-    """
+    """(Bd, F_Gamma, Omega) of a solution column: Bd the range basis of
+    D_Gamma, (F_Gamma, Omega) _omega_data's; a failed guard raises NotASolution."""
     G = as_operator(Gamma, cols=p.U_dim)
     if G.shape[0] % max(p.Y_dim, 1) != 0 and p.Y_dim > 0:
         raise DimensionMismatch("Gamma rows are not a multiple of Y_dim")
@@ -328,13 +325,11 @@ def _resolvent_loop(Cfun: Realization) -> Realization:
 
 
 def _w_taylor(Hs: np.ndarray, W0, Cfun, DB, BD):
-    """Coefficients W_0..W_(N+1) of the positive-real factor, and the sums.
-
-    W_0 = Gamma*Gamma + D^2 and, for k >= 1, with DB = D_Gamma Bd and
-    BD = Bd* D_Gamma for the range basis Bd of D_Gamma,
-    W_k = 2 sum_(n <= N-k) H_n* H_(n+k) + 2 D_Gamma (herglotz of C)_k D_Gamma.
-    Returns W as an (N+2, u, u) stack and the first sums, k = 1..N+1.
-    """
+    """Coefficients 0..N+1 of the positive-real factor W as an (N+2, u, u)
+    stack, its constant term the given W0 (Gamma*Gamma + D^2 + I for W + I),
+    and the first sums, k = 1..N+1.  For k >= 1, with DB = D_Gamma Bd and BD =
+    Bd* D_Gamma for the range basis Bd of D_Gamma,
+    W_k = 2 sum_(n <= N-k) H_n* H_(n+k) + 2 D_Gamma (herglotz of C)_k D_Gamma."""
     L, y, u = Hs.shape
     # the sum for k = N+1 is empty
     first = np.concatenate([series.correlate(Hs)[1:], np.zeros((1, u, u))])
@@ -350,9 +345,9 @@ def _w_taylor(Hs: np.ndarray, W0, Cfun, DB, BD):
     return W, first
 
 
-def _realized_z(H: Realization, R: Realization, DB, BD, meta: dict) -> Realization | None:
-    """Z_C from H's loop (A_H, B_H, C_H, D_H) and R = _resolvent_loop(C), or
-    None if not stable.
+def _realized_z(H: Realization, Cfun: Realization, DB, BD, w0res: float) -> Realization | None:
+    """Z_C from H's loop (A_H, B_H, C_H, D_H), a realized C and its
+    R = _resolvent_loop(C), or None if not stable.
 
     With L = H.gramian_root, the first sums over every degree are
     (D_H* C_H + (L B_H)* (L A_H)) A_H^(k-1) B_H, so W = I +
@@ -362,11 +357,12 @@ def _realized_z(H: Realization, R: Realization, DB, BD, meta: dict) -> Realizati
     block is H's state driven by 2 (W+I)^-1: so 2 H (W+I)^-1 is
     (Ax, B_W, [C_H, 0] - 1/2 D_H C_W, D_H), and lambda^-1 (W-I)(W+I)^-1 is
     (Ax, B_W, 1/2 C_W Ax, 1/2 C_W B_W).  None when L is None or
-    rho(Ax) >= 1; meta is the caller's, with rho(Ax) as pole_radius.
+    rho(Ax) >= 1; meta holds w0res, R.meta and rho(Ax) as pole_radius.
     """
     L = H.gramian_root
     if L is None:
         return None
+    R = _resolvent_loop(Cfun)
     n = H.state_dim
     B = np.vstack([H.B, R.B @ BD])
     Cw = 2.0 * np.hstack([H.D.conj().T @ H.C + (L @ H.B).conj().T @ (L @ H.A), DB @ R.C])
@@ -378,7 +374,7 @@ def _realized_z(H: Realization, R: Realization, DB, BD, meta: dict) -> Realizati
         return None
     top = np.hstack([H.C, np.zeros((H.out_dim, R.state_dim))]) - 0.5 * (H.D @ Cw)
     return _assembled(A, B, np.vstack([top, 0.5 * (Cw @ A)]), np.vstack([H.D, 0.5 * (Cw @ B)]),
-                      meta={**meta, "pole_radius": rho})
+                      meta={"w0_residual": w0res, **R.meta, "pole_radius": rho})
 
 
 def _w_zero(gamma_sq, Cfun, D, Bd) -> tuple:
@@ -395,44 +391,36 @@ def _w_zero(gamma_sq, Cfun, D, Bd) -> tuple:
     return D @ Bd, Bd.conj().T @ D, w0res
 
 
-def z_from_C(p: InterpolationProblem, H: PolyOpFn, Gamma, Cfun,
-             N: int) -> Realization | AnalyticFn:
-    """Parameter Z_C of a solution H, its degree-N column Gamma and a fiber member C.
+def _fiber_z(p, gamma_sq, Cfun, loop, H, N) -> Realization | AnalyticFn | None:
+    """Z_C = [2 H (W+I)^-1 ; lambda^-1 (W-I)(W+I)^-1] from the Gram gamma_sq of H's
+    column or of its root, and a fiber member Cfun, None for the central one.
 
-    Z_C = [2 H (W+I)^-1 ; lambda^-1 (W-I)(W+I)^-1]; D_Gamma, whose range
-    basis C is written in, and the check of W(0) = I within 1e-8 come from
-    Gamma.  It is _realized_z's Realization when H carries its loop
-    H.realization to degree >= N, C is a Realization and both are stable,
-    its meta holding _resolvent_loop's rank decision beside w0_residual and
-    pole_radius; else an AnalyticFn: coefficients to degree N from series.inv(W + I), with
-    W's sums over the retained degrees, and a pointwise rule reading H, C
-    and its Herglotz transform.  A Gamma further than CHECK_TOL * max(1,
-    ||Gamma||_F) from H's column, in Frobenius norm, raises NotASolution.
-    """
-    u, y = p.U_dim, p.Y_dim
-    G = as_operator(Gamma, rows=(N + 1) * y, cols=u)
-    if H.in_dim != u or H.out_dim != y:
-        raise DimensionMismatch("H has wrong dimensions for this problem")
-    Hs = H.taylor_stack(N)
-    gap = float(np.linalg.norm(G - Hs.reshape(G.shape)))
-    if gap > CHECK_TOL * max(1.0, float(np.linalg.norm(G))):
-        raise NotASolution(f"Gamma is not the column of H: they differ by {gap:.3e} "
-                           f"in Frobenius norm")
+    One defect gives the central C, guarded as central_C is, and _w_zero's
+    check.  Z_C is _realized_z's for H's loop, loop, and a Realization C if
+    both are stable; else None for H None, and for a PolyOpFn H an
+    AnalyticFn: coefficients to degree N from series.inv(W + I), W's sums
+    over the retained degrees, and a pointwise rule reading H, C and its
+    Herglotz transform."""
     # W(0) misses I by about 2 (||G|| - 1), so with this slack the W(0)
     # check still rejects norms in (1 + W_ZERO_TOL / 2, 1 + W_ZERO_TOL]
-    gamma_sq = G.conj().T @ G
-    D, drange = gram_defect(gamma_sq, W_ZERO_TOL)
+    try:
+        D, drange = gram_defect(gamma_sq, W_ZERO_TOL)
+    except NotAContraction as exc:
+        if Cfun is not None:
+            raise
+        raise NotASolution(f"candidate column: {exc}") from exc
+    if Cfun is None:
+        Cfun = _central(drange.basis, *_omega_data(p, D, drange.basis))
     DB, BD, w0res = _w_zero(gamma_sq, Cfun, D, drange.basis)
-    loop = H.realization
-    if loop is not None and H.degree >= N and isinstance(Cfun, Realization):
-        R = _resolvent_loop(Cfun)
-        Z = _realized_z(loop, R, DB, BD, {"w0_residual": w0res, **R.meta})
-        if Z is not None:
+    if loop is not None and isinstance(Cfun, Realization):
+        Z = _realized_z(loop, Cfun, DB, BD, w0res)
+        if Z is not None or H is None:
             return Z
+    u, y = p.U_dim, p.Y_dim
+    Hs = H.taylor_stack(N)
     eye = np.eye(u, dtype=np.complex128)
-    W, first = _w_taylor(Hs, gamma_sq + D @ D, Cfun, DB, BD)
-    W[0] += eye
-    M = series.inv(W)
+    Wplus, first = _w_taylor(Hs, gamma_sq + D @ D + eye, Cfun, DB, BD)
+    M = series.inv(Wplus)
     coeffs = np.concatenate([2.0 * series.mul(Hs, M), -2.0 * M[1:]], axis=1)
     remainder = D @ D - DB @ BD
 
@@ -454,18 +442,35 @@ def z_from_C(p: InterpolationProblem, H: PolyOpFn, Gamma, Cfun,
     return AnalyticFn(y + u, u, coeffs, _eval_many, meta={"w0_residual": w0res})
 
 
+def z_from_C(p: InterpolationProblem, H: PolyOpFn, Gamma, Cfun,
+             N: int) -> Realization | AnalyticFn:
+    """Parameter Z_C of a solution H, its degree-N column Gamma and a fiber
+    member C: _fiber_z's, realized when H carries its loop H.realization to
+    degree >= N.  A Gamma further than CHECK_TOL * max(1, ||Gamma||_F) from
+    H's column, in Frobenius norm, raises NotASolution."""
+    u, y = p.U_dim, p.Y_dim
+    G = as_operator(Gamma, rows=(N + 1) * y, cols=u)
+    if H.in_dim != u or H.out_dim != y:
+        raise DimensionMismatch("H has wrong dimensions for this problem")
+    gap = float(np.linalg.norm(G - H.taylor_stack(N).reshape(G.shape)))
+    if gap > CHECK_TOL * max(1.0, float(np.linalg.norm(G))):
+        raise NotASolution(f"Gamma is not the column of H: they differ by {gap:.3e} "
+                           f"in Frobenius norm")
+    return _fiber_z(p, G.conj().T @ G, Cfun, H.realization if H.degree >= N else None, H, N)
+
+
 def fiber_roundtrip_residuals(p: InterpolationProblem, Z, N: int) -> tuple[float, float, float]:
     """(coefficient gap, constraint, W(0) residual) of Z -> H -> central Z_C -> H.
 
     The gap is the largest ||H_n - H'_n|| over degrees 0..N-4, below the
     truncation tail of Z_C, and the constraint the largest
     ||Z_C(lambda)|_F - omega|| on GRID.  Both parameters' constraints are
-    checked at CHECK_TOL; Z_C is evaluated on GRID once, for the check
-    that also gives the reported constraint.
+    checked at CHECK_TOL; Z_C, _fiber_z's, is evaluated on GRID once, for
+    the check that also gives the reported constraint.
     """
     H = solve_from_Z(p, Z, N)
     Gamma = column_operator(H, N)
-    Z1 = z_from_C(p, H, Gamma, central_C(p, Gamma), N)
+    Z1 = _fiber_z(p, Gamma.conj().T @ Gamma, None, H.realization, H, N)
     constraint = _constraint_residual(p, Z1)
     H1 = _feedback(Z1, p.Y_dim, _lambda_identity(p.U_dim), N)
     keep = max(0, N - 4)

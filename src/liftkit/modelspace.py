@@ -42,13 +42,12 @@ import numpy as np
 
 from . import series
 from .errors import DegreeTooSmall, DimensionMismatch, DomainError
-from .hardy import (GRID, AnalyticFn, PolyOpFn, multiplication_operator, shift,
+from .hardy import (GRID, AnalyticFn, PolyOpFn, _poly, multiplication_operator, shift,
                     shift_adjoint)
-from .lifting import (CHECK_TOL, InterpolationProblem, _central, _feedback, _omega_data,
-                      _realized_z, _resolvent_loop, _w_zero, central_C, z_from_C)
-from .linalg import (Subspace, _orthonormal, as_operator, contraction_gram, gram_defect,
-                     haar_unitary, operator_norm, operator_norms, orthonormal_range,
-                     projector_gap, require_contraction)
+from .lifting import CHECK_TOL, InterpolationProblem, _feedback, _fiber_z
+from .linalg import (Subspace, _orthonormal, as_operator, contraction_gram, haar_unitary,
+                     operator_norm, operator_norms, orthonormal_range, projector_gap,
+                     require_contraction)
 from .schur import Realization, SchurRealization, _assembled, random_schur
 
 # threshold of each residual of check_decompositions
@@ -321,8 +320,7 @@ def z_from_H_theta(theta: InnerFn, Hfn: PolyOpFn, ms: ModelSpace,
         om2 = om2 / nrm2
     p_model = InterpolationProblem(U_dim=m, Y_dim=y, F=F,
                                    omega1=np.zeros((y, F.dim)), omega2=om2)
-    C0 = central_C(p_model, Gmat)
-    Zt = z_from_C(p_model, PolyOpFn(y, m, Gmat.reshape(N + 1, y, m)), Gmat, C0, N)
+    Zt = _fiber_z(p_model, Gmat.conj().T @ Gmat, None, None, _poly(Gmat.reshape(N + 1, y, m)), N)
     EmU = msb[:u].conj().T
     left = theta.taylor_stack(N + 1)[1:].reshape(-1, e).conj().T @ msb
 
@@ -343,13 +341,12 @@ def _state_space_z(theta: InnerFn, H: Realization) -> Realization | None:
     isometrically onto H, so multiplication by H's loop (A_h, B_h, C_h,
     D_h) is the column of H~ = H C (I - lambda A)^-1, the cascade
     ([[A_h, B_h C], [0, A]], [B_h C; A], [C_h, D_h C], D_h C).  F = ker C,
-    omega2 = A is isometric on it (A*A + C*C = I), and the defect reads
-    the root [D~; L B~] of H~'s H^2 Gram (L = Ht.gramian_root), through the
-    root's small Gram, formed once (linalg.contraction_gram): its norm, that
-    of multiplication by H on the model space, is guarded at CHECK_TOL, and
-    the one defect serves the central C and W(0) (CHECK_TOL = W_ZERO_TOL).
-    U's constants have coordinates C* and Phi's column B: Z is
-    lifting._realized_z's Z~, C* on its input, B* on E rows."""
+    omega2 = A is isometric on it (A*A + C*C = I), and lifting._fiber_z reads
+    the root [D~; L B~] of H~'s H^2 Gram (L = Ht.gramian_root) through the
+    root's small Gram, formed once (linalg.contraction_gram), whose norm,
+    that of multiplication by H on the model space, is guarded at CHECK_TOL.
+    U's constants have coordinates C* and Phi's column B: Z is the realized
+    Z~ of H~'s loop, C* on its input, B* on E rows."""
     n, y = theta.state_dim, H.out_dim
     HC, DC = H.B @ theta.C, H.D @ theta.C
     Ht = _assembled(np.block([[H.A, HC], [np.zeros((n, H.state_dim)), theta.A]]),
@@ -361,10 +358,7 @@ def _state_space_z(theta: InnerFn, H: Realization) -> Realization | None:
     F = orthonormal_range(np.eye(n) - theta.C.conj().T @ theta.C)
     p = InterpolationProblem(U_dim=n, Y_dim=y, F=F, omega1=np.zeros((y, F.dim)),
                              omega2=theta.A @ F.basis)
-    D, drange = gram_defect(gram, CHECK_TOL)
-    C0 = _central(drange.basis, *_omega_data(p, D, drange.basis))
-    DB, BD, w0res = _w_zero(gram, C0, D, drange.basis)
-    Zt = _realized_z(Ht, _resolvent_loop(C0), DB, BD, {"w0_residual": w0res})
+    Zt = _fiber_z(p, gram, None, Ht, None, None)
     if Zt is None:
         return None
     left = np.eye(y + theta.in_dim, y + n, dtype=np.complex128)

@@ -8,9 +8,10 @@ the Sz.-Nagy-Schaeffer isometric lifting U' of T'.
 
 Every data set induces an interpolation problem on the defect space of
 A: F = closure(D_A Q H0) and omega(D_A Q h) = [D_T' A R h; D_A R h].
-Solving the induced problem and solving the lifting problem are
-equivalent; both directions are exercised in the test suite.  The
-reverse construction data_set_from_omega builds, for any contraction
+The two problems are equivalent.  On seeded data sets the tests check
+that gamma_to_B of a solution passes verify_rcl, of a perturbed one fails,
+and that b_to_gamma of a passing candidate, factored or multiplied out,
+passes verify_solution.  data_set_from_omega builds, for any contraction
 omega, a data set whose induced problem is omega again up to a unitary
 change of basis (omega_roundtrip_residual measures the defect).
 """
@@ -23,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch
-from .hardy import PolyOpFn, _poly, column_operator
+from .hardy import PolyOpFn, _poly
 from .lifting import CHECK_TOL, InterpolationProblem, random_problem
 from .linalg import (CONTRACTION_SLACK, Subspace, as_operator, contraction_gram,
                      contraction_on_generators, defect, gram_norm, haar_unitary,
@@ -205,14 +206,14 @@ def gamma_to_B(ds: RclDataSet, Gamma, N: int) -> LiftingCandidate:
 
 
 def b_to_gamma(ds: RclDataSet, cand: LiftingCandidate) -> np.ndarray:
-    """Recover Gamma from B's tail, multiplied out; minimum-norm, exact on
-    range(D_A)."""
+    """Gamma = gamma M from B's tail, the pair (gamma, X), with the minimum-norm
+    M of M Bd_A* D_A = X: exact on range(D_A), and the tail not multiplied out."""
     DA, rA = ds.defect_A
-    X = rA.basis.conj().T @ DA
-    tail_mat = column_operator(cand.tail, cand.tail.degree)
-    if X.shape[1] != tail_mat.shape[1]:
+    XA = rA.basis.conj().T @ DA
+    if XA.shape[1] != cand.X.shape[1]:
         raise DimensionMismatch("candidate tail does not act on H")
-    return np.linalg.lstsq(X.T, tail_mat.T, rcond=None)[0].T
+    M = np.linalg.lstsq(XA.T, cand.X.T, rcond=None)[0].T
+    return cand.gamma.reshape(-1, cand.gamma.shape[2]) @ M
 
 
 def verify_rcl(ds: RclDataSet, cand: LiftingCandidate, N: int) -> RclReport:

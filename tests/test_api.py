@@ -2,8 +2,8 @@
 aliases that were removed in favour of one accessor each, the
 parameters with defaults that some caller sets, the one module that
 makes the numerical guards' decisions, the one place that gives a
-polynomial its loop, and the library-only use of the constructors that
-skip a copy or a check.
+polynomial its loop, the library-only use of the constructors that skip
+a copy or a check, and the one function that builds every fiber parameter Z_C.
 
 The benchmark's own test (bench/test_smoke.py) is not collected with this
 suite, so the benchmark's imports are checked here by parsing its sources,
@@ -21,7 +21,8 @@ import numpy as np
 import pytest
 
 import liftkit
-from _support import scalar_fixture
+from _support import count_calls, refuse, scalar_fixture
+from liftkit import lifting
 from liftkit.hardy import AnalyticFn, PolyOpFn
 from liftkit.lifting import InterpolationProblem
 from liftkit.linalg import Subspace
@@ -371,3 +372,34 @@ def test_unchecked_constructors_take_only_arrays_the_library_made():
     assert called == set(UNCHECKED)
     assert not outside
     assert not handed
+
+
+def _private_imports(path: Path, module: str) -> set:
+    """The underscore names a source file imports from a sibling module."""
+    return {alias.name for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module
+            for alias in node.names if alias.name.startswith("_")}
+
+
+def test_modelspace_builds_its_parameters_only_through_lifting_fiber_z():
+    # no copy of the defect -> central member -> W(0) -> Z_C sequence outside lifting
+    path = ROOT / "src" / "liftkit" / "modelspace.py"
+    assert _private_imports(path, "lifting") == {"_feedback", "_fiber_z"}
+
+
+@pytest.mark.parametrize("pipeline", ["fiber_roundtrip_residuals", "truncated z_from_H_theta"])
+def test_a_fiber_pipeline_takes_one_defect_of_its_column(monkeypatch, pipeline):
+    # one defect of the column's Gram gives the central member and the W(0)
+    # check; linalg.defect, which forms the Gram again, is not called
+    p = liftkit.random_problem(3, 2, 2, seed=41, scale=0.45)
+    Z = liftkit.random_constrained_z(p, 2, seed=42, scale=0.5)
+    theta = liftkit.random_inner(72, 2, 2)
+    H = liftkit.random_multiplier(theta, 2, 32, seed=73)
+    coeffs, ms = PolyOpFn(H.out_dim, H.in_dim, H.coeffs), liftkit.model_space(theta, 32)
+    refuse(monkeypatch, lifting, "defect")
+    calls = count_calls(monkeypatch, lifting, "gram_defect")
+    if pipeline == "fiber_roundtrip_residuals":
+        liftkit.fiber_roundtrip_residuals(p, Z, 24)
+    else:
+        assert isinstance(liftkit.z_from_H_theta(theta, coeffs, ms, 32), AnalyticFn)
+    assert len(calls) == 1

@@ -21,7 +21,7 @@ from liftkit.lifting import (CHECK_TOL, InterpolationProblem, _feedback, _lambda
                              uniqueness_certificate, verify_solution, z_from_C)
 from liftkit.linalg import (ROUNDOFF, Subspace, hermitian_sqrt_psd, operator_norm,
                             orthonormal_range, realized_sup_bound)
-from liftkit.modelspace import h_from_Z_theta, theta_shift
+from liftkit.modelspace import h_from_Z_theta, model_space, theta_shift, z_from_H_theta
 from liftkit.rcl import random_data_set, underlying_contraction
 from liftkit.schur import Realization, SchurRealization, random_schur
 
@@ -491,6 +491,47 @@ def test_z_from_C_checks_C_dims():
         z_from_C(p, H, G, random_schur(3, 3, 1, seed=0), N)
 
 
+def test_verify_and_z_from_C_check_the_dimensions_of_H():
+    p = random_problem(3, 2, 2, seed=5, scale=0.45)
+    H = solve_from_Z(p, random_constrained_z(p, 2, seed=6, scale=0.5), N)
+    G = column_operator(H, N)
+    wide = PolyOpFn(p.Y_dim, p.U_dim + 1, np.zeros((N + 1, p.Y_dim, p.U_dim + 1)))
+    tall = PolyOpFn(p.Y_dim + 1, p.U_dim, np.zeros((N + 1, p.Y_dim + 1, p.U_dim)))
+    for bad in (wide, tall):
+        with pytest.raises(DimensionMismatch, match="^H has wrong dimensions"):
+            verify_solution(p, bad, N)
+        with pytest.raises(DimensionMismatch, match="^H has wrong dimensions"):
+            z_from_C(p, bad, G, central_C(p, G), N)
+
+
+def test_central_C_checks_that_gamma_rows_fill_blocks_of_Y():
+    p = random_problem(3, 2, 2, seed=5, scale=0.45)
+    with pytest.raises(DimensionMismatch, match="^Gamma rows are not a multiple of Y_dim$"):
+        central_C(p, np.zeros((2 * N + 1, 3)))
+
+
+def test_an_unstable_inverse_falls_back_to_the_coefficient_path(monkeypatch):
+    # rho(Ax) >= 1 (here: stable_radius reports no radius) leaves the
+    # realized path with no Z_C; z_from_C takes the coefficient path and
+    # z_from_H_theta the truncated basis, as for H's coefficients alone
+    p = random_problem(3, 2, 2, seed=41, scale=0.45)
+    H = solve_from_Z(p, random_constrained_z(p, 2, seed=42, scale=0.5), N)
+    G = column_operator(H, N)
+    C = central_C(p, G)
+    theta = theta_shift(2)
+    Hm = h_from_Z_theta(theta, random_schur(4, 2, 2, seed=43, scale=0.5), 32)
+    ms = model_space(theta, 32)
+    monkeypatch.setattr(lifting, "stable_radius", lambda A: None)
+    for got, want in ((z_from_C(p, H, G, C, N), z_from_C(p, PolyOpFn(2, 3, H.coeffs), G, C, N)),
+                      (z_from_H_theta(theta, Hm, ms, 32),
+                       z_from_H_theta(theta, PolyOpFn(2, 2, Hm.coeffs), ms, 32))):
+        assert isinstance(got, AnalyticFn) and "pole_radius" not in got.meta
+        assert got.meta == want.meta
+        assert np.array_equal(got.taylor_stack(got.degree), want.taylor_stack(want.degree))
+        assert np.array_equal(got.eval_many(GRID), want.eval_many(GRID))
+    assert "mult_tail" in got.meta
+
+
 def test_z_from_C_checks_the_rows_of_gamma():
     # a column truncated below the degree N drops H's tail; unchecked, the
     # parameter missed the constraint by 1.6e-01 on the grid
@@ -734,6 +775,9 @@ def test_uniqueness_certificate_examples():
                                      omega2=np.array([[0.0]]))
     assert not uniqueness_certificate(no_omega2)
     assert not uniqueness_certificate(random_problem(2, 2, 1, seed=7, scale=0.6))
+    # with F = 0 the solution is unique only when there is no input at all
+    assert not uniqueness_certificate(unconstrained_problem(2, 1))
+    assert uniqueness_certificate(unconstrained_problem(0, 1))
 
 
 def test_distinct_parameters_give_distinct_solutions():

@@ -495,7 +495,7 @@ def test_realized_multiplier_gives_a_realized_parameter(monkeypatch, k, size):
         refuse(m, modelspace, "multiplication_operator")
         got = z_from_H_theta(theta, H, ms, N)
     assert isinstance(got, Realization)
-    assert set(got.meta) == {"w0_residual", "pole_radius"}
+    assert set(got.meta) == {"w0_residual", "resolvent_rank", "resolvent_dropped", "pole_radius"}
     assert got.meta["w0_residual"] <= 1e-12 and 0.0 < got.meta["pole_radius"] < 1.0
     keep = N - theta.degree_bound - 4
     assert_rel_close(got.taylor_stack(keep), want.taylor_stack(keep))
@@ -666,13 +666,13 @@ def test_model_space_bases_skip_the_orthonormality_recheck(monkeypatch):
 
 def test_state_space_parameter_takes_one_defect(monkeypatch):
     # the norm guard, central_C and W(0) read one Gram of the root, formed
-    # once, and one defect of it
+    # once, and one defect of it, taken by lifting._fiber_z
     theta = random_inner(72, 3, 3)
     H = h_from_Z_theta(theta, random_schur(5, 3, 2, seed=73, scale=0.6), 64)
     ms = model_space(theta, 64)
     refuse(monkeypatch, lifting, "defect")
     grams = count_calls(monkeypatch, linalg, "_gram")
-    calls = count_calls(monkeypatch, modelspace, "gram_defect")
-    zeros = count_calls(monkeypatch, modelspace, "_w_zero")
+    calls = count_calls(monkeypatch, lifting, "gram_defect")
+    zeros = count_calls(monkeypatch, lifting, "_w_zero")
     assert isinstance(z_from_H_theta(theta, H, ms, 64), Realization)
     assert len(grams) == len(calls) == len(zeros) == 1 and calls[0][0] is zeros[0][0]

@@ -11,7 +11,7 @@ from liftkit import hardy, linalg, rcl
 from liftkit.errors import (DimensionMismatch, InconsistentGenerators,
                             NotAContraction)
 from liftkit.hardy import PolyOpFn, column_operator, shift
-from liftkit.lifting import random_constrained_z, solve_from_Z
+from liftkit.lifting import random_constrained_z, solve_from_Z, verify_solution
 from liftkit.linalg import (CONTRACTION_SLACK, defect, gram_norm, haar_unitary,
                             operator_norm, require_gram_contraction)
 from liftkit.rcl import (LiftingCandidate, RclDataSet, b_to_gamma,
@@ -29,6 +29,13 @@ def tilde_set():
 
 def test_validate_accepts_tilde_construction():
     assert validate_data_set(tilde_set())
+
+
+def test_validate_accepts_an_empty_H0():
+    # R*R <= Q*Q holds vacuously on a zero-dimensional H0
+    ds = RclDataSet(A=0.5 * np.eye(2), Tprime=np.zeros((2, 2)),
+                    R=np.zeros((2, 0)), Q=np.zeros((2, 0)))
+    assert validate_data_set(ds)
 
 
 def test_validate_rejects_expansive_A():
@@ -189,8 +196,27 @@ def test_b_to_gamma_roundtrip(seed):
     p = underlying_contraction(ds)
     H = solve_from_Z(p, random_constrained_z(p, 2, seed=seed + 50), N)
     G0 = column_operator(H, N)
-    G1 = b_to_gamma(ds, gamma_to_B(ds, G0, N))
+    cand = gamma_to_B(ds, G0, N)
+    G1 = b_to_gamma(ds, cand)
     assert operator_norm(G1 - G0) <= 1e-12
+    # read from the pair (gamma, X): the multiplied-out tail, (N+1) dim D_T'
+    # x dim H, is never made
+    assert "tail" not in cand.__dict__
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_lifting_gives_back_a_solution_of_the_induced_problem(seed):
+    # the reverse direction: B = [A; tail], its tail factored or multiplied
+    # out, passes verify_rcl, and b_to_gamma's Gamma solves the induced problem
+    ds = random_data_set(seed=seed)
+    p = underlying_contraction(ds)
+    H = solve_from_Z(p, random_constrained_z(p, 2, seed=seed + 50), N)
+    cand = gamma_to_B(ds, column_operator(H, N), N)
+    for B in (cand, LiftingCandidate(A_part=ds.A, tail=cand.tail)):
+        assert verify_rcl(ds, B, N).ok()
+        G = b_to_gamma(ds, B)
+        assert verify_solution(p, PolyOpFn(p.Y_dim, p.U_dim, G.reshape(N + 1, p.Y_dim, p.U_dim)),
+                               N).ok()
 
 
 def test_verify_rcl_projection_residual():
