@@ -12,10 +12,12 @@ schur.Realization with its subclasses) exposes the same protocol:
 stack for the series engine in ``liftkit.series``, and
 ``eval_many(points)`` returns the values at P points as a (P, out, in)
 stack, raising what the per-point ``eval`` would raise at any of them.
-The library's types check the points once (``Evaluable``); their
-internal ``_values`` reads checked points.  A ``taylor_stack`` result may
-be a read-only view of stored coefficients, so callers never write into
-it; a caller that needs a stack to change copies it.
+The library's types check the points once, by the one point check of
+their class (``Evaluable._points``), and ``eval(z)`` is bit for bit row 0
+of ``eval_many([z])``; their internal ``_values`` reads checked points.
+A ``taylor_stack`` result may be a read-only view of stored coefficients,
+so callers never write into it; a caller that needs a stack to change
+copies it.
 """
 
 from __future__ import annotations
@@ -35,12 +37,13 @@ GRID.setflags(write=False)
 
 
 def disk_points(points) -> np.ndarray:
-    """The points, checked once per evaluation call, as a complex128 vector;
-    DomainError names the first |z| >= 1 or NaN."""
+    """The points, or one scalar point, checked once per evaluation call, as a
+    complex128 vector; DomainError names the first |z| >= 1 or NaN."""
     z = np.asarray(points, dtype=np.complex128).reshape(-1)
-    inside = np.abs(z) < 1.0
-    if not inside.all():
-        raise DomainError(f"|lambda| = {abs(z[~inside][0]):.6f} is not < 1")
+    r = np.abs(z)
+    # one max decides; a NaN point is the max and fails
+    if not np.maximum.reduce(r, initial=0.0) < 1.0:
+        raise DomainError(f"|lambda| = {r[~(r < 1.0)][0]:.6f} is not < 1")
     return z
 
 
@@ -68,14 +71,19 @@ def _coeff_stack(coeffs, rows: int, cols: int) -> np.ndarray:
 
 
 class Evaluable:
-    """eval_many and eval from _values(z), the values at checked points."""
+    """eval_many and eval from _values(z), the values at points that the one
+    point check of the class, _points, has passed: the open unit disk."""
 
     def eval_many(self, points) -> np.ndarray:
         """Values at points of the open unit disk, as a (P, out, in) stack."""
-        return self._values(disk_points(points))
+        return self._values(self._points(points))
 
     def eval(self, lam: complex) -> np.ndarray:
-        return self.eval_many([lam])[0]
+        """The value at one point: row 0 of eval_many([lam]), bit for bit."""
+        return self._values(self._points(lam))[0]
+
+    def _points(self, points) -> np.ndarray:
+        return disk_points(points)
 
 
 @dataclass(frozen=True, eq=False)

@@ -35,10 +35,10 @@ from .errors import (ConstraintViolated, DimensionMismatch, InconsistentGenerato
                      NonFiniteResult, NotAContraction, NotASolution,
                      WNotNormalizedAtZero)
 from .hardy import GRID, AnalyticFn, PolyOpFn, column_operator
-from .linalg import (CONTRACTION_SLACK, Subspace, as_operator, contraction_on_generators,
-                     defect, gram_defect, operator_norm, operator_norms, orthonormal_range,
-                     realized_sup_bound, require_contraction, require_invertible,
-                     roundoff_range, stable_radius)
+from .linalg import (CONTRACTION_SLACK, Subspace, as_operator, block_2x2,
+                     contraction_on_generators, defect, gram_defect, operator_norm,
+                     operator_norms, orthonormal_range, realized_sup_bound,
+                     require_contraction, require_invertible, roundoff_range, stable_radius)
 from .schur import (Realization, SchurRealization, _assembled, _complete,
                     _completion_frame, _herglotz, random_schur)
 
@@ -175,7 +175,7 @@ def _closed_loop(Z: Realization, y: int, theta: Realization) -> Realization:
     interpolation loop A_cl = [[A, B], [C_U, D_U]].
     """
     BtDE = theta.B @ Z.D[y:]
-    Acl = np.block([[Z.A, Z.B @ theta.C], [theta.B @ Z.C[y:], theta.A + BtDE @ theta.C]])
+    Acl = block_2x2(Z.A, Z.B @ theta.C, theta.B @ Z.C[y:], theta.A + BtDE @ theta.C)
     return _assembled(Acl, np.vstack([Z.B, BtDE]),
                       np.hstack([Z.C[:y], Z.D[:y] @ theta.C]), Z.D[:y])
 
@@ -319,7 +319,7 @@ def _resolvent_loop(Cfun: Realization) -> Realization:
     kept, dropped = roundoff_range(np.hstack([Cfun.C, Cfun.D]))
     Q, (d, n) = kept.basis, Cfun.C.shape
     QD = Q.conj().T @ Cfun.D
-    return _assembled(np.block([[Cfun.A, Cfun.B @ Q], [Q.conj().T @ Cfun.C, QD @ Q]]),
+    return _assembled(block_2x2(Cfun.A, Cfun.B @ Q, Q.conj().T @ Cfun.C, QD @ Q),
                       np.vstack([Cfun.B, QD]), np.hstack([np.zeros((d, n)), Q]), np.eye(d),
                       meta={"resolvent_rank": kept.dim, "resolvent_dropped": dropped})
 
@@ -447,15 +447,20 @@ def z_from_C(p: InterpolationProblem, H: PolyOpFn, Gamma, Cfun,
     """Parameter Z_C of a solution H, its degree-N column Gamma and a fiber
     member C: _fiber_z's, realized when H carries its loop H.realization to
     degree >= N.  A Gamma further than CHECK_TOL * max(1, ||Gamma||_F) from
-    H's column, in Frobenius norm, raises NotASolution."""
+    H's column, in Frobenius norm, raises NotASolution; H's column itself, as
+    column_operator(H, N) gives it, is not compared."""
     u, y = p.U_dim, p.Y_dim
     G = as_operator(Gamma, rows=(N + 1) * y, cols=u)
     if H.in_dim != u or H.out_dim != y:
         raise DimensionMismatch("H has wrong dimensions for this problem")
-    gap = float(np.linalg.norm(G - H.taylor_stack(N).reshape(G.shape)))
-    if gap > CHECK_TOL * max(1.0, float(np.linalg.norm(G))):
-        raise NotASolution(f"Gamma is not the column of H: they differ by {gap:.3e} "
-                           f"in Frobenius norm")
+    Hs = H.taylor_stack(N).reshape(G.shape)
+    # column_operator(H, N), a view of H's stored coefficients, is at gap 0.0
+    if not (G.strides == Hs.strides
+            and G.__array_interface__["data"][0] == Hs.__array_interface__["data"][0]):
+        gap = float(np.linalg.norm(G - Hs))
+        if gap > CHECK_TOL * max(1.0, float(np.linalg.norm(G))):
+            raise NotASolution(f"Gamma is not the column of H: they differ by {gap:.3e} "
+                               f"in Frobenius norm")
     return _fiber_z(p, G.conj().T @ G, Cfun, H.realization if H.degree >= N else None, H, N)
 
 

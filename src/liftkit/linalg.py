@@ -41,6 +41,18 @@ def as_operator(M, rows: int | None = None, cols: int | None = None) -> np.ndarr
     return A
 
 
+def block_2x2(A, B, C, D) -> np.ndarray:
+    """np.block([[A, B], [C, D]]) as complex128, written into one array; the
+    blocks must fit, any of them may be empty."""
+    (r, c), (s, t) = np.shape(A), np.shape(D)
+    if np.shape(B) != (r, t) or np.shape(C) != (s, c):
+        raise DimensionMismatch(f"blocks {np.shape(A)}, {np.shape(B)}, {np.shape(C)}, "
+                                f"{np.shape(D)} do not fit a 2 x 2 block matrix")
+    out = np.empty((r + s, c + t), dtype=np.complex128)
+    out[:r, :c], out[:r, c:], out[r:, :c], out[r:, c:] = A, B, C, D
+    return out
+
+
 def operator_norm(M) -> float:
     """Largest singular value; 0.0 for empty matrices.
 

@@ -45,9 +45,9 @@ from .errors import DegreeTooSmall, DimensionMismatch, DomainError
 from .hardy import (GRID, AnalyticFn, PolyOpFn, _poly, multiplication_operator, shift,
                     shift_adjoint)
 from .lifting import CHECK_TOL, InterpolationProblem, _feedback, _fiber_z
-from .linalg import (Subspace, _orthonormal, as_operator, contraction_gram, haar_unitary,
-                     operator_norm, operator_norms, orthonormal_range, projector_gap,
-                     require_contraction)
+from .linalg import (Subspace, _orthonormal, as_operator, block_2x2, contraction_gram,
+                     haar_unitary, operator_norm, operator_norms, orthonormal_range,
+                     projector_gap, require_contraction)
 from .schur import Realization, SchurRealization, _assembled, random_schur
 
 # threshold of each residual of check_decompositions
@@ -163,13 +163,14 @@ class InnerFn(SchurRealization):
     def coeff(self, n: int) -> np.ndarray:
         return self.taylor_stack(n)[n]
 
-    def eval_many(self, points) -> np.ndarray:
-        """Exact rational evaluation at each point; the closed disk is allowed."""
+    def _points(self, points) -> np.ndarray:
+        """The point check of eval and eval_many: the closed disk is allowed,
+        |z| <= 1 + 1e-12, as Theta's poles lie outside it."""
         z = np.asarray(points, dtype=np.complex128).reshape(-1)
-        bad = np.flatnonzero(~(np.abs(z) <= 1.0 + 1e-12))
-        if bad.size:
-            raise DomainError(f"|lambda| = {abs(z[bad[0]]):.6f} is not <= 1")
-        return self._values(z)
+        r = np.abs(z)
+        if not np.maximum.reduce(r, initial=0.0) <= 1.0 + 1e-12:
+            raise DomainError(f"|lambda| = {r[~(r <= 1.0 + 1e-12)][0]:.6f} is not <= 1")
+        return z
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,7 +350,7 @@ def _state_space_z(theta: InnerFn, H: Realization) -> Realization | None:
     Z~ of H~'s loop, C* on its input, B* on E rows."""
     n, y = theta.state_dim, H.out_dim
     HC, DC = H.B @ theta.C, H.D @ theta.C
-    Ht = _assembled(np.block([[H.A, HC], [np.zeros((n, H.state_dim)), theta.A]]),
+    Ht = _assembled(block_2x2(H.A, HC, np.zeros((n, H.state_dim)), theta.A),
                     np.vstack([HC, theta.A]), np.hstack([H.C, DC]), DC)
     L = Ht.gramian_root
     if L is None:

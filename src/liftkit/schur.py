@@ -19,8 +19,8 @@ import numpy as np
 from . import series
 from .errors import DimensionMismatch
 from .hardy import Evaluable, PolyOpFn, _poly, disk_points
-from .linalg import (CONTRACTION_SLACK, as_operator, defect, gramian_root, operator_norm,
-                     orthonormal_range, require_contraction, require_inverse,
+from .linalg import (CONTRACTION_SLACK, as_operator, block_2x2, defect, gramian_root,
+                     operator_norm, orthonormal_range, require_contraction, require_inverse,
                      require_invertible)
 
 
@@ -79,7 +79,9 @@ class Realization(Evaluable):
         z3 = z[:, None, None]
         M = np.eye(n) - z3 * self.A
         try:
-            res = np.linalg.solve(M, np.broadcast_to(self.B, (z.size,) + self.B.shape))
+            # B[None] is one matrix, broadcast over the stack M; numpy < 2.0
+            # reads a bare 2-d B as stacked vectors, wrong when B is square
+            res = np.linalg.solve(M, self.B[None])
         except np.linalg.LinAlgError:
             require_invertible(M, "I - lambda*A")
             raise
@@ -117,7 +119,7 @@ class SchurRealization(Realization):
         require_contraction(self.colligation(), "colligation", CONTRACTION_SLACK)
 
     def colligation(self) -> np.ndarray:
-        return np.block([[self.A, self.B], [self.C, self.D]])
+        return block_2x2(self.A, self.B, self.C, self.D)
 
 
 def random_schur(out_dim: int, in_dim: int, state_dim: int, seed: int,

@@ -5,7 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from _support import herglotz_oracle, inner_values_oracle, z_from_C_rule_oracle
+from _support import (count_calls, herglotz_oracle, inner_values_oracle, refuse,
+                      z_from_C_rule_oracle)
 from liftkit import hardy, schur
 from liftkit.errors import DomainError, SingularResolvent
 from liftkit.hardy import GRID, AnalyticFn, PolyOpFn, column_operator, default_grid
@@ -76,6 +77,8 @@ def test_eval_many_matches_per_point_eval(name):
     batch = fn.eval_many(POINTS)
     assert batch.shape == (len(POINTS), fn.out_dim, fn.in_dim)
     for z, got in zip(POINTS, batch):
+        # one point is row 0 of its one-point batch, bit for bit
+        assert np.array_equal(fn.eval(z), fn.eval_many([z])[0])
         assert np.abs(got - fn.eval(z)).max() <= 1e-13
         assert np.abs(got - reference(name, fn, z)).max() <= 1e-12
 
@@ -117,7 +120,10 @@ def test_inner_fn_keeps_the_closed_disk():
     pts = [0.3, 1.0, -1j]
     batch = th.eval_many(pts)
     for z, got in zip(pts, batch):
+        assert np.array_equal(th.eval(z), th.eval_many([z])[0])
         assert np.abs(got - th.eval(z)).max() <= 1e-13
+    with pytest.raises(DomainError, match="is not <= 1"):
+        th.eval(1.0 + 1e-9)
 
 
 def test_herglotz_guard_raises_in_batch():
@@ -232,3 +238,12 @@ def test_grid_evaluation_of_central_parameter_needs_no_svd(monkeypatch):
     for z in GRID:
         Z1.eval(z)
     assert shapes == []
+
+
+def test_one_evaluation_solves_once_and_builds_no_broadcast_view(monkeypatch):
+    Z1, _ = fiber_parameter()
+    assert Z1.state_dim > 0
+    refuse(monkeypatch, np, "broadcast_to")
+    solves = count_calls(monkeypatch, np.linalg, "solve")
+    Z1.eval(0.3 + 0.2j)
+    assert len(solves) == 1

@@ -557,6 +557,25 @@ def test_z_from_C_rejects_the_column_of_another_solution():
     z_from_C(p, H, G + 1e-9 * G / np.linalg.norm(G), central_C(p, G), N)
 
 
+def test_z_from_C_compares_only_a_gamma_that_is_not_h_own_column(monkeypatch):
+    # H's own column is at gap 0.0 and is not compared; a copy of it, or
+    # another view of H's coefficients, is, and gives the same Z_C bits
+    p = random_problem(3, 2, 2, seed=41, scale=0.45)
+    H = solve_from_Z(p, random_constrained_z(p, 2, seed=42, scale=0.5), N + 1)
+    G = column_operator(H, N)
+    C = central_C(p, G)
+    want = z_from_C(p, H, G.copy(), C, N)
+    norms = count_calls(monkeypatch, np.linalg, "norm")
+    got = z_from_C(p, H, G, C, N)
+    assert norms == []
+    assert np.array_equal(got.eval_many(GRID), want.eval_many(GRID))
+    shifted = H.taylor_stack(N + 1)[1:].reshape(G.shape)
+    assert np.shares_memory(shifted, G)
+    with pytest.raises(NotASolution, match="is not the column of H"):
+        z_from_C(p, H, shifted, C, N)
+    assert len(norms) == 2
+
+
 def test_w_coefficients_match_pointwise_resolvents():
     # Taylor data of Z_C against a direct evaluation of
     # W = Gamma*(I + lam S*)(I - lam S*)^-1 Gamma + D(I + lam C)(I - lam C)^-1 D

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from _support import refuse, svd_singular_rule
 from liftkit.errors import (DimensionMismatch, InconsistentGenerators,
                             NonFiniteResult, NotAContraction, SingularResolvent)
-from liftkit.linalg import (CONTRACTION_SLACK, Subspace, as_operator,
+from liftkit.linalg import (CONTRACTION_SLACK, Subspace, as_operator, block_2x2,
                             contraction_on_generators, defect, gram_norm, gramian_root,
                             haar_unitary, hermitian_sqrt_psd,
                             operator_norm, operator_norms, orthonormal_range,
@@ -38,6 +38,31 @@ def test_as_operator_shape_checks():
         as_operator(np.zeros((2, 2)), cols=1)
     with pytest.raises(ValueError):
         as_operator(np.array([[np.nan, 0.0]]))
+
+
+@pytest.mark.parametrize("rows, cols", [((2, 3), (4, 1)), ((0, 2), (0, 3)), ((2, 0), (3, 0)),
+                                        ((0, 3), (3, 0)), ((0, 0), (0, 0)), ((1, 0), (0, 2))])
+def test_block_2x2_is_np_block_bit_for_bit(rows, cols):
+    # ((0, 3), (3, 0)) is the shape of _resolvent_loop's A for a constant C:
+    # C's 0-state A with rank-3 feedback
+    rng = np.random.default_rng(sum(rows) + 7 * sum(cols))
+    blocks = [[_complex_matrix(rng, r, c) for c in cols] for r in rows]
+    got = block_2x2(*blocks[0], *blocks[1])
+    want = np.block(blocks)
+    assert got.dtype == np.complex128 and got.shape == want.shape
+    assert got.tobytes() == want.astype(np.complex128).tobytes()
+    # real blocks come out as the complex128 copy of np.block's real result
+    real = [[X.real.copy() for X in row] for row in blocks]
+    assert np.array_equal(block_2x2(*real[0], *real[1]), np.block(real))
+
+
+def test_block_2x2_refuses_blocks_that_do_not_fit():
+    A, B = np.zeros((2, 2)), np.zeros((2, 1))
+    with pytest.raises(DimensionMismatch):
+        block_2x2(A, B, np.zeros((1, 2)), np.zeros((1, 2)))
+    # a one-column C would broadcast into a two-column slot
+    with pytest.raises(DimensionMismatch):
+        block_2x2(A, B, np.zeros((1, 1)), np.zeros((1, 1)))
 
 
 def test_operator_norm_examples():

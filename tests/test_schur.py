@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from _support import scalar_fixture, taylor_sum
+from _support import refuse, scalar_fixture, taylor_sum
+from liftkit import lifting, modelspace
 from liftkit.errors import (DimensionMismatch, DomainError, NotAContraction,
                             SingularResolvent)
 from liftkit.hardy import AnalyticFn, default_grid
 from liftkit.lifting import random_problem
 from liftkit.linalg import operator_norm
-from liftkit.schur import (SchurRealization, constrained_completion,
+from liftkit.schur import (Realization, SchurRealization, constrained_completion,
                            herglotz_many, random_schur)
 
 
@@ -152,3 +153,37 @@ def test_realization_taylor_sum_matches_eval():
     lam = 0.41 - 0.2j
     # coefficients decay like 0.8^n, so degree 60 reconstructs eval
     assert operator_norm(taylor_sum(Z, lam, 60) - Z.eval(lam)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_a_square_input_matrix_is_one_matrix_at_every_point(n):
+    # in_dim = state_dim: numpy < 2.0 would read a bare 2-d B given with a
+    # stack of n matrices as n stacked vectors; P = n points is that case
+    rng = np.random.default_rng(60 + n)
+    A = 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / n
+    B, C, D = (rng.standard_normal(s) + 1j * rng.standard_normal(s)
+               for s in ((n, n), (2, n), (2, n)))
+    R = Realization(A, B, C, D)
+    pts = [0.3 + 0.1j, -0.5, 0.2j, 0.7][:n]
+
+    def oracle(z):
+        return D + z * (C @ np.linalg.solve(np.eye(n) - z * A, B))
+
+    for z, got in zip(pts, R.eval_many(pts)):
+        assert np.abs(got - oracle(z)).max() <= 1e-13
+    assert np.abs(R.eval(pts[0]) - oracle(pts[0])).max() <= 1e-13
+    assert np.array_equal(R.eval(pts[0]), R.eval_many(pts[:1])[0])
+
+
+def test_loop_assembly_calls_no_np_block(monkeypatch):
+    # every 2 x 2 block matrix of a loop is written by linalg.block_2x2
+    p = random_problem(3, 2, 2, seed=5)
+    Z = lifting.random_constrained_z(p, 2, seed=6)
+    theta = modelspace.random_inner(7, 2, 2)
+    H = modelspace.random_multiplier(theta, 2, 24, seed=8)
+    refuse(monkeypatch, np, "block")
+    Z.colligation()
+    theta.colligation()
+    lifting._closed_loop(Z, 2, lifting._lambda_identity(3))
+    lifting._resolvent_loop(random_schur(3, 3, 2, seed=9))
+    assert modelspace._state_space_z(theta, H.realization) is not None
