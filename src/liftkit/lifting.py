@@ -36,7 +36,7 @@ from .errors import (ConstraintViolated, DimensionMismatch, InconsistentGenerato
                      WNotNormalizedAtZero)
 from .hardy import GRID, AnalyticFn, PolyOpFn, column_operator
 from .linalg import (CONTRACTION_SLACK, Subspace, as_operator, block_2x2,
-                     contraction_on_generators, defect, gram_defect, operator_norm,
+                     contraction_on_generators, gram_defect, operator_norm,
                      operator_norms, orthonormal_range, realized_sup_bound,
                      require_contraction, require_invertible, roundoff_range, stable_radius)
 from .schur import (Realization, SchurRealization, _assembled, _complete,
@@ -240,29 +240,24 @@ def _loop_residuals(p: InterpolationProblem, loop: Realization, L) -> tuple:
 
 
 def _gamma_data(p: InterpolationProblem, Gamma) -> tuple[np.ndarray, Subspace, np.ndarray]:
-    """(Bd, F_Gamma, Omega) of a solution column: Bd the range basis of
-    D_Gamma, (F_Gamma, Omega) _omega_data's; a failed guard raises NotASolution."""
+    """(Bd, F_Gamma, Omega) of a solution column: _column_data of its Gram, formed once."""
     G = as_operator(Gamma, cols=p.U_dim)
     if G.shape[0] % max(p.Y_dim, 1) != 0 and p.Y_dim > 0:
         raise DimensionMismatch("Gamma rows are not a multiple of Y_dim")
+    return _column_data(p, G.conj().T @ G)[1:]
+
+
+def _column_data(p: InterpolationProblem, gamma_sq) -> tuple:
+    """(D, Bd, F_Gamma, Omega) from the Gram gamma_sq of a solution column or of
+    a root of its Gram: D = D_Gamma, Bd its range basis, and the contraction
+    Omega: F_Gamma -> defect(Gamma) given on generators by Omega D_Gamma|_F =
+    D_Gamma omega2 (linalg.contraction_on_generators), in the SVD bases of
+    F_Gamma and of the defect range.  A failed guard raises NotASolution."""
     try:
-        D, drange = defect(G, CHECK_TOL)
-    except NotAContraction as exc:
-        raise NotASolution(f"candidate column: {exc}") from exc
-    return (drange.basis,) + _omega_data(p, D, drange.basis)
-
-
-def _omega_data(p: InterpolationProblem, D, Bd) -> tuple[Subspace, np.ndarray]:
-    """(F_Gamma, Omega) from D = D_Gamma and its range basis Bd.
-
-    Omega is the contraction F_Gamma -> defect(Gamma) given on generators
-    by Omega D_Gamma|_F = D_Gamma omega2 (linalg.contraction_on_generators),
-    in the SVD bases of F_Gamma and of the defect range.  A failed guard
-    raises NotASolution.
-    """
-    try:
-        return contraction_on_generators(D @ p.F.basis, Bd.conj().T @ (D @ p.omega2),
-                                         CHECK_TOL)
+        D, drange = gram_defect(gamma_sq, CHECK_TOL)
+        Bd = drange.basis
+        return (D, Bd) + contraction_on_generators(D @ p.F.basis, Bd.conj().T @ (D @ p.omega2),
+                                                   CHECK_TOL)
     except (NotAContraction, InconsistentGenerators) as exc:
         raise NotASolution(f"candidate column: {exc}") from exc
 
@@ -395,23 +390,22 @@ def _fiber_z(p, gamma_sq, Cfun, loop, H, N) -> Realization | AnalyticFn | None:
     """Z_C = [2 H (W+I)^-1 ; lambda^-1 (W-I)(W+I)^-1] from the Gram gamma_sq of H's
     column or of its root, and a fiber member Cfun, None for the central one.
 
-    One defect gives the central C, guarded as central_C is, and _w_zero's
-    check.  Z_C is _realized_z's for H's loop, loop, and a Realization C if
-    both are stable; else None for H None, and for a PolyOpFn H an
-    AnalyticFn: coefficients to degree N from series.inv(W + I), W's sums
-    over the retained degrees, and a pointwise rule reading H, C and its
-    Herglotz transform."""
-    # W(0) misses I by about 2 (||G|| - 1), so with this slack the W(0)
-    # check still rejects norms in (1 + W_ZERO_TOL / 2, 1 + W_ZERO_TOL]
-    try:
-        D, drange = gram_defect(gamma_sq, W_ZERO_TOL)
-    except NotAContraction as exc:
-        if Cfun is not None:
-            raise
-        raise NotASolution(f"candidate column: {exc}") from exc
+    One defect of gamma_sq gives _w_zero's check and, for Cfun None, the
+    central C, guarded as central_C is (_column_data, NotASolution); a
+    caller's C meets gram_defect's NotAContraction.  Z_C is _realized_z's
+    for H's loop, loop, and a Realization C if both are stable; else None
+    for H None, and for a PolyOpFn H an AnalyticFn: coefficients to degree
+    N from series.inv(W + I), W's sums over the retained degrees, and a
+    pointwise rule reading H, C and its Herglotz transform."""
     if Cfun is None:
-        Cfun = _central(drange.basis, *_omega_data(p, D, drange.basis))
-    DB, BD, w0res = _w_zero(gamma_sq, Cfun, D, drange.basis)
+        D, Bd, FG, Om = _column_data(p, gamma_sq)
+        Cfun = _central(Bd, FG, Om)
+    else:
+        # W(0) misses I by about 2 (||G|| - 1), so with this slack the W(0)
+        # check still rejects norms in (1 + W_ZERO_TOL / 2, 1 + W_ZERO_TOL]
+        D, drange = gram_defect(gamma_sq, W_ZERO_TOL)
+        Bd = drange.basis
+    DB, BD, w0res = _w_zero(gamma_sq, Cfun, D, Bd)
     if loop is not None and isinstance(Cfun, Realization):
         Z = _realized_z(loop, Cfun, DB, BD, w0res)
         if Z is not None or H is None:

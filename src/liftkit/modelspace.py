@@ -47,7 +47,7 @@ from .hardy import (GRID, AnalyticFn, PolyOpFn, _poly, multiplication_operator, 
 from .lifting import CHECK_TOL, InterpolationProblem, _feedback, _fiber_z
 from .linalg import (Subspace, _orthonormal, as_operator, block_2x2, contraction_gram,
                      haar_unitary, operator_norm, operator_norms, orthonormal_range,
-                     projector_gap, require_contraction)
+                     projector_gap)
 from .schur import Realization, SchurRealization, _assembled, random_schur
 
 # threshold of each residual of check_decompositions
@@ -257,7 +257,7 @@ def check_decompositions(theta: InnerFn, ms: ModelSpace) -> DecompositionReport:
     h0b = ms.H0_basis.basis
     Sh0 = shift(h0b, u)
     r1 = projector_gap(np.hstack([np.eye((N + 1) * u, u), Sh0]), msb)
-    phi = theta.taylor_stack(N + 1)[1:].reshape(-1, theta.in_dim)
+    phi = theta.taylor_stack(N + 1)[1:].reshape((N + 1) * u, theta.in_dim)
     r2 = projector_gap(np.hstack([h0b, phi]), msb)
     Rm = msb.conj().T @ h0b
     Qm = msb.conj().T @ Sh0
@@ -298,8 +298,10 @@ def z_from_H_theta(theta: InnerFn, Hfn: PolyOpFn, ms: ModelSpace,
     parameter [F; G] gives Z = [F on constants; const-coeff of Phi* G on
     constants].  Z is _state_space_z's exact Realization when Theta is
     square and Hfn carries a stable loop to degree >= N, else an AnalyticFn
-    on ms's basis.  A norm above 1 + CHECK_TOL raises NotAContraction: the
-    exact one, or the truncated matrix's, whose tail is meta["mult_tail"]."""
+    on ms's basis.  Either branch forms one Gram, contraction_gram's, for
+    its norm guard and for _fiber_z: a norm above 1 + CHECK_TOL, the exact
+    one or the truncated matrix's (tail meta["mult_tail"]), raises
+    NotAContraction.  The truncated omega2 is guarded as any omega is."""
     u, e = theta.out_dim, theta.in_dim
     y = Hfn.out_dim
     if Hfn.in_dim != u:
@@ -311,19 +313,15 @@ def z_from_H_theta(theta: InnerFn, Hfn: PolyOpFn, ms: ModelSpace,
         if Z is not None:
             return Z
     Gmat, tail = multiplication_operator(Hfn, ms.basis, N)
-    require_contraction(Gmat, "multiplication operator", CHECK_TOL)
+    gram = contraction_gram(Gmat, "multiplication operator", CHECK_TOL)
     msb, h0b = ms.basis.basis, ms.H0_basis.basis
     m = msb.shape[1]
     F = orthonormal_range(msb.conj().T @ shift(h0b, u))
-    om2 = msb.conj().T @ shift_adjoint(msb @ F.basis, u)
-    nrm2 = operator_norm(om2)
-    if nrm2 > 1.0:
-        om2 = om2 / nrm2
-    p_model = InterpolationProblem(U_dim=m, Y_dim=y, F=F,
-                                   omega1=np.zeros((y, F.dim)), omega2=om2)
-    Zt = _fiber_z(p_model, Gmat.conj().T @ Gmat, None, None, _poly(Gmat.reshape(N + 1, y, m)), N)
+    p_model = InterpolationProblem(U_dim=m, Y_dim=y, F=F, omega1=np.zeros((y, F.dim)),
+                                   omega2=msb.conj().T @ shift_adjoint(msb @ F.basis, u))
+    Zt = _fiber_z(p_model, gram, None, None, _poly(Gmat.reshape(N + 1, y, m)), N)
     EmU = msb[:u].conj().T
-    left = theta.taylor_stack(N + 1)[1:].reshape(-1, e).conj().T @ msb
+    left = theta.taylor_stack(N + 1)[1:].reshape((N + 1) * u, e).conj().T @ msb
 
     def compress(Zv: np.ndarray) -> np.ndarray:
         """Compress a (P, y + m, m) stack to (P, y + e, u)."""

@@ -95,8 +95,7 @@ class LiftingCandidate:
 
     def __init__(self, A_part, tail: PolyOpFn):
         A = as_operator(A_part, cols=tail.in_dim)
-        require_gram_contraction((A, tail._stack.reshape(-1, A.shape[1])), "lifting candidate",
-                                 CONTRACTION_SLACK)
+        require_gram_contraction((A, _column(tail._stack)), "lifting candidate", CONTRACTION_SLACK)
         eye = np.eye(A.shape[1], dtype=np.complex128)
         eye.setflags(write=False)
         self.__dict__.update(A_part=A, gamma=tail._stack, X=eye, tail=tail)
@@ -104,8 +103,14 @@ class LiftingCandidate:
     @cached_property
     def tail(self) -> PolyOpFn:
         """The PolyOpFn of B's tail, coefficient column gamma @ X."""
-        L, d, u = self.gamma.shape
-        return _poly((self.gamma.reshape(L * d, u) @ self.X).reshape(L, d, self.X.shape[1]))
+        L, d, _ = self.gamma.shape
+        return _poly((_column(self.gamma) @ self.X).reshape(L, d, self.X.shape[1]))
+
+
+def _column(stack: np.ndarray) -> np.ndarray:
+    """The (L d, u) column view of an (L, d, u) stack, sized for d or u zero too."""
+    L, d, u = stack.shape
+    return stack.reshape(L * d, u)
 
 
 def _candidate(A_part: np.ndarray, gamma: np.ndarray, X: np.ndarray) -> LiftingCandidate:
@@ -213,7 +218,7 @@ def b_to_gamma(ds: RclDataSet, cand: LiftingCandidate) -> np.ndarray:
     if XA.shape[1] != cand.X.shape[1]:
         raise DimensionMismatch("candidate tail does not act on H")
     M = np.linalg.lstsq(XA.T, cand.X.T, rcond=None)[0].T
-    return cand.gamma.reshape(-1, cand.gamma.shape[2]) @ M
+    return _column(cand.gamma) @ M
 
 
 def verify_rcl(ds: RclDataSet, cand: LiftingCandidate, N: int) -> RclReport:
@@ -235,7 +240,7 @@ def verify_rcl(ds: RclDataSet, cand: LiftingCandidate, N: int) -> RclReport:
         raise DimensionMismatch(
             f"candidate tail has {gamma.shape[1]} rows per block, "
             f"defect of T' has dimension {dT}")
-    A, col = cand.A_part, gamma.reshape(-1, gamma.shape[2])
+    A, col = cand.A_part, _column(gamma)
     (D, drange), AR, keep = ds.defect_Tprime, A @ ds.R, N * dT
     # U' B R - B Q on tail blocks 0..N-1 in one array: -B Q, plus C A R on block 0
     # (C = D_T' in range coordinates; none at N = 0) and B's block n - 1 times R on n

@@ -21,11 +21,11 @@ import numpy as np
 import pytest
 
 import liftkit
-from _support import count_calls, refuse, scalar_fixture
+from _support import count_calls, scalar_fixture
 from liftkit import lifting
 from liftkit.hardy import AnalyticFn, PolyOpFn
 from liftkit.lifting import InterpolationProblem
-from liftkit.linalg import Subspace
+from liftkit.linalg import Subspace, contraction_on_generators
 from liftkit.modelspace import BlaschkeFactor, InnerFn, ModelSpace
 from liftkit.rcl import LiftingCandidate, RclDataSet
 from liftkit.schur import SchurRealization
@@ -387,19 +387,41 @@ def test_modelspace_builds_its_parameters_only_through_lifting_fiber_z():
     assert _private_imports(path, "lifting") == {"_feedback", "_fiber_z"}
 
 
-@pytest.mark.parametrize("pipeline", ["fiber_roundtrip_residuals", "truncated z_from_H_theta"])
+def _defect_route(p, Gamma):
+    """Oracle: (Bd, F_Gamma basis, Omega) from linalg.defect of Gamma itself."""
+    D, drange = liftkit.defect(Gamma, lifting.CHECK_TOL)
+    Bd = drange.basis
+    FG, Om = contraction_on_generators(D @ p.F.basis, Bd.conj().T @ (D @ p.omega2),
+                                       lifting.CHECK_TOL)
+    return Bd, FG.basis, Om
+
+
+@pytest.mark.parametrize("pipeline", ["fiber_roundtrip_residuals", "truncated z_from_H_theta",
+                                      "central_C", "omega_hat", "parameter_membership"])
 def test_a_fiber_pipeline_takes_one_defect_of_its_column(monkeypatch, pipeline):
     # one defect of the column's Gram gives the central member and the W(0)
-    # check; linalg.defect, which forms the Gram again, is not called
+    # check, or Gamma's (Bd, F_Gamma, Omega) with the bits of the oracle's;
+    # linalg.defect, which forms the Gram again, is not imported
     p = liftkit.random_problem(3, 2, 2, seed=41, scale=0.45)
     Z = liftkit.random_constrained_z(p, 2, seed=42, scale=0.5)
+    Gamma = liftkit.column_operator(liftkit.solve_from_Z(p, Z, 24), 24)
+    Bd, FG, Om = _defect_route(p, Gamma)
+    central = SchurRealization(np.zeros((0, 0)), np.zeros((0, Bd.shape[1])),
+                               np.zeros((Bd.shape[1], 0)), Om @ (FG.conj().T @ Bd))
     theta = liftkit.random_inner(72, 2, 2)
     H = liftkit.random_multiplier(theta, 2, 32, seed=73)
     coeffs, ms = PolyOpFn(H.out_dim, H.in_dim, H.coeffs), liftkit.model_space(theta, 32)
-    refuse(monkeypatch, lifting, "defect")
+    assert not hasattr(lifting, "defect")
     calls = count_calls(monkeypatch, lifting, "gram_defect")
     if pipeline == "fiber_roundtrip_residuals":
         liftkit.fiber_roundtrip_residuals(p, Z, 24)
-    else:
+    elif pipeline == "truncated z_from_H_theta":
         assert isinstance(liftkit.z_from_H_theta(theta, coeffs, ms, 32), AnalyticFn)
+    elif pipeline == "central_C":
+        assert np.array_equal(liftkit.central_C(p, Gamma).D, central.D)
+    elif pipeline == "omega_hat":
+        got, F_Gamma = liftkit.omega_hat(p, Gamma)
+        assert np.array_equal(got, Om) and np.array_equal(F_Gamma.basis, FG)
+    else:
+        assert liftkit.parameter_membership(central, p, Gamma)
     assert len(calls) == 1

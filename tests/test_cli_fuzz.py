@@ -1,11 +1,13 @@
-"""Mutation fuzzing of the command-line input boundary.
+"""Mutation fuzzing of the command-line input boundary, and a sweep of
+every command over small and zero dimensions.
 
 A valid gen, solve or rcl payload with one entry, a leaf or a whole
 record, replaced by an odd value or deleted is fed to a command that
 reads it, in-process.  Each run
 must end with an exit code of 0, 1, 2 or 3 and at most one line on
 stderr; nothing may raise out of main, numpy warnings included (they
-would print a second line).
+would print a second line).  The sweep holds every command to the same
+rule at the CLI's least degree, for dims with an empty U, Y or F.
 """
 
 import contextlib
@@ -17,6 +19,7 @@ import os
 import tempfile
 import warnings
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -82,5 +85,21 @@ def test_a_mutated_payload_gives_an_exit_code_and_at_most_one_line(source, data)
             json.dump(payload, fh)
         code, err = _run(["--cmd", cmd, "--degree", DEGREE, "--in", inp,
                           "--out", os.path.join(tmp, "out.json")])
+    assert code in (0, 1, 2, 3)
+    assert len(err.splitlines()) <= 1, err
+
+
+@pytest.mark.parametrize("dims", ["0,0,0", "0,1,0", "1,0,0", "0,2,0", "1,1,0", "3,0,2"])
+@pytest.mark.parametrize("cmd", ["gen", "solve", "verify", "fiber", "rcl", "modelspace",
+                                 "selftest"])
+def test_every_command_at_the_least_degree_gives_an_exit_code_and_at_most_one_line(cmd, dims):
+    # verify reads what solve writes for the same dims
+    argv = ["--cmd", cmd, "--dims", dims, "--degree", "4"]
+    with tempfile.TemporaryDirectory() as tmp:
+        if cmd == "verify":
+            solved = os.path.join(tmp, "solve.json")
+            assert _run(["--cmd", "solve", "--dims", dims, "--degree", "4", "--out", solved])[0] == 0
+            argv += ["--in", solved]
+        code, err = _run(argv + ["--out", os.path.join(tmp, "out.json")])
     assert code in (0, 1, 2, 3)
     assert len(err.splitlines()) <= 1, err

@@ -670,9 +670,47 @@ def test_state_space_parameter_takes_one_defect(monkeypatch):
     theta = random_inner(72, 3, 3)
     H = h_from_Z_theta(theta, random_schur(5, 3, 2, seed=73, scale=0.6), 64)
     ms = model_space(theta, 64)
-    refuse(monkeypatch, lifting, "defect")
+    assert not hasattr(lifting, "defect")
     grams = count_calls(monkeypatch, linalg, "_gram")
     calls = count_calls(monkeypatch, lifting, "gram_defect")
     zeros = count_calls(monkeypatch, lifting, "_w_zero")
     assert isinstance(z_from_H_theta(theta, H, ms, 64), Realization)
     assert len(grams) == len(calls) == len(zeros) == 1 and calls[0][0] is zeros[0][0]
+
+
+@pytest.mark.parametrize("case", ["coefficient H", "power Theta with E < U"])
+def test_truncated_multiplier_is_guarded_by_the_gram_it_solves_with(monkeypatch, case):
+    # one contraction_gram decides the norm and feeds _fiber_z: no SVD of the
+    # multiplication matrix, and an expansive H still fails its norm guard
+    N = 64
+    if case == "coefficient H":
+        theta = random_inner(72, 2, 2)
+        H = random_multiplier(theta, 2, N, seed=73)
+        H = PolyOpFn(H.out_dim, H.in_dim, H.coeffs)
+    else:
+        theta = InnerFn(kind="power", out_dim=3, in_dim=2, power=2, V0=RECT_V0)
+        H = random_multiplier(theta, 2, N, seed=4)
+    ms = model_space(theta, N)
+    shape = multiplication_operator(H, ms.basis, N)[0].shape
+    c = (1.0 + 1e-6) / mult_contraction_test(H, ms).norm
+    big = PolyOpFn(H.out_dim, H.in_dim, c * H.taylor_stack(N))
+    grams = count_calls(monkeypatch, modelspace, "contraction_gram")
+    svds = count_calls(monkeypatch, np.linalg, "svd")
+    assert multiplier_roundtrip_residual(theta, H, ms, N) <= 1e-12
+    assert len(grams) == 1
+    assert not [args for args in svds if np.shape(args[0]) == shape]
+    with pytest.raises(NotAContraction, match="multiplication operator has norm"):
+        z_from_H_theta(theta, big, ms, N)
+
+
+def test_an_inner_function_into_no_input_space_has_its_splittings_and_parameter():
+    # E = 0 makes Theta = 0, and the model space all of truncated H^2(U); the
+    # reshapes of Theta's column still know their row count
+    N = 16
+    theta = InnerFn(kind="power", out_dim=2, in_dim=0)
+    ms = model_space(theta, N)
+    assert check_decompositions(theta, ms).ok()
+    H = random_multiplier(theta, 2, N, seed=5)
+    Z = z_from_H_theta(theta, H, ms, N)
+    assert (Z.out_dim, Z.in_dim) == (2, 2)
+    assert multiplier_roundtrip_residual(theta, H, ms, N) <= 1e-12

@@ -219,6 +219,23 @@ def test_a_lifting_gives_back_a_solution_of_the_induced_problem(seed):
                                N).ok()
 
 
+@pytest.mark.parametrize("y", [0, 1, 2])
+def test_a_data_set_whose_A_has_no_defect_lifts_with_an_empty_gamma(y):
+    # dim D_A = 0: Gamma and the candidate's gamma have no columns, and every
+    # reshape of them still knows its row count
+    n = 4
+    ds = random_data_set(1, u=0, y=y, f=0)
+    p = underlying_contraction(ds)
+    assert p.U_dim == 0 and p.Y_dim == ds.defect_Tprime[1].dim == y
+    H = solve_from_Z(p, random_constrained_z(p, 2, seed=3), n)
+    cand = gamma_to_B(ds, column_operator(H, n), n)
+    for B in (cand, LiftingCandidate(A_part=ds.A, tail=cand.tail)):
+        assert verify_rcl(ds, B, n).ok()
+        assert b_to_gamma(ds, B).shape == ((n + 1) * y, 0)
+    # a candidate on a zero-dimensional H
+    empty = LiftingCandidate(A_part=np.zeros((2, 0)), tail=PolyOpFn(1, 0, np.zeros((n + 1, 1, 0))))
+    assert empty.gamma.shape == (n + 1, 1, 0)
+
 def test_verify_rcl_projection_residual():
     ds = tilde_set()
     cand = LiftingCandidate(A_part=0.9 * ds.A,
