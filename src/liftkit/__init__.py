@@ -20,10 +20,8 @@ from .modelspace import (BlaschkeFactor, InnerFn, ModelSpace,
                          theta_shift, z_from_H_theta)
 from .rcl import (LiftingCandidate, RclDataSet, RclReport, b_to_gamma,
                   data_set_from_omega, gamma_to_B, omega_roundtrip_residual,
-                  random_data_set, sns_lifting, underlying_contraction,
-                  validate_data_set, verify_rcl)
-from .schur import (Realization, SchurRealization, constrained_completion,
-                    herglotz_many, random_schur)
+                  random_data_set, underlying_contraction, validate_data_set, verify_rcl)
+from .schur import Realization, SchurRealization, constrained_completion, random_schur
 
 __version__ = "0.1.0"
 
@@ -38,13 +36,12 @@ __all__ = [
     "central_C", "check_decompositions", "column_operator",
     "constrained_completion", "data_set_from_omega", "defect", "default_grid",
     "fiber_roundtrip_residuals", "gamma_to_B", "h_from_Z_theta",
-    "haar_unitary", "herglotz_many", "hermitian_sqrt_psd", "model_space",
+    "haar_unitary", "hermitian_sqrt_psd", "model_space",
     "mult_contraction_test", "multiplication_operator",
     "multiplier_roundtrip_residual", "omega_hat", "omega_roundtrip_residual",
     "operator_norm", "orthonormal_range", "parameter_membership",
     "pointwise_mult_check", "random_constrained_z", "random_data_set",
     "random_inner", "random_multiplier", "random_problem", "random_schur",
-    "sns_lifting", "solve_from_Z", "theta_shift", "underlying_contraction",
-    "uniqueness_certificate", "validate_data_set", "verify_rcl",
-    "verify_solution", "z_from_C", "z_from_H_theta",
+    "solve_from_Z", "theta_shift", "underlying_contraction", "uniqueness_certificate",
+    "validate_data_set", "verify_rcl", "verify_solution", "z_from_C", "z_from_H_theta",
 ]

@@ -260,12 +260,12 @@ def _suite_tilde_validates(seed: int, N: int):
 # (suite, least degree, checks as (name, tolerance)) in report order.  A
 # suite runs at max(--degree, least degree) and yields rows of residuals, one
 # entry per check, each passing when its largest residual is at most its
-# tolerance.  The fiber's D_Gamma is truncated, so Z_C may miss its constraint at low degree.
+# tolerance.
 _SELFTEST = (
     (_suite_scalar_fixture, 0, (("scalar_fixture", 1e-12),)),
     (_suite_solve_verify, 0, (("solve_recurrence", RECURRENCE_TOL),
                               ("solve_gram_excess", CHECK_TOL))),
-    (_suite_fiber_roundtrip, 24, (("fiber_roundtrip", FIBER_GAP_TOL),)),
+    (_suite_fiber_roundtrip, 0, (("fiber_roundtrip", FIBER_GAP_TOL),)),
     (_suite_omega_roundtrip, 0, (("omega_roundtrip", 1e-10),)),
     (_suite_rcl_equivalence, 0, (("rcl_equivalence", CHECK_TOL),)),
     (_suite_modelspace_roundtrip, MODELSPACE_DEGREE,

@@ -18,9 +18,9 @@ Z_C = [2 H (W+I)^-1 ; lambda^-1 (W-I)(W+I)^-1] through
     W(lambda) = Gamma* (I + lambda S*)(I - lambda S*)^-1 Gamma
                 + D_Gamma (I + lambda C(lambda))(I - lambda C(lambda))^-1 D_Gamma,
 
-with W(0) = I.  Z_C is a realization, W's sums over H's loop taken from its
-Realization.gramian_root, when C is realized and H to degree >= N; else
-truncated.
+with W(0) = I.  C is a schur.Realization, and Z_C is a realization, W's sums
+over H's loop taken from its Realization.gramian_root, when H is realized to
+degree >= N; else truncated.
 """
 
 from __future__ import annotations
@@ -324,16 +324,14 @@ def _w_taylor(Hs: np.ndarray, W0, Cfun, DB, BD):
     stack, its constant term the given W0 (Gamma*Gamma + D^2 + I for W + I),
     and the first sums, k = 1..N+1.  For k >= 1, with DB = D_Gamma Bd and BD =
     Bd* D_Gamma for the range basis Bd of D_Gamma,
-    W_k = 2 sum_(n <= N-k) H_n* H_(n+k) + 2 D_Gamma (herglotz of C)_k D_Gamma."""
+    W_k = 2 sum_(n <= N-k) H_n* H_(n+k) + 2 D_Gamma (herglotz of C)_k D_Gamma,
+    the Herglotz coefficients read from the loop _resolvent_loop(C)."""
     L, y, u = Hs.shape
     # the sum for k = N+1 is empty
     first = np.concatenate([series.correlate(Hs)[1:], np.zeros((1, u, u))])
     # the Herglotz transform of C is 2 (I - lambda C)^-1 - I, so its
     # degree-k coefficient is 2 P_k for k >= 1
-    if isinstance(Cfun, Realization):
-        P = _resolvent_loop(Cfun).taylor_stack(L)
-    else:
-        P = series.resolvent(Cfun.taylor_stack(L - 1))
+    P = _resolvent_loop(Cfun).taylor_stack(L)
     W = np.empty((L + 1, u, u), dtype=np.complex128)
     W[0] = W0
     W[1:] = 2.0 * first + 2.0 * (DB @ P[1:] @ BD)
@@ -375,8 +373,10 @@ def _realized_z(H: Realization, Cfun: Realization, DB, BD, w0res: float) -> Real
 def _w_zero(gamma_sq, Cfun, D, Bd) -> tuple:
     """(D Bd, Bd* D, ||G*G + D^2 - I||) from the Gram gamma_sq = G*G of a
     solution column G, or of a root of its Gram, with D = D_G and Bd the range
-    basis of D that C acts on."""
+    basis of D that C, a schur.Realization, acts on."""
     d = Bd.shape[1]
+    if not isinstance(Cfun, Realization):
+        raise DimensionMismatch(f"C must be a schur.Realization, got {type(Cfun).__name__}")
     if Cfun.in_dim != d or Cfun.out_dim != d:
         raise DimensionMismatch(
             f"C must act on the {d}-dimensional defect space of Gamma")
@@ -392,11 +392,12 @@ def _fiber_z(p, gamma_sq, Cfun, loop, H, N) -> Realization | AnalyticFn | None:
 
     One defect of gamma_sq gives _w_zero's check and, for Cfun None, the
     central C, guarded as central_C is (_column_data, NotASolution); a
-    caller's C meets gram_defect's NotAContraction.  Z_C is _realized_z's
-    for H's loop, loop, and a Realization C if both are stable; else None
-    for H None, and for a PolyOpFn H an AnalyticFn: coefficients to degree
-    N from series.inv(W + I), W's sums over the retained degrees, and a
-    pointwise rule reading H, C and its Herglotz transform."""
+    caller's C, which must be a schur.Realization (_w_zero), meets
+    gram_defect's NotAContraction.  Z_C is _realized_z's for H's loop, loop,
+    if it is stable; else None for H None, and for a PolyOpFn H an
+    AnalyticFn: coefficients to degree N from series.inv(W + I), W's sums
+    over the retained degrees, and a pointwise rule reading H, C and its
+    Herglotz transform (schur._herglotz)."""
     if Cfun is None:
         D, Bd, FG, Om = _column_data(p, gamma_sq)
         Cfun = _central(Bd, FG, Om)
@@ -406,7 +407,7 @@ def _fiber_z(p, gamma_sq, Cfun, loop, H, N) -> Realization | AnalyticFn | None:
         D, drange = gram_defect(gamma_sq, W_ZERO_TOL)
         Bd = drange.basis
     DB, BD, w0res = _w_zero(gamma_sq, Cfun, D, Bd)
-    if loop is not None and isinstance(Cfun, Realization):
+    if loop is not None:
         Z = _realized_z(loop, Cfun, DB, BD, w0res)
         if Z is not None or H is None:
             return Z
@@ -439,9 +440,10 @@ def _fiber_z(p, gamma_sq, Cfun, loop, H, N) -> Realization | AnalyticFn | None:
 def z_from_C(p: InterpolationProblem, H: PolyOpFn, Gamma, Cfun,
              N: int) -> Realization | AnalyticFn:
     """Parameter Z_C of a solution H, its degree-N column Gamma and a fiber
-    member C: _fiber_z's, realized when H carries its loop H.realization to
-    degree >= N.  A Gamma further than CHECK_TOL * max(1, ||Gamma||_F) from
-    H's column, in Frobenius norm, raises NotASolution; H's column itself, as
+    member C, a schur.Realization (any other C raises DimensionMismatch):
+    _fiber_z's, realized when H carries its loop H.realization to degree
+    >= N.  A Gamma further than CHECK_TOL * max(1, ||Gamma||_F) from H's
+    column, in Frobenius norm, raises NotASolution; H's column itself, as
     column_operator(H, N) gives it, is not compared."""
     u, y = p.U_dim, p.Y_dim
     G = as_operator(Gamma, rows=(N + 1) * y, cols=u)
@@ -461,19 +463,26 @@ def z_from_C(p: InterpolationProblem, H: PolyOpFn, Gamma, Cfun,
 def fiber_roundtrip_residuals(p: InterpolationProblem, Z, N: int) -> tuple[float, float, float]:
     """(coefficient gap, constraint, W(0) residual) of Z -> H -> central Z_C -> H.
 
-    The gap is the largest ||H_n - H'_n|| over degrees 0..N-4, below the
-    truncation tail of Z_C, and the constraint the largest
+    Z_C is _fiber_z's from H's exact column: the Gram of R = [D; L B] for
+    H's loop (A, B, C, D) with a Realization.gramian_root L.  For an H with
+    no such loop, or a Z_C from it that is not stable, it is the coefficient
+    path's from the Gram of H's degree-N column.  The gap is the largest
+    ||H_n - H'_n|| over degrees 0..N, and the constraint the largest
     ||Z_C(lambda)|_F - omega|| on GRID.  Both parameters' constraints are
-    checked at CHECK_TOL; Z_C, _fiber_z's, is evaluated on GRID once, for
-    the check that also gives the reported constraint.
+    checked at CHECK_TOL; Z_C is evaluated on GRID once, for the check that
+    also gives the reported constraint.
     """
     H = solve_from_Z(p, Z, N)
-    Gamma = column_operator(H, N)
-    Z1 = _fiber_z(p, Gamma.conj().T @ Gamma, None, H.realization, H, N)
+    loop, Z1 = H.realization, None
+    if loop is not None and loop.gramian_root is not None:
+        R = np.vstack([loop.D, loop.gramian_root @ loop.B])
+        Z1 = _fiber_z(p, R.conj().T @ R, None, loop, None, None)
+    if Z1 is None:
+        Gamma = column_operator(H, N)
+        Z1 = _fiber_z(p, Gamma.conj().T @ Gamma, None, None, H, N)
     constraint = _constraint_residual(p, Z1)
     H1 = _feedback(Z1, p.Y_dim, _lambda_identity(p.U_dim), N)
-    keep = max(0, N - 4)
-    gap = float(operator_norms(H.taylor_stack(keep) - H1.taylor_stack(keep)).max())
+    gap = float(operator_norms(H.taylor_stack(N) - H1.taylor_stack(N)).max())
     return gap, constraint, Z1.meta["w0_residual"]
 
 

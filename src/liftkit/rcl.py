@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DimensionMismatch
 from .hardy import PolyOpFn, _poly
 from .lifting import CHECK_TOL, InterpolationProblem, random_problem
-from .linalg import (CONTRACTION_SLACK, Subspace, as_operator, contraction_gram,
+from .linalg import (CONTRACTION_SLACK, Subspace, as_operator, block_2x2, contraction_gram,
                      contraction_on_generators, defect, gram_norm, haar_unitary,
                      operator_norm, require_gram_contraction, require_lifted_contraction)
 
@@ -144,26 +144,6 @@ def validate_data_set(ds: RclDataSet) -> bool:
         return True
     eig = np.linalg.eigvalsh((gap + gap.conj().T) / 2.0)
     return float(eig[0]) >= -DATA_SET_TOL
-
-
-def sns_lifting(Tprime, N: int) -> np.ndarray:
-    """Truncated minimal isometric lifting of a contraction.
-
-    Block matrix [[T', 0], [E C, S]] on H' + truncated H^2 over the
-    defect space of T', with C = D_T' written in its orthonormal range
-    coordinates.  Isometric except on the top-degree block, which the
-    truncated shift drops.  verify_rcl applies the same blocks without
-    forming this matrix.
-    """
-    T = as_operator(Tprime)
-    if T.shape[0] != T.shape[1]:
-        raise DimensionMismatch("Tprime must be square")
-    D, drange = defect(T)
-    hp, d = len(T), drange.dim
-    U = np.eye(hp + (N + 1) * d, k=-d, dtype=np.complex128)  # T', C overwrite H''s columns
-    U[:hp, :hp] = T
-    U[hp:hp + d, :hp] = drange.basis.conj().T @ D
-    return U
 
 
 def underlying_contraction(ds: RclDataSet) -> InterpolationProblem:
@@ -315,10 +295,10 @@ def random_data_set(seed: int, u: int = 2, y: int = 2, f: int = 1) -> RclDataSet
     Q2 = rng.standard_normal((e, f2)) + 1j * rng.standard_normal((e, f2))
     Q2 /= max(1.0, operator_norm(Q2))
     R2 = A2.conj().T @ T2.conj().T @ A2 @ Q2
-    A = np.block([[base.A, np.zeros((m, e))], [np.zeros((e, m)), A2]])
-    T = np.block([[base.Tprime, np.zeros((m, e))], [np.zeros((e, m)), T2]])
-    R = np.block([[base.R, np.zeros((m, f2))], [np.zeros((e, f)), R2]])
-    Q = np.block([[base.Q, np.zeros((m, f2))], [np.zeros((e, f)), Q2]])
+    A = block_2x2(base.A, np.zeros((m, e)), np.zeros((e, m)), A2)
+    T = block_2x2(base.Tprime, np.zeros((m, e)), np.zeros((e, m)), T2)
+    R = block_2x2(base.R, np.zeros((m, f2)), np.zeros((e, f)), R2)
+    Q = block_2x2(base.Q, np.zeros((m, f2)), np.zeros((e, f)), Q2)
     V = haar_unitary(rng, m + e)
     W = haar_unitary(rng, m + e)
     S = haar_unitary(rng, f + f2)

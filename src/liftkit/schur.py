@@ -18,7 +18,7 @@ import numpy as np
 
 from . import series
 from .errors import DimensionMismatch
-from .hardy import Evaluable, PolyOpFn, _poly, disk_points
+from .hardy import Evaluable, PolyOpFn, _poly
 from .linalg import (CONTRACTION_SLACK, as_operator, block_2x2, defect, gramian_root,
                      operator_norm, orthonormal_range, require_contraction, require_inverse,
                      require_invertible)
@@ -187,25 +187,14 @@ def _complete(problem, frame, X: SchurRealization | None) -> SchurRealization:
     return SchurRealization(A, B, C, D)
 
 
-def herglotz_many(Cfun, points) -> np.ndarray:
-    """(I + lambda C(lambda)) (I - lambda C(lambda))^-1 for Schur-class C.
-
-    Evaluated at every point at once, as a (P, d, d) stack.  Equals I at
-    lambda = 0 and has positive semidefinite Hermitian part on the disk.
-    Raises SingularResolvent when I - lambda C(lambda) is numerically
-    singular at any of the points (linalg.require_inverse, from the value).
-    """
-    return _herglotz(Cfun, disk_points(points))
-
-
 def _herglotz(Cfun, z: np.ndarray) -> np.ndarray:
-    """herglotz_many at checked points: one batched right division, guarded
-    from the inverse it gives, (I - lambda C)^-1 = (herglotz + I) / 2.  A C
-    with only the protocol's eval_many checks the points again."""
-    Cv = Cfun._values(z) if isinstance(Cfun, Evaluable) else Cfun.eval_many(z)
-    V = z[:, None, None] * Cv
+    """(I + lambda C(lambda)) (I - lambda C(lambda))^-1 at checked points z, as
+    a (P, d, d) stack: one batched right division, guarded from the inverse
+    it gives, (I - lambda C)^-1 = (herglotz + I) / 2 (linalg.require_inverse).
+    Raises SingularResolvent when I - lambda C(lambda) is numerically singular."""
+    V = z[:, None, None] * Cfun._values(z)
     if V.shape[1] != V.shape[2]:
-        raise DimensionMismatch("herglotz_many needs a square-valued function")
+        raise DimensionMismatch("the Herglotz transform needs a square-valued function")
     eye = np.eye(V.shape[1])
     A = eye - V
     # right-divide: (I + V) A^-1 solved as A^T X^T = (I + V)^T

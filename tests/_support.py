@@ -3,11 +3,11 @@
 import numpy as np
 
 from liftkit import InterpolationProblem, Subspace, series
-from liftkit.errors import SingularResolvent
+from liftkit.errors import DimensionMismatch, SingularResolvent
 from liftkit.hardy import column_operator, disk_points
 from liftkit.lifting import W_ZERO_TOL, _w_taylor
-from liftkit.linalg import COND_MAX, defect, operator_norm
-from liftkit.schur import Realization
+from liftkit.linalg import COND_MAX, as_operator, defect, operator_norm
+from liftkit.schur import Realization, _herglotz
 
 # dimension cycle (U, Y, dim F) used by the randomized suites
 DIMS = [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 2),
@@ -50,6 +50,26 @@ def resolvent_loop_oracle(Cfun) -> Realization:
     d, n = Cfun.out_dim, Cfun.state_dim
     return Realization(np.block([[Cfun.A, Cfun.B], [Cfun.C, Cfun.D]]),
                        np.vstack([Cfun.B, Cfun.D]), np.eye(d, n + d, n), np.eye(d))
+
+
+def sns_lifting(Tprime, N: int) -> np.ndarray:
+    """Truncated minimal isometric lifting of a contraction.
+
+    Block matrix [[T', 0], [E C, S]] on H' + truncated H^2 over the
+    defect space of T', with C = D_T' written in its orthonormal range
+    coordinates.  Isometric except on the top-degree block, which the
+    truncated shift drops.  verify_rcl applies the same blocks without
+    forming this matrix.
+    """
+    T = as_operator(Tprime)
+    if T.shape[0] != T.shape[1]:
+        raise DimensionMismatch("Tprime must be square")
+    D, drange = defect(T)
+    hp, d = len(T), drange.dim
+    U = np.eye(hp + (N + 1) * d, k=-d, dtype=np.complex128)  # T', C overwrite H''s columns
+    U[:hp, :hp] = T
+    U[hp:hp + d, :hp] = drange.basis.conj().T @ D
+    return U
 
 
 def stacked(cand) -> np.ndarray:
@@ -220,8 +240,14 @@ def series_inv_oracle(a) -> np.ndarray:
     return series._resolvent(-(a0inv @ a[1:])) @ a0inv
 
 
+def herglotz(Cfun, points) -> np.ndarray:
+    """schur._herglotz, the Herglotz transform that the coefficient path of a
+    fiber parameter reads, at points checked as an evaluation checks them."""
+    return _herglotz(Cfun, disk_points(points))
+
+
 def herglotz_oracle(Cfun, points) -> np.ndarray:
-    """herglotz_many with the SVD guard before its batched right division."""
+    """herglotz with the SVD guard before its batched right division."""
     z = disk_points(points)
     V = z[:, None, None] * Cfun.eval_many(z)
     eye = np.eye(V.shape[1])

@@ -69,7 +69,7 @@ def test_03_central_fiber_roundtrip():
         u, y, f = DIMS[k % len(DIMS)]
         p = random_problem(u, y, f, seed=3000 + k, scale=0.45)
         Z = random_constrained_z(p, 2, seed=3100 + k, scale=0.5)
-        # gap over degrees 0..N-4, grid constraint (0 when F = 0), W(0)
+        # gap over degrees 0..N, grid constraint (0 when F = 0), W(0)
         diff, con, w0 = fiber_roundtrip_residuals(p, Z, N)
         worst_diff = max(worst_diff, diff)
         worst_w0 = max(worst_w0, w0)

@@ -5,18 +5,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from _support import (count_calls, herglotz_oracle, inner_values_oracle, refuse,
+from _support import (count_calls, herglotz, herglotz_oracle, inner_values_oracle, refuse,
                       z_from_C_rule_oracle)
-from liftkit import hardy, schur
-from liftkit.errors import DomainError, SingularResolvent
+from liftkit import hardy
+from liftkit.errors import DimensionMismatch, DomainError, SingularResolvent
 from liftkit.hardy import GRID, AnalyticFn, PolyOpFn, column_operator, default_grid
 from liftkit.lifting import (_gamma_data, central_C, parameter_membership,
                              random_constrained_z, random_problem, solve_from_Z,
                              z_from_C)
 from liftkit.linalg import Subspace, hermitian_sqrt_psd
 from liftkit.modelspace import random_inner
-from liftkit.schur import (SchurRealization, _complete, _completion_frame,
-                           herglotz_many, random_schur)
+from liftkit.schur import (Realization, SchurRealization, _complete, _completion_frame,
+                           random_schur)
 
 N = 24
 POINTS = (0.0,) + default_grid(N).points
@@ -112,7 +112,7 @@ def test_one_point_off_the_disk_raises_domain_error(name):
 def test_herglotz_rejects_a_nan_point():
     C = fiber_data()[3]
     with pytest.raises(DomainError, match="nan"):
-        herglotz_many(C, [0.3, float("nan")])
+        herglotz(C, [0.3, float("nan")])
 
 
 def test_inner_fn_keeps_the_closed_disk():
@@ -138,6 +138,12 @@ def test_herglotz_guard_raises_in_batch():
                       match="lambda\\*C")
 
 
+def constant(C0):
+    """The constant function C0 as a loop with no state."""
+    n = len(C0)
+    return Realization(np.zeros((0, 0)), np.zeros((0, n)), np.zeros((n, 0)), C0)
+
+
 def test_w_plus_identity_guard_raises_in_batch():
     # with C = c I, W(lambda) + I = A0 + (g - 1) D^2 where A0 is its value
     # for C = 0 and g = (1 + lambda c) / (1 - lambda c); choose c so that
@@ -146,26 +152,21 @@ def test_w_plus_identity_guard_raises_in_batch():
     _, Gamma = fiber_parameter()
     D2 = np.eye(2) - Gamma.conj().T @ Gamma
     d = np.linalg.matrix_rank(hermitian_sqrt_psd(D2), tol=1e-9)
-    zero = AnalyticFn(d, d, [np.zeros((d, d))] * (N + 1),
-                      lambda z: np.zeros((z.size, d, d)))
-    Zc, _ = fiber_parameter(Cfun=zero, realized=False)
+    Zc, _ = fiber_parameter(Cfun=constant(np.zeros((d, d))), realized=False)
     bot = Zc.eval(lam0)[2:, :]
     A0inv = (np.eye(2) - lam0 * bot) / 2.0
     mu = np.linalg.eigvals(A0inv @ D2)
     g = 1.0 - 1.0 / mu[np.argmax(np.abs(mu))]
     c = (g - 1.0) / (lam0 * (g + 1.0))
-    coeffs = [c * np.eye(d)] + [np.zeros((d, d))] * N
-    Cfun = AnalyticFn(d, d, coeffs,
-                      lambda z: np.broadcast_to(c * np.eye(d), (z.size, d, d)))
-    Z1, _ = fiber_parameter(Cfun=Cfun, realized=False)
+    Z1, _ = fiber_parameter(Cfun=constant(c * np.eye(d)), realized=False)
     assert_same_error(Z1, [0.3, lam0, 0.2], SingularResolvent,
                       match="W\\(lambda\\) \\+ I")
 
 
 def fiber_members(p, Gamma):
-    """Four fiber members over Gamma: the central C, a realized C with
-    two states, that C as an AnalyticFn and as a bare object with only
-    the protocol (taylor_stack and eval_many, no _values).
+    """Four members over Gamma: the central C, a realized C with two states,
+    and that C as an AnalyticFn and as a bare object with only the protocol
+    (taylor_stack and eval_many, no _values), which are no loops.
 
     The realized member is Omega P_(F_Gamma) + D_(Omega*) X(lambda) P_(F_Gamma perp)
     in defect coordinates, the constrained completion of (F_Gamma, Omega).
@@ -188,9 +189,15 @@ def test_z_from_C_values_are_bit_identical_to_the_checked_rule(member):
     # the rule that checks every point at every call and guards by the SVD,
     # for the pointwise rule of the coefficient path
     p, H, Gamma, _ = fiber_data()
-    H = coefficient_H(H)
     C = fiber_members(p, Gamma)[member]
     assert parameter_membership(C, p, Gamma)
+    if member in ("analytic", "protocol"):
+        # a fiber member is a loop: z_from_C refuses any other C on both paths
+        for h in (H, coefficient_H(H)):
+            with pytest.raises(DimensionMismatch, match=f"got {type(C).__name__}$"):
+                z_from_C(p, h, Gamma, C, N)
+        return
+    H = coefficient_H(H)
     if member == "realized":
         assert C.state_dim == 2
     Zc = z_from_C(p, H, Gamma, C, N)
@@ -199,9 +206,9 @@ def test_z_from_C_values_are_bit_identical_to_the_checked_rule(member):
     assert np.array_equal(Zc.eval_many(GRID), rule(GRID))
     for z in POINTS:
         assert np.array_equal(Zc.eval(z), rule([z])[0])
-    assert np.array_equal(herglotz_many(C, POINTS), herglotz_oracle(C, POINTS))
+    assert np.array_equal(herglotz(C, POINTS), herglotz_oracle(C, POINTS))
     for z in POINTS[:8]:
-        assert np.array_equal(herglotz_many(C, [z]), herglotz_oracle(C, [z]))
+        assert np.array_equal(herglotz(C, [z]), herglotz_oracle(C, [z]))
 
 
 def test_one_evaluation_checks_its_point_once(monkeypatch):
@@ -213,9 +220,7 @@ def test_one_evaluation_checks_its_point_once(monkeypatch):
         return check(points)
 
     check = hardy.disk_points
-    # schur imported disk_points by name, so it holds its own reference
     monkeypatch.setattr(hardy, "disk_points", counted)
-    monkeypatch.setattr(schur, "disk_points", counted)
     Z1.eval(0.3 + 0.2j)
     assert len(calls) == 1
     Z1.eval_many(GRID)

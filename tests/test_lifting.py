@@ -19,7 +19,7 @@ from liftkit.lifting import (CHECK_TOL, InterpolationProblem, _feedback, _lambda
                              parameter_membership, random_constrained_z,
                              random_problem, solve_from_Z,
                              uniqueness_certificate, verify_solution, z_from_C)
-from liftkit.linalg import (ROUNDOFF, Subspace, hermitian_sqrt_psd, operator_norm,
+from liftkit.linalg import (ROUNDOFF, Subspace, haar_unitary, hermitian_sqrt_psd, operator_norm,
                             orthonormal_range, realized_sup_bound)
 from liftkit.modelspace import h_from_Z_theta, model_space, theta_shift, z_from_H_theta
 from liftkit.rcl import random_data_set, underlying_contraction
@@ -462,6 +462,33 @@ def test_fiber_roundtrip_evaluates_the_parameter_once(monkeypatch):
     assert gap < 1e-7 and constraint <= 1e-8
 
 
+def test_fiber_roundtrip_reads_the_exact_column_of_a_realized_H(monkeypatch):
+    # one _fiber_z call, from the Gram of R = [D; L B] for H's loop: no
+    # degree-N column and no H for a coefficient path
+    calls = count_calls(monkeypatch, lifting, "_fiber_z")
+    p = random_problem(3, 2, 2, seed=41, scale=0.45)
+    gap, constraint, w0 = fiber_roundtrip_residuals(p, random_constrained_z(p, 2, seed=42), 4)
+    (_, gram, C, loop, H, _), = calls
+    R = np.vstack([loop.D, loop.gramian_root @ loop.B])
+    assert np.array_equal(gram, R.conj().T @ R)
+    assert C is None and H is None
+    assert max(gap, constraint, w0) <= 1e-14
+
+
+def test_fiber_roundtrip_falls_back_to_the_column_for_an_unstable_z_c(monkeypatch):
+    # omega = [0; V] on F = U with V unitary has the one solution H = 0; the
+    # central C is V, so Z_C's loop is not stable and the coefficient path
+    # of H's degree-N column gives Z_C
+    V = haar_unitary(np.random.default_rng(0), 2)
+    p = InterpolationProblem(U_dim=2, Y_dim=1, F=Subspace(2, np.eye(2)),
+                             omega1=np.zeros((1, 2)), omega2=V)
+    calls = count_calls(monkeypatch, lifting, "_fiber_z")
+    gap, constraint, w0 = fiber_roundtrip_residuals(p, random_constrained_z(p, 2, seed=1), 8)
+    assert [call[3] is None for call in calls] == [False, True]
+    assert not calls[1][1].any() and calls[1][4].degree == 8
+    assert gap == 0.0 and w0 == 0.0 and constraint <= 1e-14
+
+
 def test_z_from_C_constraint_invariance():
     # Z_C restricted to F reproduces omega on the whole grid
     for seed in range(3):
@@ -666,7 +693,7 @@ def test_z_from_C_with_a_realized_C_matches_the_resolvent_path(state):
     assert isinstance(got, Realization)
     n = 4 * N
     H4 = PolyOpFn(p.Y_dim, p.U_dim, H.realization.taylor_stack(n))
-    want = z_from_C(p, H4, column_operator(H4, n), coefficients_only(C, n), n)
+    want = z_from_C(p, H4, column_operator(H4, n), C, n)
     assert isinstance(want, AnalyticFn)
     assert_rel_close(got.taylor_stack(N), want.taylor_stack(N))
     assert_rel_close(got.eval_many(GRID), want.eval_many(GRID))

@@ -1,13 +1,11 @@
 """Unit tests for the dense linear-algebra helpers."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _support import refuse, svd_singular_rule
+from _support import herglotz, refuse, svd_singular_rule
 from liftkit.errors import (DimensionMismatch, InconsistentGenerators,
                             NonFiniteResult, NotAContraction, SingularResolvent)
 from liftkit.linalg import (CONTRACTION_SLACK, Subspace, as_operator, block_2x2,
@@ -16,7 +14,7 @@ from liftkit.linalg import (CONTRACTION_SLACK, Subspace, as_operator, block_2x2,
                             operator_norm, operator_norms, orthonormal_range,
                             projector_gap, realized_sup_bound, require_contraction,
                             require_gram_contraction, require_invertible, stable_radius)
-from liftkit.schur import herglotz_many
+from liftkit.schur import Realization
 
 
 def _complex_matrix(rng, m, n, scale=1.0):
@@ -343,7 +341,7 @@ def test_certified_guard_decides_as_the_svd_rule(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 24])
 def test_herglotz_guard_decides_as_the_svd_rule(n):
-    # herglotz_many decides from (herglotz + I) / 2, the inverse of
+    # the Herglotz transform decides from (herglotz + I) / 2, the inverse of
     # I - lambda C that its own right division gives; a constant C puts
     # each swept matrix there as A = I - lambda C
     rng = np.random.default_rng(200 + n)
@@ -352,11 +350,10 @@ def test_herglotz_guard_decides_as_the_svd_rule(n):
     decisions = []
     for M in _sweep_matrices(rng, n, 150):
         C0 = (np.eye(n) - M) / lam
-        Cfun = SimpleNamespace(in_dim=n, out_dim=n,
-                               eval_many=lambda z, C0=C0: np.repeat(C0[None], len(z), axis=0))
+        Cfun = Realization(np.zeros((0, 0)), np.zeros((0, n)), np.zeros((n, 0)), C0)
         A = np.eye(n) - lam * C0
         want = _decision(svd_singular_rule, A, what)
-        assert _decision(lambda _, w: herglotz_many(Cfun, [lam]), A, what) == want
+        assert _decision(lambda _, w: herglotz(Cfun, [lam]), A, what) == want
         decisions.append(want[0])
     assert None in decisions and SingularResolvent in decisions
 

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _support import DIMS, count_calls, refuse, scalar_fixture, stacked
+from _support import DIMS, count_calls, refuse, scalar_fixture, sns_lifting, stacked
 from liftkit import hardy, linalg, rcl
 from liftkit.errors import (DimensionMismatch, InconsistentGenerators,
                             NotAContraction)
@@ -17,8 +17,7 @@ from liftkit.linalg import (CONTRACTION_SLACK, defect, gram_norm, haar_unitary,
 from liftkit.rcl import (LiftingCandidate, RclDataSet, b_to_gamma,
                          data_set_from_omega, gamma_to_B,
                          omega_roundtrip_residual, random_data_set,
-                         sns_lifting, underlying_contraction,
-                         validate_data_set, verify_rcl)
+                         underlying_contraction, validate_data_set, verify_rcl)
 
 N = 8
 

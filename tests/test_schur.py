@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from _support import refuse, scalar_fixture, taylor_sum
-from liftkit import lifting, modelspace
+from _support import herglotz, refuse, scalar_fixture, taylor_sum
+from liftkit import lifting, modelspace, rcl
 from liftkit.errors import (DimensionMismatch, DomainError, NotAContraction,
                             SingularResolvent)
 from liftkit.hardy import AnalyticFn, default_grid
 from liftkit.lifting import random_problem
 from liftkit.linalg import operator_norm
 from liftkit.schur import (Realization, SchurRealization, constrained_completion,
-                           herglotz_many, random_schur)
+                           random_schur)
 
 
 def shift_realization():
@@ -110,14 +110,14 @@ def test_herglotz_scalar_value():
     C = SchurRealization(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)),
                          np.array([[0.5]]))
     # (1 + 0.25) / (1 - 0.25) = 5/3 at lambda = 0.5
-    assert herglotz_many(C, [0.5])[0, 0, 0] == pytest.approx(5.0 / 3.0, abs=1e-14)
-    assert herglotz_many(C, [0.0])[0, 0, 0] == pytest.approx(1.0)
+    assert herglotz(C, [0.5])[0, 0, 0] == pytest.approx(5.0 / 3.0, abs=1e-14)
+    assert herglotz(C, [0.0])[0, 0, 0] == pytest.approx(1.0)
 
 
 def test_herglotz_positive_real_part():
     C = random_schur(3, 3, 2, seed=8)
     for lam in (0.3, -0.6j, 0.5 + 0.4j):
-        V = herglotz_many(C, [lam])[0]
+        V = herglotz(C, [lam])[0]
         herm = (V + V.conj().T) / 2
         assert np.linalg.eigvalsh(herm).min() > -1e-12
 
@@ -126,9 +126,9 @@ def test_herglotz_singular_resolvent():
     C = SchurRealization(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)),
                          np.eye(1))
     with pytest.raises(SingularResolvent):
-        herglotz_many(C, [1.0 - 1e-13])
+        herglotz(C, [1.0 - 1e-13])
     with pytest.raises(DomainError):
-        herglotz_many(C, [1.0])
+        herglotz(C, [1.0])
 
 
 def test_herglotz_guard_where_the_solve_fails():
@@ -138,14 +138,14 @@ def test_herglotz_guard_where_the_solve_fails():
     C = AnalyticFn(2, 2, [two], lambda z: np.broadcast_to(two, (z.size, 2, 2)))
     with pytest.raises(SingularResolvent,
                        match=r"^I - lambda\*C\(lambda\) is numerically singular$"):
-        herglotz_many(C, [0.1, 0.5])
+        herglotz(C, [0.1, 0.5])
 
 
 def test_herglotz_requires_square():
     C = SchurRealization(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((1, 0)),
                          np.array([[0.1, 0.2]]))
     with pytest.raises(DimensionMismatch):
-        herglotz_many(C, [0.5])
+        herglotz(C, [0.5])
 
 
 def test_realization_taylor_sum_matches_eval():
@@ -176,7 +176,8 @@ def test_a_square_input_matrix_is_one_matrix_at_every_point(n):
 
 
 def test_loop_assembly_calls_no_np_block(monkeypatch):
-    # every 2 x 2 block matrix of a loop is written by linalg.block_2x2
+    # every 2 x 2 block matrix of a loop or a data set is written by
+    # linalg.block_2x2
     p = random_problem(3, 2, 2, seed=5)
     Z = lifting.random_constrained_z(p, 2, seed=6)
     theta = modelspace.random_inner(7, 2, 2)
@@ -187,3 +188,4 @@ def test_loop_assembly_calls_no_np_block(monkeypatch):
     lifting._closed_loop(Z, 2, lifting._lambda_identity(3))
     lifting._resolvent_loop(random_schur(3, 3, 2, seed=9))
     assert modelspace._state_space_z(theta, H.realization) is not None
+    rcl.random_data_set(seed=3, u=3, y=2, f=2)
