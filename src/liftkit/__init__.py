@@ -17,7 +17,7 @@ from .modelspace import (BlaschkeFactor, InnerFn, ModelSpace,
                          check_decompositions, h_from_Z_theta, model_space,
                          mult_contraction_test, multiplier_roundtrip_residual,
                          pointwise_mult_check, random_inner, random_multiplier,
-                         theta_shift, z_from_H_theta)
+                         z_from_H_theta)
 from .rcl import (LiftingCandidate, RclDataSet, RclReport, b_to_gamma,
                   data_set_from_omega, gamma_to_B, omega_roundtrip_residual,
                   random_data_set, underlying_contraction, validate_data_set, verify_rcl)
@@ -42,6 +42,6 @@ __all__ = [
     "operator_norm", "orthonormal_range", "parameter_membership",
     "pointwise_mult_check", "random_constrained_z", "random_data_set",
     "random_inner", "random_multiplier", "random_problem", "random_schur",
-    "solve_from_Z", "theta_shift", "underlying_contraction", "uniqueness_certificate",
+    "solve_from_Z", "underlying_contraction", "uniqueness_certificate",
     "validate_data_set", "verify_rcl", "verify_solution", "z_from_C", "z_from_H_theta",
 ]

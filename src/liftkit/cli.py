@@ -195,7 +195,7 @@ def _modelspace_roundtrip(theta_seed: int, mult_seed: int, N: int):
     ms = model_space(theta, N)
     Hf = random_multiplier(theta, 2, N, mult_seed, scale=GEN_Z_SCALE)
     return (ms, check_decompositions(theta, ms), Hf,
-            multiplier_roundtrip_residual(theta, Hf, ms, N))
+            multiplier_roundtrip_residual(theta, Hf, ms))
 
 
 def _cmd_modelspace(args, payload_in):

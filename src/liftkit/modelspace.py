@@ -85,19 +85,18 @@ class BlaschkeFactor:
 class InnerFn(SchurRealization):
     """Inner function lambda^power * product(factors) * V0, vanishing at 0.
 
-    kind "bp_product": square, factors nonempty allowed to be (), V0
-    unitary.  kind "power": Theta = lambda^power * V0 with V0 an isometry
-    (possibly rectangular, E smaller than U).  Theta is its own
+    V0 is an isometry from C^in_dim into C^out_dim, eye(out_dim, in_dim)
+    by default, so E may be smaller than U; factors, the rank-one
+    Blaschke-Potapov factors, need a square Theta.  Theta is its own
     realization (A, B, C, D), with state power * out_dim + len(factors),
     and compares and hashes by identity.
     """
 
-    kind: str
     power: int
     factors: tuple
     V0: np.ndarray
 
-    def __init__(self, kind: str, out_dim: int, in_dim: int, power: int = 1,
+    def __init__(self, out_dim: int, in_dim: int, power: int = 1,
                  factors: tuple = (), V0: np.ndarray | None = None):
         """Check the data and build the unitary cascade of Theta.
 
@@ -117,18 +116,14 @@ class InnerFn(SchurRealization):
         unitary, with rho(A) = max |a| < 1.  V0 multiplies B and D on the
         right; it is an isometry, so the colligation of Theta is one.
         """
-        if kind not in ("bp_product", "power"):
-            raise DomainError(f"unknown inner-function kind {kind!r}")
         if not isinstance(power, (int, np.integer)):
             raise DomainError(f"power must be an integer, got {power!r}")
         if power < 1:
             raise DomainError("power must be >= 1 so that Theta(0) = 0")
         if out_dim < 1:
             raise DimensionMismatch(f"an inner function needs out_dim >= 1, got {out_dim}")
-        if kind == "bp_product" and out_dim != in_dim:
-            raise DimensionMismatch("Blaschke-Potapov products must be square")
-        if kind == "power" and factors:
-            raise DomainError("power kind takes no factors")
+        if factors and out_dim != in_dim:
+            raise DimensionMismatch("Blaschke-Potapov factors need a square Theta")
         for fac in factors:
             if fac.w.shape[0] != out_dim:
                 raise DimensionMismatch("factor direction has wrong dimension")
@@ -137,7 +132,7 @@ class InnerFn(SchurRealization):
         if operator_norm(V0.conj().T @ V0 - np.eye(in_dim)) > 1e-12:
             raise DomainError("V0 must have orthonormal columns")
         # frozen: the fields are set past the dataclass's __setattr__
-        self.__dict__.update(kind=kind, power=power, factors=tuple(factors), V0=V0)
+        self.__dict__.update(power=power, factors=tuple(factors), V0=V0)
         u, m = out_dim, power * out_dim
         n = m + len(self.factors)
         A = np.zeros((n, n), dtype=np.complex128)
@@ -159,9 +154,6 @@ class InnerFn(SchurRealization):
     def degree_bound(self) -> int:
         """Blaschke degree: pole count governing dim of the model space."""
         return self.power + len(self.factors)
-
-    def coeff(self, n: int) -> np.ndarray:
-        return self.taylor_stack(n)[n]
 
     def _points(self, points) -> np.ndarray:
         """The point check of eval and eval_many: the closed disk is allowed,
@@ -366,13 +358,13 @@ def _state_space_z(theta: InnerFn, H: Realization) -> Realization | None:
                       meta=Zt.meta)
 
 
-def multiplier_roundtrip_residual(theta: InnerFn, Hfn: PolyOpFn, ms: ModelSpace,
-                                  N: int) -> float:
+def multiplier_roundtrip_residual(theta: InnerFn, Hfn: PolyOpFn, ms: ModelSpace) -> float:
     """Largest ||H_n - H'_n|| of Hfn -> z_from_H_theta -> h_from_Z_theta.
 
-    Taken over degrees 0..N - degree_bound - 4, below the truncation tail
-    of the recovered parameter.
+    Taken at ms's degree N over degrees 0..N - degree_bound - 4, below the
+    truncation tail of the recovered parameter.
     """
+    N = ms.N
     H1 = h_from_Z_theta(theta, z_from_H_theta(theta, Hfn, ms, N), N)
     keep = max(0, N - theta.degree_bound - 4)
     return float(operator_norms(Hfn.taylor_stack(keep) - H1.taylor_stack(keep)).max())
@@ -422,8 +414,7 @@ def random_inner(seed: int, dim: int, n_factors: int,
         w = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         facs.append(BlaschkeFactor(a=r * np.exp(1j * ph), w=w))
     V0 = haar_unitary(rng, dim)
-    return InnerFn(kind="bp_product", out_dim=dim, in_dim=dim,
-                   factors=tuple(facs), V0=V0)
+    return InnerFn(dim, dim, factors=tuple(facs), V0=V0)
 
 
 def random_multiplier(theta: InnerFn, y: int, N: int, seed: int,
@@ -431,8 +422,3 @@ def random_multiplier(theta: InnerFn, y: int, N: int, seed: int,
     """Contractive multiplier generated through the forward formula."""
     Z = random_schur(y + theta.in_dim, theta.out_dim, 2, seed, scale=scale)
     return h_from_Z_theta(theta, Z, N)
-
-
-def theta_shift(dim: int) -> InnerFn:
-    """Theta(lambda) = lambda * I, the plain shift case."""
-    return InnerFn(kind="power", out_dim=dim, in_dim=dim, power=1)

@@ -19,7 +19,7 @@ from liftkit.modelspace import (InnerFn, check_decompositions, h_from_Z_theta,
                                 model_space, mult_contraction_test,
                                 multiplier_roundtrip_residual,
                                 pointwise_mult_check, random_inner,
-                                random_multiplier, theta_shift, z_from_H_theta)
+                                random_multiplier, z_from_H_theta)
 from liftkit.rcl import (data_set_from_omega, gamma_to_B,
                          omega_roundtrip_residual, random_data_set,
                          underlying_contraction, verify_rcl)
@@ -162,8 +162,8 @@ def test_06_uniqueness_certificate():
 
 
 def acceptance_thetas():
-    return [theta_shift(2),
-            InnerFn(kind="power", out_dim=1, in_dim=1, power=2),
+    return [InnerFn(2, 2),
+            InnerFn(out_dim=1, in_dim=1, power=2),
             random_inner(seed=42, dim=2, n_factors=1)]
 
 
@@ -183,7 +183,7 @@ def test_07_isometric_parameters_are_contractive_multipliers():
         rep = mult_contraction_test(H, ms)
         assert rep.norm <= 1.0 + 1e-7, (k, rep.norm)
         worst_norm = max(worst_norm, rep.norm)
-        if theta.kind == "power" and theta.power == 1:
+        if not theta.factors and theta.power == 1:
             Hfree = solve_from_Z(unconstrained_problem(u, y), Z, n)
             worst_shift = max(worst_shift, coeff_diff(H, Hfree, n))
     assert worst_shift <= 1e-10, worst_shift
@@ -206,7 +206,7 @@ def test_08_multiplier_fiber_roundtrip():
         H = random_multiplier(theta, y, n, seed=8000 + k, scale=0.5)
         # gap over degrees 0..n - degree_bound - 4
         worst_diff = max(worst_diff,
-                         multiplier_roundtrip_residual(theta, H, ms, n))
+                         multiplier_roundtrip_residual(theta, H, ms))
         Z1 = z_from_H_theta(theta, H, ms, n)
         u = theta.out_dim
         for z in grid.points:
@@ -221,17 +221,17 @@ def test_08_multiplier_fiber_roundtrip():
 
 def test_09_decompositions_and_pointwise_mult():
     worst_dec = 0.0
-    for theta, n in [(theta_shift(2), 16),
-                     (InnerFn(kind="power", out_dim=1, in_dim=1, power=2), 16),
-                     (InnerFn(kind="power", out_dim=2, in_dim=2, power=3), 16),
+    for theta, n in [(InnerFn(2, 2), 16),
+                     (InnerFn(out_dim=1, in_dim=1, power=2), 16),
+                     (InnerFn(out_dim=2, in_dim=2, power=3), 16),
                      (random_inner(seed=42, dim=2, n_factors=1), 32)]:
         rep = check_decompositions(theta, model_space(theta, n))
         worst_dec = max(worst_dec, max(rep[:4]))
     assert worst_dec <= 1e-9, worst_dec
 
     # positives: genuine multiplication matrices, on every theta kind
-    pos_specs = [(theta_shift(2), 16),
-                 (InnerFn(kind="power", out_dim=1, in_dim=1, power=2), 16),
+    pos_specs = [(InnerFn(2, 2), 16),
+                 (InnerFn(out_dim=1, in_dim=1, power=2), 16),
                  (random_inner(seed=42, dim=2, n_factors=1), 32)]
     pos_spaces = [(t, n, model_space(t, n)) for t, n in pos_specs]
     worst_pos = 0.0
@@ -252,8 +252,8 @@ def test_09_decompositions_and_pointwise_mult():
                         rep.pointwise_residual)
 
     # negatives: perturbed maps, on thetas whose model space has depth
-    neg_specs = [(InnerFn(kind="power", out_dim=1, in_dim=1, power=2), 16),
-                 (InnerFn(kind="power", out_dim=2, in_dim=2, power=3), 16),
+    neg_specs = [(InnerFn(out_dim=1, in_dim=1, power=2), 16),
+                 (InnerFn(out_dim=2, in_dim=2, power=3), 16),
                  (random_inner(seed=42, dim=2, n_factors=1), 32)]
     neg_spaces = [(t, n, model_space(t, n)) for t, n in neg_specs]
     worst_neg = np.inf

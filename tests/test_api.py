@@ -115,9 +115,6 @@ UNREFERENCED_EXPORTS = {
     "omega_hat",
     # the fiber test for a C of any type: it only samples C
     "parameter_membership",
-    # Theta = lambda I, under which a multiplier is an interpolant
-    # (tests/test_acceptance.py)
-    "theta_shift",
 }
 
 
@@ -166,6 +163,8 @@ def test_every_unreferenced_export_has_a_reason_to_stay():
     (importlib.import_module("liftkit.schur"), "herglotz_many"),
     (importlib.import_module("liftkit.rcl"), "sns_lifting"),
     (liftkit, "herglotz_many"), (liftkit, "sns_lifting"),
+    (InnerFn, "coeff"), (importlib.import_module("liftkit.modelspace"), "theta_shift"),
+    (liftkit, "theta_shift"),
 ])
 def test_removed_aliases_are_gone(owner, name):
     assert not hasattr(owner, name)
@@ -177,7 +176,7 @@ IDENTITY_CASES = [
     (InterpolationProblem, scalar_fixture),
     (Subspace, lambda: Subspace(2, np.eye(2))),
     (BlaschkeFactor, lambda: BlaschkeFactor(a=0.5, w=np.array([1.0, 0.0]))),
-    (ModelSpace, lambda: liftkit.model_space(liftkit.theta_shift(1), 8)),
+    (ModelSpace, lambda: liftkit.model_space(liftkit.InnerFn(1, 1), 8)),
     (RclDataSet, lambda: liftkit.random_data_set(0)),
     (LiftingCandidate, lambda: liftkit.gamma_to_B(
         liftkit.data_set_from_omega(scalar_fixture()), np.array([[0.6]]), 0)),
@@ -257,8 +256,8 @@ def _passes(call: ast.Call, param: str, position) -> bool:
 def test_the_knob_scan_reads_a_custom_init():
     # InnerFn's keywords are the parameters of its own __init__, not fields
     knobs = {(call, param, position) for _, call, param, position in _knobs()}
-    assert {("InnerFn", "power", 3), ("InnerFn", "factors", 4),
-            ("InnerFn", "V0", 5)} <= knobs
+    assert {("InnerFn", "power", 2), ("InnerFn", "factors", 3),
+            ("InnerFn", "V0", 4)} <= knobs
 
 
 def test_every_default_parameter_is_set_by_some_caller():

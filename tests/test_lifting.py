@@ -21,7 +21,7 @@ from liftkit.lifting import (CHECK_TOL, InterpolationProblem, _feedback, _lambda
                              uniqueness_certificate, verify_solution, z_from_C)
 from liftkit.linalg import (ROUNDOFF, Subspace, haar_unitary, hermitian_sqrt_psd, operator_norm,
                             orthonormal_range, realized_sup_bound)
-from liftkit.modelspace import h_from_Z_theta, model_space, theta_shift, z_from_H_theta
+from liftkit.modelspace import InnerFn, h_from_Z_theta, model_space, z_from_H_theta
 from liftkit.rcl import random_data_set, underlying_contraction
 from liftkit.schur import Realization, SchurRealization, random_schur
 
@@ -545,7 +545,7 @@ def test_an_unstable_inverse_falls_back_to_the_coefficient_path(monkeypatch):
     H = solve_from_Z(p, random_constrained_z(p, 2, seed=42, scale=0.5), N)
     G = column_operator(H, N)
     C = central_C(p, G)
-    theta = theta_shift(2)
+    theta = InnerFn(2, 2)
     Hm = h_from_Z_theta(theta, random_schur(4, 2, 2, seed=43, scale=0.5), 32)
     ms = model_space(theta, 32)
     monkeypatch.setattr(lifting, "stable_radius", lambda A: None)
@@ -673,7 +673,7 @@ def test_solve_is_the_multiplier_map_at_lambda_identity(n, case):
     p, Z = list(closed_loop_cases())[case]
     for fn in (Z, coefficients_only(Z, n)):
         got = solve_from_Z(p, fn, n).taylor_stack(n)
-        want = h_from_Z_theta(theta_shift(p.U_dim), fn, n).taylor_stack(n)
+        want = h_from_Z_theta(InnerFn(p.U_dim, p.U_dim), fn, n).taylor_stack(n)
         assert np.array_equal(got, want)
     Zc, y = Z.taylor_stack(n), p.Y_dim
     assert np.array_equal(got, series.mul(Zc[:, :y], series.resolvent(Zc[:n, y:])))

@@ -17,19 +17,19 @@ from liftkit.modelspace import (BlaschkeFactor, InnerFn, check_decompositions,
                                 h_from_Z_theta, model_space,
                                 mult_contraction_test, multiplier_roundtrip_residual,
                                 pointwise_mult_check, random_inner,
-                                random_multiplier, theta_shift, z_from_H_theta)
+                                random_multiplier, z_from_H_theta)
 from liftkit.linalg import Subspace, operator_norm, projector_gap
 from liftkit.schur import Realization, SchurRealization, random_schur
 
 
 def bp_half():
     """lambda times a rank-one factor with zero at 0.5, acting on C^2."""
-    return InnerFn(kind="bp_product", out_dim=2, in_dim=2,
+    return InnerFn(out_dim=2, in_dim=2,
                    factors=(BlaschkeFactor(a=0.5, w=np.array([1.0, 0.0])),))
 
 
 def scalar_power(k):
-    return InnerFn(kind="power", out_dim=1, in_dim=1, power=k)
+    return InnerFn(out_dim=1, in_dim=1, power=k)
 
 
 def svd_kernel_basis(fn: PolyOpFn, N: int) -> np.ndarray:
@@ -69,7 +69,7 @@ def test_factor_normalizes_direction():
 
 def one_factor(a):
     """The scalar inner function lambda * b_a; its coefficient n + 1 is b_a's n."""
-    return InnerFn(kind="bp_product", out_dim=1, in_dim=1,
+    return InnerFn(out_dim=1, in_dim=1,
                    factors=(BlaschkeFactor(a=a, w=np.array([1.0])),))
 
 
@@ -111,29 +111,53 @@ def test_factor_unimodular_on_circle(theta):
 
 def test_inner_validation():
     with pytest.raises(DomainError):
-        InnerFn(kind="outer", out_dim=1, in_dim=1)
-    with pytest.raises(DomainError):
-        InnerFn(kind="power", out_dim=1, in_dim=1, power=0)
+        InnerFn(out_dim=1, in_dim=1, power=0)
+    # factors need a square Theta
     with pytest.raises(DimensionMismatch):
-        InnerFn(kind="bp_product", out_dim=2, in_dim=1)
-    with pytest.raises(DomainError):
-        InnerFn(kind="power", out_dim=1, in_dim=1,
-                factors=(BlaschkeFactor(a=0.1, w=np.array([1.0])),))
-    with pytest.raises(DomainError):
-        InnerFn(kind="power", out_dim=2, in_dim=2, V0=0.5 * np.eye(2))
+        InnerFn(out_dim=2, in_dim=1,
+                factors=(BlaschkeFactor(a=0.1, w=np.array([1.0, 0.0])),))
     with pytest.raises(DimensionMismatch):
-        InnerFn(kind="bp_product", out_dim=2, in_dim=2,
+        InnerFn(3, 2, factors=(BlaschkeFactor(a=0.2, w=np.array([1.0, 0.0, 0.0])),),
+                V0=np.eye(3, 2))
+    with pytest.raises(DomainError):
+        InnerFn(out_dim=2, in_dim=2, V0=0.5 * np.eye(2))
+    with pytest.raises(DimensionMismatch):
+        InnerFn(out_dim=2, in_dim=2,
                 factors=(BlaschkeFactor(a=0.1, w=np.array([1.0, 0.0, 0.0])),))
     with pytest.raises(DimensionMismatch):
-        InnerFn(kind="power", out_dim=0, in_dim=0)
+        InnerFn(out_dim=0, in_dim=0)
     with pytest.raises(DomainError, match=r"^power must be an integer, got 1\.5$"):
-        InnerFn(kind="power", out_dim=1, in_dim=1, power=1.5)
+        InnerFn(out_dim=1, in_dim=1, power=1.5)
     # E = 0: Theta is the zero map and H is all of H^2(U)
-    assert model_space(InnerFn(kind="power", out_dim=2, in_dim=0), 8).basis.dim == 18
+    assert model_space(InnerFn(out_dim=2, in_dim=0), 8).basis.dim == 18
+
+
+def test_an_inner_function_takes_any_power_with_its_factors():
+    # a power above 1 and factors make one cascade, lambda^3 B_1
+    f = BlaschkeFactor(a=0.4j, w=np.array([1.0, 1.0]))
+    th = InnerFn(2, 2, power=3, factors=(f,))
+    assert th.degree_bound == 4 and th.state_dim == 7
+    V = th.eval(np.exp(0.7j))
+    assert operator_norm(V.conj().T @ V - np.eye(2)) < 1e-12
+    assert not th.taylor_stack(2).any()
+
+
+def test_an_inner_function_defaults_to_lambda_times_the_first_columns():
+    th = InnerFn(2, 1)
+    assert np.array_equal(th.taylor_stack(1)[1], np.eye(2, 1))
+    # H = constants of C^2 plus lambda^n e_2 for n = 1..8
+    assert model_space(th, 8).basis.dim == 10
+
+
+def test_an_inner_function_has_no_kind():
+    f = BlaschkeFactor(a=0.3, w=np.array([1.0, 0.0]))
+    for th in (InnerFn(2, 2), InnerFn(3, 2, power=2, V0=RECT_V0),
+               InnerFn(2, 2, factors=(f,)), random_inner(seed=1, dim=2, n_factors=2)):
+        assert not hasattr(th, "kind")
 
 
 def test_inner_degree_bound():
-    assert theta_shift(3).degree_bound == 1
+    assert InnerFn(3, 3).degree_bound == 1
     assert scalar_power(4).degree_bound == 4
     assert bp_half().degree_bound == 2
 
@@ -153,7 +177,7 @@ def test_inner_unitary_on_circle():
 
 
 def test_inner_eval_domain():
-    th = theta_shift(1)
+    th = InnerFn(1, 1)
     th.eval(1.0)  # closed disk allowed, evaluation is rational
     with pytest.raises(DomainError):
         th.eval(1.01)
@@ -161,10 +185,11 @@ def test_inner_eval_domain():
 
 def test_rectangular_power_inner():
     V = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    th = InnerFn(kind="power", out_dim=3, in_dim=2, power=2, V0=V)
+    th = InnerFn(out_dim=3, in_dim=2, power=2, V0=V)
     assert np.allclose(th.eval(0.5), 0.25 * V)
-    assert operator_norm(th.coeff(1)) == 0.0
-    assert np.allclose(th.coeff(2), V)
+    coeffs = th.taylor_stack(2)
+    assert operator_norm(coeffs[1]) == 0.0
+    assert np.allclose(coeffs[2], V)
 
 
 # --- model spaces -------------------------------------------------------
@@ -172,14 +197,14 @@ def test_rectangular_power_inner():
 
 def test_model_space_needs_room():
     with pytest.raises(DegreeTooSmall):
-        model_space(theta_shift(1), 5)
+        model_space(InnerFn(1, 1), 5)
 
 
 @pytest.mark.parametrize("theta,N,dim,dim0", [
-    (theta_shift(1), 8, 1, 0),
-    (theta_shift(2), 8, 2, 0),
+    (InnerFn(1, 1), 8, 1, 0),
+    (InnerFn(2, 2), 8, 2, 0),
     (scalar_power(2), 10, 2, 1),
-    (InnerFn(kind="power", out_dim=2, in_dim=2, power=3), 12, 6, 4),
+    (InnerFn(out_dim=2, in_dim=2, power=3), 12, 6, 4),
 ])
 def test_model_space_dimensions(theta, N, dim, dim0):
     ms = model_space(theta, N)
@@ -203,12 +228,12 @@ RECT_V0 = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
 
 @pytest.mark.parametrize("theta,N", [
-    (theta_shift(2), 40),
+    (InnerFn(2, 2), 40),
     (scalar_power(2), 40),
-    (InnerFn(kind="power", out_dim=2, in_dim=2, power=3), 40),
-    (InnerFn(kind="power", out_dim=3, in_dim=2, power=2, V0=RECT_V0), 40),
+    (InnerFn(out_dim=2, in_dim=2, power=3), 40),
+    (InnerFn(out_dim=3, in_dim=2, power=2, V0=RECT_V0), 40),
     (bp_half(), 40),
-    (InnerFn(kind="bp_product", out_dim=2, in_dim=2, power=2,
+    (InnerFn(out_dim=2, in_dim=2, power=2,
              factors=(BlaschkeFactor(a=0.0, w=np.array([1.0, 1.0j])),
                       BlaschkeFactor(a=0.3 + 0.2j, w=np.array([0.5, -1.0])))),
      40),
@@ -240,14 +265,14 @@ def test_zeros_near_the_circle(N):
 
 
 @pytest.mark.parametrize("theta,N", [
-    (theta_shift(2), 8),
+    (InnerFn(2, 2), 8),
     (scalar_power(2), 10),
     (bp_half(), 40),
     (random_inner(seed=9, dim=2, n_factors=1), 32),
     # E smaller than U: H0 holds lambda^N ker V0*, which the truncated
     # shift drops
-    (InnerFn(kind="power", out_dim=3, in_dim=2, power=2, V0=RECT_V0), 16),
-    (InnerFn(kind="power", out_dim=3, in_dim=2, power=2, V0=RECT_V0), 40),
+    (InnerFn(out_dim=3, in_dim=2, power=2, V0=RECT_V0), 16),
+    (InnerFn(out_dim=3, in_dim=2, power=2, V0=RECT_V0), 40),
 ])
 def test_decompositions(theta, N):
     ms = model_space(theta, N)
@@ -259,7 +284,7 @@ def test_decompositions(theta, N):
 
 
 def test_mult_bound_zero_and_expansive():
-    ms = model_space(theta_shift(1), 8)
+    ms = model_space(InnerFn(1, 1), 8)
     zero = PolyOpFn(1, 1, (np.zeros((1, 1)),))
     rep = mult_contraction_test(zero, ms)
     assert rep.contractive and rep.norm == 0.0
@@ -273,7 +298,7 @@ def test_mult_bound_geometric_fixture():
     # multiplication by sum 0.6 (0.8 lambda)^n on the constants: the norm
     # is the partial column mass sqrt(1 - 0.64^(N+1))
     N = 20
-    ms = model_space(theta_shift(1), N)
+    ms = model_space(InnerFn(1, 1), N)
     H = PolyOpFn(1, 1, tuple(np.array([[0.6 * 0.8 ** n]]) for n in range(N + 1)))
     rep = mult_contraction_test(H, ms)
     assert rep.contractive
@@ -286,7 +311,7 @@ def test_mult_bound_brute_force_power_theta():
     # polynomials and multiplication columns are plain shifts of the
     # coefficient column
     k, u, y, N = 3, 2, 2, 16
-    theta = InnerFn(kind="power", out_dim=u, in_dim=u, power=k)
+    theta = InnerFn(out_dim=u, in_dim=u, power=k)
     ms = model_space(theta, N)
     H = random_multiplier(theta, y, N, seed=77, scale=0.5)
     M, _ = multiplication_operator(H, ms.basis, N)
@@ -305,13 +330,13 @@ def test_mult_bound_brute_force_power_theta():
 
 def test_h_from_Z_rejects_wrong_dims():
     with pytest.raises(DimensionMismatch):
-        h_from_Z_theta(theta_shift(2), random_schur(3, 3, 1, seed=0), 8)
+        h_from_Z_theta(InnerFn(2, 2), random_schur(3, 3, 1, seed=0), 8)
 
 
 def test_h_from_Z_constant_parameter_is_geometric():
     Z = SchurRealization(np.zeros((0, 0)), np.zeros((0, 1)),
                          np.zeros((2, 0)), np.array([[0.6], [0.8]]))
-    H = h_from_Z_theta(theta_shift(1), Z, 24)
+    H = h_from_Z_theta(InnerFn(1, 1), Z, 24)
     worst = max(abs(H.coeff(n)[0, 0] - 0.6 * 0.8 ** n) for n in range(25))
     assert worst < 1e-12
 
@@ -319,7 +344,7 @@ def test_h_from_Z_constant_parameter_is_geometric():
 def test_h_from_Z_zero_top_block():
     Z = SchurRealization(np.zeros((0, 0)), np.zeros((0, 1)),
                          np.zeros((2, 0)), np.array([[0.0], [0.7]]))
-    H = h_from_Z_theta(theta_shift(1), Z, 16)
+    H = h_from_Z_theta(InnerFn(1, 1), Z, 16)
     assert max(operator_norm(H.coeff(n)) for n in range(17)) == 0.0
 
 
@@ -328,7 +353,7 @@ def test_h_from_Z_shift_theta_matches_free_interpolation():
     # linear-fractional map
     u, y, N = 2, 2, 20
     Z = random_schur(y + u, u, 2, seed=33, scale=0.7)
-    H1 = h_from_Z_theta(theta_shift(u), Z, N)
+    H1 = h_from_Z_theta(InnerFn(u, u), Z, N)
     H2 = solve_from_Z(unconstrained_problem(u, y), Z, N)
     assert coeff_diff(H1, H2, N) < 1e-10
 
@@ -342,11 +367,11 @@ def feedback_thetas():
     facs = (BlaschkeFactor(a=0.0, w=np.array([1.0, 1j, 0.0])),
             BlaschkeFactor(a=0.5 - 0.3j, w=np.array([1.0, 2.0, 3.0j])),
             BlaschkeFactor(a=-0.4, w=np.array([0.0, 1.0, 1.0j])))
-    return [InnerFn(kind="bp_product", out_dim=2, in_dim=2, power=2),
+    return [InnerFn(out_dim=2, in_dim=2, power=2),
             bp_half(),
-            InnerFn(kind="bp_product", out_dim=3, in_dim=3, factors=facs, V0=V0),
-            theta_shift(2),
-            InnerFn(kind="power", out_dim=3, in_dim=2, power=3, V0=V0[:, :2])]
+            InnerFn(out_dim=3, in_dim=3, factors=facs, V0=V0),
+            InnerFn(2, 2),
+            InnerFn(out_dim=3, in_dim=2, power=3, V0=V0[:, :2])]
 
 
 @pytest.mark.parametrize("case", range(5))
@@ -427,26 +452,26 @@ def test_inner_function_as_a_parameter_takes_the_closed_loop(monkeypatch, N):
 
 
 def test_z_from_H_rejects_expansive_multiplier():
-    ms = model_space(theta_shift(2), 8)
+    ms = model_space(InnerFn(2, 2), 8)
     H = PolyOpFn(2, 2, (2.0 * np.eye(2),))
     with pytest.raises(NotAContraction):
-        z_from_H_theta(theta_shift(2), H, ms, 8)
+        z_from_H_theta(InnerFn(2, 2), H, ms, 8)
 
 
 def test_z_from_H_rejects_mismatched_model_space():
-    ms = model_space(theta_shift(1), 8)
+    ms = model_space(InnerFn(1, 1), 8)
     H = PolyOpFn(1, 1, (np.zeros((1, 1)),))
     with pytest.raises(DimensionMismatch):
-        z_from_H_theta(theta_shift(1), H, ms, 10)
+        z_from_H_theta(InnerFn(1, 1), H, ms, 10)
     with pytest.raises(DimensionMismatch):
-        z_from_H_theta(theta_shift(1), PolyOpFn(1, 2, (np.zeros((1, 2)),)), ms, 8)
+        z_from_H_theta(InnerFn(1, 1), PolyOpFn(1, 2, (np.zeros((1, 2)),)), ms, 8)
 
 
 def test_roundtrip_scalar_shift_theta():
     # H = c / (1 - s lambda) is a strict multiplication contraction;
     # recover a parameter and rebuild H
     c, s, N = 0.5, 0.4, 24
-    theta = theta_shift(1)
+    theta = InnerFn(1, 1)
     ms = model_space(theta, N)
     H = PolyOpFn(1, 1, tuple(np.array([[c * s ** n]]) for n in range(N + 1)))
     Z1 = z_from_H_theta(theta, H, ms, N)
@@ -528,7 +553,7 @@ def near_circle_theta(modulus: float, seed: int) -> InnerFn:
     rng = np.random.default_rng(seed)
     a = modulus * np.exp(2j * np.pi * rng.uniform())
     w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    return InnerFn(kind="bp_product", out_dim=2, in_dim=2,
+    return InnerFn(out_dim=2, in_dim=2,
                    factors=(BlaschkeFactor(a=a, w=w), BlaschkeFactor(a=0.3, w=np.eye(2)[0])))
 
 
@@ -540,7 +565,7 @@ def test_multiplier_roundtrip_is_exact_near_the_circle(modulus, N):
     for seed in range(10):
         theta = near_circle_theta(modulus, seed)
         H = random_multiplier(theta, 2, N, seed=1000 + seed)
-        assert multiplier_roundtrip_residual(theta, H, model_space(theta, N), N) <= 1e-12
+        assert multiplier_roundtrip_residual(theta, H, model_space(theta, N)) <= 1e-12
 
 
 def test_multipliers_without_an_exact_loop_keep_the_truncated_path():
@@ -614,7 +639,7 @@ def test_pointwise_check_zero_map():
 
 
 def test_pointwise_check_row_blocks_must_fill():
-    ms = model_space(theta_shift(1), 8)
+    ms = model_space(InnerFn(1, 1), 8)
     with pytest.raises(DimensionMismatch):
         pointwise_mult_check(np.zeros((10, 1)), ms)
 
@@ -624,7 +649,7 @@ def test_pointwise_check_trivial_for_plain_shift():
     # multiplication by its own action, so both residuals vanish for any
     # input whatsoever
     N = 8
-    ms = model_space(theta_shift(1), N)
+    ms = model_space(InnerFn(1, 1), N)
     rng = np.random.default_rng(1)
     G = rng.standard_normal((N + 1, 1))
     rep = pointwise_mult_check(G, ms)
@@ -639,7 +664,7 @@ def test_pointwise_check_trivial_for_plain_shift():
 def test_random_inner_is_seeded_and_capped():
     a = random_inner(seed=4, dim=2, n_factors=3)
     b = random_inner(seed=4, dim=2, n_factors=3)
-    assert operator_norm(a.coeff(3) - b.coeff(3)) == 0.0
+    assert operator_norm(a.taylor_stack(3)[3] - b.taylor_stack(3)[3]) == 0.0
     assert all(abs(f.a) <= 0.45 for f in a.factors)
     assert operator_norm(a.V0.conj().T @ a.V0 - np.eye(2)) < 1e-12
 
@@ -657,7 +682,7 @@ def test_model_space_bases_skip_the_orthonormality_recheck(monkeypatch):
     # QR factors are orthonormal by construction; the public Subspace checks
     refuse(monkeypatch, Subspace, "__post_init__")
     for theta, N in ((random_inner(71, 3, 3), 64),
-                     (InnerFn(kind="power", out_dim=3, in_dim=2, power=2), 16)):
+                     (InnerFn(out_dim=3, in_dim=2, power=2), 16)):
         ms = model_space(theta, N)
         for S in (ms.basis, ms.H0_basis):
             assert S.ambient_dim == (N + 1) * theta.out_dim
@@ -688,7 +713,7 @@ def test_truncated_multiplier_is_guarded_by_the_gram_it_solves_with(monkeypatch,
         H = random_multiplier(theta, 2, N, seed=73)
         H = PolyOpFn(H.out_dim, H.in_dim, H.coeffs)
     else:
-        theta = InnerFn(kind="power", out_dim=3, in_dim=2, power=2, V0=RECT_V0)
+        theta = InnerFn(out_dim=3, in_dim=2, power=2, V0=RECT_V0)
         H = random_multiplier(theta, 2, N, seed=4)
     ms = model_space(theta, N)
     shape = multiplication_operator(H, ms.basis, N)[0].shape
@@ -696,7 +721,7 @@ def test_truncated_multiplier_is_guarded_by_the_gram_it_solves_with(monkeypatch,
     big = PolyOpFn(H.out_dim, H.in_dim, c * H.taylor_stack(N))
     grams = count_calls(monkeypatch, modelspace, "contraction_gram")
     svds = count_calls(monkeypatch, np.linalg, "svd")
-    assert multiplier_roundtrip_residual(theta, H, ms, N) <= 1e-12
+    assert multiplier_roundtrip_residual(theta, H, ms) <= 1e-12
     assert len(grams) == 1
     assert not [args for args in svds if np.shape(args[0]) == shape]
     with pytest.raises(NotAContraction, match="multiplication operator has norm"):
@@ -707,10 +732,10 @@ def test_an_inner_function_into_no_input_space_has_its_splittings_and_parameter(
     # E = 0 makes Theta = 0, and the model space all of truncated H^2(U); the
     # reshapes of Theta's column still know their row count
     N = 16
-    theta = InnerFn(kind="power", out_dim=2, in_dim=0)
+    theta = InnerFn(out_dim=2, in_dim=0)
     ms = model_space(theta, N)
     assert check_decompositions(theta, ms).ok()
     H = random_multiplier(theta, 2, N, seed=5)
     Z = z_from_H_theta(theta, H, ms, N)
     assert (Z.out_dim, Z.in_dim) == (2, 2)
-    assert multiplier_roundtrip_residual(theta, H, ms, N) <= 1e-12
+    assert multiplier_roundtrip_residual(theta, H, ms) <= 1e-12
