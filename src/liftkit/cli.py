@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigError, LiftkitError
 from .hardy import column_operator
 from .lifting import (CHECK_TOL, FIBER_GAP_TOL, RECURRENCE_TOL,
-                      InterpolationProblem, fiber_roundtrip_residuals,
+                      InterpolationProblem, _failures, fiber_roundtrip_residuals,
                       random_constrained_z, random_problem, solve_from_Z,
                       uniqueness_certificate, verify_solution)
 from .linalg import Subspace
@@ -115,17 +115,6 @@ def _problem_and_z(args, payload_in):
     return p, Z
 
 
-def _exceeding(*checks) -> list:
-    """One failure message for each (name, residual, threshold) above its threshold."""
-    return [f"{name} {value:.3e} exceeds {tol:g}" for name, value, tol in checks if value > tol]
-
-
-def _report_failures(rep) -> list:
-    """Threshold failures of a SolutionReport, one message each."""
-    return _exceeding(("recurrence_residual", rep.recurrence_residual, RECURRENCE_TOL),
-                      ("partial_gram_excess", rep.partial_gram_excess, CHECK_TOL))
-
-
 def _cmd_gen(args, payload_in):
     p, Z = _problem_and_z(args, payload_in)
     return _envelope(args, [], problem=problem_to_json(p), Z=schur_to_json(Z),
@@ -137,7 +126,7 @@ def _cmd_solve(args, payload_in):
     N = args.degree
     H = solve_from_Z(p, Z, N)
     rep = verify_solution(p, H, N)
-    return _envelope(args, _report_failures(rep), problem=problem_to_json(p),
+    return _envelope(args, rep.failures(), problem=problem_to_json(p),
                      H=poly_to_json(H), report=asdict(rep))
 
 
@@ -147,13 +136,13 @@ def _cmd_verify(args, payload_in):
     p = problem_from_json(field(payload_in, "problem"), "problem")
     H = _mapping("H", poly_from_json(field(payload_in, "H"), "H"), p.U_dim, p.Y_dim)
     rep = verify_solution(p, H, H.degree)
-    return _envelope(args, _report_failures(rep), degree=rep.degree, report=asdict(rep))
+    return _envelope(args, rep.failures(), degree=rep.degree, report=asdict(rep))
 
 
 def _cmd_fiber(args, payload_in):
     p, Z = _problem_and_z(args, payload_in)
     diff, constraint, w0 = fiber_roundtrip_residuals(p, Z, args.degree)
-    return _envelope(args, _exceeding(("fiber roundtrip residual", diff, FIBER_GAP_TOL)),
+    return _envelope(args, _failures(("fiber roundtrip residual", diff, FIBER_GAP_TOL)),
                      roundtrip_residual=diff, constraint_residual=constraint,
                      w0_residual=w0)
 
@@ -179,8 +168,7 @@ def _cmd_rcl(args, payload_in):
         rep = _rcl_report(ds, args.seed + 2, N)
         fields["projection_residual"] = rep.projection_residual
         fields["intertwining_residual"] = rep.intertwining_residual
-        failures += _exceeding(("projection_residual", rep.projection_residual, CHECK_TOL),
-                               ("intertwining_residual", rep.intertwining_residual, CHECK_TOL))
+        failures += rep.failures()
     return _envelope(args, failures, **fields)
 
 
@@ -202,8 +190,8 @@ def _cmd_modelspace(args, payload_in):
     del payload_in
     ms, dec, Hf, diff = _modelspace_roundtrip(args.seed, args.seed + 3, args.degree)
     mb = mult_contraction_test(Hf, ms)
-    failures = _exceeding(("largest decomposition residual", max(dec), DECOMPOSITION_TOL),
-                          ("multiplier roundtrip residual", diff, MULT_ROUNDTRIP_TOL))
+    failures = dec.failures() + _failures(("multiplier roundtrip residual", diff,
+                                           MULT_ROUNDTRIP_TOL))
     if not mb.contractive:
         failures.append(f"multiplication norm {mb.norm:.6f} exceeds 1")
     return _envelope(args, failures, degree=ms.N, model_dim=ms.basis.dim,
@@ -243,13 +231,14 @@ def _suite_omega_roundtrip(seed: int, N: int):
 def _suite_rcl_equivalence(seed: int, N: int):
     for k in range(3):
         rep = _rcl_report(random_data_set(seed + 130 + k), seed + 160 + k, N)
-        yield (max(rep.projection_residual, rep.intertwining_residual),)
+        yield (rep.projection_residual,)
+        yield (rep.intertwining_residual,)
 
 
 def _suite_modelspace_roundtrip(seed: int, N: int):
     for k in range(2):
         _, dec, _, diff = _modelspace_roundtrip(seed + 200 + k, seed + 230 + k, N)
-        yield max(dec), diff
+        yield np.max(dec), diff
 
 
 def _suite_tilde_validates(seed: int, N: int):
@@ -259,8 +248,8 @@ def _suite_tilde_validates(seed: int, N: int):
 
 # (suite, least degree, checks as (name, tolerance)) in report order.  A
 # suite runs at max(--degree, least degree) and yields rows of residuals, one
-# entry per check, each passing when its largest residual is at most its
-# tolerance.
+# entry per check, each passing when its largest residual, NaN if any is, is
+# at most its tolerance.
 _SELFTEST = (
     (_suite_scalar_fixture, 0, (("scalar_fixture", 1e-12),)),
     (_suite_solve_verify, 0, (("solve_recurrence", RECURRENCE_TOL),
@@ -282,10 +271,10 @@ def _cmd_selftest(args, payload_in):
     for suite, least, checks in _SELFTEST:
         N = max(args.degree, least)
         for (name, tol), column in zip(checks, zip(*suite(args.seed, N))):
-            value = max(column)
-            suites[name] = {"degree": N, "max_residual": float(value), "tol": tol,
-                            "pass": bool(value <= tol)}
-            failures += _exceeding((name, value, tol))
+            value = float(np.max(column))
+            failed = _failures((name, value, tol))
+            suites[name] = {"degree": N, "max_residual": value, "tol": tol, "pass": not failed}
+            failures += failed
     return _envelope(args, failures, suites=suites)
 
 

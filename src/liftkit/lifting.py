@@ -51,6 +51,13 @@ RECURRENCE_TOL = 1e-9
 FIBER_GAP_TOL = 1e-7
 
 
+def _failures(*checks) -> list:
+    """One message for each (name, residual, threshold) whose residual is not
+    <= its threshold, so that a NaN residual fails: the one verdict rule."""
+    return [f"{name} {value:.3e} exceeds {tol:g}" for name, value, tol in checks
+            if not value <= tol]
+
+
 @dataclass(frozen=True, eq=False)
 class InterpolationProblem:
     """Interpolation data: a contraction omega from F < C^U_dim into C^(Y+U)."""
@@ -93,9 +100,12 @@ class SolutionReport:
     grid_sup_norm: float
     degree: int
 
+    def failures(self) -> list:
+        return _failures(("recurrence_residual", self.recurrence_residual, RECURRENCE_TOL),
+                         ("partial_gram_excess", self.partial_gram_excess, CHECK_TOL))
+
     def ok(self) -> bool:
-        return (self.recurrence_residual <= RECURRENCE_TOL
-                and self.partial_gram_excess <= CHECK_TOL)
+        return not self.failures()
 
 
 def solve_from_Z(p: InterpolationProblem, Z, N: int) -> PolyOpFn:

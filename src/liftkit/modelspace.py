@@ -44,7 +44,7 @@ from . import series
 from .errors import DegreeTooSmall, DimensionMismatch, DomainError
 from .hardy import (GRID, AnalyticFn, PolyOpFn, _poly, multiplication_operator, shift,
                     shift_adjoint)
-from .lifting import CHECK_TOL, InterpolationProblem, _feedback, _fiber_z
+from .lifting import CHECK_TOL, InterpolationProblem, _failures, _feedback, _fiber_z
 from .linalg import (Subspace, _orthonormal, as_operator, block_2x2, contraction_gram,
                      haar_unitary, operator_norm, operator_norms, orthonormal_range,
                      projector_gap)
@@ -120,8 +120,9 @@ class InnerFn(SchurRealization):
             raise DomainError(f"power must be an integer, got {power!r}")
         if power < 1:
             raise DomainError("power must be >= 1 so that Theta(0) = 0")
-        if out_dim < 1:
-            raise DimensionMismatch(f"an inner function needs out_dim >= 1, got {out_dim}")
+        if out_dim < 1 or in_dim < 0:
+            raise DimensionMismatch("an inner function needs out_dim >= 1 and in_dim >= 0, "
+                                    f"got {out_dim} x {in_dim}")
         if factors and out_dim != in_dim:
             raise DimensionMismatch("Blaschke-Potapov factors need a square Theta")
         for fac in factors:
@@ -181,8 +182,12 @@ class DecompositionReport(NamedTuple):
     R_isometry_residual: float
     Q_isometry_residual: float
 
+    def failures(self) -> list:
+        # np.max, unlike max, keeps a NaN in any position
+        return _failures(("largest decomposition residual", np.max(self), DECOMPOSITION_TOL))
+
     def ok(self) -> bool:
-        return max(self) <= DECOMPOSITION_TOL
+        return not self.failures()
 
 
 class MultBoundReport(NamedTuple):
@@ -406,6 +411,8 @@ def random_inner(seed: int, dim: int, n_factors: int,
     acceptance thresholds at N = 32, and fixes the seeded inputs of
     existing callers.
     """
+    if dim < 1:
+        raise DimensionMismatch(f"an inner function needs dim >= 1, got {dim}")
     rng = np.random.default_rng(seed)
     facs = []
     for _ in range(n_factors):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .hardy import PolyOpFn, _poly
-from .lifting import CHECK_TOL, InterpolationProblem, random_problem
+from .lifting import CHECK_TOL, InterpolationProblem, _failures, random_problem
 from .linalg import (CONTRACTION_SLACK, Subspace, as_operator, block_2x2, contraction_gram,
                      contraction_on_generators, defect, gram_norm, haar_unitary,
                      operator_norm, require_gram_contraction, require_lifted_contraction)
@@ -126,9 +126,12 @@ class RclReport:
     intertwining_residual: float
     degree: int
 
+    def failures(self) -> list:
+        return _failures(("projection_residual", self.projection_residual, CHECK_TOL),
+                         ("intertwining_residual", self.intertwining_residual, CHECK_TOL))
+
     def ok(self) -> bool:
-        return (self.projection_residual <= CHECK_TOL
-                and self.intertwining_residual <= CHECK_TOL)
+        return not self.failures()
 
 
 def validate_data_set(ds: RclDataSet) -> bool:

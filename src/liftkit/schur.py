@@ -131,6 +131,9 @@ def random_schur(out_dim: int, in_dim: int, state_dim: int, seed: int,
     the draw (or a coisometry when the shape forces it), giving boundary
     cases with colligation norm exactly 1 before scaling.
     """
+    if min(out_dim, in_dim, state_dim) < 0:
+        raise DimensionMismatch("dimensions must be non-negative, "
+                                f"got {out_dim}, {in_dim}, {state_dim}")
     rng = np.random.default_rng(seed)
     rows, cols = state_dim + out_dim, state_dim + in_dim
     M = (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))

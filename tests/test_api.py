@@ -423,9 +423,25 @@ def _private_imports(path: Path, module: str) -> set:
 
 
 def test_modelspace_builds_its_parameters_only_through_lifting_fiber_z():
-    # no copy of the defect -> central member -> W(0) -> Z_C sequence outside lifting
+    # no copy of the defect -> central member -> W(0) -> Z_C sequence outside
+    # lifting; _failures is the shared verdict of DecompositionReport
     path = ROOT / "src" / "liftkit" / "modelspace.py"
-    assert _private_imports(path, "lifting") == {"_feedback", "_fiber_z"}
+    assert _private_imports(path, "lifting") == {"_failures", "_feedback", "_fiber_z"}
+
+
+def test_the_cli_compares_no_value_with_a_threshold():
+    # every pass/fail verdict is lifting._failures, through a report's
+    # failures() or a bare float's (name, residual, threshold) row
+    path = ROOT / "src" / "liftkit" / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = {_name(node) for node in ast.walk(tree)} | {
+        node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert not names & {"_exceeding", "_report_failures"}
+    compared = [f"cli.py:{node.lineno}" for node in ast.walk(tree)
+                if isinstance(node, ast.Compare)
+                for side in [node.left, *node.comparators] for sub in ast.walk(side)
+                if "tol" in (_name(sub) or "").lower()]
+    assert not compared
 
 
 def _defect_route(p, Gamma):

@@ -216,6 +216,15 @@ def test_fiber_command_meets_the_constraint_at_low_degree(capsys, dims, degree, 
     assert payload["constraint_residual"] <= 1e-8
 
 
+def test_a_nan_fiber_gap_fails(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "fiber_roundtrip_residuals", lambda p, Z, N: (float("nan"), 0.0, 0.0))
+    code, out = run(capsys, "--cmd", "fiber")
+    assert code == 2
+    payload = json.loads(out.out)
+    assert payload["ok"] is False
+    assert payload["failures"] == ["fiber roundtrip residual nan exceeds 1e-07"]
+
+
 def test_rcl_command(capsys):
     code, out = run(capsys, "--cmd", "rcl", "--seed", "3")
     assert code == 0
@@ -241,6 +250,32 @@ def test_selftest_passes(capsys):
     assert payload["ok"] is True
     for name, suite in payload["suites"].items():
         assert suite["pass"], name
+
+
+def test_a_nan_in_a_later_selftest_row_fails_its_suite(capsys, monkeypatch):
+    # max((1e-20, nan)) is 1e-20: the worst value must keep the NaN
+    monkeypatch.setattr(cli, "_SELFTEST", (
+        (lambda seed, N: iter([(1e-20,), (float("nan"),)]), 0, (("rows", 1e-9),)),))
+    code, out = run(capsys, "--cmd", "selftest")
+    assert code == 2
+    payload = json.loads(out.out)
+    assert payload["ok"] is False
+    assert payload["suites"]["rows"]["pass"] is False
+    assert payload["failures"] == ["rows nan exceeds 1e-09"]
+
+
+def test_the_cli_thresholds_are_the_acceptance_literals():
+    # The thresholds the CLI reports against equal the literals of the frozen
+    # oracle in test_acceptance.py, so that any drift between them fails here.
+    # Two known divergences stay until one registry holds every check:
+    # W(0) (W_ZERO_TOL = 1e-8 against 1e-10 in test_03) and the multiplier
+    # norm (1 + CHECK_TOL against 1 + 1e-7 in test_07); the benchmark keeps
+    # its own copy in bench/workloads.THRESHOLDS.
+    assert cli.RECURRENCE_TOL == 1e-9  # test_02
+    assert cli.CHECK_TOL == 1e-8  # test_02
+    assert cli.FIBER_GAP_TOL == 1e-7  # test_03
+    assert cli.MULT_ROUNDTRIP_TOL == 1e-6  # test_08
+    assert cli.DECOMPOSITION_TOL == 1e-9  # test_09
 
 
 def test_out_file_is_parseable(tmp_path, capsys):

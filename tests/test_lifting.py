@@ -166,6 +166,15 @@ def test_verify_reports_do_not_throw():
     assert not rep.ok()
 
 
+@pytest.mark.parametrize("field,tol", [("recurrence_residual", "1e-09"),
+                                       ("partial_gram_excess", "1e-08")])
+def test_a_nan_solution_residual_is_a_failure(field, tol):
+    rep = lifting.SolutionReport(**{"recurrence_residual": 0.0, "partial_gram_excess": 0.0,
+                                    "grid_sup_norm": 0.0, "degree": 4, field: float("nan")})
+    assert rep.failures() == [f"{field} nan exceeds {tol}"]
+    assert not rep.ok()
+
+
 def test_verify_gram_excess():
     p = unconstrained_problem(1, 1)
     H = PolyOpFn(1, 1, (np.array([[1.1]]),))

@@ -13,7 +13,8 @@ from liftkit import lifting, linalg, modelspace, series
 from liftkit.hardy import (GRID, AnalyticFn, PolyOpFn, column_operator,
                            multiplication_operator)
 from liftkit.lifting import _closed_loop, solve_from_Z
-from liftkit.modelspace import (BlaschkeFactor, InnerFn, check_decompositions,
+from liftkit.modelspace import (BlaschkeFactor, DecompositionReport, InnerFn,
+                                check_decompositions,
                                 h_from_Z_theta, model_space,
                                 mult_contraction_test, multiplier_roundtrip_residual,
                                 pointwise_mult_check, random_inner,
@@ -130,6 +131,25 @@ def test_inner_validation():
         InnerFn(out_dim=1, in_dim=1, power=1.5)
     # E = 0: Theta is the zero map and H is all of H^2(U)
     assert model_space(InnerFn(out_dim=2, in_dim=0), 8).basis.dim == 18
+
+
+def test_a_negative_inner_dimension_is_a_dimension_mismatch():
+    with pytest.raises(DimensionMismatch, match="in_dim >= 0"):
+        InnerFn(2, -1)
+    with pytest.raises(DimensionMismatch, match="dim >= 1"):
+        random_inner(0, -1, 1)
+
+
+def test_a_nan_decomposition_residual_fails_in_any_position():
+    for k in range(4):
+        row = [0.0] * 4
+        row[k] = float("nan")
+        rep = DecompositionReport(*row)
+        assert not rep.ok()
+        assert rep.failures() == ["largest decomposition residual nan exceeds 1e-09"]
+    assert DecompositionReport(0.0, 1e-9, 0.0, 0.0).ok()
+    assert DecompositionReport(0.0, 0.0, 0.0, 2e-9).failures() == [
+        "largest decomposition residual 2.000e-09 exceeds 1e-09"]
 
 
 def test_an_inner_function_takes_any_power_with_its_factors():

@@ -244,6 +244,14 @@ def test_verify_rcl_projection_residual():
     assert not rep.ok()
 
 
+@pytest.mark.parametrize("field", ["projection_residual", "intertwining_residual"])
+def test_a_nan_rcl_residual_is_a_failure(field):
+    rep = rcl.RclReport(**{"projection_residual": 0.0, "intertwining_residual": 0.0,
+                           "degree": 4, field: float("nan")})
+    assert rep.failures() == [f"{field} nan exceeds 1e-08"]
+    assert not rep.ok()
+
+
 def test_verify_rcl_degree_mismatch_raises():
     ds = tilde_set()
     cand = LiftingCandidate(A_part=ds.A, tail=PolyOpFn(1, 2, (np.zeros((1, 2)),)))

@@ -67,6 +67,12 @@ def test_random_schur_deterministic_contractive():
     assert operator_norm(random_schur(2, 2, 3, seed=1, scale=0.5).colligation()) <= 0.5 + 1e-12
 
 
+@pytest.mark.parametrize("dims", [(-1, 1, 0), (1, -1, 0), (1, 1, -1)])
+def test_random_schur_rejects_a_negative_size(dims):
+    with pytest.raises(DimensionMismatch, match="non-negative"):
+        random_schur(*dims, 0)
+
+
 def test_random_schur_isometric():
     Z = random_schur(3, 2, 2, seed=3, isometric=True)
     M = Z.colligation()
