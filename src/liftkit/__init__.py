@@ -5,7 +5,7 @@ from .errors import (ConfigError, ConstraintViolated, DegreeTooSmall,
                      LiftkitError, NotAContraction, NotASolution,
                      SingularResolvent, WNotNormalizedAtZero)
 from .hardy import (AnalyticFn, PolyOpFn, TruncationGrid, column_operator,
-                    default_grid, multiplication_operator)
+                    default_grid, grid_sup_norm, multiplication_operator)
 from .lifting import (InterpolationProblem, SolutionReport, central_C,
                       fiber_roundtrip_residuals, omega_hat,
                       parameter_membership, random_constrained_z,
@@ -35,7 +35,7 @@ __all__ = [
     "WNotNormalizedAtZero", "as_operator", "b_to_gamma",
     "central_C", "check_decompositions", "column_operator",
     "constrained_completion", "data_set_from_omega", "defect", "default_grid",
-    "fiber_roundtrip_residuals", "gamma_to_B", "h_from_Z_theta",
+    "fiber_roundtrip_residuals", "gamma_to_B", "grid_sup_norm", "h_from_Z_theta",
     "haar_unitary", "hermitian_sqrt_psd", "model_space",
     "mult_contraction_test", "multiplication_operator",
     "multiplier_roundtrip_residual", "omega_hat", "omega_roundtrip_residual",

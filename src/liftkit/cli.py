@@ -16,7 +16,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import ConfigError, LiftkitError
-from .hardy import column_operator
+from .hardy import column_operator, grid_sup_norm
 from .lifting import (CHECK_TOL, FIBER_GAP_TOL, RECURRENCE_TOL,
                       InterpolationProblem, _failures, fiber_roundtrip_residuals,
                       random_constrained_z, random_problem, solve_from_Z,
@@ -127,7 +127,7 @@ def _cmd_solve(args, payload_in):
     H = solve_from_Z(p, Z, N)
     rep = verify_solution(p, H, N)
     return _envelope(args, rep.failures(), problem=problem_to_json(p),
-                     H=poly_to_json(H), report=asdict(rep))
+                     H=poly_to_json(H), report={**asdict(rep), "grid_sup_norm": grid_sup_norm(H)})
 
 
 def _cmd_verify(args, payload_in):
@@ -136,7 +136,8 @@ def _cmd_verify(args, payload_in):
     p = problem_from_json(field(payload_in, "problem"), "problem")
     H = _mapping("H", poly_from_json(field(payload_in, "H"), "H"), p.U_dim, p.Y_dim)
     rep = verify_solution(p, H, H.degree)
-    return _envelope(args, rep.failures(), degree=rep.degree, report=asdict(rep))
+    return _envelope(args, rep.failures(), degree=rep.degree,
+                     report={**asdict(rep), "grid_sup_norm": grid_sup_norm(H)})
 
 
 def _cmd_fiber(args, payload_in):

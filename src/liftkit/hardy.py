@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import series
-from .errors import ConfigError, DegreeTooSmall, DimensionMismatch, DomainError
-from .linalg import Subspace, as_operator, operator_norm
+from .errors import ConfigError, DegreeTooSmall, DimensionMismatch, DomainError, NonFiniteResult
+from .linalg import Subspace, as_operator, operator_norm, operator_norms
 
 # The sample points of every grid check: 32 on each of the circles
 # |z| = 0.6 and 0.95.
@@ -124,6 +124,7 @@ class PolyOpFn(Evaluable):
     def taylor_stack(self, N: int) -> np.ndarray:
         """Coefficients 0..N as an (N+1, out, in) stack: a read-only view of
         the stored stack up to the degree, a fresh zero-padded array above it."""
+        series.require_degree(N)
         if N < len(self.coeffs):
             return self._stack[:N + 1]
         out = np.zeros((N + 1, self.out_dim, self.in_dim), dtype=np.complex128)
@@ -172,6 +173,7 @@ class AnalyticFn(Evaluable):
     def taylor_stack(self, N: int) -> np.ndarray:
         """Coefficients 0..N as an (N+1, out, in) stack, a read-only view of
         the stored one."""
+        series.require_degree(N)
         if N >= len(self.coeffs):
             raise DegreeTooSmall(f"Taylor data stored to degree {self.degree}, asked for {N}")
         return self._stack[:N + 1]
@@ -246,6 +248,18 @@ def column_operator(H, N: int) -> np.ndarray:
     A reshape of H.taylor_stack(N): a read-only view, with no zero-fill and
     no copy, wherever that stack is one of stored coefficients."""
     return H.taylor_stack(N).reshape((N + 1) * H.out_dim, H.in_dim)
+
+
+def grid_sup_norm(H) -> float:
+    """Largest ||H(lambda)|| over GRID, from H's values there: for a PolyOpFn,
+    its stored coefficients.  Solutions live in the H^2 ball, not the
+    sup-norm ball, so no verdict reads it.  Values that overflow raise
+    NonFiniteResult."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        values = H.eval_many(GRID)
+    if not np.isfinite(values).all():
+        raise NonFiniteResult("H overflows in its values on GRID")
+    return float(operator_norms(values).max())
 
 
 def multiplication_operator(H: PolyOpFn, domain: Subspace, N: int) -> tuple[np.ndarray, float]:

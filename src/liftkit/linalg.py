@@ -8,11 +8,12 @@ library is one of the functions here.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionMismatch, InconsistentGenerators,
+from .errors import (ConfigError, DimensionMismatch, InconsistentGenerators,
                      NonFiniteResult, NotAContraction, SingularResolvent)
 
 ORTH_TOL = 1e-12
@@ -355,6 +356,18 @@ def contraction_on_generators(gen, img, tol: float) -> tuple[Subspace, np.ndarra
     if nrm > 1.0:
         om = om / nrm
     return F, om
+
+
+def seeded_rng(seed) -> np.random.Generator:
+    """np.random.default_rng of the seed as the same integer, the one seed
+    check of the seeded generators: ConfigError unless it is an integer >= 0."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ConfigError(f"seed must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -47,7 +47,7 @@ from .hardy import (GRID, AnalyticFn, PolyOpFn, _poly, multiplication_operator, 
 from .lifting import CHECK_TOL, InterpolationProblem, _failures, _feedback, _fiber_z
 from .linalg import (Subspace, _orthonormal, as_operator, block_2x2, contraction_gram,
                      haar_unitary, operator_norm, operator_norms, orthonormal_range,
-                     projector_gap)
+                     projector_gap, seeded_rng)
 from .schur import Realization, SchurRealization, _assembled, random_schur
 
 # threshold of each residual of check_decompositions
@@ -413,7 +413,7 @@ def random_inner(seed: int, dim: int, n_factors: int,
     """
     if dim < 1:
         raise DimensionMismatch(f"an inner function needs dim >= 1, got {dim}")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     facs = []
     for _ in range(n_factors):
         r = rng.uniform(0.15, max_modulus)

@@ -23,12 +23,14 @@ from functools import cached_property
 
 import numpy as np
 
+from . import series
 from .errors import DimensionMismatch
 from .hardy import PolyOpFn, _poly
 from .lifting import CHECK_TOL, InterpolationProblem, _failures, random_problem
 from .linalg import (CONTRACTION_SLACK, Subspace, as_operator, block_2x2, contraction_gram,
                      contraction_on_generators, defect, gram_norm, haar_unitary,
-                     operator_norm, require_gram_contraction, require_lifted_contraction)
+                     operator_norm, require_gram_contraction, require_lifted_contraction,
+                     seeded_rng)
 
 DATA_SET_TOL = 1e-10
 # residual and contraction slack of the omega induced by a data set
@@ -175,7 +177,8 @@ def gamma_to_B(ds: RclDataSet, Gamma, N: int) -> LiftingCandidate:
     Gamma's u x u Gram, as LiftingCandidate guards its column.  The tail is
     kept as the pair (Gamma, X = Bd_A* D_A) (LiftingCandidate): a read-only
     Gamma as it is given, a writable one copied once, so that the candidate
-    aliases no memory its caller can change."""
+    aliases no memory its caller can change.  A degree N < 0 raises DegreeTooSmall."""
+    series.require_degree(N)
     DA, rA = ds.defect_A
     G = as_operator(Gamma, cols=rA.dim)
     dT = ds.defect_Tprime[1].dim
@@ -287,7 +290,7 @@ def random_data_set(seed: int, u: int = 2, y: int = 2, f: int = 1) -> RclDataSet
     1 x 1 unitary block (which contributes nothing to the defects), then
     conjugated by random unitaries on H', H and H0.  Always validates.
     """
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     p = random_problem(u, y, f, seed + 1, scale=0.9)
     base = data_set_from_omega(p)
     m = base.H_dim

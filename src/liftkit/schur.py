@@ -21,7 +21,7 @@ from .errors import DimensionMismatch
 from .hardy import Evaluable, PolyOpFn, _poly
 from .linalg import (CONTRACTION_SLACK, as_operator, block_2x2, defect, gramian_root,
                      operator_norm, orthonormal_range, require_contraction, require_inverse,
-                     require_invertible)
+                     require_invertible, seeded_rng)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +134,7 @@ def random_schur(out_dim: int, in_dim: int, state_dim: int, seed: int,
     if min(out_dim, in_dim, state_dim) < 0:
         raise DimensionMismatch("dimensions must be non-negative, "
                                 f"got {out_dim}, {in_dim}, {state_dim}")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     rows, cols = state_dim + out_dim, state_dim + in_dim
     M = (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
     M /= np.sqrt(2.0)

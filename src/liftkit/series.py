@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DegreeTooSmall, DimensionMismatch
 from .linalg import require_invertible
 
 
@@ -34,6 +34,12 @@ def _as_series(a) -> np.ndarray:
     if s.ndim != 3 or s.shape[0] == 0:
         raise DimensionMismatch(f"expected an (N+1, m, n) stack, got shape {s.shape}")
     return s
+
+
+def require_degree(N: int) -> None:
+    """The one check of a truncation degree: DegreeTooSmall unless N >= 0."""
+    if N < 0:
+        raise DegreeTooSmall(f"truncation degree must be >= 0, got {N}")
 
 
 def _fft_len(L: int) -> int:
@@ -132,7 +138,7 @@ def stack_entries(N: int, n: int, out: int, inn: int) -> int:
 
 
 def realization_stack(A, B, C, D, N: int) -> np.ndarray:
-    """Coefficients D, CB, CAB, ..., CA^(N-1)B as an (N+1, out, in) stack.
+    """Coefficients D, CB, CAB, ..., CA^(N-1)B as an (N+1, out, in) stack, N >= 0.
 
     These are the Taylor coefficients of D + lambda C (I - lambda A)^-1 B.
     With (s, t) = _split(N), the coefficient of degree 1 + j + s i is
@@ -146,6 +152,7 @@ def realization_stack(A, B, C, D, N: int) -> np.ndarray:
     about N out n in multiply-adds, and the doublings (s out + t in) n^2
     and log N n^3.
     """
+    require_degree(N)
     A, B, C, D = (np.asarray(X, dtype=np.complex128) for X in (A, B, C, D))
     (out, inn), n = D.shape, len(A)
     stack = np.empty((N + 1, out, inn), dtype=np.complex128)

@@ -9,7 +9,8 @@ import pytest
 from _support import refuse, scalar_fixture, wrong_beyond_degree
 from liftkit import cli
 from liftkit.cli import main
-from liftkit.hardy import PolyOpFn
+from liftkit.errors import NonFiniteResult
+from liftkit.hardy import PolyOpFn, grid_sup_norm
 from liftkit.linalg import Subspace
 from liftkit.lifting import InterpolationProblem
 from liftkit.serialize import (MAX_DEGREE, MAX_ENTRIES, dumps, load, poly_from_json,
@@ -393,6 +394,17 @@ def test_verify_of_an_overflowing_H_is_a_numeric_error(tmp_path, capsys):
     assert payload["ok"] is False
     assert payload["error"].startswith("NonFiniteResult: ")
     assert len(payload["error"].splitlines()) == 1
+
+
+def test_the_grid_sup_norm_of_an_overflowing_H_is_a_numeric_error(tmp_path, capsys):
+    # the H of the test above, whose verify exits 3
+    s = tmp_path / "solve.json"
+    assert run(capsys, "--cmd", "solve", "--seed", "1", "--out", str(s))[0] == 0
+    record = coefficient_record(load(str(s))["H"])
+    for c in record["coeffs"]:
+        c["re"] = [(-1.0) ** i * 1e308 for i in range(len(c["re"]))]
+    with pytest.raises(NonFiniteResult, match="^H overflows in its values on GRID$"):
+        grid_sup_norm(poly_from_json(record))
 
 
 def test_envelope_degree_is_the_degree_the_command_ran_at(tmp_path, capsys):

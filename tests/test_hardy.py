@@ -9,8 +9,10 @@ from liftkit.errors import (ConfigError, DegreeTooSmall, DimensionMismatch,
 from liftkit.hardy import (GRID, AnalyticFn, PolyOpFn, TruncationGrid,
                            column_operator, default_grid,
                            multiplication_operator, shift, shift_adjoint)
+from liftkit.lifting import random_constrained_z, random_problem, solve_from_Z, verify_solution
 from liftkit.linalg import Subspace, operator_norm
-from liftkit.modelspace import model_space, random_inner, random_multiplier
+from liftkit.modelspace import h_from_Z_theta, model_space, random_inner, random_multiplier
+from liftkit.rcl import gamma_to_B, random_data_set
 from liftkit.schur import random_schur
 
 
@@ -102,6 +104,42 @@ def test_analyticfn_taylor_is_bounded_by_stored_degree():
         fn.taylor_stack(4)
     with pytest.raises(DomainError):
         fn.eval(1.2)
+
+
+@pytest.fixture(scope="module")
+def degree_inputs():
+    p = random_problem(2, 2, 1, seed=1, scale=0.45)
+    Z = random_constrained_z(p, 2, seed=2, scale=0.5)
+    theta = random_inner(3, 2, 1)
+    Zt = random_schur(2 + theta.in_dim, theta.out_dim, 2, 4, scale=0.5)
+    return {"p": p, "Z": Z, "H": solve_from_Z(p, Z, 8), "theta": theta, "Zt": Zt,
+            "ds": random_data_set(5),
+            "coeffs": PolyOpFn(Zt.out_dim, Zt.in_dim, Zt.taylor_stack(8)),
+            "analytic": AnalyticFn(1, 1, [np.eye(1)] * 4, lambda lam: np.eye(1))}
+
+
+DEGREE_CALLS = {
+    "solve_from_Z": lambda d, N: solve_from_Z(d["p"], d["Z"], N),
+    "h_from_Z_theta": lambda d, N: h_from_Z_theta(d["theta"], d["Zt"], N),
+    "h_from_Z_theta of coefficients": lambda d, N: h_from_Z_theta(d["theta"], d["coeffs"], N),
+    "Realization.taylor_stack": lambda d, N: d["Z"].taylor_stack(N),
+    "Realization.truncated": lambda d, N: d["Z"].truncated(N),
+    "verify_solution": lambda d, N: verify_solution(d["p"], d["H"], N),
+    "column_operator": lambda d, N: column_operator(d["H"], N),
+    "PolyOpFn.taylor_stack": lambda d, N: d["coeffs"].taylor_stack(N),
+    "AnalyticFn.taylor_stack": lambda d, N: d["analytic"].taylor_stack(N),
+    # a candidate of degree -1 from an empty Gamma passed verify_rcl
+    "gamma_to_B": lambda d, N: gamma_to_B(d["ds"], np.zeros((max(N + 1, 0) * 2, 2)), N),
+}
+
+
+@pytest.mark.parametrize("call", DEGREE_CALLS.values(), ids=DEGREE_CALLS)
+def test_a_negative_truncation_degree_is_too_small(degree_inputs, call):
+    for N in (-1, -2):
+        with pytest.raises(DegreeTooSmall, match=f"^truncation degree must be >= 0, got {N}$"):
+            call(degree_inputs, N)
+    # degree 0 stays valid
+    call(degree_inputs, 0)
 
 
 def test_truncation_grid_validation():

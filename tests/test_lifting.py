@@ -13,14 +13,14 @@ from liftkit import hardy, lifting, schur, series
 from liftkit.errors import (ConstraintViolated, DimensionMismatch,
                             NotAContraction, NotASolution,
                             WNotNormalizedAtZero)
-from liftkit.hardy import GRID, AnalyticFn, PolyOpFn, column_operator, default_grid
+from liftkit.hardy import GRID, AnalyticFn, PolyOpFn, column_operator, default_grid, grid_sup_norm
 from liftkit.lifting import (CHECK_TOL, InterpolationProblem, _feedback, _lambda_identity,
                              central_C, fiber_roundtrip_residuals, omega_hat,
                              parameter_membership, random_constrained_z,
                              random_problem, solve_from_Z,
                              uniqueness_certificate, verify_solution, z_from_C)
 from liftkit.linalg import (ROUNDOFF, Subspace, haar_unitary, hermitian_sqrt_psd, operator_norm,
-                            orthonormal_range, realized_sup_bound)
+                            operator_norms, orthonormal_range, realized_sup_bound)
 from liftkit.modelspace import InnerFn, h_from_Z_theta, model_space, z_from_H_theta
 from liftkit.rcl import random_data_set, underlying_contraction
 from liftkit.schur import Realization, SchurRealization, random_schur
@@ -54,7 +54,7 @@ def test_scalar_fixture_closed_form():
     assert rep.ok()
     # solutions live in the H^2 ball, not the sup-norm ball: the fixture
     # peaks at 0.6 / (1 - 0.8 * 0.95) = 2.5 on the outer grid circle
-    assert rep.grid_sup_norm == pytest.approx(2.4973801295543843, abs=1e-12)
+    assert grid_sup_norm(H) == pytest.approx(2.4973801295543843, abs=1e-12)
     assert rep.partial_gram_excess == 0.0
 
 
@@ -170,7 +170,7 @@ def test_verify_reports_do_not_throw():
                                        ("partial_gram_excess", "1e-08")])
 def test_a_nan_solution_residual_is_a_failure(field, tol):
     rep = lifting.SolutionReport(**{"recurrence_residual": 0.0, "partial_gram_excess": 0.0,
-                                    "grid_sup_norm": 0.0, "degree": 4, field: float("nan")})
+                                    "degree": 4, field: float("nan")})
     assert rep.failures() == [f"{field} nan exceeds {tol}"]
     assert not rep.ok()
 
@@ -237,7 +237,7 @@ def test_realized_residuals_bound_the_truncated_ones(dims, n):
     exact, cut = _realized_and_truncated(p, H, n)
     assert exact.recurrence_residual >= cut.recurrence_residual - 1e-15
     assert exact.partial_gram_excess >= cut.partial_gram_excess - 1e-15
-    assert exact.grid_sup_norm == cut.grid_sup_norm
+    assert grid_sup_norm(H) == grid_sup_norm(_coefficients(H))
     assert exact.ok() and cut.ok()
     # a coefficient of norm 2 at degree n + 2 only the realized checks see
     exact, cut = _realized_and_truncated(p, wrong_beyond_degree(H, n, 2.0), n)
@@ -249,12 +249,32 @@ def test_realized_residuals_bound_the_truncated_ones(dims, n):
 def test_verify_of_a_realized_h_reads_no_coefficient_stack(monkeypatch, dims, n):
     p = random_problem(*dims, seed=43, scale=0.45)
     H = solve_from_Z(p, random_constrained_z(p, 2, seed=44, scale=0.5), n)
-    want = verify_solution(p, _coefficients(H), n)
+    want = grid_sup_norm(_coefficients(H))
     refuse(monkeypatch, PolyOpFn, "taylor_stack")
     calls = count_calls(monkeypatch, lifting, "operator_norms")
     rep = verify_solution(p, H, n)
-    assert rep.ok() and rep.grid_sup_norm == want.grid_sup_norm
+    assert rep.ok() and grid_sup_norm(H) == want
     assert calls and all(len(args[0]) <= 64 for args in calls)
+
+
+@pytest.mark.parametrize("dims,n", [((2, 2, 1), 24), ((24, 24, 12), 192)])
+def test_verify_of_a_realized_h_reads_no_value_and_no_coefficient(monkeypatch, dims, n):
+    # the verdict of a realized H reads its loop only, at a cost free of n
+    p = random_problem(*dims, seed=43, scale=0.45)
+    H = solve_from_Z(p, random_constrained_z(p, 2, seed=44, scale=0.5), n)
+    refuse(monkeypatch, PolyOpFn, "_values", "taylor_stack")
+    refuse(monkeypatch, hardy.Evaluable, "eval_many")
+    assert verify_solution(p, H, n).ok()
+
+
+@pytest.mark.parametrize("dims,n", [(d, 24) for d in DIMS]
+                         + [(d, 192) for d in ((8, 8, 4), (16, 16, 8), (24, 24, 12))])
+def test_grid_sup_norm_is_the_largest_norm_of_the_values_on_the_grid(dims, n):
+    p = random_problem(*dims, seed=45, scale=0.45)
+    H = solve_from_Z(p, random_constrained_z(p, 2, seed=46, scale=0.5), n)
+    sup = grid_sup_norm(H)
+    assert sup == operator_norms(H.eval_many(GRID)).max()
+    assert sup == pytest.approx(max(np.linalg.norm(H.eval(z), 2) for z in GRID), rel=1e-13)
 
 
 def test_verify_reads_the_coefficients_of_a_loop_below_degree_n_or_with_no_root():

@@ -6,15 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _support import herglotz, refuse, svd_singular_rule
-from liftkit.errors import (DimensionMismatch, InconsistentGenerators,
+from liftkit.errors import (ConfigError, DimensionMismatch, InconsistentGenerators,
                             NonFiniteResult, NotAContraction, SingularResolvent)
+from liftkit.lifting import random_constrained_z, random_problem
 from liftkit.linalg import (CONTRACTION_SLACK, Subspace, as_operator, block_2x2,
                             contraction_on_generators, defect, gram_norm, gramian_root,
                             haar_unitary, hermitian_sqrt_psd,
                             operator_norm, operator_norms, orthonormal_range,
                             projector_gap, realized_sup_bound, require_contraction,
-                            require_gram_contraction, require_invertible, stable_radius)
-from liftkit.schur import Realization
+                            require_gram_contraction, require_invertible, seeded_rng,
+                            stable_radius)
+from liftkit.modelspace import InnerFn, random_inner, random_multiplier
+from liftkit.rcl import random_data_set
+from liftkit.schur import Realization, random_schur
 
 
 def _complex_matrix(rng, m, n, scale=1.0):
@@ -565,3 +569,29 @@ def test_library_bases_skip_the_orthonormality_recheck(monkeypatch):
         assert operator_norm(S.basis.conj().T @ S.basis - np.eye(S.dim)) <= 1e-14
     with pytest.raises(AssertionError):
         Subspace(3, np.eye(3))
+
+
+SEEDED = {
+    "random_problem": lambda seed: random_problem(2, 2, 1, seed),
+    "random_schur": lambda seed: random_schur(2, 2, 1, seed),
+    "random_constrained_z": lambda seed: random_constrained_z(random_problem(2, 2, 1, 0), 2, seed),
+    "random_multiplier": lambda seed: random_multiplier(InnerFn(2, 2), 2, 8, seed),
+    "random_data_set": lambda seed: random_data_set(seed),
+    "random_inner": lambda seed: random_inner(seed, 2, 1),
+}
+
+
+@pytest.mark.parametrize("make", SEEDED.values(), ids=SEEDED)
+@pytest.mark.parametrize("seed,message", [(-1, "^seed must be non-negative, got -1$"),
+                                          (2.5, "^seed must be an integer, got 2.5$"),
+                                          ("3", "^seed must be an integer, got '3'$")],
+                         ids=["negative", "fraction", "string"])
+def test_a_seed_that_is_not_a_non_negative_integer_is_a_config_error(make, seed, message):
+    with pytest.raises(ConfigError, match=message):
+        make(seed)
+
+
+@pytest.mark.parametrize("seed", [0, 7, np.int64(7), 2**31 - 8])
+def test_seeded_rng_draws_what_numpy_draws_from_the_same_integer(seed):
+    want = np.random.default_rng(int(seed)).standard_normal(8)
+    assert seeded_rng(seed).standard_normal(8).tobytes() == want.tobytes()
